@@ -33,7 +33,6 @@ main(int argc, char **argv)
                                 harness::defaultSteps())));
     const std::size_t jobs =
         static_cast<std::size_t>(cfg.getInt("jobs", 0));
-    const std::string only = cfg.getString("bench", "");
     const harness::SweepOptions opts =
         harness::sweepOptionsFromConfig(cfg);
 
@@ -43,10 +42,8 @@ main(int argc, char **argv)
 
     const arch::MannaConfig manna = arch::MannaConfig::baseline16();
 
-    std::vector<workloads::Benchmark> suite;
-    for (const auto &bench : workloads::table2Suite())
-        if (only.empty() || bench.name == only)
-            suite.push_back(bench);
+    const std::vector<workloads::Benchmark> suite =
+        harness::benchmarksFromConfig(cfg);
 
     std::vector<harness::SweepJob> sweep;
     for (const auto &bench : suite)

@@ -41,7 +41,6 @@ main(int argc, char **argv)
         cfg.getInt("steps", 4)); // scaled problems are large
     const std::size_t jobs =
         static_cast<std::size_t>(cfg.getInt("jobs", 0));
-    const std::string only = cfg.getString("bench", "");
     const harness::SweepOptions opts =
         harness::sweepOptionsFromConfig(cfg);
     const harness::TraceOptions traceOpts =
@@ -59,10 +58,8 @@ main(int argc, char **argv)
     // than tiles are skipped), then execute it on the sweep runner:
     // results come back in submission order, so the table below is
     // byte-identical for any worker count.
-    std::vector<workloads::Benchmark> suite;
-    for (const auto &bench : workloads::table2Suite())
-        if (only.empty() || bench.name == only)
-            suite.push_back(bench);
+    const std::vector<workloads::Benchmark> suite =
+        harness::benchmarksFromConfig(cfg);
 
     std::vector<harness::SweepJob> sweep;
     for (const auto &bench : suite) {

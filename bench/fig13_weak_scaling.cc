@@ -31,7 +31,6 @@ main(int argc, char **argv)
         cfg.getInt("steps", 4)); // scaled problems are large
     const std::size_t jobs =
         static_cast<std::size_t>(cfg.getInt("jobs", 0));
-    const std::string only = cfg.getString("bench", "");
     const harness::SweepOptions opts =
         harness::sweepOptionsFromConfig(cfg);
     const sim::Fidelity fidelity = harness::fidelityFromConfig(cfg);
@@ -44,10 +43,8 @@ main(int argc, char **argv)
     const std::size_t tileCounts[] = {4, 8, 16, 32, 64};
     Table table({"Benchmark", "4", "8", "16", "32", "64"});
 
-    std::vector<workloads::Benchmark> suite;
-    for (const auto &bench : workloads::table2Suite())
-        if (only.empty() || bench.name == only)
-            suite.push_back(bench);
+    const std::vector<workloads::Benchmark> suite =
+        harness::benchmarksFromConfig(cfg);
 
     std::vector<harness::SweepJob> sweep;
     for (const auto &bench : suite)

@@ -33,7 +33,6 @@ main(int argc, char **argv)
                                 harness::defaultSteps())));
     const std::size_t jobs =
         static_cast<std::size_t>(cfg.getInt("jobs", 0));
-    const std::string only = cfg.getString("bench", "");
     const harness::SweepOptions opts =
         harness::sweepOptionsFromConfig(cfg);
     const arch::MannaConfig manna = arch::MannaConfig::baseline16();
@@ -41,10 +40,8 @@ main(int argc, char **argv)
     harness::printBanner("Figure 9",
                          "Inference performance vs GPU baselines");
 
-    std::vector<workloads::Benchmark> suite;
-    for (const auto &bench : workloads::table2Suite())
-        if (only.empty() || bench.name == only)
-            suite.push_back(bench);
+    const std::vector<workloads::Benchmark> suite =
+        harness::benchmarksFromConfig(cfg);
 
     std::vector<harness::SweepJob> sweep;
     for (const auto &bench : suite)

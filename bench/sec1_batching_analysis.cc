@@ -12,7 +12,7 @@
  * conventional accelerator would batch). Manna's unbatched throughput
  * is shown for reference, measured on the simulator through the sweep
  * harness — so the usual knobs (jobs=, retries=/timeout=/journal=/
- * resume=, progress=/stats=/bench_json=, shards=) all apply; a failed
+ * resume=, progress=/stats=/bench_json=, server=) all apply; a failed
  * simulation renders as FAILED and makes the binary exit nonzero.
  */
 
@@ -95,7 +95,7 @@ main(int argc, char **argv)
 
     // Manna's unbatched reference point, on the simulator through the
     // fault-isolated sweep harness (one job, but with the full
-    // retry/journal/shard machinery).
+    // retry/journal/server machinery).
     const std::vector<harness::SweepJob> sweep{
         {bench, arch::MannaConfig::baseline16(), steps, /*seed=*/1}};
     harness::SweepRunner runner(jobs);

@@ -17,7 +17,7 @@
  * The MemHeavy ablation point is measured on the simulator through
  * the sweep harness (knobs: bench= [default copy], steps=, jobs=,
  * retries=/timeout=/journal=/resume=, progress=/stats=/bench_json=,
- * shards=); failed points render as FAILED and the binary exits
+ * server=); failed points render as FAILED and the binary exits
  * nonzero after the full output.
  */
 

@@ -8,7 +8,7 @@
  *
  * The simulated column runs through the sweep harness, so the usual
  * knobs apply (steps=, jobs=, retries=/timeout=/journal=/resume=,
- * progress=/stats=/bench_json=, shards=); a failed simulation renders
+ * progress=/stats=/bench_json=, server=); a failed simulation renders
  * as FAILED cells and makes the binary exit nonzero.
  */
 

@@ -7,7 +7,7 @@
  * The simulated column runs through the fault-isolated sweep runner,
  * so the usual knobs apply (steps= [default 1], jobs=, bench=
  * single-benchmark filter, retries=/timeout=/journal=/resume=,
- * progress=/stats=/bench_json=, shards=, fidelity=cycle|fast).
+ * progress=/stats=/bench_json=, server=, fidelity=cycle|fast).
  * Benchmarks whose memory has
  * fewer rows than 16 tiles render "-" (the paper's 16-tile point
  * cannot run them); failed simulation points render as FAILED cells
@@ -34,17 +34,14 @@ main(int argc, char **argv)
         static_cast<std::size_t>(cfg.getInt("steps", 1));
     const std::size_t jobs =
         static_cast<std::size_t>(cfg.getInt("jobs", 0));
-    const std::string only = cfg.getString("bench", "");
     const harness::SweepOptions opts =
         harness::sweepOptionsFromConfig(cfg);
     const sim::Fidelity fidelity = harness::fidelityFromConfig(cfg);
 
     harness::printBanner("Table 2", "Summary of benchmarks");
 
-    std::vector<workloads::Benchmark> suite;
-    for (const auto &b : workloads::table2Suite())
-        if (only.empty() || b.name == only)
-            suite.push_back(b);
+    const std::vector<workloads::Benchmark> suite =
+        harness::benchmarksFromConfig(cfg);
 
     // The measured column: one simulation per benchmark at the
     // paper's evaluated 16-tile point, through the fault-isolated

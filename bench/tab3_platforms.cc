@@ -9,7 +9,7 @@
  *
  * The simulated Manna point runs through the sweep harness, so the
  * usual knobs apply (steps=, jobs=, retries=/timeout=/journal=/
- * resume=, progress=/stats=/bench_json=, shards=); a failed
+ * resume=, progress=/stats=/bench_json=, server=); a failed
  * simulation renders as a FAILED cell and makes the binary exit
  * nonzero.
  */

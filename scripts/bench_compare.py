@@ -1,22 +1,16 @@
 #!/usr/bin/env python3
-"""Diff freshly generated BENCH_*.json snapshot(s) against a committed
+"""Diff a freshly generated BENCH_*.json snapshot against a committed
 baseline and fail on cycle (or any counter) regressions.
 
 Usage:
-    scripts/bench_compare.py BASELINE.json CANDIDATE.json... [--tol REL]
+    scripts/bench_compare.py BASELINE.json CANDIDATE.json [--tol REL]
 
-All files must be "manna-bench-v1" documents (written by a bench
+Both files must be "manna-bench-v1" documents (written by a bench
 binary's bench_json= knob). The deterministic sections — "name",
 "jobs", and every counter under "counters" — must match within the
 relative tolerance; the "wall" section is wall-clock and is ignored.
 The key sets must match exactly in both directions, so a renamed or
 dropped counter fails the comparison rather than slipping past it.
-
-Several CANDIDATE files are merged before comparing: names must
-agree, job tallies and counters are summed. Per-shard workers of a
-distributed sweep (docs/DISTRIBUTED.md) each snapshot exactly their
-own jobs, so merging the N worker snapshots must reproduce the
-single-process baseline exactly.
 
 Tolerance: --tol, else the MANNA_BENCH_TOL environment variable, else
 1e-9 (counters are deterministic; the default only forgives the
@@ -54,23 +48,6 @@ def rel_diff(a, b):
     return abs(a - b) / denom if denom > 0.0 else 0.0
 
 
-def merge(docs, paths):
-    """Sum several candidate snapshots into one (names must agree)."""
-    merged = docs[0]
-    for doc, path in zip(docs[1:], paths[1:]):
-        if doc["name"] != merged["name"]:
-            fail("%s: name %r does not match %s's %r"
-                 % (path, doc["name"], paths[0], merged["name"]))
-        for key in set(merged["jobs"]) | set(doc["jobs"]):
-            merged["jobs"][key] = (merged["jobs"].get(key, 0)
-                                   + doc["jobs"].get(key, 0))
-        for key in set(merged["counters"]) | set(doc["counters"]):
-            merged["counters"][key] = (
-                float(merged["counters"].get(key, 0.0))
-                + float(doc["counters"].get(key, 0.0)))
-    return merged
-
-
 def main():
     args = [a for a in sys.argv[1:]]
     tol = float(os.environ.get("MANNA_BENCH_TOL", "1e-9"))
@@ -81,11 +58,11 @@ def main():
         except (IndexError, ValueError):
             fail("--tol needs a numeric argument")
         del args[i:i + 2]
-    if len(args) < 2:
-        fail("usage: bench_compare.py BASELINE.json CANDIDATE.json... "
+    if len(args) != 2:
+        fail("usage: bench_compare.py BASELINE.json CANDIDATE.json "
              "[--tol REL]")
     base = load(args[0])
-    cand = merge([load(p) for p in args[1:]], args[1:])
+    cand = load(args[1])
 
     problems = []
     if base["name"] != cand["name"]:
@@ -110,17 +87,16 @@ def main():
                 "(rel diff %.3g > tol %.3g)"
                 % (key, float(bc[key]), float(cc[key]), d, tol))
 
-    cand_desc = ("+".join(args[1:]) if len(args) > 2 else args[1])
     if problems:
         print("bench_compare: %d difference(s) between %s and %s:"
-              % (len(problems), args[0], cand_desc))
+              % (len(problems), args[0], args[1]))
         for p in problems:
             print("  " + p)
         print("If the change is intentional, regenerate the baseline "
               "with scripts/bench_baseline.sh and commit it.")
         sys.exit(1)
     print("bench_compare: %s matches %s (%d counters, tol %g)"
-          % (cand_desc, args[0], len(bc), tol))
+          % (args[1], args[0], len(bc), tol))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Smoke-test the sweep-parallel bench harness: run a tiny strong-
 # scaling sweep twice (serial and with 2 workers) under a wall-clock
-# budget and require byte-identical tables.
+# budget and require byte-identical tables, then require
+# fidelity=fast to match cycle mode and an unknown bench= name to
+# fail loudly.
 #
 # Usage: bench_smoke.sh <path-to-fig12_strong_scaling> [budget-seconds]
 set -euo pipefail
@@ -48,3 +50,18 @@ if ! cmp -s "$OUTDIR/cycle.txt" "$OUTDIR/fast.txt"; then
 fi
 
 echo "OK: fidelity=fast output byte-identical to cycle mode"
+
+# An unknown bench= name must fail loudly (nonzero exit, the valid
+# names on stderr) instead of printing an empty table.
+if run_budgeted "$BIN" bench=nosuch steps=1 jobs=1 \
+        > "$OUTDIR/unknown.txt" 2> "$OUTDIR/unknown.err"; then
+    echo "FAIL: bench=nosuch exited 0" >&2
+    exit 1
+fi
+if ! grep -q "unknown benchmark 'nosuch'.*recall" "$OUTDIR/unknown.err"; then
+    echo "FAIL: bench=nosuch did not list the valid names:" >&2
+    cat "$OUTDIR/unknown.err" >&2
+    exit 1
+fi
+
+echo "OK: unknown bench= name rejected with the valid names"

@@ -3,36 +3,36 @@
 #
 # Runs the golden fig12_strong_scaling point (bench=copy steps=1
 # jobs=1) once cleanly, then re-runs it under a rotating schedule of
-# injected faults — worker crashes, silent worker exits, heartbeat
-# stalls, fsync failures, torn journal appends, and bit-corrupted
-# journal reads (see docs/ROBUSTNESS.md for the site catalog). Every
-# faulted run must exit 0 and produce byte-identical stdout to the
-# clean run, and the journal-corruption phases must surface their
-# damage in the stats.json `journal.corrupt_records` field.
+# injected faults — a daemon dropping a fresh connection, a daemon
+# tearing a result frame, a daemon pool worker crashing, fsync
+# failures, torn journal appends, bit-corrupted journal reads, and a
+# full disk (see docs/ROBUSTNESS.md for the site catalog). Every
+# faulted run must exit 0, produce byte-identical stdout to the clean
+# run, and log its recovery path; the journal-corruption phases must
+# also surface their damage in the stats.json
+# `journal.corrupt_records` field.
 #
-# Usage: chaos_soak.sh <fig12_strong_scaling binary> [mannad binary]
+# Usage: chaos_soak.sh <fig12_strong_scaling binary> <mannad binary>
 #
-# With a mannad binary the soak adds a service phase: the golden point
-# re-run through a daemon whose pool worker crashes at task pickup
-# (pool.worker.crash), which must requeue the task and keep the
-# report byte-identical (docs/SERVICE.md).
+# The daemon phases run the golden point through `server=` against a
+# mannad armed with the phase's fault (docs/SERVICE.md).
 set -u
 
 bin=${1:-}
 mannad=${2:-}
-if [ -z "$bin" ] || [ ! -x "$bin" ]; then
+if [ -z "$bin" ] || [ ! -x "$bin" ] || [ -z "$mannad" ] ||
+        [ ! -x "$mannad" ]; then
     echo "chaos_soak: usage: $0 <fig12_strong_scaling binary>" \
-         "[mannad binary]" >&2
+         "<mannad binary>" >&2
     exit 1
 fi
 
 # The soak controls its own fault schedule and process topology;
 # ambient knobs from the environment would skew it.
-unset MANNA_FAULTS MANNA_FAULT_SEED MANNA_SHARDS MANNA_SHARD_SPAWN \
-      MANNA_SHARD_HEARTBEAT MANNA_JOBS MANNA_RETRIES MANNA_TIMEOUT \
-      MANNA_STATS MANNA_TRACE MANNA_PROGRESS MANNA_PROFILE \
-      MANNA_BENCH_JSON MANNA_SERVER MANNA_POOL MANNA_QUEUE_DEPTH \
-      MANNA_STEAL MANNA_CLIENTS 2>/dev/null
+unset MANNA_FAULTS MANNA_FAULT_SEED MANNA_JOBS MANNA_RETRIES \
+      MANNA_TIMEOUT MANNA_STATS MANNA_TRACE MANNA_PROGRESS \
+      MANNA_PROFILE MANNA_BENCH_JSON MANNA_SERVER MANNA_POOL \
+      MANNA_QUEUE_DEPTH MANNA_STEAL MANNA_CLIENTS 2>/dev/null
 
 tmpdir=$(mktemp -d)
 daemon_pid=
@@ -80,17 +80,64 @@ logged() {
 # --- phase 0: clean golden run -------------------------------------
 run clean 0 || { echo "chaos_soak: no golden run; aborting" >&2; exit 1; }
 
-# --- phase 1: every round-0 worker crashes hard --------------------
-run crash 0 shards=2 faults=worker.crash:once@1 &&
-    { identical crash; logged crash "was lost"; }
+# daemon <phase> <fault-spec> — start mannad on a fresh socket armed
+# with one fault; sets $sock. Readiness is the socket file appearing,
+# not a probe connection, which would consume the first accept.
+daemon() {
+    sock="$tmpdir/$1.sock"
+    "$mannad" server="unix:$sock" pool=2 faults="$2" fault_seed=7 \
+        > "$tmpdir/$1.daemon.out" 2> "$tmpdir/$1.daemon.err" &
+    daemon_pid=$!
+    for _ in $(seq 50); do
+        [ -S "$sock" ] && return 0
+        sleep 0.1
+    done
+    complain "mannad never came up for phase '$1'"
+    return 1
+}
 
-# --- phase 2: workers exit 0 without producing their journal -------
-run silent 0 shards=2 faults=worker.silent_exit:once@1 &&
-    { identical silent; logged silent "without writing its journal"; }
+# stop_daemon <phase> — SIGTERM is a graceful shutdown: the daemon
+# must exit 0 (under the sanitizer gate, a leak report fails it too).
+stop_daemon() {
+    kill "$daemon_pid" 2>/dev/null
+    wait "$daemon_pid" 2>/dev/null
+    local got=$?
+    daemon_pid=
+    [ "$got" -eq 0 ] ||
+        complain "phase '$1' daemon exited $got on SIGTERM:" \
+                 "$(tail -3 "$tmpdir/$1.daemon.err" | tr '\n' ' ')"
+}
 
-# --- phase 3: workers hang with their heartbeat stopped ------------
-run stall 0 shards=2 shard_heartbeat=0.2 faults=worker.stall:once@1 &&
-    { identical stall; logged stall "missed heartbeats"; }
+# daemon_logged <phase> <pattern> — like logged, for the daemon side.
+daemon_logged() {
+    grep -q "$2" "$tmpdir/$1.daemon.err" ||
+        complain "phase '$1' daemon stderr lacks '$2'"
+}
+
+# --- phase 1: the daemon drops the first accepted connection -------
+if daemon accept server.accept:once@1; then
+    run accept 0 server="unix:$sock" &&
+        { identical accept
+          logged accept "dropped the connection during the handshake"
+          daemon_logged accept "dropping freshly accepted connection"; }
+    stop_daemon accept
+fi
+
+# --- phase 2: the daemon tears a result frame mid-write ------------
+if daemon torn_frame server.frame.torn:once@1; then
+    run torn_frame 0 server="unix:$sock" &&
+        { identical torn_frame
+          logged torn_frame "sent a torn frame; resubmitting"; }
+    stop_daemon torn_frame
+fi
+
+# --- phase 3: a daemon pool worker crashes at task pickup ----------
+if daemon pool_crash pool.worker.crash:once@1; then
+    run pool_crash 0 server="unix:$sock" &&
+        { identical pool_crash
+          daemon_logged pool_crash "crashed (injected); restarting"; }
+    stop_daemon pool_crash
+fi
 
 # --- phase 4: journal fsync fails mid-sweep ------------------------
 run fsync 0 journal="$tmpdir/fsync.journal" \
@@ -118,37 +165,13 @@ if run read_corrupt 0 resume="$tmpdir/read.journal" \
         complain "corrupt-read resume did not count 1 corrupt record"
 fi
 
-# --- phase 7: daemon pool worker crashes at task pickup ------------
-phases=6
-if [ -n "$mannad" ] && [ -x "$mannad" ]; then
-    phases=7
-    sock="$tmpdir/chaos.sock"
-    "$mannad" server="unix:$sock" pool=2 \
-        faults=pool.worker.crash:once@1 fault_seed=7 \
-        > "$tmpdir/daemon.out" 2> "$tmpdir/daemon.err" &
-    daemon_pid=$!
-    up=0
-    for _ in $(seq 50); do
-        [ -S "$sock" ] && { up=1; break; }
-        sleep 0.1
-    done
-    if [ "$up" -eq 1 ]; then
-        if run pool_crash 0 server="unix:$sock"; then
-            identical pool_crash
-            grep -q "crashed (injected); restarting" \
-                "$tmpdir/daemon.err" ||
-                complain "daemon did not report the worker restart"
-        fi
-    else
-        complain "mannad never came up for the pool.worker.crash phase"
-    fi
-    kill "$daemon_pid" 2>/dev/null
-    wait "$daemon_pid" 2>/dev/null
-    daemon_pid=
-fi
+# --- phase 7: the disk fills up mid-sweep --------------------------
+run enospc 0 journal="$tmpdir/enospc.journal" \
+    faults=journal.append.enospc:once@1 &&
+    { identical enospc; logged enospc "checkpointing disabled"; }
 
 if [ "$errors" -gt 0 ]; then
     echo "chaos_soak: $errors problem(s)" >&2
     exit 1
 fi
-echo "chaos_soak: OK ($phases fault phases, byte-identical reports)"
+echo "chaos_soak: OK (7 fault phases, byte-identical reports)"

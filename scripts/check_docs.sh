@@ -147,7 +147,7 @@ sites_src=$(sed -n '/kSiteNames\[\] = {/,/^};/p' src/common/fault.cc |
 sites_doc=$(sed -n '/^## Fault-site catalog$/,/^## [A-Z]/p' \
                 docs/ROBUSTNESS.md 2>/dev/null |
             grep -ohE '`[a-z_.]+`' | tr -d '`' |
-            grep -F . | grep -vE '\.(json|cc|hh|md|sh|py|hb|failures)$' |
+            grep -F . | grep -vE '\.(json|cc|hh|md|sh|py)$' |
             sort -u)
 [ -n "$sites_src" ] ||
     complain "no fault sites found in src/common/fault.cc"

@@ -3,11 +3,13 @@
 # tests/CMakeLists.txt; SKIP_RETURN_CODE 77).
 #
 # Configures a separate build tree with -DMANNA_SANITIZE=address,
-# undefined, builds the robustness test binary and the fig12 bench,
-# and runs test_robustness plus the chaos soak under instrumentation —
-# the fault-injection error paths (torn lines, failed fsyncs, signal
-# interrupts) are exactly the code that normal runs rarely exercise,
-# so they get the memory-safety pass here. Exits 77 (ctest SKIP) when
+# undefined, builds the robustness test binary, the fig12 bench and
+# mannad, and runs test_robustness plus the chaos soak (its daemon
+# phases included) under instrumentation — the fault-injection error
+# paths (torn lines and frames, failed fsyncs, dropped connections,
+# crashed pool workers, signal interrupts) are exactly the code that
+# normal runs rarely exercise, so they get the memory-safety pass
+# here. Exits 77 (ctest SKIP) when
 # the toolchain cannot link sanitized binaries.
 #
 # Usage: sanitize_gate.sh [build-dir]   (default: build-sanitize)
@@ -35,7 +37,7 @@ if ! cmake -S . -B "$builddir" -DMANNA_SANITIZE=address,undefined \
 fi
 jobs=$(nproc 2>/dev/null || echo 2)
 if ! cmake --build "$builddir" -j"$jobs" \
-        --target test_robustness fig12_strong_scaling \
+        --target test_robustness fig12_strong_scaling mannad \
         > "$probe/build.log" 2>&1; then
     echo "sanitize_gate: sanitized build failed:" >&2
     tail -20 "$probe/build.log" >&2
@@ -50,7 +52,8 @@ if ! "$builddir/tests/test_robustness" > "$probe/robust.log" 2>&1; then
     tail -30 "$probe/robust.log" >&2
     errors=$((errors + 1))
 fi
-if ! scripts/chaos_soak.sh "$builddir/bench/fig12_strong_scaling"; then
+if ! scripts/chaos_soak.sh "$builddir/bench/fig12_strong_scaling" \
+        "$builddir/tools/mannad"; then
     echo "sanitize_gate: sanitized chaos soak failed" >&2
     errors=$((errors + 1))
 fi

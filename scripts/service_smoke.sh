@@ -7,8 +7,11 @@
 # requires every client's stdout to be byte-identical to the same
 # bench run in-process — the core `server=` contract of
 # docs/SERVICE.md. A fourth client is SIGTERM'd mid-run to prove the
-# daemon cancels its jobs and stays healthy, and the daemon's metrics
-# JSONL must carry the queue-depth/steal sample fields.
+# daemon cancels its jobs and stays healthy. A `server=` run's
+# bench_json= snapshot must match the in-process one at tolerance 0,
+# and a `server=` run with events=/harness_trace=/metrics= armed must
+# keep its stdout byte-identical. The daemon's metrics JSONL must
+# carry the queue-depth/steal sample fields.
 #
 # Usage: service_smoke.sh <mannad> <manna-submit> <fig12 binary>
 set -u
@@ -26,11 +29,10 @@ done
 
 # The smoke controls its own topology; ambient knobs would skew it.
 unset MANNA_SERVER MANNA_POOL MANNA_QUEUE_DEPTH MANNA_STEAL \
-      MANNA_CLIENTS MANNA_FAULTS MANNA_FAULT_SEED MANNA_SHARDS \
-      MANNA_SHARD_SPAWN MANNA_SHARD_HEARTBEAT MANNA_JOBS \
+      MANNA_CLIENTS MANNA_FAULTS MANNA_FAULT_SEED MANNA_JOBS \
       MANNA_RETRIES MANNA_TIMEOUT MANNA_STATS MANNA_TRACE \
       MANNA_PROGRESS MANNA_PROFILE MANNA_BENCH_JSON MANNA_EVENTS \
-      2>/dev/null
+      MANNA_HARNESS_TRACE MANNA_METRICS 2>/dev/null
 
 tmpdir=$(mktemp -d)
 daemon_pid=
@@ -48,6 +50,9 @@ complain() {
 
 sock="$tmpdir/mannad.sock"
 golden="bench=copy fidelity=fast jobs=1"
+# The pinned bench_regress point, for the snapshot and tracing checks.
+pinned="bench=copy steps=1 jobs=1"
+compare=$(dirname "$0")/bench_compare.py
 
 # --- golden in-process runs (one sweep per client) -----------------
 for steps in 4 5 6; do
@@ -56,6 +61,10 @@ for steps in 4 5 6; do
         2> "$tmpdir/inproc.$steps.err" ||
         { complain "in-process steps=$steps run failed"; exit 1; }
 done
+# shellcheck disable=SC2086
+"$bench" $pinned bench_json="$tmpdir/inproc.json" \
+    > "$tmpdir/inproc.pinned.out" 2> "$tmpdir/inproc.pinned.err" ||
+    { complain "in-process pinned run failed"; exit 1; }
 
 # --- daemon up -----------------------------------------------------
 "$mannad" server="unix:$sock" pool=2 \
@@ -125,6 +134,39 @@ assert c["cancelled"] >= 1, c    # clean cancellation, not a wedge
 assert c["failed"] == 0, c
 EOF
 
+# --- server= snapshot: deterministic sections match at tol 0 -------
+# shellcheck disable=SC2086
+"$bench" $pinned server="unix:$sock" bench_json="$tmpdir/served.json" \
+    > "$tmpdir/served.out" 2> "$tmpdir/served.err" ||
+    complain "server= pinned run exited non-zero"
+cmp -s "$tmpdir/inproc.pinned.out" "$tmpdir/served.out" ||
+    complain "server= pinned stdout differs from in-process"
+python3 "$compare" "$tmpdir/inproc.json" "$tmpdir/served.json" \
+    --tol 0 > "$tmpdir/compare.out" 2>&1 ||
+    complain "server= bench_json differs from in-process:" \
+             "$(tr '\n' ' ' < "$tmpdir/compare.out")"
+
+# --- tracing a server= run must not perturb its output -------------
+# shellcheck disable=SC2086
+"$bench" $pinned server="unix:$sock" events="$tmpdir/client.events" \
+    harness_trace="$tmpdir/harness_trace.json" \
+    metrics="$tmpdir/client_metrics.jsonl" \
+    > "$tmpdir/traced.out" 2> "$tmpdir/traced.err" ||
+    complain "traced server= run exited non-zero"
+cmp -s "$tmpdir/inproc.pinned.out" "$tmpdir/traced.out" ||
+    complain "stdout changed when tracing a server= run"
+python3 - "$tmpdir/harness_trace.json" <<'EOF' || errors=$((errors + 1))
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["otherData"]["schema"] == "manna-harness-trace-v1", doc
+names = {e["name"] for e in doc["traceEvents"]}
+assert "sweep.run" in names and "job.run" in names, sorted(names)
+EOF
+head -1 "$tmpdir/client_metrics.jsonl" | grep -q "manna-metrics-v1" ||
+    complain "client metrics series lacks its manna-metrics-v1 header"
+[ "$(wc -l < "$tmpdir/client_metrics.jsonl")" -ge 2 ] ||
+    complain "client metrics series has no samples"
+
 # --- shutdown + artifact checks ------------------------------------
 "$submit" server="unix:$sock" shutdown > /dev/null 2>&1 ||
     complain "shutdown request failed"
@@ -152,4 +194,5 @@ if [ "$errors" -gt 0 ]; then
     exit 1
 fi
 echo "service_smoke: OK (3 concurrent clients byte-identical," \
-     "SIGTERM'd client cancelled cleanly)"
+     "SIGTERM'd client cancelled cleanly, server= snapshot and" \
+     "traced run match in-process)"

@@ -10,8 +10,6 @@ Config
 Config::fromArgs(int argc, const char *const *argv, int firstArg)
 {
     Config cfg;
-    if (argc > 0 && firstArg > 0)
-        cfg.exePath_ = argv[0];
     for (int i = firstArg; i < argc; ++i) {
         std::string tok = argv[i];
         // Accept GNU-style "--key=value" as a synonym for "key=value",

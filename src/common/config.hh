@@ -47,22 +47,8 @@ class Config
     /** All keys in sorted order (for help/diagnostics). */
     std::vector<std::string> keys() const;
 
-    /** Every key=value pair, sorted by key. The shard coordinator
-     * re-serializes these (minus its own control knobs) into worker
-     * command lines — see src/harness/shard.hh. */
-    const std::map<std::string, std::string> &entries() const
-    {
-        return values_;
-    }
-
-    /** argv[0] as captured by fromArgs() ("" when the Config was
-     * built programmatically). The shard coordinator re-execs it to
-     * spawn workers of the same binary. */
-    const std::string &exePath() const { return exePath_; }
-
   private:
     std::map<std::string, std::string> values_;
-    std::string exePath_;
 };
 
 } // namespace manna

@@ -35,12 +35,6 @@ const char *const kEventNames[] = {
     "compile.model",
     "artifact.load",
     "artifact.store",
-    "proc.spawn",
-    "shard.partition",
-    "shard.round",
-    "shard.spawn",
-    "shard.wait",
-    "shard.merge",
     "server.run",
     "server.conn",
     // instants
@@ -50,10 +44,6 @@ const char *const kEventNames[] = {
     "sweep.interrupted",
     "compile.cache.hit",
     "compile.cache.miss",
-    "shard.worker.lost",
-    "shard.worker.timeout",
-    "shard.worker.hung",
-    "shard.poisoned",
     "fault.injected",
     "server.accept",
     "server.retry_after",
@@ -79,6 +69,17 @@ monotonicNs()
             .count());
 }
 
+/** Wall clock in µs since the Unix epoch (CLOCK_REALTIME) — the
+ * cross-process alignment axis of the merged trace. */
+std::uint64_t
+wallClockMicros()
+{
+    struct timespec ts;
+    ::clock_gettime(CLOCK_REALTIME, &ts);
+    return static_cast<std::uint64_t>(ts.tv_sec) * 1000000ull +
+           static_cast<std::uint64_t>(ts.tv_nsec) / 1000ull;
+}
+
 } // namespace
 
 namespace detail
@@ -101,15 +102,6 @@ isRegisteredEventName(std::string_view name)
     return false;
 }
 
-std::uint64_t
-wallClockMicros()
-{
-    struct timespec ts;
-    ::clock_gettime(CLOCK_REALTIME, &ts);
-    return static_cast<std::uint64_t>(ts.tv_sec) * 1000000ull +
-           static_cast<std::uint64_t>(ts.tv_nsec) / 1000ull;
-}
-
 // ---------------------------------------------------------------------
 // EventLog
 // ---------------------------------------------------------------------
@@ -128,7 +120,7 @@ EventLog::~EventLog()
 
 bool
 EventLog::open(const std::string &path, const std::string &role,
-               std::uint64_t syncUs, std::size_t maxEvents)
+               std::size_t maxEvents)
 {
     if (path.empty())
         return false;
@@ -160,21 +152,19 @@ EventLog::open(const std::string &path, const std::string &role,
         tids_.clear();
         buffer_.clear();
         // Each open starts a fresh merge list with the own path
-        // first; worker registrations belong to one log lifetime.
+        // first; daemon registrations belong to one log lifetime.
         mergeFiles_.clear();
         mergeFiles_.push_back(path_);
         // Header: the wall/monotonic clock pair sampled together is
-        // the file's alignment anchor; sync_us carries the
-        // coordinator's spawn-time wall clock for the cross-host
-        // clamp.
+        // the file's alignment anchor. sync_us is always 0; it stays
+        // so the manna-events-v1 header keeps its field set.
         std::string header = strformat(
             "{\"schema\": \"manna-events-v1\", \"role\": \"%s\", "
             "\"pid\": %ld, \"wall_us\": %llu, \"mono_ns\": %llu, "
-            "\"sync_us\": %llu}\n",
+            "\"sync_us\": 0}\n",
             jsonEscape(role_).c_str(), static_cast<long>(::getpid()),
             static_cast<unsigned long long>(wallClockMicros()),
-            static_cast<unsigned long long>(monoEpochNs_),
-            static_cast<unsigned long long>(syncUs));
+            static_cast<unsigned long long>(monoEpochNs_));
         std::fwrite(header.data(), 1, header.size(), file_);
         std::fflush(file_);
         return true;
@@ -374,12 +364,7 @@ configureFromConfig(const Config &cfg, const std::string &role)
             1, cfg.getInt("events_limit",
                           static_cast<std::int64_t>(
                               defaultEventsLimit()))));
-    // event_sync= is injected by the shard coordinator at spawn time
-    // (never user-facing): the coordinator's wall clock, for the
-    // merger's offset clamp.
-    const std::uint64_t syncUs = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(0, cfg.getInt("event_sync", 0)));
-    EventLog::instance().open(path, role, syncUs, limit);
+    EventLog::instance().open(path, role, limit);
 }
 
 // ---------------------------------------------------------------------
@@ -469,7 +454,6 @@ parseEventFile(const std::string &path)
                 ++out.skippedLines;
                 return;
             }
-            extractU64(t, "\"sync_us\": ", out.syncUs);
             if (extractU64(t, "\"pid\": ", pid))
                 out.pid = static_cast<long>(pid);
             sawHeader = true;

@@ -1,10 +1,10 @@
 /**
  * @file
  * Harness-level distributed tracing: a low-overhead span/event log
- * every process of a sweep (plain run, shard coordinator, shard
- * worker) can write, and a parser for merging the per-process files
- * into one clock-aligned timeline (harness/observe.hh renders the
- * merge as a Chrome trace).
+ * every process of a sweep (bench process, mannad daemon) can write,
+ * and a parser for merging the per-process files into one
+ * clock-aligned timeline (harness/observe.hh renders the merge as a
+ * Chrome trace).
  *
  * Model: one process-wide EventLog (like the fault-injection
  * registry), armed by the `events=FILE` knob (MANNA_EVENTS fallback)
@@ -19,12 +19,9 @@
  *
  * Clocks: every event carries a monotonic timestamp relative to the
  * log's open; the header pairs that monotonic epoch with a wall-clock
- * sample, plus — for shard workers — the coordinator's wall clock at
- * spawn time (injected as `event_sync=`, the spawn-time offset
- * handshake). The merger aligns files on the wall clock, clamped so a
- * worker whose clock lags never appears to start before it was
- * spawned. See docs/OBSERVABILITY.md ("Harness span and event
- * catalog") for the span catalog and the clock-sync model.
+ * sample, and the merger aligns files on that wall clock. See
+ * docs/OBSERVABILITY.md ("Harness span and event catalog") for the
+ * span catalog and the clock model.
  *
  * Event names come from a closed registry (kEventNames in
  * event_log.cc, linted two-way against the docs catalog by
@@ -82,14 +79,10 @@ class EventLog
 
     /**
      * Start logging to @p path (truncating) under process role
-     * @p role ("main", "coord", "shard K"). @p syncUs is the
-     * coordinator's wall clock (µs since the Unix epoch) at spawn
-     * time, 0 when unknown — it rides into the header for the
-     * merger's clock alignment. Returns false (with a warning) when
+     * @p role ("main", "daemon"). Returns false (with a warning) when
      * the file cannot be created or a log is already open.
      */
     bool open(const std::string &path, const std::string &role,
-              std::uint64_t syncUs = 0,
               std::size_t maxEvents = kDefaultLimit);
 
     /** Flush, fsync, and close; further emissions are no-ops. Safe to
@@ -123,13 +116,13 @@ class EventLog
 
     /**
      * Register a sibling event file for the merged harness trace
-     * (the coordinator adds each worker's injected file here; the
+     * (a server= client adds the daemon's advertised file here; the
      * open log's own path is always first). Paths are deduplicated.
      */
     void registerMergeFile(const std::string &path);
 
     /** The merge list: own path (if a log is or was open) followed by
-     * registered worker files, in registration order. */
+     * registered files, in registration order. */
     std::vector<std::string> mergeFiles();
 
     static constexpr std::size_t kDefaultLimit = 131072;
@@ -210,14 +203,10 @@ instant(const char *name, const std::string &detail = "")
         EventLog::instance().instant(name, detail);
 }
 
-/** Wall clock in µs since the Unix epoch (CLOCK_REALTIME) — the
- * cross-process alignment axis of the clock-sync model. */
-std::uint64_t wallClockMicros();
-
 /**
  * Parse events= / events_limit= (MANNA_EVENTS / MANNA_EVENTS_LIMIT)
- * and the coordinator-injected event_sync=, and open the process-wide
- * log under @p role when a path is configured. Process-wide side
+ * and open the process-wide log under @p role when a path is
+ * configured. Process-wide side
  * effect, like fault::configureFromConfig(). No-op when no path is
  * given.
  */
@@ -248,19 +237,9 @@ struct ParsedEventFile
     long pid = 0;
     std::uint64_t wallUs = 0; ///< wall clock at the monotonic epoch
     std::uint64_t monoNs = 0; ///< monotonic clock at the epoch
-    std::uint64_t syncUs = 0; ///< coordinator wall clock at spawn (0 = none)
     std::uint64_t dropped = 0;
     std::size_t skippedLines = 0; ///< torn/foreign lines ignored
     std::vector<ParsedEvent> events;
-
-    /** Wall-clock µs of the monotonic epoch after the spawn-time
-     * clamp: a worker cannot have started before the coordinator
-     * spawned it, so a lagging worker clock is pulled forward. */
-    std::uint64_t
-    alignedWallUs() const
-    {
-        return wallUs > syncUs ? wallUs : syncUs;
-    }
 };
 
 /** Load a manna-events-v1 file. Torn or foreign lines are counted

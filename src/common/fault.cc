@@ -25,12 +25,6 @@ const char *const kSiteNames[] = {
     "journal.fsync",
     "journal.close",
     "journal.read.corrupt",
-    "proc.spawn",
-    "worker.stall",
-    "worker.silent_exit",
-    "worker.crash",
-    "worker.exit.delay",
-    "shard.merge.drop",
     "server.accept",
     "server.frame.torn",
     "pool.worker.crash",
@@ -59,16 +53,15 @@ SiteState gSites[kNumSites];
 std::uint64_t gSeed = 1;
 
 /** Deterministic per-hit uniform draw in [0,1): FNV over the seed,
- * site index, hit index, and scope, finalized splitmix-style so low
- * bits are well mixed. */
+ * site index, and hit index, finalized splitmix-style so low bits
+ * are well mixed. */
 double
-hitUniform(Site site, std::uint64_t hit, std::uint64_t scope)
+hitUniform(Site site, std::uint64_t hit)
 {
     Fnv1a h;
     h.u64(gSeed);
     h.u64(static_cast<std::uint64_t>(site));
     h.u64(hit);
-    h.u64(scope);
     std::uint64_t x = h.value();
     x ^= x >> 33;
     x *= 0xff51afd7ed558ccdull;
@@ -77,8 +70,7 @@ hitUniform(Site site, std::uint64_t hit, std::uint64_t scope)
 }
 
 bool
-evaluate(SiteState &s, Site site, std::uint64_t hit,
-         std::uint64_t scope)
+evaluate(SiteState &s, Site site, std::uint64_t hit)
 {
     switch (s.mode) {
       case Mode::Off:
@@ -88,7 +80,7 @@ evaluate(SiteState &s, Site site, std::uint64_t hit,
       case Mode::Every:
         return s.n > 0 && hit % s.n == 0;
       case Mode::Prob:
-        return hitUniform(site, hit, scope) < s.p;
+        return hitUniform(site, hit) < s.p;
     }
     return false;
 }
@@ -187,7 +179,7 @@ shouldFire(Site site)
         return false;
     const std::uint64_t hit =
         s.hits.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (!evaluate(s, site, hit, 0))
+    if (!evaluate(s, site, hit))
         return false;
     s.fires.fetch_add(1, std::memory_order_relaxed);
     // Chaos runs become self-explaining: every injected fault is an
@@ -197,25 +189,6 @@ shouldFire(Site site)
                         strformat("site=%s hit=%llu", siteName(site),
                                   static_cast<unsigned long long>(
                                       hit)));
-    return true;
-}
-
-bool
-shouldFireAt(Site site, std::uint64_t hit, std::uint64_t scope)
-{
-    SiteState &s = gSites[static_cast<unsigned>(site)];
-    if (s.mode == Mode::Off)
-        return false;
-    s.hits.fetch_add(1, std::memory_order_relaxed);
-    if (!evaluate(s, site, hit, scope))
-        return false;
-    s.fires.fetch_add(1, std::memory_order_relaxed);
-    if (events::enabled())
-        events::instant(
-            "fault.injected",
-            strformat("site=%s hit=%llu scope=%llu", siteName(site),
-                      static_cast<unsigned long long>(hit),
-                      static_cast<unsigned long long>(scope)));
     return true;
 }
 

@@ -2,9 +2,9 @@
  * @file
  * Deterministic fault injection for the robustness machinery.
  *
- * A *site* is a named point in the I/O or process-control code where
- * a failure can be provoked on purpose: journal writes, fsync, reads,
- * subprocess spawn, worker liveness, shard merge. Sites are compiled
+ * A *site* is a named point in the I/O or service code where a
+ * failure can be provoked on purpose: journal writes, fsync, reads,
+ * daemon connections and frames, pool workers. Sites are compiled
  * in unconditionally but cost one relaxed atomic load when nothing is
  * armed (anyArmed() is the fast gate every site checks first).
  *
@@ -20,10 +20,7 @@
  *            same seed replays the same failures (`fault_seed=` /
  *            MANNA_FAULT_SEED, default 1)
  *
- * Hit counters are per process. Sites in shard *workers* therefore
- * use shouldFireAt() with a cross-process hit index (the re-dispatch
- * round), so "kill the worker once" means round 0 only, not every
- * re-dispatched worker forever. See docs/ROBUSTNESS.md for the site
+ * Hit counters are per process. See docs/ROBUSTNESS.md for the site
  * catalog (linted two-way against this registry by check_docs.sh).
  */
 
@@ -55,18 +52,12 @@ enum class Site : unsigned
     JournalFsync,       ///< fsync of the journal fails
     JournalClose,       ///< final flush at destruction fails
     JournalReadCorrupt, ///< flip one byte of a record being loaded
-    ProcSpawn,          ///< spawnProcess() fails (fork/exec error)
-    WorkerStall,        ///< shard worker hangs without heartbeating
-    WorkerSilentExit,   ///< worker exits 0 without doing any work
-    WorkerCrash,        ///< worker dies hard (_Exit(137), like OOM)
-    WorkerExitDelay,    ///< worker finishes, then lingers ~2s alive
-    ShardMergeDrop,     ///< coordinator loses a worker's journal
     ServerAccept,       ///< daemon drops a freshly accepted connection
     ServerFrameTorn,    ///< daemon tears a response frame mid-write
     PoolWorkerCrash,    ///< pool worker dies mid-job (job is requeued)
 };
 
-inline constexpr std::size_t kNumSites = 16;
+inline constexpr std::size_t kNumSites = 10;
 
 namespace detail
 {
@@ -90,16 +81,6 @@ std::optional<Site> siteByName(std::string_view name);
 /** Count a hit at @p site and report whether its armed spec fires.
  * Thread-safe; the per-process hit counter increments every call. */
 bool shouldFire(Site site);
-
-/**
- * Like shouldFire() but with a caller-supplied hit index instead of
- * the per-process counter — for sites whose "Nth hit" must be
- * meaningful across processes (shard workers pass their re-dispatch
- * round + 1, so once@1 means "round 0 only"). @p scope is mixed into
- * prob@ hashing so distinct workers of one round draw independently.
- */
-bool shouldFireAt(Site site, std::uint64_t hit,
-                  std::uint64_t scope = 0);
 
 /**
  * Arm sites from a "site:spec,site:spec,..." string. Returns false

@@ -15,13 +15,6 @@ namespace manna
 {
 
 bool
-fileExists(const std::string &path)
-{
-    struct stat st;
-    return ::stat(path.c_str(), &st) == 0;
-}
-
-bool
 writeFileAtomic(const std::string &path, std::string_view content)
 {
     // The temp file must live on the same filesystem as the target
@@ -68,84 +61,6 @@ writeFileAtomic(const std::string &path, std::string_view content)
         return false;
     }
     return true;
-}
-
-bool
-touchFile(const std::string &path)
-{
-    const int fd =
-        ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
-    if (fd < 0)
-        return false;
-    // futimens(fd, nullptr) sets both timestamps to now.
-    const bool ok = ::futimens(fd, nullptr) == 0;
-    ::close(fd);
-    return ok;
-}
-
-std::optional<std::size_t>
-fileSizeBytes(const std::string &path)
-{
-    struct stat st;
-    if (::stat(path.c_str(), &st) != 0)
-        return std::nullopt;
-    return static_cast<std::size_t>(st.st_size);
-}
-
-std::string
-fileTail(const std::string &path, std::size_t maxLines)
-{
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        return "";
-    // Cap the read at the final 64 KiB: a hung worker can leave a
-    // huge log, and the tail is all the triage needs.
-    constexpr std::size_t kCap = 64 * 1024;
-    const off_t size = ::lseek(fd, 0, SEEK_END);
-    if (size <= 0) {
-        ::close(fd);
-        return "";
-    }
-    const std::size_t want =
-        static_cast<std::size_t>(size) < kCap
-            ? static_cast<std::size_t>(size)
-            : kCap;
-    std::string data(want, '\0');
-    std::size_t got = 0;
-    if (::lseek(fd, size - static_cast<off_t>(want), SEEK_SET) >= 0) {
-        while (got < want) {
-            const ssize_t n =
-                ::read(fd, data.data() + got, want - got);
-            if (n < 0 && errno == EINTR)
-                continue;
-            if (n <= 0)
-                break;
-            got += static_cast<std::size_t>(n);
-        }
-    }
-    ::close(fd);
-    data.resize(got);
-    while (!data.empty() && data.back() == '\n')
-        data.pop_back();
-    if (data.empty())
-        return "";
-    // Walk back maxLines newlines from the end.
-    std::size_t start = data.size();
-    std::size_t lines = 0;
-    while (start > 0 && lines < maxLines) {
-        const std::size_t nl = data.rfind('\n', start - 1);
-        if (nl == std::string::npos) {
-            start = 0;
-            break;
-        }
-        ++lines;
-        if (lines == maxLines) {
-            start = nl + 1;
-            break;
-        }
-        start = nl;
-    }
-    return data.substr(start);
 }
 
 std::optional<double>

@@ -3,8 +3,8 @@
  * Small POSIX file helpers for the crash-safety machinery: atomic
  * whole-file publication (write temp + fsync + rename) so a killed
  * process never leaves a half-written stats/bench-JSON/report
- * artifact, plus the mtime-based primitives the shard heartbeat
- * liveness protocol is built on (docs/DISTRIBUTED.md).
+ * artifact, plus the mtime-based age query the artifact cache's
+ * eviction uses.
  */
 
 #ifndef MANNA_COMMON_FILEIO_HH
@@ -17,9 +17,6 @@
 namespace manna
 {
 
-/** Plain stat()-based existence check. */
-bool fileExists(const std::string &path);
-
 /**
  * Publish @p content at @p path atomically: write a sibling temp
  * file, fsync it, then rename() over the target. Readers either see
@@ -30,26 +27,9 @@ bool fileExists(const std::string &path);
 bool writeFileAtomic(const std::string &path,
                      std::string_view content);
 
-/** Create @p path if missing and bump its mtime to now (the shard
- * heartbeat primitive). Returns false on failure. */
-bool touchFile(const std::string &path);
-
 /** Seconds since @p path's last mtime; nullopt when it does not
  * exist (or cannot be stat'ed). */
 std::optional<double> fileAgeSeconds(const std::string &path);
-
-/** Size of @p path in bytes; nullopt when it cannot be stat'ed. */
-std::optional<std::size_t> fileSizeBytes(const std::string &path);
-
-/**
- * The last @p maxLines lines of @p path (at most the final 64 KiB),
- * joined with '\n' and without a trailing newline; "" when the file
- * is missing or empty. The shard coordinator uses this to surface a
- * lost worker's captured stderr in its warning instead of discarding
- * it.
- */
-std::string fileTail(const std::string &path,
-                     std::size_t maxLines = 20);
 
 } // namespace manna
 

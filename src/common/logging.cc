@@ -50,8 +50,8 @@ vreport(const char *tag, const char *fmt, va_list args)
     if (globalRole.empty()) {
         std::fprintf(stderr, "%s: %s\n", tag, msg.c_str());
     } else {
-        // Multi-process runs: a timestamp + role prefix keeps the
-        // coordinator's and workers' interleaved stderr attributable.
+        // Long-running services: a timestamp + role prefix keeps the
+        // daemon's stderr attributable.
         std::fprintf(stderr, "%s [%s] %s: %s\n",
                      isoTimestamp().c_str(), globalRole.c_str(), tag,
                      msg.c_str());
@@ -98,12 +98,6 @@ void
 setLogRole(const std::string &role)
 {
     globalRole = role;
-}
-
-const std::string &
-logRole()
-{
-    return globalRole;
 }
 
 void

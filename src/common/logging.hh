@@ -36,21 +36,18 @@ void setLogLevel(LogLevel level);
 LogLevel logLevel();
 
 /**
- * Tag this process's stderr diagnostics with a role ("coord",
- * "shard 2"). When set, every warn()/inform()/debugLog() line is
- * prefixed with an ISO-8601 UTC timestamp and the role, so the
- * interleaved stderr of a multi-process sweep stays attributable:
+ * Tag this process's stderr diagnostics with a role ("daemon"). When
+ * set, every warn()/inform()/debugLog() line is prefixed with an
+ * ISO-8601 UTC timestamp and the role, so a long-running service's
+ * log stays attributable:
  *
- *   2026-08-08T12:34:56.789Z [shard 2] warn: ...
+ *   2026-08-08T12:34:56.789Z [daemon] warn: ...
  *
- * Empty (the default, and for plain single-process runs) keeps the
- * classic "warn: ..." format. Thread-unsafe; set once at startup
- * (the shard layer does, from sweepOptionsFromConfig()).
+ * Empty (the default, and for bench processes) keeps the classic
+ * "warn: ..." format. Thread-unsafe; set once at startup (mannad
+ * does, from serverOptionsFromConfig()).
  */
 void setLogRole(const std::string &role);
-
-/** Current process role tag ("" when unset). */
-const std::string &logRole();
 
 /**
  * Report an internal invariant violation and abort.

@@ -5,9 +5,8 @@
  * The handler only sets a process-wide atomic; everything else is
  * polled. The sweep runner's watchdog scanner fires every in-flight
  * CancelToken when the flag goes up (so running simulations unwind
- * through the usual cancellation path), the journal is flushed and
- * fsync'd as on any normal exit, and the shard coordinator forwards
- * SIGTERM to its live workers — an interrupted sweep resumes
+ * through the usual cancellation path), and the journal is flushed
+ * and fsync'd as on any normal exit — an interrupted sweep resumes
  * byte-identically from its journal. See docs/ROBUSTNESS.md.
  */
 

@@ -4,8 +4,8 @@
  * binary codec for compiler::CompiledModel and a fingerprint-keyed
  * artifact cache layered under compileCached(). Compilation is
  * deterministic, so a (MannConfig, MannaConfig) pair compiles to the
- * same model in every process — the cache lets shard workers and
- * repeated sweeps across processes skip recompilation entirely.
+ * same model in every process — the cache lets daemons and repeated
+ * sweeps across processes skip recompilation entirely.
  *
  * The artifact container wraps the payload in a magic + version
  * header carrying both input fingerprints and an FNV-1a payload

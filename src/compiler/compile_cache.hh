@@ -21,7 +21,7 @@
  * When an on-disk artifact cache is configured (artifact_cache=DIR /
  * MANNA_ARTIFACT_CACHE — see compiler/artifact.hh), an in-memory miss
  * first tries the fingerprint-keyed artifact directory, so repeated
- * sweeps and shard workers across *processes* skip recompilation;
+ * sweeps and mannad daemons across *processes* skip recompilation;
  * compile() runs only when both layers miss, and its result is then
  * stored as an artifact.
  */

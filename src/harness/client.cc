@@ -195,33 +195,42 @@ class DaemonClient
         if (receiver_.joinable())
             receiver_.join(); // the old receiver has observed the
                               // dead fd and exited (or is about to)
+        std::string hello = "hello v1 name ";
+        proto::appendSized(hello, name_);
+        const proto::Frame frame{true, proto::MsgType::Hello, hello};
+        proto::Frame reply;
         int fd = -1;
         for (int i = 0; i < kConnectAttempts; ++i) {
+            if (i > 0)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(kConnectBackoffMs));
             fd = net::connectTo(addr_);
-            if (fd >= 0)
+            if (fd < 0)
+                continue;
+            std::string err;
+            auto status = proto::ReadStatus::Eof;
+            if (proto::writeFrame(fd, frame))
+                status = proto::readFrame(fd, false, &reply, &err);
+            if (status == proto::ReadStatus::Ok &&
+                reply.type == proto::MsgType::HelloOk)
                 break;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(kConnectBackoffMs));
+            ::close(fd);
+            fd = -1;
+            // A reply that is not HelloOk is a refusal; a connection
+            // dropped before any reply is transient: reconnect.
+            if (status == proto::ReadStatus::Ok ||
+                status == proto::ReadStatus::Bad)
+                throw IoError(strformat(
+                    "handshake with %s failed%s%s",
+                    addr_.describe().c_str(), err.empty() ? "" : ": ",
+                    err.c_str()));
+            warn("daemon at %s dropped the connection during the "
+                 "handshake; reconnecting",
+                 addr_.describe().c_str());
         }
         if (fd < 0)
             throw IoError(strformat("cannot reach mannad at %s",
                                     addr_.describe().c_str()));
-
-        std::string hello = "hello v1 name ";
-        proto::appendSized(hello, name_);
-        proto::Frame frame{true, proto::MsgType::Hello, hello};
-        proto::Frame reply;
-        std::string err;
-        if (!proto::writeFrame(fd, frame) ||
-            proto::readFrame(fd, false, &reply, &err) !=
-                proto::ReadStatus::Ok ||
-            reply.type != proto::MsgType::HelloOk) {
-            ::close(fd);
-            throw IoError(strformat(
-                "handshake with %s failed%s%s",
-                addr_.describe().c_str(), err.empty() ? "" : ": ",
-                err.c_str()));
-        }
         proto::FieldReader in(reply.payload);
         in.expect("ok");
         in.expect("v1");
@@ -298,9 +307,13 @@ class DaemonClient
             const proto::ReadStatus status =
                 proto::readFrame(fd, false, &frame, &err);
             if (status != proto::ReadStatus::Ok) {
-                if (status == proto::ReadStatus::Bad)
-                    warn("daemon sent a bad frame: %s",
-                         err.c_str());
+                // Eof is a plain close; a bad or torn frame is a
+                // fault the executors recover from by resubmitting.
+                if (status != proto::ReadStatus::Eof)
+                    warn("daemon sent a %s frame%s%s; resubmitting",
+                         status == proto::ReadStatus::Bad ? "bad"
+                                                          : "torn",
+                         err.empty() ? "" : ": ", err.c_str());
                 connectionLost();
                 return;
             }

@@ -113,23 +113,22 @@ isHex16(std::string_view s)
 }
 
 /**
- * Parse one full journal line: "<fp-hex> <payload>[ k <checksum>]".
- * A present checksum suffix must verify; its absence means a legacy
- * v1/v2 line, accepted unchecked. nullopt = torn/corrupt/foreign.
+ * Parse one full journal line: "<fp-hex> <payload> k <checksum>".
+ * The checksum suffix is mandatory and must verify. nullopt =
+ * torn/corrupt/foreign/unchecksummed.
  */
 std::optional<std::pair<std::uint64_t, MannaResult>>
 parseJournalLine(std::string_view line)
 {
-    std::string_view body = line;
     const auto kpos = line.rfind(" k ");
-    if (kpos != std::string_view::npos &&
-        isHex16(line.substr(kpos + 3))) {
-        const std::string ck(line.substr(kpos + 3));
-        if (std::strtoull(ck.c_str(), nullptr, 16) !=
-            lineChecksum(line.substr(0, kpos)))
-            return std::nullopt; // bit rot: never trust the record
-        body = line.substr(0, kpos);
-    }
+    if (kpos == std::string_view::npos ||
+        !isHex16(line.substr(kpos + 3)))
+        return std::nullopt;
+    const std::string ck(line.substr(kpos + 3));
+    if (std::strtoull(ck.c_str(), nullptr, 16) !=
+        lineChecksum(line.substr(0, kpos)))
+        return std::nullopt; // bit rot: never trust the record
+    const std::string_view body = line.substr(0, kpos);
 
     const auto space = body.find(' ');
     if (space == std::string_view::npos)
@@ -179,8 +178,8 @@ encodeResult(const MannaResult &result)
         out += strformat(" %d %s", static_cast<int>(group),
                          hexDouble(sec).c_str());
 
-    // v2 addition: the component stat registry. Keys are dotted
-    // identifiers (never contain whitespace), so they tokenize.
+    // The component stat registry. Keys are dotted identifiers
+    // (never contain whitespace), so they tokenize.
     out += strformat(" r %zu", rep.stats.size());
     for (const auto &[key, value] : rep.stats.entries())
         out += strformat(" %s %s", key.c_str(),
@@ -192,10 +191,7 @@ std::optional<MannaResult>
 decodeResult(std::string_view line)
 {
     TokenReader r(line);
-    const std::string version = r.token();
-    // v1 records (from journals written before the stat registry
-    // existed) decode with an empty registry; v2 requires it.
-    if (version != "v1" && version != "v2")
+    if (!r.literal("v2"))
         return std::nullopt;
 
     MannaResult result;
@@ -246,13 +242,11 @@ decodeResult(std::string_view line)
             sec;
     }
 
-    if (version == "v2") {
-        r.literal("r");
-        const std::uint64_t nStats = r.u64();
-        for (std::uint64_t i = 0; r.ok() && i < nStats; ++i) {
-            const std::string key = r.token();
-            rep.stats.set(key, r.f64());
-        }
+    r.literal("r");
+    const std::uint64_t nStats = r.u64();
+    for (std::uint64_t i = 0; r.ok() && i < nStats; ++i) {
+        const std::string key = r.token();
+        rep.stats.set(key, r.f64());
     }
 
     if (!r.ok() || !r.done())

@@ -13,14 +13,13 @@
  * computed — the resumed sweep's final report matches an
  * uninterrupted run byte-for-byte.
  *
- * Format versions: "v2" appends the component stat registry as
- * " r <count> <key> <hexdouble>..." after the v1 sections. "v1"
- * lines (journals written before the registry existed) still decode,
- * with an empty registry; any other version tag is rejected. The v3
- * *line* format wraps the v2 payload with a trailing " k <16-hex>"
- * FNV-1a checksum over everything before it (fingerprint included),
- * so a flipped bit is detected instead of silently resuming a wrong
- * result. v1/v2 lines (no checksum suffix) still load.
+ * Format: the payload is tagged "v2" (the daemon's wire protocol
+ * reuses it) and ends with the component stat registry as
+ * " r <count> <key> <hexdouble>...". The v3 *line* format wraps it
+ * with a mandatory trailing " k <16-hex>" FNV-1a checksum over
+ * everything before it (fingerprint included), so a flipped bit is
+ * detected instead of silently resuming a wrong result. Any other
+ * payload tag, or a line without the checksum, counts as corrupt.
  *
  * Recovery is skip-and-rescan: a torn, corrupt, or foreign line is
  * counted (JournalLoadStats::corruptRecords, reported in stats.json
@@ -129,11 +128,11 @@ loadJournal(const std::string &path,
 
 /**
  * Load and merge several journals (later files win on duplicate
- * fingerprints; @p stats accumulates across files). The distributed
- * sweep harness uses this to seed a coordinator or worker from any
- * mix of partial per-shard journals — see docs/DISTRIBUTED.md. A
- * corrupt record never shadows a valid record of an earlier file:
- * it is skipped, not merged.
+ * fingerprints; @p stats accumulates across files). resume= and the
+ * daemon's resume= accept such a list, so a sweep can restart from
+ * any mix of partial journals — see docs/ROBUSTNESS.md. A corrupt
+ * record never shadows a valid record of an earlier file: it is
+ * skipped, not merged.
  */
 std::map<std::uint64_t, MannaResult>
 loadJournals(const std::vector<std::string> &paths,

@@ -274,16 +274,8 @@ std::string
 renderBenchJson(const std::string &benchName,
                 const SweepReport &report)
 {
-    // Jobs belonging to another shard of a distributed run are not
-    // this report's jobs: excluding them makes one worker's snapshot
-    // cover exactly its shard, so N per-worker snapshots sum to the
-    // single-process totals (scripts/bench_compare.py merges them).
-    std::size_t ok = 0, failed = 0;
-    for (const JobOutcome &o : report.outcomes) {
-        if (o.skipped)
-            continue;
-        (o.ok ? ok : failed) += 1;
-    }
+    const std::size_t failed = report.failures();
+    const std::size_t ok = report.outcomes.size() - failed;
     std::string out = "{\n";
     out += "  \"schema\": \"manna-bench-v1\",\n";
     out += strformat("  \"name\": \"%s\",\n",
@@ -387,12 +379,12 @@ renderHarnessTrace(const std::vector<std::string> &paths)
     }
 
     // Zero the merged timeline at the earliest process: subtracting
-    // the minimum aligned wall clock keeps ts small and positive.
+    // the minimum wall clock keeps ts small and positive.
     std::uint64_t baseUs = 0;
     bool haveBase = false;
     for (const events::ParsedEventFile &f : files)
-        if (!haveBase || f.alignedWallUs() < baseUs) {
-            baseUs = f.alignedWallUs();
+        if (!haveBase || f.wallUs < baseUs) {
+            baseUs = f.wallUs;
             haveBase = true;
         }
 
@@ -403,8 +395,7 @@ renderHarnessTrace(const std::vector<std::string> &paths)
     for (std::size_t fi = 0; fi < files.size(); ++fi) {
         const events::ParsedEventFile &f = files[fi];
         const std::size_t pid = fi + 1; // trace pid, not OS pid
-        const double offsetUs =
-            static_cast<double>(f.alignedWallUs() - baseUs);
+        const double offsetUs = static_cast<double>(f.wallUs - baseUs);
         droppedTotal += f.dropped;
         skippedTotal += f.skippedLines;
         metadata.push_back(strformat(
@@ -417,7 +408,7 @@ renderHarnessTrace(const std::vector<std::string> &paths)
             merged.push_back({ts, merged.size(), ev});
         };
         // Open spans by id; a "B" with no matching "E" (killed
-        // worker) is closed at the file's last timestamp below.
+        // process) is closed at the file's last timestamp below.
         std::map<std::uint64_t, const events::ParsedEvent *> open;
         std::uint64_t lastT = 0;
         for (const events::ParsedEvent &e : f.events) {

@@ -141,8 +141,8 @@ bool dumpStatsIfRequested(const Config &cfg, const StatRegistry &stats);
 
 /** Merged harness-trace export knobs: harness_trace=<path> /
  * MANNA_HARNESS_TRACE renders every manna-events-v1 file of the run
- * (the process's own events= log plus any worker files a shard
- * coordinator collected) into one clock-aligned Chrome trace. */
+ * (the process's own events= log plus the event file a server=
+ * daemon advertised) into one clock-aligned Chrome trace. */
 struct HarnessTraceOptions
 {
     std::string path; ///< "" = off
@@ -155,13 +155,11 @@ HarnessTraceOptions harnessTraceOptionsFromConfig(const Config &cfg);
 
 /**
  * Render @p paths (manna-events-v1 files) as one merged Chrome
- * trace-event JSON document: one trace pid per file (coordinator
- * first, in registration order), tids straight from the event
- * records, B/E pairs matched by span id into complete ("X") events,
- * instants as "i" events. Timestamps are wall-clock-aligned across
- * files via each header's wall/monotonic pair and the spawn-time
- * sync clamp (ParsedEventFile::alignedWallUs), zeroed at the
- * earliest file. Unreadable files are skipped with a warning; spans
+ * trace-event JSON document: one trace pid per file (in
+ * registration order), tids straight from the event records, B/E
+ * pairs matched by span id into complete ("X") events, instants as
+ * "i" events. Timestamps are wall-clock-aligned across files via
+ * each header's wall/monotonic pair, zeroed at the earliest file. Unreadable files are skipped with a warning; spans
  * left open by a killed process are closed at the file's last
  * timestamp and tagged "truncated".
  */

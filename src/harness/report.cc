@@ -3,6 +3,9 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/config.hh"
+#include "common/error.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/strutil.hh"
 
@@ -41,6 +44,16 @@ void
 printPaperReference(const std::string &text)
 {
     std::printf("[paper] %s\n", text.c_str());
+}
+
+std::vector<workloads::Benchmark>
+benchmarksFromConfig(const Config &cfg)
+{
+    try {
+        return workloads::selectBenchmarks(cfg.getString("bench", ""));
+    } catch (const ConfigError &e) {
+        fatal("%s", e.what());
+    }
 }
 
 } // namespace manna::harness

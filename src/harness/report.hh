@@ -11,6 +11,12 @@
 #include <vector>
 
 #include "common/table.hh"
+#include "workloads/benchmarks.hh"
+
+namespace manna
+{
+class Config;
+}
 
 namespace manna::harness
 {
@@ -31,6 +37,10 @@ std::string summarizeFactors(const std::string &label,
 
 /** Note comparing against the paper's reported headline numbers. */
 void printPaperReference(const std::string &text);
+
+/** The benchmarks the `bench=` knob selects
+ * (workloads::selectBenchmarks); an unknown name is fatal. */
+std::vector<workloads::Benchmark> benchmarksFromConfig(const Config &cfg);
 
 } // namespace manna::harness
 

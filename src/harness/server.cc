@@ -58,8 +58,8 @@ const char *const kServiceKnobs[] = {
     "server",           "pool",    "queue_depth", "steal",
     "clients",          "journal", "resume",      "stats",
     "metrics",          "metrics_interval",       "events",
-    "events_limit",     "event_sync",             "cache_entries",
-    "faults",           "fault_seed",
+    "events_limit",     "cache_entries",          "faults",
+    "fault_seed",
 };
 const std::size_t kNumServiceKnobs =
     sizeof(kServiceKnobs) / sizeof(kServiceKnobs[0]);

@@ -268,7 +268,7 @@ SweepReport::failures() const
 {
     return static_cast<std::size_t>(std::count_if(
         outcomes.begin(), outcomes.end(), [](const JobOutcome &o) {
-            return !o.ok && !o.skipped;
+            return !o.ok;
         }));
 }
 
@@ -289,8 +289,6 @@ renderSweepStats(const SweepReport &report)
     std::size_t executed = 0;
     double wallSum = 0.0, wallMin = 0.0, wallMax = 0.0;
     for (const JobOutcome &o : report.outcomes) {
-        if (o.skipped)
-            continue; // another shard's job (docs/DISTRIBUTED.md)
         (o.ok ? ok : failed) += 1;
         if (o.fromJournal)
             ++restored;
@@ -359,7 +357,7 @@ SweepReport::failureSummary() const
                   outcomes.size(), failed == 1 ? "" : "s");
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         const JobOutcome &o = outcomes[i];
-        if (o.ok || o.skipped)
+        if (o.ok)
             continue;
         out += strformat("\n  #%zu %s (attempts=%zu)", i,
                          o.error.describe().c_str(), o.attempts);
@@ -399,7 +397,6 @@ sweepOptionsFromConfig(const Config &cfg)
             0, cfg.getInt("cache_entries",
                           static_cast<std::int64_t>(
                               opts.cacheEntries))));
-    opts.shard = shardOptionsFromConfig(cfg);
     // Arm the fault-injection sites (faults= / MANNA_FAULTS) here so
     // every sweep bench gets the knobs for free. Process-wide state,
     // like the compile cache.
@@ -423,18 +420,10 @@ sweepOptionsFromConfig(const Config &cfg)
         warn("metrics_interval= must be positive; using 1s");
         opts.metrics.intervalSeconds = 1.0;
     }
-    // Harness tracing (docs/OBSERVABILITY.md): derive this process's
-    // role from the shard knobs, tag multi-process stderr with it,
-    // and arm the event log when events= asks for one. Process-wide
-    // side effects, like fault injection above.
-    std::string role = "main";
-    if (opts.shard.isWorker())
-        role = strformat("shard %zu", opts.shard.workerIndex);
-    else if (opts.shard.isCoordinator())
-        role = "coord";
-    if (role != "main")
-        setLogRole(role);
-    events::configureFromConfig(cfg, role);
+    // Harness tracing (docs/OBSERVABILITY.md): arm the event log when
+    // events= asks for one. Process-wide side effect, like fault
+    // injection above.
+    events::configureFromConfig(cfg, "main");
     return opts;
 }
 
@@ -1022,7 +1011,7 @@ SweepRunner::runIsolated(std::size_t count, const IsolatedFn &fn,
     SweepReport report;
     {
         MetricsSampler metrics(
-            opts.metrics, logRole().empty() ? "main" : logRole(),
+            opts.metrics, "main",
             [&progress, &journal, count, sweepStart] {
                 MetricsSample s;
                 s.elapsedSeconds =
@@ -1092,28 +1081,10 @@ SweepReport
 SweepRunner::runChecked(const std::vector<SweepJob> &jobs,
                         const SweepOptions &opts)
 {
-    // Distributed execution (docs/DISTRIBUTED.md): a worker runs its
-    // shard of the jobs in-process; a coordinator never simulates,
-    // it dispatches worker processes and merges their journals.
-    if (opts.shard.isWorker())
-        return runShardWorker(*this, jobs, opts);
     // Service execution (docs/SERVICE.md): route the whole sweep
-    // through a running mannad. The daemon wins over shards= — it
-    // already owns the process-level parallelism.
-    if (!opts.server.empty()) {
-        if (opts.shard.isCoordinator())
-            warn("server= and shards= both set; using the daemon "
-                 "at %s",
-                 opts.server.c_str());
+    // through a running mannad.
+    if (!opts.server.empty())
         return client::runServerSweep(*this, jobs, opts);
-    }
-    if (opts.shard.isCoordinator() && !jobs.empty()) {
-        if (opts.shard.workerArgv.empty())
-            warn("shards= requested but the worker command line is "
-                 "unknown; running in-process instead");
-        else
-            return runShardCoordinator(jobs, opts);
-    }
 
     std::vector<std::string> labels;
     std::vector<std::uint64_t> fingerprints;

@@ -47,7 +47,6 @@
 #include "common/error.hh"
 #include "common/stat_registry.hh"
 #include "harness/experiment.hh"
-#include "harness/shard.hh"
 
 namespace manna
 {
@@ -195,11 +194,6 @@ struct JobOutcome
     double wallMs = 0.0;
     /** True when the result was restored from a resume journal. */
     bool fromJournal = false;
-    /** True when the job belongs to a different shard of a
-     * distributed run (see docs/DISTRIBUTED.md): this worker neither
-     * executed nor restored it. Skipped outcomes are not failures —
-     * failures()/failureSummary() ignore them. */
-    bool skipped = false;
 };
 
 /**
@@ -315,8 +309,8 @@ struct SweepOptions
      * journals: a comma-separated path list, later files winning on
      * duplicates ("" disables). Typically the same file as
      * journalPath so an interrupted sweep restarts where it left
-     * off; a distributed run may list any mix of partial per-shard
-     * journals. */
+     * off; several partial journals (e.g. one per mannad restart)
+     * may be listed. */
     std::string resumeFrom;
 
     /** fsync the journal every this many records. */
@@ -345,14 +339,9 @@ struct SweepOptions
      * running mannad at this address ("unix:PATH" or
      * "tcp:HOST:PORT") instead of simulating in-process; results,
      * stdout, and the deterministic stats sections stay
-     * byte-identical. "" (default) runs in-process. Takes precedence
-     * over shards= when both are set.
+     * byte-identical. "" (default) runs in-process.
      */
     std::string server;
-
-    /** Distributed multi-process execution (see docs/DISTRIBUTED.md);
-     * default-constructed = off, everything runs in-process. */
-    ShardOptions shard;
 
     /** Periodic health-sample series (metrics= / metrics_interval=;
      * docs/OBSERVABILITY.md). Off by default. */
@@ -362,10 +351,9 @@ struct SweepOptions
      * Install the SIGTERM/SIGINT graceful-shutdown handlers for this
      * sweep (docs/ROBUSTNESS.md): on a signal, queued jobs are
      * abandoned, running jobs are cancelled through their
-     * CancelTokens, the journal is flushed+fsync'd, and a coordinator
-     * forwards TERM to its workers — so the interrupted sweep resumes
-     * byte-identically via resume=. Off for embedders that own their
-     * signal disposition.
+     * CancelTokens, and the journal is flushed+fsync'd — so the
+     * interrupted sweep resumes byte-identically via resume=. Off for
+     * embedders that own their signal disposition.
      */
     bool handleSignals = true;
 };
@@ -409,20 +397,16 @@ struct SweepReport
     StatRegistry aggregateStats() const;
 };
 
-/** Parse the robustness + observability + distribution knobs every
+/** Parse the robustness + observability + service knobs every
  * sweep-based bench accepts: retries=, timeout=, journal=, resume=,
- * progress=, stats=, cache_entries=, the fault-injection knobs
+ * progress=, stats=, cache_entries=, server=, the fault-injection knobs
  * faults=/fault_seed= (armed process-wide as a side effect — see
  * docs/ROBUSTNESS.md), the program-artifact-cache knobs
  * artifact_cache=/artifact_cache_entries= (also process-wide — see
  * compiler/artifact.hh and docs/FORMATS.md), the tracing/metrics
  * knobs events=/events_limit=/metrics=/metrics_interval= (events=
- * opens the process-wide event log under this process's role and —
- * for shard processes — tags stderr via setLogRole(), both
- * process-wide side effects; see docs/OBSERVABILITY.md), and the
- * shard knobs (shards=, shard_dir=, shard_spawn=, shard_attempts=,
- * shard_timeout=, shard_heartbeat=, plus the internal worker-mode
- * shard=K/N family). */
+ * opens the process-wide event log, a process-wide side effect; see
+ * docs/OBSERVABILITY.md). */
 SweepOptions sweepOptionsFromConfig(const Config &cfg);
 
 /** Parse the fidelity= knob ("cycle"|"fast"); when absent, fall back

@@ -2,7 +2,9 @@
 
 #include <cmath>
 
+#include "common/error.hh"
 #include "common/logging.hh"
+#include "common/strutil.hh"
 #include "common/types.hh"
 
 namespace manna::workloads
@@ -108,6 +110,21 @@ benchmarkByName(const std::string &name)
         if (b.name == name)
             return b;
     fatal("unknown benchmark '%s'", name.c_str());
+}
+
+std::vector<Benchmark>
+selectBenchmarks(const std::string &name)
+{
+    if (name.empty())
+        return table2Suite();
+    std::string valid;
+    for (const auto &b : table2Suite()) {
+        if (b.name == name)
+            return {b};
+        valid += (valid.empty() ? "" : ", ") + b.name;
+    }
+    throw ConfigError(strformat("unknown benchmark '%s' (valid: %s)",
+                                name.c_str(), valid.c_str()));
 }
 
 Benchmark

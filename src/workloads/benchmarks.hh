@@ -55,6 +55,11 @@ const std::vector<Benchmark> &table2Suite();
 /** Look up a benchmark by name; fatal() if unknown. */
 const Benchmark &benchmarkByName(const std::string &name);
 
+/** The `bench=` selection: the whole Table 2 suite when @p name is
+ * empty, else the one benchmark of that name. Any other name throws
+ * ConfigError listing the valid names. */
+std::vector<Benchmark> selectBenchmarks(const std::string &name);
+
 /**
  * Weak-scaling variant (Section 7.3 / Figure 13): scale both memory
  * dimensions by sqrt(tiles / baselineTiles) so the problem grows

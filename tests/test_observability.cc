@@ -596,8 +596,8 @@ TEST(EventLog, RegistryIsClosedAndQueryable)
     for (const char *name :
          {"sweep.run", "job.run", "job.attempt", "journal.load",
           "journal.append", "compile.model", "artifact.load",
-          "artifact.store", "proc.spawn", "shard.round",
-          "shard.merge", "compile.cache.hit", "fault.injected",
+          "artifact.store", "server.run", "server.conn",
+          "server.accept", "compile.cache.hit", "fault.injected",
           "log.warn", "log.info"})
         EXPECT_TRUE(events::isRegisteredEventName(name)) << name;
     EXPECT_FALSE(events::isRegisteredEventName("not.a.span"));
@@ -682,7 +682,7 @@ TEST(EventLog, BufferBoundCountsDropsIntoTheTrailer)
 {
     const std::string path = "test_observability_drops.jsonl";
     events::EventLog &log = events::EventLog::instance();
-    ASSERT_TRUE(log.open(path, "main", /*syncUs=*/0, /*maxEvents=*/4));
+    ASSERT_TRUE(log.open(path, "main", /*maxEvents=*/4));
     for (int i = 0; i < 10; ++i)
         events::instant("job.restored");
     EXPECT_EQ(log.dropped(), 6u);
@@ -700,9 +700,9 @@ TEST(EventLog, TornAndForeignLinesAreSkippedNotFatal)
     const std::string path = "test_observability_torn.jsonl";
     writeWholeFile(
         path,
-        "{\"schema\": \"manna-events-v1\", \"role\": \"shard 1\", "
+        "{\"schema\": \"manna-events-v1\", \"role\": \"daemon\", "
         "\"pid\": 42, \"wall_us\": 1000000, \"mono_ns\": 5, "
-        "\"sync_us\": 999000}\n"
+        "\"sync_us\": 0}\n"
         "{\"name\": \"job.run\", \"ph\": \"B\", \"t\": 1000, "
         "\"tid\": 0, \"id\": 1, \"detail\": \"index=0\"}\n"
         "not json at all\n"
@@ -711,59 +711,55 @@ TEST(EventLog, TornAndForeignLinesAreSkippedNotFatal)
         "{\"name\": \"job.att"); // torn mid-write by a kill
     const auto f = events::parseEventFile(path);
     ASSERT_TRUE(f.ok);
-    EXPECT_EQ(f.role, "shard 1");
+    EXPECT_EQ(f.role, "daemon");
     EXPECT_EQ(f.pid, 42);
+    EXPECT_EQ(f.wallUs, 1000000u);
     ASSERT_EQ(f.events.size(), 2u);
     EXPECT_EQ(f.skippedLines, 2u);
-    // A worker clock ahead of the spawn handshake keeps its own wall
-    // clock; one behind is clamped forward.
-    EXPECT_EQ(f.alignedWallUs(), 1000000u);
 
     const auto missing = events::parseEventFile("no/such/file.jsonl");
     EXPECT_FALSE(missing.ok);
     std::remove(path.c_str());
 }
 
-TEST(HarnessTrace, MergedTwoWorkerTraceSortedAndClockAligned)
+TEST(HarnessTrace, MergedMultiProcessTraceSortedAndClockAligned)
 {
-    const std::string coord = "test_observability_coord.events";
-    const std::string w0 = "test_observability_w0.events";
-    const std::string w1 = "test_observability_w1.events";
-    // Coordinator: earliest aligned wall clock (the merge zero).
+    const std::string bench = "test_observability_main.events";
+    const std::string d0 = "test_observability_d0.events";
+    const std::string d1 = "test_observability_d1.events";
+    // The bench process: earliest wall clock (the merge zero).
     writeWholeFile(
-        coord,
-        "{\"schema\": \"manna-events-v1\", \"role\": \"coord\", "
+        bench,
+        "{\"schema\": \"manna-events-v1\", \"role\": \"main\", "
         "\"pid\": 100, \"wall_us\": 1000000, \"mono_ns\": 1, "
         "\"sync_us\": 0}\n"
-        "{\"name\": \"shard.round\", \"ph\": \"B\", \"t\": 0, "
-        "\"tid\": 0, \"id\": 1, \"detail\": \"round=0\"}\n"
-        "{\"name\": \"shard.worker.lost\", \"ph\": \"i\", "
+        "{\"name\": \"sweep.run\", \"ph\": \"B\", \"t\": 0, "
+        "\"tid\": 0, \"id\": 1, \"detail\": \"jobs=3\"}\n"
+        "{\"name\": \"job.retry\", \"ph\": \"i\", "
         "\"t\": 4000000, \"tid\": 0, \"id\": 0}\n"
-        "{\"name\": \"shard.round\", \"ph\": \"E\", "
+        "{\"name\": \"sweep.run\", \"ph\": \"E\", "
         "\"t\": 5000000, \"tid\": 0, \"id\": 1}\n"
         "{\"schema\": \"manna-events-v1-end\", \"written\": 3, "
         "\"dropped\": 0}\n");
-    // Worker 0: clock 2ms ahead of the coordinator; an unmatched B
-    // (killed before the span closed) must come out truncated.
+    // A daemon whose clock reads 2ms later; an unmatched B (killed
+    // before the span closed) must come out truncated.
     writeWholeFile(
-        w0,
-        "{\"schema\": \"manna-events-v1\", \"role\": \"shard 0\", "
+        d0,
+        "{\"schema\": \"manna-events-v1\", \"role\": \"daemon\", "
         "\"pid\": 101, \"wall_us\": 1002000, \"mono_ns\": 1, "
-        "\"sync_us\": 1001000}\n"
+        "\"sync_us\": 0}\n"
         "{\"name\": \"job.run\", \"ph\": \"B\", \"t\": 1000000, "
         "\"tid\": 0, \"id\": 1, \"detail\": \"index=3\"}\n"
         "{\"name\": \"job.run\", \"ph\": \"E\", \"t\": 2000000, "
         "\"tid\": 0, \"id\": 1, \"detail\": \"ok=1\"}\n"
         "{\"name\": \"job.attempt\", \"ph\": \"B\", \"t\": 2500000, "
         "\"tid\": 0, \"id\": 2}\n");
-    // Worker 1: wall clock lagging behind the coordinator — the
-    // spawn-time sync must pull it forward instead of producing a
-    // negative offset.
+    // A restarted daemon, 3ms after the bench process started.
     writeWholeFile(
-        w1,
-        "{\"schema\": \"manna-events-v1\", \"role\": \"shard 1\", "
-        "\"pid\": 102, \"wall_us\": 500000, \"mono_ns\": 1, "
-        "\"sync_us\": 1003000}\n"
+        d1,
+        "{\"schema\": \"manna-events-v1\", \"role\": \"daemon\", "
+        "\"pid\": 102, \"wall_us\": 1003000, \"mono_ns\": 1, "
+        "\"sync_us\": 0}\n"
         "{\"name\": \"job.run\", \"ph\": \"B\", \"t\": 0, "
         "\"tid\": 0, \"id\": 1}\n"
         "{\"name\": \"job.run\", \"ph\": \"E\", \"t\": 1000000, "
@@ -771,24 +767,24 @@ TEST(HarnessTrace, MergedTwoWorkerTraceSortedAndClockAligned)
         "{\"schema\": \"manna-events-v1-end\", \"written\": 2, "
         "\"dropped\": 0}\n");
 
-    const std::string json = renderHarnessTrace({coord, w0, w1});
+    const std::string json = renderHarnessTrace({bench, d0, d1});
     EXPECT_TRUE(jsonValidate(json)) << json;
     EXPECT_NE(json.find("manna-harness-trace-v1"), std::string::npos);
     EXPECT_NE(json.find("\"files\":3"), std::string::npos);
 
-    // One trace pid per file, coordinator first, named by role.
+    // One trace pid per file, in registration order, named by role.
     EXPECT_NE(json.find("{\"ph\":\"M\",\"pid\":1,\"tid\":0,"
                         "\"name\":\"process_name\",\"args\":"
-                        "{\"name\":\"coord (pid 100)\"}}"),
+                        "{\"name\":\"main (pid 100)\"}}"),
               std::string::npos);
-    EXPECT_NE(json.find("\"name\":\"shard 0 (pid 101)\""),
+    EXPECT_NE(json.find("\"name\":\"daemon (pid 101)\""),
               std::string::npos);
-    EXPECT_NE(json.find("\"name\":\"shard 1 (pid 102)\""),
+    EXPECT_NE(json.find("\"name\":\"daemon (pid 102)\""),
               std::string::npos);
 
-    // Clock alignment: worker 0 is offset by wall delta (+2000µs), so
-    // its job.run B at t=1ms lands at ts=3000µs with dur 1000µs;
-    // worker 1's lagging clock is clamped to sync (+3000µs).
+    // Clock alignment: each file is offset by its wall delta, so the
+    // first daemon's job.run B at t=1ms lands at ts=3000µs (+2000µs)
+    // with dur 1000µs, as does the second's at t=0 (+3000µs).
     EXPECT_NE(json.find("\"ts\":3000.000,\"dur\":1000.000,"
                         "\"name\":\"job.run\""),
               std::string::npos)
@@ -802,7 +798,7 @@ TEST(HarnessTrace, MergedTwoWorkerTraceSortedAndClockAligned)
     // The unmatched B closed at the file's last timestamp, tagged.
     EXPECT_NE(json.find("\"truncated\":\"1\""), std::string::npos);
     // Detail strings ride into args.
-    EXPECT_NE(json.find("\"detail\":\"round=0\""), std::string::npos);
+    EXPECT_NE(json.find("\"detail\":\"jobs=3\""), std::string::npos);
     EXPECT_NE(json.find("\"end\":\"ok=1\""), std::string::npos);
 
     // Merged events are sorted by ts across processes.
@@ -819,11 +815,11 @@ TEST(HarnessTrace, MergedTwoWorkerTraceSortedAndClockAligned)
         lastTs = ts;
         ++timed;
     }
-    EXPECT_EQ(timed, 5u); // 2 coord + 2 worker0 + 1 worker1
+    EXPECT_EQ(timed, 5u); // 2 main + 2 first daemon + 1 second
 
-    std::remove(coord.c_str());
-    std::remove(w0.c_str());
-    std::remove(w1.c_str());
+    std::remove(bench.c_str());
+    std::remove(d0.c_str());
+    std::remove(d1.c_str());
 }
 
 TEST(HarnessTrace, WriteHarnessTraceEndToEnd)
@@ -868,14 +864,14 @@ TEST(EventKnobs, ConfigArmsTheLogAndEnvIsTheFallback)
     EXPECT_FALSE(events::enabled());
 
     ::setenv("MANNA_EVENTS", "test_observability_env.events", 1);
-    events::configureFromConfig(Config{}, "coord");
+    events::configureFromConfig(Config{}, "daemon");
     EXPECT_TRUE(events::enabled());
     events::EventLog::instance().close();
     ::unsetenv("MANNA_EVENTS");
     const auto f =
         events::parseEventFile("test_observability_env.events");
     ASSERT_TRUE(f.ok);
-    EXPECT_EQ(f.role, "coord");
+    EXPECT_EQ(f.role, "daemon");
     std::remove("test_observability_env.events");
 }
 
@@ -919,10 +915,10 @@ TEST(Metrics, SampleRenderIsDeterministicAndValid)
     EXPECT_NE(a.find("\"queue_depth\": 5"), std::string::npos);
     EXPECT_NE(a.find("\"journal_bytes\": 2048"), std::string::npos);
 
-    const std::string header = renderMetricsHeader("shard 2", 0.25);
+    const std::string header = renderMetricsHeader("daemon", 0.25);
     EXPECT_TRUE(jsonValidate(header)) << header;
     EXPECT_NE(header.find("manna-metrics-v1"), std::string::npos);
-    EXPECT_NE(header.find("\"role\": \"shard 2\""),
+    EXPECT_NE(header.find("\"role\": \"daemon\""),
               std::string::npos);
     EXPECT_NE(header.find("\"interval_seconds\": 0.25"),
               std::string::npos);

@@ -5,12 +5,12 @@
  * persistent work-stealing pool (harness/worker_pool.*), and the
  * daemon + client pair (harness/server.*, harness/client.*).
  *
- * The headline invariant mirrors the shard layer's: routing a sweep
- * through a daemon must not change what it produces. Every e2e test
- * compares hexfloat-exact encodeResult() payloads between an
- * in-process runChecked() and the same jobs through a live Server on
- * a Unix socket — including under an injected worker crash and a torn
- * result frame.
+ * The headline invariant: routing a sweep through a daemon must not
+ * change what it produces. Every e2e test compares hexfloat-exact
+ * encodeResult() payloads between an in-process runChecked() and the
+ * same jobs through a live Server on a Unix socket — including under
+ * an injected worker crash, a dropped connection, and a torn result
+ * frame.
  */
 
 #include <gtest/gtest.h>
@@ -536,6 +536,37 @@ TEST(Service, TornResultFrameIsRetransparentToTheClient)
         client::runServerSweep(runner, jobs, opts);
     fault::reset();
 
+    EXPECT_EQ(outcomeFingerprints(plain),
+              outcomeFingerprints(viaDaemon));
+}
+
+TEST(Service, ConnectionDroppedAtAcceptIsReconnected)
+{
+    const auto jobs = miniSweep();
+    SweepRunner runner(2);
+    const SweepReport plain = runner.runChecked(jobs, SweepOptions{});
+
+    server::ServerOptions sopts;
+    sopts.address = uniqueSocketPath();
+    sopts.pool = 2;
+    ScopedServer daemon(sopts);
+
+    // The daemon drops the client's first connection before the
+    // handshake reply. The client reconnects within the same attempt,
+    // so no retry budget is needed.
+    fault::configure(
+        strformat("%s:once@1",
+                  fault::siteName(fault::Site::ServerAccept)),
+        0);
+    SweepOptions opts;
+    opts.server = daemon->boundAddress();
+    opts.retries = 0;
+    const SweepReport viaDaemon =
+        client::runServerSweep(runner, jobs, opts);
+    EXPECT_EQ(fault::fireCount(fault::Site::ServerAccept), 1u);
+    fault::reset();
+
+    EXPECT_TRUE(viaDaemon.allOk());
     EXPECT_EQ(outcomeFingerprints(plain),
               outcomeFingerprints(viaDaemon));
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
 #include "workloads/benchmarks.hh"
 #include "workloads/graph_gen.hh"
 #include "workloads/tasks.hh"
@@ -54,6 +55,35 @@ TEST(BenchmarksDeathTest, UnknownNameFatal)
 {
     EXPECT_EXIT(benchmarkByName("nonesuch"),
                 ::testing::ExitedWithCode(1), "unknown benchmark");
+}
+
+TEST(Benchmarks, SelectionIsTheSuiteOrOneNamedEntry)
+{
+    const auto all = selectBenchmarks("");
+    ASSERT_EQ(all.size(), table2Suite().size());
+    for (std::size_t i = 0; i < all.size(); ++i)
+        EXPECT_EQ(all[i].name, table2Suite()[i].name);
+
+    const auto one = selectBenchmarks("recall");
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(one[0].name, "recall");
+    EXPECT_EQ(one[0].config.memN, benchmarkByName("recall").config.memN);
+}
+
+TEST(Benchmarks, UnknownSelectionThrowsConfigErrorListingNames)
+{
+    try {
+        selectBenchmarks("nosuch");
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("'nosuch'"), std::string::npos) << msg;
+        for (const auto &b : table2Suite())
+            EXPECT_NE(msg.find(b.name), std::string::npos) << msg;
+    }
+    // Names match exactly: no case folding, no prefixes.
+    EXPECT_THROW(selectBenchmarks("Copy"), ConfigError);
+    EXPECT_THROW(selectBenchmarks("rpt"), ConfigError);
 }
 
 TEST(Benchmarks, WeakScalingGrowsBothDimensions)
