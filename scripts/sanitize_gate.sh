@@ -3,14 +3,20 @@
 # tests/CMakeLists.txt; SKIP_RETURN_CODE 77).
 #
 # Configures a separate build tree with -DMANNA_SANITIZE=address,
-# undefined, builds the robustness test binary, the fig12 bench and
-# mannad, and runs test_robustness plus the chaos soak (its daemon
-# phases included) under instrumentation — the fault-injection error
-# paths (torn lines and frames, failed fsyncs, dropped connections,
-# crashed pool workers, signal interrupts) are exactly the code that
-# normal runs rarely exercise, so they get the memory-safety pass
-# here. Exits 77 (ctest SKIP) when
-# the toolchain cannot link sanitized binaries.
+# undefined, builds the robustness, fidelity and DNC-chip test
+# binaries, the fig12 bench and mannad, and runs them under
+# instrumentation:
+#   - test_robustness plus the chaos soak (its daemon phases
+#     included): the fault-injection error paths (torn lines and
+#     frames, failed fsyncs, dropped connections, crashed pool
+#     workers, signal interrupts) are exactly the code that normal
+#     runs rarely exercise;
+#   - test_fidelity and test_dnc_chip: both chip drivers' record ->
+#     replay -> reset path. The replay tape holds raw pointers into
+#     tile memory, which reset() must keep valid by reusing the
+#     buffers, for the NTM and the DNC alike.
+# Exits 77 (ctest SKIP) when the toolchain cannot link sanitized
+# binaries.
 #
 # Usage: sanitize_gate.sh [build-dir]   (default: build-sanitize)
 set -u
@@ -37,7 +43,8 @@ if ! cmake -S . -B "$builddir" -DMANNA_SANITIZE=address,undefined \
 fi
 jobs=$(nproc 2>/dev/null || echo 2)
 if ! cmake --build "$builddir" -j"$jobs" \
-        --target test_robustness fig12_strong_scaling mannad \
+        --target test_robustness test_fidelity test_dnc_chip \
+        fig12_strong_scaling mannad \
         > "$probe/build.log" 2>&1; then
     echo "sanitize_gate: sanitized build failed:" >&2
     tail -20 "$probe/build.log" >&2
@@ -52,6 +59,13 @@ if ! "$builddir/tests/test_robustness" > "$probe/robust.log" 2>&1; then
     tail -30 "$probe/robust.log" >&2
     errors=$((errors + 1))
 fi
+for t in test_fidelity test_dnc_chip; do
+    if ! "$builddir/tests/$t" > "$probe/$t.log" 2>&1; then
+        echo "sanitize_gate: sanitized $t failed:" >&2
+        tail -30 "$probe/$t.log" >&2
+        errors=$((errors + 1))
+    fi
+done
 if ! scripts/chaos_soak.sh "$builddir/bench/fig12_strong_scaling" \
         "$builddir/tools/mannad"; then
     echo "sanitize_gate: sanitized chaos soak failed" >&2
@@ -59,4 +73,5 @@ if ! scripts/chaos_soak.sh "$builddir/bench/fig12_strong_scaling" \
 fi
 
 [ "$errors" -eq 0 ] || exit 1
-echo "sanitize_gate: OK (ASan+UBSan: test_robustness + chaos soak)"
+echo "sanitize_gate: OK (ASan+UBSan: test_robustness + test_fidelity +" \
+    "test_dnc_chip + chaos soak)"

@@ -5,6 +5,7 @@
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/strutil.hh"
+#include "mann/dnc.hh"
 #include "tensor/vector_ops.hh"
 
 namespace manna::sim
@@ -142,6 +143,15 @@ describeRunStats(StatRegistry &reg)
                  "op-counter peak-rate cycles/step estimate");
 }
 
+namespace
+{
+
+/**
+ * Fill @p rep.stats with the dotted counter hierarchy of a chip run
+ * (tile.<n>.*, noc.*, ctrl.*, chip.*) and derive
+ * @p rep.resourceUtilization from the per-tile busy-cycle counters.
+ * Requires steps/totalCycles/energy fields to be filled in already.
+ */
 void
 populateRunStats(RunReport &rep,
                  const std::vector<std::unique_ptr<DiffMemTile>> &tiles,
@@ -216,40 +226,35 @@ populateRunStats(RunReport &rep,
     describeRunStats(reg);
 }
 
-Chip::Chip(const compiler::CompiledModel &model, std::uint64_t seed,
-           Fidelity fidelity)
-    : model_(model), energy_(model.archCfg),
-      noc_(model.archCfg, energy_), ctrlModel_(model.archCfg, energy_),
-      ntm_(model.mannCfg, seed), fidelity_(fidelity)
+} // namespace
+
+ChipEngine::ChipEngine(const arch::MannaConfig &arch,
+                       const TileLayoutSizes &sizes,
+                       const std::vector<compiler::CompiledSegment> &segments,
+                       const mann::MannConfig &shape, Fidelity fidelity)
+    : arch_(arch), segments_(segments), shape_(shape), energy_(arch),
+      noc_(arch, energy_), ctrlModel_(arch, energy_),
+      readVectors_(shape.numReadHeads, tensor::FVec(shape.memM, 0.0f)),
+      fidelity_(fidelity)
 {
-    const auto &layout = model_.layout;
-    TileLayoutSizes sizes;
-    sizes.matBufWords = layout.matBufWords;
-    sizes.matSpadWords = layout.matSpadWords;
-    sizes.vecBufWords = layout.vecBufWords;
-    sizes.vecSpadWords = layout.vecSpadWords;
-    for (std::size_t t = 0; t < model_.archCfg.numTiles; ++t)
-        tiles_.push_back(std::make_unique<DiffMemTile>(
-            model_.archCfg, energy_, t, sizes));
-    reset();
+    // Fresh tiles, zeroed memory and empty accounting are already the
+    // state reset() restores.
+    for (std::size_t t = 0; t < arch_.numTiles; ++t)
+        tiles_.push_back(
+            std::make_unique<DiffMemTile>(arch_, energy_, t, sizes));
 }
 
 void
-Chip::reset()
+ChipEngine::reset()
 {
-    ntm_.reset();
     for (auto &tile : tiles_) {
-        tile->memory() = TileMemory(model_.layout.matBufWords,
-                                    model_.layout.matSpadWords,
-                                    model_.layout.vecBufWords,
-                                    model_.layout.vecSpadWords);
+        tile->memory().clear();
         tile->reset();
     }
     noc_.resetStats();
     ctrlModel_.resetStats();
-    loadState();
-    readVectors_.assign(model_.mannCfg.numReadHeads,
-                        tensor::FVec(model_.mannCfg.memM, 0.0f));
+    readVectors_.assign(shape_.numReadHeads,
+                        tensor::FVec(shape_.memM, 0.0f));
     nocBuffer_.clear();
     tape_.clear();
     chipTime_ = 0;
@@ -263,65 +268,40 @@ Chip::reset()
 }
 
 void
-Chip::loadState()
+ChipEngine::loadPartition(const compiler::RowPartition &part,
+                          const tensor::FMat &source)
 {
-    const auto &layout = model_.layout;
-    const auto &mc = model_.mannCfg;
-
-    // Differentiable memory slices (initial NTM image).
-    const tensor::FMat &mem = ntm_.memory().matrix();
     for (std::size_t t = 0; t < tiles_.size(); ++t) {
-        const std::uint32_t rows = layout.memory.rowCount[t];
-        const std::uint32_t start = layout.memory.rowStart[t];
+        const std::uint32_t rows = part.rowCount[t];
+        const std::uint32_t start = part.rowStart[t];
         for (std::uint32_t r = 0; r < rows; ++r) {
             tiles_[t]->memory().writeRange(
-                isa::Space::MatBuf,
-                layout.memory.base + r * layout.memory.cols,
-                mem.row(start + r));
-        }
-    }
-
-    // Head weight slices (read heads then write heads), with the head
-    // bias appended as an extra column multiplied by the augmented
-    // constant-one hidden lane; plus the initial previous weighting
-    // (all attention on global row 0).
-    const std::size_t numHeads = mc.numReadHeads + mc.numWriteHeads;
-    for (std::size_t h = 0; h < numHeads; ++h) {
-        const bool isWrite = h >= mc.numReadHeads;
-        const mann::Head &head =
-            isWrite ? ntm_.writeHeads()[h - mc.numReadHeads]
-                    : ntm_.readHeads()[h];
-        const auto &part = layout.headWeights[h];
-        MANNA_ASSERT(part.cols == head.weights().cols() + 1,
-                     "head %zu layout cols %u != weights cols %zu + 1",
-                     h, part.cols, head.weights().cols());
-        for (std::size_t t = 0; t < tiles_.size(); ++t) {
-            const std::uint32_t rows = part.rowCount[t];
-            const std::uint32_t start = part.rowStart[t];
-            for (std::uint32_t r = 0; r < rows; ++r) {
-                tensor::FVec row = head.weights().row(start + r);
-                row.push_back(head.bias()[start + r]);
-                tiles_[t]->memory().writeRange(
-                    isa::Space::MatBuf, part.base + r * part.cols,
-                    row);
-            }
-        }
-
-        for (std::size_t t = 0; t < tiles_.size(); ++t) {
-            const std::uint32_t rows = layout.memory.rowCount[t];
-            if (rows == 0)
-                continue;
-            std::vector<float> wPrev(rows, 0.0f);
-            if (layout.memory.rowStart[t] == 0)
-                wPrev[0] = 1.0f; // matches Ntm::reset()
-            tiles_[t]->memory().writeRange(isa::Space::VecBuf,
-                                           layout.wPrevBase[h], wPrev);
+                isa::Space::MatBuf, part.base + r * part.cols,
+                source.row(start + r));
         }
     }
 }
 
+tensor::FMat
+ChipEngine::gatherPartition(const compiler::RowPartition &part,
+                            std::size_t totalRows) const
+{
+    tensor::FMat out(totalRows, part.cols);
+    for (std::size_t t = 0; t < tiles_.size(); ++t) {
+        const std::uint32_t rows = part.rowCount[t];
+        const std::uint32_t start = part.rowStart[t];
+        for (std::uint32_t r = 0; r < rows; ++r) {
+            out.setRow(start + r,
+                       tiles_[t]->memory().readRange(
+                           isa::Space::MatBuf,
+                           part.base + r * part.cols, part.cols));
+        }
+    }
+    return out;
+}
+
 void
-Chip::checkCancelled() const
+ChipEngine::checkCancelled() const
 {
     if (cancel_ && cancel_->cancelled())
         throw SimError(strformat(
@@ -331,27 +311,26 @@ Chip::checkCancelled() const
 }
 
 tensor::FVec
-Chip::step(const tensor::FVec &input)
+ChipEngine::step(mann::Controller &controller, const tensor::FVec &input)
 {
     checkCancelled();
-    const auto &mc = model_.mannCfg;
-    MANNA_ASSERT(input.size() == mc.inputDim,
+    MANNA_ASSERT(input.size() == shape_.inputDim,
                  "chip input size %zu != %zu", input.size(),
-                 mc.inputDim);
+                 shape_.inputDim);
 
     // ---- Controller tile ----
     ctrlInput_.clear();
     ctrlInput_.insert(ctrlInput_.end(), input.begin(), input.end());
     for (const auto &r : readVectors_)
         ctrlInput_.insert(ctrlInput_.end(), r.begin(), r.end());
-    mann::ControllerOutput ctrl = ntm_.controller().forward(ctrlInput_);
+    mann::ControllerOutput ctrl = controller.forward(ctrlInput_);
     // Augment the hidden state with the constant-one bias lane: the
-    // head weight slices carry each head's bias as an extra column.
+    // head/interface weight slices carry the bias as an extra column.
     pendingHidden_.assign(ctrl.hidden.begin(), ctrl.hidden.end());
     pendingHidden_.push_back(1.0f);
 
     if (!fastActive_) {
-        const CtrlCost ctrlCost = ctrlModel_.forwardCost(mc);
+        const CtrlCost ctrlCost = ctrlModel_.forwardCost(shape_);
         ctrlEnergyPj_ += ctrlCost.energyPj;
         auto &ctrlGroup = groups_[mann::KernelGroup::Controller];
         ctrlGroup.cycles += ctrlCost.cycles;
@@ -367,7 +346,7 @@ Chip::step(const tensor::FVec &input)
     if (tape_.ready()) {
         runTape();
     } else {
-        for (const auto &segment : model_.stepSegments)
+        for (const auto &segment : segments_)
             runSegment(segment);
     }
 
@@ -390,11 +369,22 @@ Chip::step(const tensor::FVec &input)
             activateFastMode();
         }
     }
-    return ctrl.output;
+    return std::move(ctrl.output);
+}
+
+std::vector<tensor::FVec>
+ChipEngine::run(mann::Controller &controller,
+                const std::vector<tensor::FVec> &inputs)
+{
+    std::vector<tensor::FVec> outputs;
+    outputs.reserve(inputs.size());
+    for (const auto &x : inputs)
+        outputs.push_back(step(controller, x));
+    return outputs;
 }
 
 void
-Chip::activateFastMode()
+ChipEngine::activateFastMode()
 {
     fastActive_ = true;
     for (auto &tile : tiles_)
@@ -402,7 +392,7 @@ Chip::activateFastMode()
 }
 
 void
-Chip::runTape()
+ChipEngine::runTape()
 {
     for (const ReplayOp &op : tape_.ops()) {
         switch (op.kind) {
@@ -413,6 +403,9 @@ Chip::runTape()
           case ReplayKind::FusedRowUpdate:
             execTileOp(op, &tape_);
             break;
+          case ReplayKind::UsageToAlloc:
+            nocBuffer_ = mann::dncAllocationFromUsage(nocBuffer_);
+            break;
           default:
             execCommOp(op, tape_, nocBuffer_, readVectors_,
                        pendingHidden_);
@@ -421,35 +414,19 @@ Chip::runTape()
     }
 }
 
-std::vector<tensor::FVec>
-Chip::run(const std::vector<tensor::FVec> &inputs)
-{
-    std::vector<tensor::FVec> outputs;
-    outputs.reserve(inputs.size());
-    for (const auto &x : inputs)
-        outputs.push_back(step(x));
-    return outputs;
-}
-
 void
-Chip::runTilesToCompletion(const compiler::CompiledSegment &segment)
+ChipEngine::runTilesToCompletion(const compiler::CompiledSegment &segment)
 {
     for (std::size_t t = 0; t < tiles_.size(); ++t)
         tiles_[t]->setProgram(&segment.tilePrograms[t]);
     while (true) {
         checkCancelled();
-        bool anyComm = false;
         bool allDone = true;
-        for (auto &tile : tiles_) {
-            const RunStatus status = tile->runUntilComm();
-            if (status == RunStatus::AtComm) {
-                anyComm = true;
+        for (auto &tile : tiles_)
+            if (tile->runUntilComm() == RunStatus::AtComm)
                 allDone = false;
-            }
-        }
         if (allDone)
             break;
-        MANNA_ASSERT(anyComm, "scheduler stuck");
 
         // SPMD: every tile must block on the same instruction shape.
         const Instruction &inst = tiles_[0]->commInstruction();
@@ -465,9 +442,8 @@ Chip::runTilesToCompletion(const compiler::CompiledSegment &segment)
 }
 
 void
-Chip::runSegment(const compiler::CompiledSegment &segment)
+ChipEngine::runSegment(const compiler::CompiledSegment &segment)
 {
-    currentGroup_ = segment.group;
     if (fastActive_) {
         runTilesToCompletion(segment);
         return;
@@ -498,7 +474,7 @@ Chip::runSegment(const compiler::CompiledSegment &segment)
 }
 
 void
-Chip::handleComm(const Instruction &inst)
+ChipEngine::handleComm(const Instruction &inst)
 {
     const CommTag tag = compiler::commTagOf(inst.count);
 
@@ -546,6 +522,30 @@ Chip::handleComm(const Instruction &inst)
                 rop.rows = h;
                 tape_.append(rop);
             }
+        } else if (tag == CommTag::UsageToAllocation) {
+            // The Controller tile runs the DNC free-list scan with the
+            // golden model's own function. The scan is functional
+            // state and runs in every fidelity; its sort-network
+            // latency (~N log2 N cycles) and one SFU-class op per
+            // element scanned are calibration-prefix charges.
+            const auto n = static_cast<std::uint32_t>(words);
+            nocBuffer_ = mann::dncAllocationFromUsage(nocBuffer_);
+            if (tape_.recording()) {
+                ReplayOp rop;
+                rop.kind = ReplayKind::UsageToAlloc;
+                rop.n = n;
+                tape_.append(rop);
+            }
+            if (!fastActive_) {
+                chipTime_ += static_cast<Cycle>(n) *
+                             std::max<std::uint32_t>(log2Ceil(n), 1);
+                const Energy scanPj =
+                    static_cast<double>(n) *
+                    energy_.eventEnergyPj(arch::EnergyEvent::SfuOp);
+                ctrlEnergyPj_ += scanPj;
+                groups_[mann::KernelGroup::Addressing].energyPj +=
+                    scanPj;
+            }
         }
     } else {
         MANNA_ASSERT(inst.op == Opcode::Broadcast,
@@ -588,13 +588,13 @@ Chip::handleComm(const Instruction &inst)
 }
 
 RunReport
-Chip::cycleReport() const
+ChipEngine::cycleReport() const
 {
     RunReport rep;
     rep.steps = steps_;
     rep.totalCycles = chipTime_;
     rep.totalSeconds =
-        static_cast<double>(chipTime_) * model_.archCfg.cyclePeriodSec();
+        static_cast<double>(chipTime_) * arch_.cyclePeriodSec();
     rep.dynamicEnergyPj = ctrlEnergyPj_ + nocEnergyPj_;
     for (const auto &tile : tiles_)
         rep.dynamicEnergyPj += tile->energyPj();
@@ -608,7 +608,7 @@ Chip::cycleReport() const
 }
 
 RunReport
-Chip::report() const
+ChipEngine::report() const
 {
     RunReport rep;
     std::size_t calibrated = 0;
@@ -624,35 +624,93 @@ Chip::report() const
         extrapolated = steps_ - calibrated;
     }
     markFidelity(rep, fidelity_, calibrated, extrapolated,
-                 analyticCyclesPerStep(model_.mannCfg, model_.archCfg));
+                 analyticCyclesPerStep(shape_, arch_));
     return rep;
 }
 
 void
-Chip::attachTrace(TraceLogger *logger)
+ChipEngine::attachTrace(TraceLogger *logger)
 {
     for (auto &tile : tiles_)
         tile->setTraceLogger(logger);
 }
 
-tensor::FMat
-Chip::gatherMemory() const
+// ---------------------------------------------------------------------
+// NTM driver
+// ---------------------------------------------------------------------
+
+Chip::Chip(const compiler::CompiledModel &model, std::uint64_t seed,
+           Fidelity fidelity)
+    : model_(model), ntm_(model.mannCfg, seed),
+      engine_(model.archCfg,
+              {model.layout.matBufWords, model.layout.matSpadWords,
+               model.layout.vecBufWords, model.layout.vecSpadWords},
+              model.stepSegments, model.mannCfg, fidelity)
+{
+    loadState();
+}
+
+void
+Chip::reset()
+{
+    ntm_.reset();
+    engine_.reset();
+    loadState();
+}
+
+void
+Chip::loadState()
 {
     const auto &layout = model_.layout;
     const auto &mc = model_.mannCfg;
-    tensor::FMat mem(mc.memN, mc.memM);
-    for (std::size_t t = 0; t < tiles_.size(); ++t) {
-        const std::uint32_t rows = layout.memory.rowCount[t];
-        const std::uint32_t start = layout.memory.rowStart[t];
-        for (std::uint32_t r = 0; r < rows; ++r) {
-            const auto row = tiles_[t]->memory().readRange(
-                isa::Space::MatBuf,
-                layout.memory.base + r * layout.memory.cols,
-                layout.memory.cols);
-            mem.setRow(start + r, row);
+
+    // Differentiable memory slices (initial NTM image).
+    engine_.loadPartition(layout.memory, ntm_.memory().matrix());
+
+    // Head weight slices (read heads then write heads), with the head
+    // bias appended as an extra column multiplied by the augmented
+    // constant-one hidden lane; plus the initial previous weighting
+    // (all attention on global row 0).
+    const std::size_t numHeads = mc.numReadHeads + mc.numWriteHeads;
+    for (std::size_t h = 0; h < numHeads; ++h) {
+        const bool isWrite = h >= mc.numReadHeads;
+        const mann::Head &head =
+            isWrite ? ntm_.writeHeads()[h - mc.numReadHeads]
+                    : ntm_.readHeads()[h];
+        const auto &part = layout.headWeights[h];
+        MANNA_ASSERT(part.cols == head.weights().cols() + 1,
+                     "head %zu layout cols %u != weights cols %zu + 1",
+                     h, part.cols, head.weights().cols());
+        for (std::size_t t = 0; t < engine_.numTiles(); ++t) {
+            const std::uint32_t rows = part.rowCount[t];
+            const std::uint32_t start = part.rowStart[t];
+            for (std::uint32_t r = 0; r < rows; ++r) {
+                tensor::FVec row = head.weights().row(start + r);
+                row.push_back(head.bias()[start + r]);
+                engine_.tile(t).memory().writeRange(
+                    isa::Space::MatBuf, part.base + r * part.cols,
+                    row);
+            }
+        }
+
+        for (std::size_t t = 0; t < engine_.numTiles(); ++t) {
+            const std::uint32_t rows = layout.memory.rowCount[t];
+            if (rows == 0)
+                continue;
+            std::vector<float> wPrev(rows, 0.0f);
+            if (layout.memory.rowStart[t] == 0)
+                wPrev[0] = 1.0f; // matches Ntm::reset()
+            engine_.tile(t).memory().writeRange(
+                isa::Space::VecBuf, layout.wPrevBase[h], wPrev);
         }
     }
-    return mem;
+}
+
+tensor::FMat
+Chip::gatherMemory() const
+{
+    return engine_.gatherPartition(model_.layout.memory,
+                                   model_.mannCfg.memN);
 }
 
 } // namespace manna::sim

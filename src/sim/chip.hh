@@ -3,11 +3,14 @@
  * Top-level Manna chip simulator: DiffMem tiles + H-tree NoC +
  * Controller tile, executing a compiled MANN step-by-step.
  *
- * The chip owns its own Ntm instance (constructed from the same seed
- * as the golden model, so weights are bit-identical) and uses it for
- * (i) loading head weights and the memory image onto the tiles, and
- * (ii) the functional forward pass of the controller, whose timing
- * comes from the ControllerTileModel. Everything else — heads,
+ * ChipEngine is the part every MANN variant shares; Chip drives it
+ * for the NTM and sim::DncChip (sim/dnc_chip.hh) for the DNC.
+ *
+ * The NTM chip owns its own Ntm instance (constructed from the same
+ * seed as the golden model, so weights are bit-identical) and uses it
+ * for (i) loading head weights and the memory image onto the tiles,
+ * and (ii) the functional forward pass of the controller, whose
+ * timing comes from the ControllerTileModel. Everything else — heads,
  * addressing, key similarity, soft read, soft write — executes
  * instruction-by-instruction on the DiffMem tile models, so the
  * chip's outputs validate the entire compiler + simulator stack
@@ -25,6 +28,7 @@
 #include "common/cancel.hh"
 #include "common/stat_registry.hh"
 #include "compiler/compiled_model.hh"
+#include "mann/controller.hh"
 #include "mann/ntm.hh"
 #include "sim/controller_tile.hh"
 #include "sim/fidelity.hh"
@@ -85,66 +89,69 @@ struct RunReport
 };
 
 /**
- * Fill @p rep.stats with the dotted counter hierarchy shared by Chip
- * and DncChip (tile.<n>.*, noc.*, ctrl.*, chip.*) and derive
- * @p rep.resourceUtilization from the per-tile busy-cycle counters.
- * Requires steps/totalCycles/energy fields to be filled in already.
- */
-void populateRunStats(
-    RunReport &rep,
-    const std::vector<std::unique_ptr<DiffMemTile>> &tiles,
-    const Noc &noc, const ControllerTileModel &ctrlModel);
-
-/**
  * Register human-readable descriptions (suffix patterns, see
- * StatRegistry::describe()) for every counter family emitted by
- * populateRunStats(). Called by it; exposed so aggregated registries
- * (sweep stats) can re-attach descriptions for --dump-stats.
+ * StatRegistry::describe()) for every counter family a chip report
+ * emits (populateRunStats() in chip.cc). Called by it; exposed so
+ * aggregated registries (sweep stats) can re-attach descriptions for
+ * --dump-stats.
  */
 void describeRunStats(StatRegistry &reg);
 
 /**
- * The Manna chip.
+ * The chip engine shared by every MANN variant: DiffMem tiles, H-tree
+ * NoC, Controller tile model, the recurrent chip state, accounting,
+ * fidelity=fast calibration and the replay tape. A driver (Chip,
+ * DncChip) owns the golden model it mirrors, loads its state onto the
+ * tiles after reset(), passes its controller to step(), and gathers
+ * its distributed state back for validation. Every CommTag, the DNC's
+ * UsageToAllocation included, is handled here by the tag the program
+ * carries.
  */
-class Chip
+class ChipEngine
 {
   public:
     /**
-     * Build a chip for a compiled model. @p seed must match the seed
-     * of the golden Ntm the run is compared against. With
-     * Fidelity::Fast the first kFastCalibrationSteps time steps run
-     * cycle-accurate and the rest execute functionally; report()
-     * extrapolates (see sim/fidelity.hh). Tensor results are
-     * bit-identical across fidelities.
+     * @p shape is the MANN shape the Controller tile costs and the
+     * analytic estimate reads; @p segments are run in order every
+     * step. @p arch and @p segments are referenced, not copied: they
+     * belong to the compiled model, which must outlive the engine. With Fidelity::Fast the first kFastCalibrationSteps time
+     * steps run cycle-accurate and the rest execute functionally;
+     * report() extrapolates (see sim/fidelity.hh).
      */
-    Chip(const compiler::CompiledModel &model, std::uint64_t seed = 1,
-         Fidelity fidelity = Fidelity::Cycle);
+    ChipEngine(const arch::MannaConfig &arch, const TileLayoutSizes &sizes,
+               const std::vector<compiler::CompiledSegment> &segments,
+               const mann::MannConfig &shape, Fidelity fidelity);
 
-    /** Reset memory, recurrent state, and all statistics. */
+    /** Zero tile memory, recurrent state and all statistics. */
     void reset();
 
-    /** Execute one NTM time step; returns the output vector. */
-    tensor::FVec step(const tensor::FVec &input);
+    /** One time step: @p controller runs on the input concatenated
+     * with the read vectors, then the tile segments (or the tape).
+     * Returns the controller output. */
+    tensor::FVec step(mann::Controller &controller,
+                      const tensor::FVec &input);
 
-    /** Run a sequence of inputs. */
-    std::vector<tensor::FVec> run(const std::vector<tensor::FVec> &in);
+    /** step() over a sequence of inputs. */
+    std::vector<tensor::FVec> run(mann::Controller &controller,
+                                  const std::vector<tensor::FVec> &in);
 
-    /** Accounting for everything since the last reset(). */
     RunReport report() const;
 
-    /** Current read vectors (for validation against the golden). */
     const std::vector<tensor::FVec> &readVectors() const
     {
         return readVectors_;
     }
-
-    /** Reassemble the distributed external memory (validation). */
-    tensor::FMat gatherMemory() const;
-
-    const arch::MannaConfig &config() const { return model_.archCfg; }
-    const mann::MannConfig &mannConfig() const { return model_.mannCfg; }
-    const compiler::CompiledModel &model() const { return model_; }
     Fidelity fidelity() const { return fidelity_; }
+    DiffMemTile &tile(std::size_t t) { return *tiles_[t]; }
+    const DiffMemTile &tile(std::size_t t) const { return *tiles_[t]; }
+    std::size_t numTiles() const { return tiles_.size(); }
+
+    /** Write @p source's rows into their MatBuf slices. */
+    void loadPartition(const compiler::RowPartition &part,
+                       const tensor::FMat &source);
+    /** Reassemble a row-partitioned MatBuf matrix. */
+    tensor::FMat gatherPartition(const compiler::RowPartition &part,
+                                 std::size_t totalRows) const;
 
     /** Attach an instruction tracer to every tile (nullptr detaches). */
     void attachTrace(TraceLogger *logger);
@@ -159,7 +166,6 @@ class Chip
     void setCancelToken(const CancelToken *token) { cancel_ = token; }
 
   private:
-    void loadState();
     void runSegment(const compiler::CompiledSegment &segment);
     void runTilesToCompletion(
         const compiler::CompiledSegment &segment);
@@ -169,17 +175,17 @@ class Chip
      * calibration snapshots in fast mode). */
     RunReport cycleReport() const;
     /** After the calibration prefix, switch every tile to
-     * functional-only execution and start recording the replay tape
-     * (sim/replay.hh). */
+     * functional-only execution. */
     void activateFastMode();
     /** Execute one time step from the recorded tape. */
     void runTape();
 
-    const compiler::CompiledModel &model_;
+    const arch::MannaConfig &arch_;
+    const std::vector<compiler::CompiledSegment> &segments_;
+    const mann::MannConfig shape_;
     arch::EnergyModel energy_;
     Noc noc_;
     ControllerTileModel ctrlModel_;
-    mann::Ntm ntm_; ///< weights + functional controller
 
     std::vector<std::unique_ptr<DiffMemTile>> tiles_;
 
@@ -204,7 +210,6 @@ class Chip
     Energy ctrlEnergyPj_ = 0.0;
     std::map<mann::KernelGroup, GroupStats> groups_;
     std::size_t steps_ = 0;
-    mann::KernelGroup currentGroup_ = mann::KernelGroup::Controller;
 
     // fidelity=fast calibration state: snapshots after the first and
     // second cycle-accurate steps; fastActive_ flips once both exist.
@@ -213,14 +218,77 @@ class Chip
     RunReport calib1_;
     RunReport calib2_;
 
-    // fidelity=fast step-replay tape: recorded during the first
-    // fast-functional step, replayed for every later step. The
-    // ptr scratch vectors stage per-tile comm spans while recording.
+    // fidelity=fast step-replay tape: recorded during the last
+    // calibration step, replayed for every later step. The ptr
+    // scratch vectors stage per-tile comm spans while recording.
     ReplayTape tape_;
     std::vector<const float *> commSrcPtrs_;
     std::vector<float *> commDstPtrs_;
 
     const CancelToken *cancel_ = nullptr;
+};
+
+/**
+ * The Manna chip running a compiled NTM.
+ */
+class Chip
+{
+  public:
+    /**
+     * Build a chip for a compiled model. @p seed must match the seed
+     * of the golden Ntm the run is compared against. Tensor results
+     * are bit-identical across fidelities.
+     */
+    Chip(const compiler::CompiledModel &model, std::uint64_t seed = 1,
+         Fidelity fidelity = Fidelity::Cycle);
+
+    /** Reset memory, recurrent state, and all statistics. */
+    void reset();
+
+    /** Execute one NTM time step; returns the output vector. */
+    tensor::FVec step(const tensor::FVec &input)
+    {
+        return engine_.step(ntm_.controller(), input);
+    }
+
+    /** Run a sequence of inputs. */
+    std::vector<tensor::FVec> run(const std::vector<tensor::FVec> &in)
+    {
+        return engine_.run(ntm_.controller(), in);
+    }
+
+    /** Accounting for everything since the last reset(). */
+    RunReport report() const { return engine_.report(); }
+
+    /** Current read vectors (for validation against the golden). */
+    const std::vector<tensor::FVec> &readVectors() const
+    {
+        return engine_.readVectors();
+    }
+
+    /** Reassemble the distributed external memory (validation). */
+    tensor::FMat gatherMemory() const;
+
+    const arch::MannaConfig &config() const { return model_.archCfg; }
+    const mann::MannConfig &mannConfig() const { return model_.mannCfg; }
+    const compiler::CompiledModel &model() const { return model_; }
+    Fidelity fidelity() const { return engine_.fidelity(); }
+
+    /** See ChipEngine::attachTrace(). */
+    void attachTrace(TraceLogger *logger) { engine_.attachTrace(logger); }
+
+    /** See ChipEngine::setCancelToken(). */
+    void setCancelToken(const CancelToken *token)
+    {
+        engine_.setCancelToken(token);
+    }
+
+  private:
+    void loadState();
+
+    const compiler::CompiledModel &model_;
+    mann::Ntm ntm_; ///< weights + functional controller
+    ChipEngine engine_;
 };
 
 } // namespace manna::sim

@@ -2,22 +2,14 @@
 
 #include <algorithm>
 
-#include "common/error.hh"
-#include "common/logging.hh"
-#include "common/strutil.hh"
-#include "tensor/vector_ops.hh"
-
 namespace manna::sim
 {
-
-using compiler::CommTag;
-using isa::Instruction;
-using isa::Opcode;
 
 namespace
 {
 
-/** MANN-shaped view of a DNC config, for the analytic cost model. */
+/** MANN-shaped view of a DNC config: what the Controller tile costs
+ * and the analytic estimate reads. */
 mann::MannConfig
 mannShapeOf(const mann::DncConfig &dc)
 {
@@ -38,440 +30,47 @@ mannShapeOf(const mann::DncConfig &dc)
 
 DncChip::DncChip(const compiler::CompiledDnc &model, std::uint64_t seed,
                  Fidelity fidelity)
-    : model_(model), energy_(model.archCfg),
-      noc_(model.archCfg, energy_), ctrlModel_(model.archCfg, energy_),
-      dnc_(model.dncCfg, seed), fidelity_(fidelity)
+    : model_(model), dnc_(model.dncCfg, seed),
+      engine_(model.archCfg,
+              {model.layout.matBufWords, model.layout.matSpadWords,
+               model.layout.vecBufWords, model.layout.vecSpadWords},
+              model.stepSegments, mannShapeOf(model.dncCfg), fidelity)
 {
-    TileLayoutSizes sizes;
-    sizes.matBufWords = model_.layout.matBufWords;
-    sizes.matSpadWords = model_.layout.matSpadWords;
-    sizes.vecBufWords = model_.layout.vecBufWords;
-    sizes.vecSpadWords = model_.layout.vecSpadWords;
-    for (std::size_t t = 0; t < model_.archCfg.numTiles; ++t)
-        tiles_.push_back(std::make_unique<DiffMemTile>(
-            model_.archCfg, energy_, t, sizes));
-    reset();
+    loadState();
 }
 
 void
 DncChip::reset()
 {
     dnc_.reset();
-    for (auto &tile : tiles_) {
-        tile->memory() = TileMemory(model_.layout.matBufWords,
-                                    model_.layout.matSpadWords,
-                                    model_.layout.vecBufWords,
-                                    model_.layout.vecSpadWords);
-        tile->reset();
-    }
-    noc_.resetStats();
-    ctrlModel_.resetStats();
+    engine_.reset();
     loadState();
-    readVectors_.assign(model_.dncCfg.numReadHeads,
-                        tensor::FVec(model_.dncCfg.memM, 0.0f));
-    nocBuffer_.clear();
-    tape_.clear();
-    chipTime_ = 0;
-    nocEnergyPj_ = 0.0;
-    ctrlEnergyPj_ = 0.0;
-    groups_.clear();
-    steps_ = 0;
-    fastActive_ = false; // tile flags were cleared by tile->reset()
-    calib1_ = RunReport();
-    calib2_ = RunReport();
-}
-
-void
-DncChip::loadPartition(const compiler::RowPartition &part,
-                       const tensor::FMat &source)
-{
-    for (std::size_t t = 0; t < tiles_.size(); ++t) {
-        const std::uint32_t rows = part.rowCount[t];
-        const std::uint32_t start = part.rowStart[t];
-        for (std::uint32_t r = 0; r < rows; ++r) {
-            tiles_[t]->memory().writeRange(
-                isa::Space::MatBuf, part.base + r * part.cols,
-                source.row(start + r));
-        }
-    }
-}
-
-tensor::FMat
-DncChip::gatherPartition(const compiler::RowPartition &part,
-                         std::size_t totalRows) const
-{
-    tensor::FMat out(totalRows, part.cols);
-    for (std::size_t t = 0; t < tiles_.size(); ++t) {
-        const std::uint32_t rows = part.rowCount[t];
-        const std::uint32_t start = part.rowStart[t];
-        for (std::uint32_t r = 0; r < rows; ++r) {
-            out.setRow(start + r,
-                       tiles_[t]->memory().readRange(
-                           isa::Space::MatBuf,
-                           part.base + r * part.cols, part.cols));
-        }
-    }
-    return out;
 }
 
 void
 DncChip::loadState()
 {
     // Memory image, link matrix (zeros at reset), interface weights.
-    loadPartition(model_.layout.memory, dnc_.memory().matrix());
-    loadPartition(model_.layout.interfaceW, dnc_.interfaceWeights());
+    engine_.loadPartition(model_.layout.memory, dnc_.memory().matrix());
+    engine_.loadPartition(model_.layout.interfaceW,
+                          dnc_.interfaceWeights());
     // Persistent vectors (usage, write weights, precedence, previous
-    // read weights) all start at zero, which is the fresh
-    // TileMemory's state already.
-}
-
-void
-DncChip::checkCancelled() const
-{
-    if (cancel_ && cancel_->cancelled())
-        throw SimError(strformat(
-            "DNC simulation cancelled after %zu completed steps "
-            "(watchdog timeout or supervisor abort)",
-            steps_));
-}
-
-tensor::FVec
-DncChip::step(const tensor::FVec &input)
-{
-    checkCancelled();
-    const auto &dc = model_.dncCfg;
-    MANNA_ASSERT(input.size() == dc.inputDim,
-                 "DNC chip input size %zu != %zu", input.size(),
-                 dc.inputDim);
-
-    // Controller tile.
-    std::vector<tensor::FVec> parts{input};
-    for (const auto &r : readVectors_)
-        parts.push_back(r);
-    const mann::ControllerOutput ctrl =
-        dnc_.controller().forward(tensor::concat(parts));
-    pendingHidden_ = ctrl.hidden;
-    pendingHidden_.push_back(1.0f);
-
-    if (!fastActive_) {
-        mann::MannConfig ctrlShape;
-        ctrlShape.controllerLayers = dc.controllerLayers;
-        ctrlShape.controllerWidth = dc.controllerWidth;
-        ctrlShape.controllerKind = dc.controllerKind;
-        ctrlShape.inputDim = dc.inputDim;
-        ctrlShape.outputDim = dc.outputDim;
-        ctrlShape.memM = dc.memM;
-        ctrlShape.numReadHeads = dc.numReadHeads;
-        const CtrlCost ctrlCost = ctrlModel_.forwardCost(ctrlShape);
-        ctrlEnergyPj_ += ctrlCost.energyPj;
-        auto &ctrlGroup = groups_[mann::KernelGroup::Controller];
-        ctrlGroup.cycles += ctrlCost.cycles;
-        ctrlGroup.energyPj += ctrlCost.energyPj;
-        chipTime_ += ctrlCost.cycles;
-        controllerReady_ = chipTime_;
-        for (auto &tile : tiles_)
-            tile->alignTo(std::max(tile->quiesceTime(), chipTime_),
-                          StallReason::Ctrl);
-    }
-
-    if (tape_.ready()) {
-        runTape();
-    } else {
-        for (const auto &segment : model_.stepSegments)
-            runSegment(segment);
-    }
-
-    ++steps_;
-    if (fidelity_ == Fidelity::Fast && !fastActive_) {
-        if (steps_ == kFastCalibrationSteps - 1) {
-            calib1_ = cycleReport();
-            // Record during the last calibration step (see sim::Chip).
-            tape_.startRecording();
-            for (auto &tile : tiles_)
-                tile->setReplayTape(&tape_);
-        } else if (steps_ == kFastCalibrationSteps) {
-            calib2_ = cycleReport();
-            tape_.finishRecording();
-            for (auto &tile : tiles_)
-                tile->setReplayTape(nullptr);
-            activateFastMode();
-        }
-    }
-    return ctrl.output;
-}
-
-void
-DncChip::activateFastMode()
-{
-    fastActive_ = true;
-    for (auto &tile : tiles_)
-        tile->setFastFunctional(true);
-}
-
-void
-DncChip::runTape()
-{
-    for (const ReplayOp &op : tape_.ops()) {
-        switch (op.kind) {
-          case ReplayKind::Copy2d:
-          case ReplayKind::Vmm:
-          case ReplayKind::Elementwise:
-          case ReplayKind::Sfu:
-          case ReplayKind::FusedRowUpdate:
-            execTileOp(op, &tape_);
-            break;
-          case ReplayKind::UsageToAlloc:
-            nocBuffer_ = mann::dncAllocationFromUsage(nocBuffer_);
-            break;
-          default:
-            execCommOp(op, tape_, nocBuffer_, readVectors_,
-                       pendingHidden_);
-            break;
-        }
-    }
-}
-
-std::vector<tensor::FVec>
-DncChip::run(const std::vector<tensor::FVec> &inputs)
-{
-    std::vector<tensor::FVec> outputs;
-    outputs.reserve(inputs.size());
-    for (const auto &x : inputs)
-        outputs.push_back(step(x));
-    return outputs;
-}
-
-void
-DncChip::runTilesToCompletion(const compiler::CompiledSegment &segment)
-{
-    for (std::size_t t = 0; t < tiles_.size(); ++t)
-        tiles_[t]->setProgram(&segment.tilePrograms[t]);
-    while (true) {
-        checkCancelled();
-        bool allDone = true;
-        for (auto &tile : tiles_)
-            if (tile->runUntilComm() == RunStatus::AtComm)
-                allDone = false;
-        if (allDone)
-            break;
-        const Instruction &inst = tiles_[0]->commInstruction();
-        for (std::size_t t = 1; t < tiles_.size(); ++t) {
-            const Instruction &other = tiles_[t]->commInstruction();
-            MANNA_ASSERT(other.op == inst.op &&
-                             other.srcA.len == inst.srcA.len &&
-                             other.dst.len == inst.dst.len,
-                         "DNC tiles diverged at a communication point");
-        }
-        handleComm(inst);
-    }
-}
-
-void
-DncChip::runSegment(const compiler::CompiledSegment &segment)
-{
-    if (fastActive_) {
-        runTilesToCompletion(segment);
-        return;
-    }
-    const Cycle segStart = chipTime_;
-    std::vector<Energy> tileEnergyBefore;
-    for (auto &tile : tiles_)
-        tileEnergyBefore.push_back(tile->energyPj());
-    const Energy nocBefore = nocEnergyPj_;
-
-    for (auto &tile : tiles_)
-        tile->alignTo(std::max(tile->quiesceTime(), segStart));
-    runTilesToCompletion(segment);
-
-    Cycle segEnd = segStart;
-    for (auto &tile : tiles_)
-        segEnd = std::max(segEnd, tile->quiesceTime());
-    for (auto &tile : tiles_)
-        tile->alignTo(segEnd);
-    chipTime_ = segEnd;
-
-    auto &gs = groups_[segment.group];
-    gs.cycles += segEnd - segStart;
-    for (std::size_t t = 0; t < tiles_.size(); ++t)
-        gs.energyPj += tiles_[t]->energyPj() - tileEnergyBefore[t];
-    gs.energyPj += nocEnergyPj_ - nocBefore;
-}
-
-void
-DncChip::handleComm(const Instruction &inst)
-{
-    const CommTag tag = compiler::commTagOf(inst.count);
-
-    Cycle commStart = 0;
-    if (!fastActive_)
-        for (auto &tile : tiles_)
-            commStart = std::max(commStart, tile->quiesceTime());
-
-    if (inst.op == Opcode::Reduce) {
-        const std::size_t words = inst.srcA.len;
-        std::vector<std::vector<float>> perTile;
-        perTile.reserve(tiles_.size());
-        for (auto &tile : tiles_)
-            perTile.push_back(tile->readOperand(inst.srcA));
-        nocBuffer_ = Noc::combine(perTile, inst.flags.reduceOp);
-        if (tape_.recording()) {
-            commSrcPtrs_.clear();
-            for (auto &tile : tiles_)
-                commSrcPtrs_.push_back(tile->operandSpan(inst.srcA));
-            ReplayOp rop;
-            rop.kind = ReplayKind::Reduce;
-            rop.n = static_cast<std::uint32_t>(words);
-            rop.rows = static_cast<std::uint32_t>(tiles_.size());
-            rop.pitchA = tape_.appendSrcPtrs(commSrcPtrs_);
-            if (inst.flags.reduceOp != isa::ReduceOp::Sum)
-                rop.flags |= kReplayReduceMax;
-            tape_.append(rop);
-        }
-        if (!fastActive_) {
-            nocEnergyPj_ += noc_.reduceEnergyPj(words);
-            noc_.recordReduce(words, noc_.reduceCycles(words));
-            chipTime_ = commStart + noc_.reduceCycles(words);
-        }
-
-        if (tag == CommTag::ReadVectorOut) {
-            const std::uint32_t h = compiler::commIndexOf(inst.count);
-            MANNA_ASSERT(h < readVectors_.size(),
-                         "read-vector index %u out of range", h);
-            readVectors_[h] = nocBuffer_;
-            if (tape_.recording()) {
-                ReplayOp rop;
-                rop.kind = ReplayKind::ReadVectorOut;
-                rop.n = static_cast<std::uint32_t>(words);
-                rop.rows = h;
-                tape_.append(rop);
-            }
-        } else if (tag == CommTag::UsageToAllocation) {
-            // The Controller tile runs the free-list scan: identical
-            // code to the golden model, plus a sort-network latency
-            // charge of ~N log2 N cycles and one SFU-class op per
-            // element scanned.
-            const auto n = static_cast<std::uint32_t>(words);
-            // The free-list scan itself is functional state — it must
-            // run in every fidelity; only its latency/energy charges
-            // are calibration-prefix work.
-            nocBuffer_ = mann::dncAllocationFromUsage(nocBuffer_);
-            if (tape_.recording()) {
-                ReplayOp rop;
-                rop.kind = ReplayKind::UsageToAlloc;
-                rop.n = n;
-                tape_.append(rop);
-            }
-            if (!fastActive_) {
-                const Cycle sortCycles =
-                    static_cast<Cycle>(n) *
-                    std::max<std::uint32_t>(log2Ceil(n), 1);
-                chipTime_ += sortCycles;
-                ctrlEnergyPj_ +=
-                    static_cast<double>(n) *
-                    energy_.eventEnergyPj(arch::EnergyEvent::SfuOp);
-                auto &gs = groups_[mann::KernelGroup::Addressing];
-                gs.energyPj +=
-                    static_cast<double>(n) *
-                    energy_.eventEnergyPj(arch::EnergyEvent::SfuOp);
-            }
-        }
-    } else {
-        MANNA_ASSERT(inst.op == Opcode::Broadcast,
-                     "unexpected comm opcode");
-        if (tag == CommTag::HiddenIn) {
-            commStart = std::max(commStart, controllerReady_);
-            nocBuffer_.assign(pendingHidden_.begin(),
-                              pendingHidden_.end());
-        }
-        const std::size_t words = inst.dst.len;
-        MANNA_ASSERT(nocBuffer_.size() == words,
-                     "broadcast of %zu words but NoC buffer holds %zu",
-                     words, nocBuffer_.size());
-        for (auto &tile : tiles_)
-            tile->writeOperand(inst.dst, nocBuffer_);
-        if (tape_.recording()) {
-            commDstPtrs_.clear();
-            for (auto &tile : tiles_)
-                commDstPtrs_.push_back(tile->operandSpanMut(inst.dst));
-            ReplayOp rop;
-            rop.kind = ReplayKind::Broadcast;
-            rop.n = static_cast<std::uint32_t>(words);
-            rop.rows = static_cast<std::uint32_t>(tiles_.size());
-            rop.pitchA = tape_.appendDstPtrs(commDstPtrs_);
-            if (tag == CommTag::HiddenIn)
-                rop.flags |= kReplayHiddenIn;
-            tape_.append(rop);
-        }
-        if (!fastActive_) {
-            nocEnergyPj_ += noc_.broadcastEnergyPj(words);
-            noc_.recordBroadcast(words, noc_.broadcastCycles(words));
-            chipTime_ = commStart + noc_.broadcastCycles(words);
-        }
-    }
-
-    for (auto &tile : tiles_)
-        tile->resumeAfterComm(chipTime_);
-}
-
-RunReport
-DncChip::cycleReport() const
-{
-    RunReport rep;
-    rep.steps = steps_;
-    rep.totalCycles = chipTime_;
-    rep.totalSeconds =
-        static_cast<double>(chipTime_) * model_.archCfg.cyclePeriodSec();
-    rep.dynamicEnergyPj = ctrlEnergyPj_ + nocEnergyPj_;
-    for (const auto &tile : tiles_)
-        rep.dynamicEnergyPj += tile->energyPj();
-    rep.leakageEnergyPj =
-        energy_.leakageWatts() * rep.totalSeconds * 1e12;
-    rep.infrastructureEnergyPj =
-        energy_.infrastructureWatts() * rep.totalSeconds * 1e12;
-    rep.groups = groups_;
-    populateRunStats(rep, tiles_, noc_, ctrlModel_);
-    return rep;
-}
-
-RunReport
-DncChip::report() const
-{
-    RunReport rep;
-    std::size_t calibrated = 0;
-    std::size_t extrapolated = 0;
-    if (fastActive_ && steps_ > kFastCalibrationSteps)
-        rep = extrapolateRunReport(calib1_, calib2_, steps_);
-    else if (fastActive_)
-        rep = calib2_; // exactly the calibration prefix was run
-    else
-        rep = cycleReport();
-    if (fidelity_ == Fidelity::Fast) {
-        calibrated = std::min(steps_, kFastCalibrationSteps);
-        extrapolated = steps_ - calibrated;
-    }
-    markFidelity(rep, fidelity_, calibrated, extrapolated,
-                 analyticCyclesPerStep(mannShapeOf(model_.dncCfg),
-                                       model_.archCfg));
-    return rep;
-}
-
-void
-DncChip::attachTrace(TraceLogger *logger)
-{
-    for (auto &tile : tiles_)
-        tile->setTraceLogger(logger);
+    // read weights) all start at zero, which is the state of freshly
+    // built or cleared tile memory already.
 }
 
 tensor::FMat
 DncChip::gatherMemory() const
 {
-    return gatherPartition(model_.layout.memory, model_.dncCfg.memN);
+    return engine_.gatherPartition(model_.layout.memory,
+                                   model_.dncCfg.memN);
 }
 
 tensor::FMat
 DncChip::gatherLink() const
 {
-    return gatherPartition(model_.layout.link, model_.dncCfg.memN);
+    return engine_.gatherPartition(model_.layout.link,
+                                   model_.dncCfg.memN);
 }
 
 tensor::FVec
@@ -479,11 +78,11 @@ DncChip::gatherUsage() const
 {
     tensor::FVec usage(model_.dncCfg.memN, 0.0f);
     const auto &mem = model_.layout.memory;
-    for (std::size_t t = 0; t < tiles_.size(); ++t) {
+    for (std::size_t t = 0; t < engine_.numTiles(); ++t) {
         const std::uint32_t rows = mem.rowCount[t];
         if (rows == 0)
             continue;
-        const auto slice = tiles_[t]->memory().readRange(
+        const auto slice = engine_.tile(t).memory().readRange(
             isa::Space::VecBuf, model_.layout.usageBase, rows);
         std::copy(slice.begin(), slice.end(),
                   usage.begin() + mem.rowStart[t]);

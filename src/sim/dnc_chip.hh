@@ -2,10 +2,11 @@
  * @file
  * Manna chip running a compiled Differentiable Neural Computer.
  *
- * Mirrors sim::Chip but for the DNC-on-Manna programs produced by
- * compiler::compileDnc. The Controller tile additionally evaluates
- * the allocation free-list scan: the tiles reduce their usage slices
- * to the root (UsageToAllocation), the root applies
+ * The DNC driver of the shared sim::ChipEngine, for the DNC-on-Manna
+ * programs produced by compiler::compileDnc: the same tiles, NoC and
+ * Controller tile as the NTM chip. The Controller tile additionally
+ * evaluates the allocation free-list scan: the tiles reduce their
+ * usage slices to the root (UsageToAllocation), the root applies
  * mann::dncAllocationFromUsage — the exact function the golden model
  * uses — and the result broadcasts back.
  */
@@ -13,16 +14,11 @@
 #ifndef MANNA_SIM_DNC_CHIP_HH
 #define MANNA_SIM_DNC_CHIP_HH
 
-#include <memory>
 #include <vector>
 
-#include "arch/energy_model.hh"
 #include "compiler/dnc_codegen.hh"
 #include "mann/dnc.hh"
 #include "sim/chip.hh"
-#include "sim/controller_tile.hh"
-#include "sim/noc.hh"
-#include "sim/tile.hh"
 
 namespace manna::sim
 {
@@ -42,15 +38,21 @@ class DncChip
     void reset();
 
     /** One DNC time step; returns the controller output. */
-    tensor::FVec step(const tensor::FVec &input);
+    tensor::FVec step(const tensor::FVec &input)
+    {
+        return engine_.step(dnc_.controller(), input);
+    }
 
-    std::vector<tensor::FVec> run(const std::vector<tensor::FVec> &in);
+    std::vector<tensor::FVec> run(const std::vector<tensor::FVec> &in)
+    {
+        return engine_.run(dnc_.controller(), in);
+    }
 
-    RunReport report() const;
+    RunReport report() const { return engine_.report(); }
 
     const std::vector<tensor::FVec> &readVectors() const
     {
-        return readVectors_;
+        return engine_.readVectors();
     }
 
     /** Reassemble distributed state for validation. */
@@ -59,63 +61,23 @@ class DncChip
     tensor::FVec gatherUsage() const;
 
     const compiler::CompiledDnc &model() const { return model_; }
-    Fidelity fidelity() const { return fidelity_; }
+    Fidelity fidelity() const { return engine_.fidelity(); }
 
-    /** Attach an instruction tracer to every tile (nullptr detaches). */
-    void attachTrace(TraceLogger *logger);
+    /** See ChipEngine::attachTrace(). */
+    void attachTrace(TraceLogger *logger) { engine_.attachTrace(logger); }
 
-    /** Attach a cooperative cancellation token (nullptr detaches);
-     * polled per step and per communication round, like sim::Chip. */
-    void setCancelToken(const CancelToken *token) { cancel_ = token; }
+    /** See ChipEngine::setCancelToken(). */
+    void setCancelToken(const CancelToken *token)
+    {
+        engine_.setCancelToken(token);
+    }
 
   private:
     void loadState();
-    void checkCancelled() const;
-    void runSegment(const compiler::CompiledSegment &segment);
-    void runTilesToCompletion(
-        const compiler::CompiledSegment &segment);
-    void handleComm(const isa::Instruction &inst);
-    RunReport cycleReport() const;
-    void activateFastMode();
-    /** Execute one time step from the recorded replay tape
-     * (sim/replay.hh), including the DNC-only UsageToAlloc op. */
-    void runTape();
-    void loadPartition(const compiler::RowPartition &part,
-                       const tensor::FMat &source);
-    tensor::FMat gatherPartition(const compiler::RowPartition &part,
-                                 std::size_t totalRows) const;
 
     const compiler::CompiledDnc &model_;
-    arch::EnergyModel energy_;
-    Noc noc_;
-    ControllerTileModel ctrlModel_;
     mann::Dnc dnc_; ///< weights + functional controller
-
-    std::vector<std::unique_ptr<DiffMemTile>> tiles_;
-
-    std::vector<tensor::FVec> readVectors_;
-    tensor::FVec pendingHidden_;
-    Cycle controllerReady_ = 0;
-    std::vector<float> nocBuffer_;
-
-    Cycle chipTime_ = 0;
-    Energy nocEnergyPj_ = 0.0;
-    Energy ctrlEnergyPj_ = 0.0;
-    std::map<mann::KernelGroup, GroupStats> groups_;
-    std::size_t steps_ = 0;
-
-    // fidelity=fast calibration state (see sim::Chip).
-    Fidelity fidelity_ = Fidelity::Cycle;
-    bool fastActive_ = false;
-    RunReport calib1_;
-    RunReport calib2_;
-
-    // fidelity=fast step-replay tape (see sim::Chip).
-    ReplayTape tape_;
-    std::vector<const float *> commSrcPtrs_;
-    std::vector<float *> commDstPtrs_;
-
-    const CancelToken *cancel_ = nullptr;
+    ChipEngine engine_;
 };
 
 } // namespace manna::sim

@@ -90,13 +90,4 @@ Noc::combineInto(const std::vector<std::vector<float>> &perTile,
     }
 }
 
-std::vector<float>
-Noc::combine(const std::vector<std::vector<float>> &perTile,
-             isa::ReduceOp op)
-{
-    std::vector<float> out;
-    combineInto(perTile, op, out);
-    return out;
-}
-
 } // namespace manna::sim

@@ -46,14 +46,9 @@ class Noc
     /** Energy of a broadcast of @p words. */
     Energy broadcastEnergyPj(std::size_t words) const;
 
-    /** Functional element-wise combine across per-tile vectors. */
-    static std::vector<float>
-    combine(const std::vector<std::vector<float>> &perTile,
-            isa::ReduceOp op);
-
-    /** Allocation-free twin of combine(): @p out is assigned the
-     * combined vector, reusing its capacity. @p out must not be an
-     * element of @p perTile. */
+    /** Functional element-wise combine across per-tile vectors:
+     * @p out is assigned the combined vector, reusing its capacity.
+     * @p out must not be an element of @p perTile. */
     static void
     combineInto(const std::vector<std::vector<float>> &perTile,
                 isa::ReduceOp op, std::vector<float> &out);

@@ -161,13 +161,6 @@ DiffMemTile::resolveOperand(const Operand &op) const
     return resolved;
 }
 
-std::vector<float>
-DiffMemTile::readOperand(const Operand &op) const
-{
-    const Operand r = resolveOperand(op);
-    return mem_.readRange(r.space, r.base, r.len);
-}
-
 void
 DiffMemTile::readOperandInto(const Operand &op,
                              std::vector<float> &out) const

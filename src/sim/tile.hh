@@ -80,14 +80,12 @@ class DiffMemTile
      */
     isa::Operand resolveOperand(const isa::Operand &op) const;
 
-    /** Read/write a resolved operand's data (used by the Chip for
-     * communication and for loading model state). */
-    std::vector<float> readOperand(const isa::Operand &op) const;
+    /** Write a resolved operand's data (a broadcast landing). */
     void writeOperand(const isa::Operand &op,
                       const std::vector<float> &values);
 
-    /** Allocation-free twin of readOperand(): assigns into @p out,
-     * reusing its capacity (the Chip's per-tile scratch buffers). */
+    /** Read a resolved operand's data into @p out, reusing its
+     * capacity (the chip engine's per-tile reduce staging). */
     void readOperandInto(const isa::Operand &op,
                          std::vector<float> &out) const;
 

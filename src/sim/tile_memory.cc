@@ -1,5 +1,7 @@
 #include "tile_memory.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace manna::sim
@@ -94,6 +96,13 @@ std::size_t
 TileMemory::words(isa::Space space) const
 {
     return storage(space).size();
+}
+
+void
+TileMemory::clear()
+{
+    for (auto *s : {&matBuf_, &matSpad_, &vecBuf_, &vecSpad_})
+        std::fill(s->begin(), s->end(), 0.0f);
 }
 
 } // namespace manna::sim

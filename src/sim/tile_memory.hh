@@ -50,6 +50,9 @@ class TileMemory
 
     std::size_t words(isa::Space space) const;
 
+    /** Zero every space, keeping its size (and storage). */
+    void clear();
+
   private:
     std::vector<float> &storage(isa::Space space);
     const std::vector<float> &storage(isa::Space space) const;

@@ -158,25 +158,39 @@ TEST(Fidelity, DncChipFastBitIdenticalAndWithinTolerance)
     compareFidelities<DncChip>(model, dc.inputDim, dc.numReadHeads);
 }
 
-TEST(Fidelity, FastResetReplaysCleanly)
+/** A reset mid-run must drop the tape and recalibrate; the second run
+ * must be bit-identical to a fresh fast chip's. */
+template <typename ChipT, typename ModelT>
+void
+resetReplaysCleanly(const ModelT &model, std::size_t inputDim)
 {
-    // A reset mid-run must drop the tape and recalibrate; the second
-    // run must be bit-identical to a fresh fast chip's.
-    const auto mc = ntmConfig();
-    const auto model =
-        compiler::compile(mc, arch::MannaConfig::withTiles(4));
-    const auto in = inputs(mc.inputDim, kSteps, 7);
-
-    Chip a(model, 21, Fidelity::Fast);
+    const auto in = inputs(inputDim, kSteps, 7);
+    ChipT a(model, 21, Fidelity::Fast);
     for (const auto &x : in)
         a.step(x);
     a.reset();
-    Chip b(model, 21, Fidelity::Fast);
+    ChipT b(model, 21, Fidelity::Fast);
     for (std::size_t t = 0; t < kSteps; ++t) {
         const FVec outA = a.step(in[t]);
         const FVec outB = b.step(in[t]);
         expectBitEqual(outA, outB, "post-reset output", t);
     }
+}
+
+TEST(Fidelity, FastResetReplaysCleanly)
+{
+    const auto mc = ntmConfig();
+    resetReplaysCleanly<Chip>(
+        compiler::compile(mc, arch::MannaConfig::withTiles(4)),
+        mc.inputDim);
+}
+
+TEST(Fidelity, DncFastResetReplaysCleanly)
+{
+    const auto dc = dncConfig();
+    resetReplaysCleanly<DncChip>(
+        compiler::compileDnc(dc, arch::MannaConfig::withTiles(4)),
+        dc.inputDim);
 }
 
 TEST(Fidelity, ParseRoundTrip)

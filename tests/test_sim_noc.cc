@@ -60,7 +60,8 @@ TEST(Noc, CombineSum)
 {
     const std::vector<std::vector<float>> perTile = {
         {1.0f, 2.0f}, {3.0f, 4.0f}, {5.0f, 6.0f}};
-    const auto out = Noc::combine(perTile, isa::ReduceOp::Sum);
+    std::vector<float> out;
+    Noc::combineInto(perTile, isa::ReduceOp::Sum, out);
     EXPECT_EQ(out, (std::vector<float>{9.0f, 12.0f}));
 }
 
@@ -68,7 +69,8 @@ TEST(Noc, CombineMax)
 {
     const std::vector<std::vector<float>> perTile = {
         {1.0f, 9.0f}, {3.0f, 4.0f}, {-5.0f, 6.0f}};
-    const auto out = Noc::combine(perTile, isa::ReduceOp::Max);
+    std::vector<float> out;
+    Noc::combineInto(perTile, isa::ReduceOp::Max, out);
     EXPECT_EQ(out, (std::vector<float>{3.0f, 9.0f}));
 }
 
