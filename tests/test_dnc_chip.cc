@@ -241,6 +241,7 @@ TEST(DncChip, LinkMatrixCostDominatesForTallMemories)
 struct PinnedCounters
 {
     const char *name;
+    std::size_t tiles;
     Fidelity fidelity;
     Cycle totalCycles;
     std::uint64_t energyBits; ///< bit pattern of totalEnergyPj()
@@ -296,29 +297,48 @@ TEST(ChipEngine, PinnedCountersBothDrivers)
     mc.inputDim = 6;
     mc.outputDim = 5;
     const DncConfig dc = makeConfig(40, 16, 2);
-    const auto ac = arch::MannaConfig::withTiles(4);
-    const auto ntm = compiler::compile(mc, ac);
-    const auto dnc = compiler::compileDnc(dc, ac);
 
+    // 1 tile is where lazily created NoC/controller keys could differ
+    // from the multi-tile key set; 16 is the baseline chip.
     const PinnedCounters expected[] = {
-        {"ntm", Fidelity::Cycle, 10656, 0x418c8c372a08a882ull,
+        {"ntm", 1, Fidelity::Cycle, 23700, 0x418e7197ad2ec26full,
+         0x68fc8cc541e356a9ull, 0xeae3ed7540b7c340ull},
+        {"ntm", 1, Fidelity::Fast, 23700, 0x418e7197ad2ec26dull,
+         0xe19fdb4d8ae4f419ull, 0x34387f2461b4d6a8ull},
+        {"dnc", 1, Fidelity::Cycle, 25638, 0x41909efe996d3d86ull,
+         0xc1c1e25c0a33d2e2ull, 0xcb5e9fd55ffb15a3ull},
+        {"dnc", 1, Fidelity::Fast, 25638, 0x41909efe996d3d82ull,
+         0x0f7ad41975009e24ull, 0x0a49e484e5f5f0abull},
+        {"ntm", 4, Fidelity::Cycle, 10656, 0x418c8c372a08a882ull,
          0x1ca69ff73fb251d4ull, 0x6e4cb38e4901c7b9ull},
-        {"ntm", Fidelity::Fast, 10656, 0x418c8c372a08a885ull,
+        {"ntm", 4, Fidelity::Fast, 10656, 0x418c8c372a08a885ull,
          0x7d4fd2400492196eull, 0x8b581e35782d770cull},
-        {"dnc", Fidelity::Cycle, 12672, 0x41911d1a44a69270ull,
+        {"dnc", 4, Fidelity::Cycle, 12672, 0x41911d1a44a69270ull,
          0x8b08ea650baa498eull, 0x3c8434e7f022ccb3ull},
-        {"dnc", Fidelity::Fast, 12672, 0x41911d1a44a69270ull,
+        {"dnc", 4, Fidelity::Fast, 12672, 0x41911d1a44a69270ull,
          0x984ded97170c522dull, 0xfda80f2347895e2cull},
+        {"ntm", 16, Fidelity::Cycle, 9522, 0x41a37d2a26148301ull,
+         0x2e7d3aff986dc349ull, 0x934d82db54e11d5bull},
+        {"ntm", 16, Fidelity::Fast, 9522, 0x41a37d2a26148301ull,
+         0x00a0bc9ec7acd6aeull, 0xb6f7c4b427bbb7eeull},
+        {"dnc", 16, Fidelity::Cycle, 11586, 0x41a7c93b6c2a5909ull,
+         0xa0a8ae47042286cdull, 0x1a86f1186b61dcc5ull},
+        {"dnc", 16, Fidelity::Fast, 11586, 0x41a7c93b6c2a590bull,
+         0xcff9d20229d6d0b7ull, 0xd7e9d6a721d4ddaeull},
     };
     for (const PinnedCounters &want : expected) {
+        const auto ac = arch::MannaConfig::withTiles(want.tiles);
+        const bool isNtm = std::string(want.name) == "ntm";
         const RunReport rep =
-            std::string(want.name) == "ntm"
-                ? runPinned<Chip>(ntm, mc.inputDim, want.fidelity)
-                : runPinned<DncChip>(dnc, dc.inputDim, want.fidelity);
+            isNtm ? runPinned<Chip>(compiler::compile(mc, ac),
+                                    mc.inputDim, want.fidelity)
+                  : runPinned<DncChip>(compiler::compileDnc(dc, ac),
+                                       dc.inputDim, want.fidelity);
         const double energy = rep.totalEnergyPj();
         std::uint64_t energyBits = 0;
         std::memcpy(&energyBits, &energy, sizeof(energyBits));
-        SCOPED_TRACE(std::string(want.name) + " " +
+        SCOPED_TRACE(std::string(want.name) + " x" +
+                     std::to_string(want.tiles) + " " +
                      toString(want.fidelity));
         EXPECT_EQ(rep.totalCycles, want.totalCycles);
         EXPECT_EQ(energyBits, want.energyBits) << std::hex << energyBits;
