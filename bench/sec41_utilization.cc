@@ -21,6 +21,7 @@
 #include <cstdio>
 
 #include "common/config.hh"
+#include "common/stats.hh"
 #include "common/strutil.hh"
 #include "common/table.hh"
 #include "harness/experiment.hh"

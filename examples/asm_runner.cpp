@@ -25,6 +25,7 @@
 #include "common/fileio.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/stat_registry.hh"
 #include "isa/assembler.hh"
 #include "isa/binary.hh"
 #include "sim/tile.hh"
@@ -131,7 +132,9 @@ main(int argc, char **argv)
     std::printf("cycles: %llu   energy: %.1f pJ\n",
                 static_cast<unsigned long long>(tile.quiesceTime()),
                 tile.energyPj());
-    std::printf("%s\n", tile.stats().render().c_str());
+    StatRegistry counters;
+    tile.exportStats(counters, "tile0");
+    std::printf("%s\n", counters.render().c_str());
 
     std::printf("=== trace ===\n%s\n", trace.render(40).c_str());
 

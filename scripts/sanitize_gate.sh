@@ -3,9 +3,9 @@
 # tests/CMakeLists.txt; SKIP_RETURN_CODE 77).
 #
 # Configures a separate build tree with -DMANNA_SANITIZE=address,
-# undefined, builds the robustness, fidelity and DNC-chip test
-# binaries, the fig12 bench and mannad, and runs them under
-# instrumentation:
+# undefined, builds the robustness, fidelity, DNC-chip, tile and
+# observability test binaries, the fig12 bench and mannad, and runs
+# them under instrumentation:
 #   - test_robustness plus the chaos soak (its daemon phases
 #     included): the fault-injection error paths (torn lines and
 #     frames, failed fsyncs, dropped connections, crashed pool
@@ -14,7 +14,11 @@
 #   - test_fidelity and test_dnc_chip: both chip drivers' record ->
 #     replay -> reset path. The replay tape holds raw pointers into
 #     tile memory, which reset() must keep valid by reusing the
-#     buffers, for the NTM and the DNC alike.
+#     buffers, for the NTM and the DNC alike;
+#   - test_sim_tile and test_observability: the tile's timing paths
+#     and the report-time export into the stat registry. Every
+#     counter array is indexed by casting an enum, so UBSan's bounds
+#     checks see each index directly.
 # Exits 77 (ctest SKIP) when the toolchain cannot link sanitized
 # binaries.
 #
@@ -44,7 +48,7 @@ fi
 jobs=$(nproc 2>/dev/null || echo 2)
 if ! cmake --build "$builddir" -j"$jobs" \
         --target test_robustness test_fidelity test_dnc_chip \
-        fig12_strong_scaling mannad \
+        test_sim_tile test_observability fig12_strong_scaling mannad \
         > "$probe/build.log" 2>&1; then
     echo "sanitize_gate: sanitized build failed:" >&2
     tail -20 "$probe/build.log" >&2
@@ -59,7 +63,7 @@ if ! "$builddir/tests/test_robustness" > "$probe/robust.log" 2>&1; then
     tail -30 "$probe/robust.log" >&2
     errors=$((errors + 1))
 fi
-for t in test_fidelity test_dnc_chip; do
+for t in test_fidelity test_dnc_chip test_sim_tile test_observability; do
     if ! "$builddir/tests/$t" > "$probe/$t.log" 2>&1; then
         echo "sanitize_gate: sanitized $t failed:" >&2
         tail -30 "$probe/$t.log" >&2
@@ -74,4 +78,4 @@ fi
 
 [ "$errors" -eq 0 ] || exit 1
 echo "sanitize_gate: OK (ASan+UBSan: test_robustness + test_fidelity +" \
-    "test_dnc_chip + chaos soak)"
+    "test_dnc_chip + test_sim_tile + test_observability + chaos soak)"

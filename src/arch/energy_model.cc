@@ -1,8 +1,7 @@
 #include "energy_model.hh"
 
+#include <algorithm>
 #include <cmath>
-
-#include "common/logging.hh"
 
 namespace manna::arch
 {
@@ -50,54 +49,32 @@ EnergyModel::EnergyModel(const MannaConfig &cfg) : cfg_(cfg)
 {
     cfg_.validate();
 
+    const auto set = [this](EnergyEvent ev, Energy pj) {
+        eventPj_[static_cast<std::size_t>(ev)] = pj;
+    };
     // Highly banked structures are charged at their bank granularity.
     const Bytes matrixBufferBank =
         cfg_.matrixBufferBytes / cfg_.matrixScratchpadBanks();
     const Bytes matrixSpadBank =
         cfg_.matrixScratchpadBytes / cfg_.matrixScratchpadBanks();
-    matrixBufferPj_ = sramAccessPj(matrixBufferBank);
-    matrixScratchpadPj_ = sramAccessPj(std::max<Bytes>(matrixSpadBank, 256));
-    vectorBufferPj_ = sramAccessPj(cfg_.vectorBufferBytes);
-    vectorScratchpadPj_ = sramAccessPj(cfg_.vectorScratchpadBytes / 2);
-    rfPj_ = 0.12; // small flop-based RF
-    controllerBufferPj_ =
-        sramAccessPj(cfg_.controllerBufferBytes / 16); // banked
-}
-
-Energy
-EnergyModel::eventEnergyPj(EnergyEvent ev) const
-{
-    switch (ev) {
-      case EnergyEvent::MatrixBufferAccess:
-        return matrixBufferPj_;
-      case EnergyEvent::MatrixScratchpadAccess:
-        return matrixScratchpadPj_;
-      case EnergyEvent::VectorBufferAccess:
-        return vectorBufferPj_;
-      case EnergyEvent::VectorScratchpadAccess:
-        return vectorScratchpadPj_;
-      case EnergyEvent::RegisterFileAccess:
-        return rfPj_;
-      case EnergyEvent::EmacMac:
-        return kEmacMacPj;
-      case EnergyEvent::EmacElwise:
-        return kEmacElwisePj;
-      case EnergyEvent::EmacLateralShift:
-        return kLateralShiftPj;
-      case EnergyEvent::SfuOp:
-        return kSfuOpPj;
-      case EnergyEvent::NocHopWord:
-        return kNocHopWordPj;
-      case EnergyEvent::SystolicMac:
-        return kSystolicMacPj;
-      case EnergyEvent::ControllerBufferAccess:
-        return controllerBufferPj_;
-      case EnergyEvent::InstructionIssue:
-        return kInstructionIssuePj;
-      case EnergyEvent::HbmAccess:
-        return kHbmAccessPj;
-    }
-    panic("unknown energy event");
+    set(EnergyEvent::MatrixBufferAccess, sramAccessPj(matrixBufferBank));
+    set(EnergyEvent::MatrixScratchpadAccess,
+        sramAccessPj(std::max<Bytes>(matrixSpadBank, 256)));
+    set(EnergyEvent::VectorBufferAccess,
+        sramAccessPj(cfg_.vectorBufferBytes));
+    set(EnergyEvent::VectorScratchpadAccess,
+        sramAccessPj(cfg_.vectorScratchpadBytes / 2));
+    set(EnergyEvent::RegisterFileAccess, 0.12); // small flop-based RF
+    set(EnergyEvent::EmacMac, kEmacMacPj);
+    set(EnergyEvent::EmacElwise, kEmacElwisePj);
+    set(EnergyEvent::EmacLateralShift, kLateralShiftPj);
+    set(EnergyEvent::SfuOp, kSfuOpPj);
+    set(EnergyEvent::NocHopWord, kNocHopWordPj);
+    set(EnergyEvent::SystolicMac, kSystolicMacPj);
+    set(EnergyEvent::ControllerBufferAccess,
+        sramAccessPj(cfg_.controllerBufferBytes / 16)); // banked
+    set(EnergyEvent::InstructionIssue, kInstructionIssuePj);
+    set(EnergyEvent::HbmAccess, kHbmAccessPj);
 }
 
 double
@@ -123,11 +100,16 @@ EnergyModel::busyPowerWatts() const
     // Per tile per cycle at full throughput: matrixBufferWidthWords
     // buffer reads feeding the scratchpad, emacsPerTile scratchpad
     // reads feeding the eMACs, emacsPerTile MACs, and RF traffic.
+    const Energy matrixBufferPj =
+        eventEnergyPj(EnergyEvent::MatrixBufferAccess);
+    const Energy matrixSpadPj =
+        eventEnergyPj(EnergyEvent::MatrixScratchpadAccess);
     const double perTilePerCyclePj =
         static_cast<double>(cfg_.matrixBufferWidthWords) *
-            (matrixBufferPj_ + matrixScratchpadPj_) +
+            (matrixBufferPj + matrixSpadPj) +
         static_cast<double>(cfg_.emacsPerTile) *
-            (matrixScratchpadPj_ + kEmacMacPj + 2.0 * rfPj_) +
+            (matrixSpadPj + kEmacMacPj +
+             2.0 * eventEnergyPj(EnergyEvent::RegisterFileAccess)) +
         kInstructionIssuePj;
 
     // Controller tile: full systolic array + buffer traffic.
@@ -135,7 +117,7 @@ EnergyModel::busyPowerWatts() const
         static_cast<double>(cfg_.systolicRows * cfg_.systolicCols) *
             kSystolicMacPj +
         static_cast<double>(cfg_.systolicRows + cfg_.systolicCols) *
-            controllerBufferPj_;
+            eventEnergyPj(EnergyEvent::ControllerBufferAccess);
 
     const double cyclesPerSec = cfg_.clockMhz * 1e6;
     const double dynamicWatts =

@@ -23,6 +23,9 @@
 #ifndef MANNA_ARCH_ENERGY_MODEL_HH
 #define MANNA_ARCH_ENERGY_MODEL_HH
 
+#include <array>
+#include <cstddef>
+
 #include "arch/manna_config.hh"
 #include "common/types.hh"
 
@@ -46,7 +49,11 @@ enum class EnergyEvent
     ControllerBufferAccess, ///< one word, controller tile buffers
     InstructionIssue,       ///< decode/control overhead per instruction
     HbmAccess,              ///< one 32-bit word from/to HBM
+    NumEvents,
 };
+
+constexpr std::size_t kNumEnergyEvents =
+    static_cast<std::size_t>(EnergyEvent::NumEvents);
 
 /**
  * Energy model bound to a configuration.
@@ -58,8 +65,12 @@ class EnergyModel
   public:
     explicit EnergyModel(const MannaConfig &cfg);
 
-    /** Energy of one event occurrence in pJ. */
-    Energy eventEnergyPj(EnergyEvent ev) const;
+    /** Energy of one event occurrence in pJ (a table read: the tiles
+     * charge every executed instruction through it). */
+    Energy eventEnergyPj(EnergyEvent ev) const
+    {
+        return eventPj_[static_cast<std::size_t>(ev)];
+    }
 
     /** Static (leakage) power of the whole chip in watts. */
     double leakageWatts() const;
@@ -90,13 +101,9 @@ class EnergyModel
   private:
     MannaConfig cfg_;
 
-    // Cached per-structure energies.
-    Energy matrixBufferPj_;
-    Energy matrixScratchpadPj_;
-    Energy vectorBufferPj_;
-    Energy vectorScratchpadPj_;
-    Energy rfPj_;
-    Energy controllerBufferPj_;
+    /** Per-event energies (pJ), indexed by EnergyEvent; filled once
+     * by the constructor. */
+    std::array<Energy, kNumEnergyEvents> eventPj_{};
 };
 
 } // namespace manna::arch

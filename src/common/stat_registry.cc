@@ -34,13 +34,6 @@ StatRegistry::has(const std::string &key) const
 }
 
 void
-StatRegistry::adopt(const std::string &prefix, const StatGroup &group)
-{
-    for (const auto &[k, v] : group.entries())
-        values_[prefix.empty() ? k : prefix + "." + k] = v;
-}
-
-void
 StatRegistry::merge(const StatRegistry &other)
 {
     for (const auto &[k, v] : other.values_)

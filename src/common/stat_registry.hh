@@ -5,10 +5,10 @@
  * A StatRegistry is a flat, deterministic map from dotted component
  * paths ("tile.0.emac.busy_cycles", "noc.reduce_ops", "chip.cycles")
  * to double-valued counters — the gem5-style "one registry per run"
- * pattern. Components keep collecting into their local StatGroups
- * during simulation (cheap, no string concatenation on the hot path);
- * at report time the chip folds every group into one registry under
- * its component prefix. The registry then travels inside
+ * pattern. Components keep counting into enum-indexed arrays during
+ * simulation (an array add, no strings on the hot path); at report
+ * time the chip writes every array into one registry under its
+ * component prefix. The registry then travels inside
  * sim::RunReport / harness::MannaResult, is serialized exactly in the
  * sweep journal, aggregated across jobs into stats.json, and exported
  * as JSON for dashboards.
@@ -27,8 +27,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-
-#include "stats.hh"
 
 namespace manna
 {
@@ -53,10 +51,6 @@ class StatRegistry
 
     /** True if the counter exists. */
     bool has(const std::string &key) const;
-
-    /** Fold a StatGroup in under "<prefix>.<key>" ("" keeps keys as
-     * is). Existing counters are overwritten, not accumulated. */
-    void adopt(const std::string &prefix, const StatGroup &group);
 
     /** Add every counter of @p other into this registry (used by the
      * sweep harness to aggregate per-job registries). */

@@ -4,60 +4,9 @@
 #include <cmath>
 
 #include "logging.hh"
-#include "strutil.hh"
 
 namespace manna
 {
-
-void
-StatGroup::inc(const std::string &key, double amount)
-{
-    values_[key] += amount;
-}
-
-void
-StatGroup::set(const std::string &key, double value)
-{
-    values_[key] = value;
-}
-
-double
-StatGroup::get(const std::string &key) const
-{
-    auto it = values_.find(key);
-    return it == values_.end() ? 0.0 : it->second;
-}
-
-bool
-StatGroup::has(const std::string &key) const
-{
-    return values_.count(key) != 0;
-}
-
-void
-StatGroup::merge(const StatGroup &other)
-{
-    for (const auto &[k, v] : other.values_)
-        values_[k] += v;
-}
-
-void
-StatGroup::clear()
-{
-    for (auto &[k, v] : values_)
-        v = 0.0;
-}
-
-std::string
-StatGroup::render() const
-{
-    std::string out;
-    for (const auto &[k, v] : values_) {
-        std::string prefix = name_.empty() ? k : name_ + "." + k;
-        out += strformat("%-48s %.6g\n", prefix.c_str(), v);
-    }
-    return out;
-}
 
 double
 geomean(const std::vector<double> &values)
@@ -97,63 +46,6 @@ maxOf(const std::vector<double> &values)
     if (values.empty())
         return 0.0;
     return *std::max_element(values.begin(), values.end());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), buckets_(buckets + 2, 0.0)
-{
-    MANNA_ASSERT(hi > lo && buckets > 0, "bad histogram bounds");
-}
-
-void
-Histogram::add(double v, double weight)
-{
-    count_ += weight;
-    sum_ += v * weight;
-    if (!any_ || v < minSeen_)
-        minSeen_ = v;
-    if (!any_ || v > maxSeen_)
-        maxSeen_ = v;
-    any_ = true;
-
-    const std::size_t inner = buckets_.size() - 2;
-    if (v < lo_) {
-        buckets_.front() += weight;
-    } else if (v >= hi_) {
-        buckets_.back() += weight;
-    } else {
-        const double frac = (v - lo_) / (hi_ - lo_);
-        std::size_t idx =
-            static_cast<std::size_t>(frac * static_cast<double>(inner));
-        if (idx >= inner)
-            idx = inner - 1;
-        buckets_[idx + 1] += weight;
-    }
-}
-
-std::string
-Histogram::render(const std::string &label) const
-{
-    std::string out = strformat(
-        "%s: n=%.0f mean=%.4g min=%.4g max=%.4g\n", label.c_str(), count_,
-        mean(), minSeen_, maxSeen_);
-    const std::size_t inner = buckets_.size() - 2;
-    const double width = (hi_ - lo_) / static_cast<double>(inner);
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        if (buckets_[i] == 0.0)
-            continue;
-        std::string range;
-        if (i == 0)
-            range = strformat("(-inf, %.4g)", lo_);
-        else if (i == buckets_.size() - 1)
-            range = strformat("[%.4g, +inf)", hi_);
-        else
-            range = strformat("[%.4g, %.4g)",
-                              lo_ + width * static_cast<double>(i - 1),
-                              lo_ + width * static_cast<double>(i));
-        out += strformat("  %-24s %.0f\n", range.c_str(), buckets_[i]);
-    }
-    return out;
 }
 
 } // namespace manna

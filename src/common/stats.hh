@@ -1,66 +1,16 @@
 /**
  * @file
- * Lightweight statistics collection for the simulator: named counters
- * and accumulators grouped under a StatGroup, plus geometric-mean and
- * distribution helpers used by the experiment harness.
+ * Summary-statistics helpers used by the experiment harness:
+ * geometric and arithmetic means and extrema over a sample.
  */
 
 #ifndef MANNA_COMMON_STATS_HH
 #define MANNA_COMMON_STATS_HH
 
-#include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace manna
 {
-
-/**
- * A named collection of scalar statistics.
- *
- * Counters are created lazily on first reference and iterate in name
- * order, which keeps report output deterministic.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name = "") : name_(std::move(name)) {}
-
-    /** Increment a counter (creating it at zero if absent). */
-    void inc(const std::string &key, double amount = 1.0);
-
-    /** Overwrite a value. */
-    void set(const std::string &key, double value);
-
-    /** Read a value; 0 if absent. */
-    double get(const std::string &key) const;
-
-    /** True if the counter exists. */
-    bool has(const std::string &key) const;
-
-    /** Merge: add every counter of @p other into this group. */
-    void merge(const StatGroup &other);
-
-    /** Reset all counters to zero (keys retained). */
-    void clear();
-
-    /** Group name as given at construction. */
-    const std::string &name() const { return name_; }
-
-    /** All (key, value) pairs in name order. */
-    const std::map<std::string, double> &entries() const
-    {
-        return values_;
-    }
-
-    /** Render as "key = value" lines, one per counter. */
-    std::string render() const;
-
-  private:
-    std::string name_;
-    std::map<std::string, double> values_;
-};
 
 /** Geometric mean of positive values; 0 on empty input. */
 double geomean(const std::vector<double> &values);
@@ -71,39 +21,6 @@ double mean(const std::vector<double> &values);
 /** Minimum / maximum (0 on empty input). */
 double minOf(const std::vector<double> &values);
 double maxOf(const std::vector<double> &values);
-
-/**
- * A simple streaming histogram with fixed-width buckets, used by the
- * simulator for latency/occupancy distributions.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    void add(double v, double weight = 1.0);
-
-    double count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const { return count_ > 0 ? sum_ / count_ : 0.0; }
-    double min() const { return minSeen_; }
-    double max() const { return maxSeen_; }
-
-    /** Bucket weights, including underflow [0] and overflow [last]. */
-    const std::vector<double> &buckets() const { return buckets_; }
-
-    std::string render(const std::string &label) const;
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<double> buckets_; // [under, b0..bn-1, over]
-    double count_ = 0.0;
-    double sum_ = 0.0;
-    double minSeen_ = 0.0;
-    double maxSeen_ = 0.0;
-    bool any_ = false;
-};
 
 } // namespace manna
 

@@ -157,22 +157,23 @@ populateRunStats(RunReport &rep,
                  const std::vector<std::unique_ptr<DiffMemTile>> &tiles,
                  const Noc &noc, const ControllerTileModel &ctrlModel)
 {
-    static constexpr const char *kEngines[] = {"emac", "sfu",
-                                               "mat_dma", "vec_dma"};
+    // Engine key prefixes, indexed by TraceLane.
+    static constexpr const char *kEngines[kNumLanes] = {
+        "emac", "sfu", "mat_dma", "vec_dma"};
     StatRegistry &reg = rep.stats;
     const double total = static_cast<double>(rep.totalCycles);
     for (std::size_t t = 0; t < tiles.size(); ++t) {
+        const DiffMemTile &tile = *tiles[t];
         const std::string prefix = strformat("tile.%zu", t);
-        reg.adopt(prefix, tiles[t]->stats());
-        reg.adopt(strformat("profile.%zu", t), tiles[t]->opProfile());
-        for (const char *engine : kEngines) {
-            const double busy = tiles[t]->stats().get(
-                std::string(engine) + ".busy_cycles");
+        tile.exportStats(reg, prefix);
+        tile.exportOpProfile(reg, strformat("profile.%zu", t));
+        for (std::size_t l = 0; l < kNumLanes; ++l) {
+            const auto lane = static_cast<TraceLane>(l);
+            const double busy = tile.counter(busyCounter(lane));
             double stalls = 0.0;
             for (std::size_t r = 0; r < kNumStallReasons; ++r)
-                stalls += tiles[t]->stats().get(
-                    std::string(engine) + ".stall." +
-                    toString(static_cast<StallReason>(r)));
+                stalls += tile.counter(
+                    stallCounter(lane, static_cast<StallReason>(r)));
             // Cycle accounting is closed: every engine cycle is
             // either busy or attributed to exactly one stall reason.
             // All values are integer-valued doubles, so the equality
@@ -181,25 +182,25 @@ populateRunStats(RunReport &rep,
             MANNA_ASSERT(busy + stalls == total,
                          "tile %zu %s: busy %g + stalls %g != chip "
                          "cycles %g",
-                         t, engine, busy, stalls, total);
-            reg.set(prefix + "." + engine + ".idle_cycles", stalls);
+                         t, kEngines[l], busy, stalls, total);
+            reg.set(prefix + "." + kEngines[l] + ".idle_cycles", stalls);
         }
-        reg.set(prefix + ".energy_pj", tiles[t]->energyPj());
+        reg.set(prefix + ".energy_pj", tile.energyPj());
     }
-    reg.adopt("noc", noc.stats());
-    reg.adopt("ctrl", ctrlModel.stats());
+    noc.exportStats(reg, "noc");
+    ctrlModel.exportStats(reg, "ctrl");
     // The NoC is busy exactly during the recorded reduce/broadcast
     // exchanges (their intervals never overlap: each one starts at or
     // after the previous chip time); the controller tile is busy for
     // the cycles its forward passes contributed to chip time. The
     // remainder is attributed as a single stall bucket each.
-    const double nocBusy = noc.stats().get("reduce.cycles") +
-                           noc.stats().get("broadcast.cycles");
+    const double nocBusy = noc.counter(NocCounter::ReduceCycles) +
+                           noc.counter(NocCounter::BroadcastCycles);
     MANNA_ASSERT(nocBusy <= total,
                  "noc busy %g exceeds chip cycles %g", nocBusy, total);
     reg.set("noc.busy_cycles", nocBusy);
     reg.set("noc.stall.idle", total - nocBusy);
-    const double ctrlBusy = ctrlModel.stats().get("cycles");
+    const double ctrlBusy = ctrlModel.counter(CtrlCounter::Cycles);
     MANNA_ASSERT(ctrlBusy <= total,
                  "ctrl busy %g exceeds chip cycles %g", ctrlBusy,
                  total);

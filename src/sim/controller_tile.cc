@@ -1,9 +1,25 @@
 #include "controller_tile.hh"
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/logging.hh"
 
 namespace manna::sim
 {
+
+namespace
+{
+
+/** Registry keys, indexed by CtrlCounter. */
+constexpr const char *kCounterNames[] = {
+    "dense_layers", "array_passes", "macs",
+    "cycles",       "activations",  "forward_passes",
+};
+static_assert(std::size(kCounterNames) == kNumCtrlCounters,
+              "one name per CtrlCounter");
+
+} // namespace
 
 ControllerTileModel::ControllerTileModel(const arch::MannaConfig &cfg,
                                          const arch::EnergyModel &energy)
@@ -31,11 +47,11 @@ ControllerTileModel::denseLayer(std::size_t outDim,
                   cols;
 
     const double macs = static_cast<double>(outDim) * inDim;
-    stats_.inc("dense_layers");
-    stats_.inc("array_passes",
-               static_cast<double>(rowPasses * colPasses));
-    stats_.inc("macs", macs);
-    stats_.inc("cycles", static_cast<double>(cost.cycles));
+    count(CtrlCounter::DenseLayers);
+    count(CtrlCounter::ArrayPasses,
+          static_cast<double>(rowPasses * colPasses));
+    count(CtrlCounter::Macs, macs);
+    count(CtrlCounter::Cycles, static_cast<double>(cost.cycles));
     cost.energyPj =
         macs * energy_.eventEnergyPj(arch::EnergyEvent::SystolicMac) +
         // weights + activations + outputs through the buffers
@@ -50,8 +66,8 @@ ControllerTileModel::activation(std::size_t n) const
 {
     CtrlCost cost;
     cost.cycles = ceilDiv(n, cfg_.systolicCols);
-    stats_.inc("activations", static_cast<double>(n));
-    stats_.inc("cycles", static_cast<double>(cost.cycles));
+    count(CtrlCounter::Activations, static_cast<double>(n));
+    count(CtrlCounter::Cycles, static_cast<double>(cost.cycles));
     cost.energyPj =
         static_cast<double>(n) *
         (energy_.eventEnergyPj(arch::EnergyEvent::SfuOp) +
@@ -63,7 +79,7 @@ ControllerTileModel::activation(std::size_t n) const
 CtrlCost
 ControllerTileModel::forwardCost(const mann::MannConfig &mc) const
 {
-    stats_.inc("forward_passes");
+    count(CtrlCounter::ForwardPasses);
     CtrlCost total;
     std::size_t inDim = mc.controllerInputDim();
     const std::size_t width = mc.hiddenDim();
@@ -83,6 +99,21 @@ ControllerTileModel::forwardCost(const mann::MannConfig &mc) const
     }
     total += denseLayer(mc.outputDim, width);
     return total;
+}
+
+void
+ControllerTileModel::exportStats(StatRegistry &reg,
+                                 const std::string &prefix) const
+{
+    for (std::size_t i = 0; i < kNumCtrlCounters; ++i)
+        if (touched_[i])
+            reg.set(prefix + "." + kCounterNames[i], ctr_[i]);
+}
+
+void
+ControllerTileModel::resetStats()
+{
+    std::fill(std::begin(ctr_), std::end(ctr_), 0.0);
 }
 
 } // namespace manna::sim

@@ -15,9 +15,11 @@
 #ifndef MANNA_SIM_CONTROLLER_TILE_HH
 #define MANNA_SIM_CONTROLLER_TILE_HH
 
+#include <string>
+
 #include "arch/energy_model.hh"
 #include "arch/manna_config.hh"
-#include "common/stats.hh"
+#include "common/stat_registry.hh"
 #include "common/types.hh"
 #include "mann/mann_config.hh"
 
@@ -37,6 +39,22 @@ struct CtrlCost
         return *this;
     }
 };
+
+/** Controller-tile work counters (registry keys in
+ * ControllerTileModel::exportStats()). */
+enum class CtrlCounter : std::uint8_t
+{
+    DenseLayers,
+    ArrayPasses,
+    Macs,
+    Cycles,
+    Activations,
+    ForwardPasses,
+    NumCounters,
+};
+
+constexpr std::size_t kNumCtrlCounters =
+    static_cast<std::size_t>(CtrlCounter::NumCounters);
 
 /** Analytic systolic-array model. */
 class ControllerTileModel
@@ -58,18 +76,33 @@ class ControllerTileModel
     /** Whole controller forward pass for one time step. */
     CtrlCost forwardCost(const mann::MannConfig &mc) const;
 
-    /** Work counters (forward passes, layer passes, macs, cycles).
+    /** One work counter (forward passes, layer passes, macs, cycles).
      * The cost queries are const (they are pure timing math); the
      * counters are mutable bookkeeping on the side. */
-    const StatGroup &stats() const { return stats_; }
+    double counter(CtrlCounter c) const
+    {
+        return ctr_[static_cast<std::size_t>(c)];
+    }
+
+    /** Write every counter recorded since construction into @p reg
+     * as "<prefix>.<name>" (resetStats() keeps the key set). */
+    void exportStats(StatRegistry &reg, const std::string &prefix) const;
 
     /** Zero all counters (chip reset; keys are retained). */
-    void resetStats() { stats_.clear(); }
+    void resetStats();
 
   private:
+    void count(CtrlCounter c, double amount = 1.0) const
+    {
+        const auto i = static_cast<std::size_t>(c);
+        ctr_[i] += amount;
+        touched_[i] = true;
+    }
+
     const arch::MannaConfig &cfg_;
     const arch::EnergyModel &energy_;
-    mutable StatGroup stats_{"ctrl"};
+    mutable double ctr_[kNumCtrlCounters] = {};
+    mutable bool touched_[kNumCtrlCounters] = {};
 };
 
 } // namespace manna::sim

@@ -1,11 +1,26 @@
 #include "noc.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.hh"
 
 namespace manna::sim
 {
+
+namespace
+{
+
+/** Registry keys, indexed by NocCounter. */
+constexpr const char *kCounterNames[] = {
+    "reduce.ops",       "reduce.words",    "reduce.cycles",
+    "reduce.steps",     "broadcast.ops",   "broadcast.words",
+    "broadcast.cycles", "broadcast.steps",
+};
+static_assert(std::size(kCounterNames) == kNumNocCounters,
+              "one name per NocCounter");
+
+} // namespace
 
 Noc::Noc(const arch::MannaConfig &cfg, const arch::EnergyModel &energy)
     : cfg_(cfg), energy_(energy)
@@ -56,19 +71,33 @@ Noc::broadcastEnergyPj(std::size_t words) const
 void
 Noc::recordReduce(std::size_t words, Cycle cycles)
 {
-    stats_.inc("reduce.ops");
-    stats_.inc("reduce.words", static_cast<double>(words));
-    stats_.inc("reduce.cycles", static_cast<double>(cycles));
-    stats_.inc("reduce.steps", static_cast<double>(depth()));
+    count(NocCounter::ReduceOps);
+    count(NocCounter::ReduceWords, static_cast<double>(words));
+    count(NocCounter::ReduceCycles, static_cast<double>(cycles));
+    count(NocCounter::ReduceSteps, static_cast<double>(depth()));
 }
 
 void
 Noc::recordBroadcast(std::size_t words, Cycle cycles)
 {
-    stats_.inc("broadcast.ops");
-    stats_.inc("broadcast.words", static_cast<double>(words));
-    stats_.inc("broadcast.cycles", static_cast<double>(cycles));
-    stats_.inc("broadcast.steps", static_cast<double>(depth()));
+    count(NocCounter::BroadcastOps);
+    count(NocCounter::BroadcastWords, static_cast<double>(words));
+    count(NocCounter::BroadcastCycles, static_cast<double>(cycles));
+    count(NocCounter::BroadcastSteps, static_cast<double>(depth()));
+}
+
+void
+Noc::exportStats(StatRegistry &reg, const std::string &prefix) const
+{
+    for (std::size_t i = 0; i < kNumNocCounters; ++i)
+        if (touched_[i])
+            reg.set(prefix + "." + kCounterNames[i], ctr_[i]);
+}
+
+void
+Noc::resetStats()
+{
+    std::fill(std::begin(ctr_), std::end(ctr_), 0.0);
 }
 
 void

@@ -13,16 +13,34 @@
 #ifndef MANNA_SIM_NOC_HH
 #define MANNA_SIM_NOC_HH
 
+#include <string>
 #include <vector>
 
 #include "arch/energy_model.hh"
 #include "arch/manna_config.hh"
-#include "common/stats.hh"
+#include "common/stat_registry.hh"
 #include "common/types.hh"
 #include "isa/isa.hh"
 
 namespace manna::sim
 {
+
+/** NoC operation counters (registry keys in Noc::exportStats()). */
+enum class NocCounter : std::uint8_t
+{
+    ReduceOps,
+    ReduceWords,
+    ReduceCycles,
+    ReduceSteps,
+    BroadcastOps,
+    BroadcastWords,
+    BroadcastCycles,
+    BroadcastSteps,
+    NumCounters,
+};
+
+constexpr std::size_t kNumNocCounters =
+    static_cast<std::size_t>(NocCounter::NumCounters);
 
 /** Latency/energy model of the H-tree; functional combining is done
  * by the chip, which owns the tiles' data. */
@@ -60,16 +78,31 @@ class Noc
     /** Account one broadcast of @p words costing @p cycles. */
     void recordBroadcast(std::size_t words, Cycle cycles);
 
-    /** Operation counters (reduce/broadcast ops, words, step cycles). */
-    const StatGroup &stats() const { return stats_; }
+    /** One operation counter (reduce/broadcast ops, words, cycles). */
+    double counter(NocCounter c) const
+    {
+        return ctr_[static_cast<std::size_t>(c)];
+    }
+
+    /** Write every counter recorded since construction into @p reg
+     * as "<prefix>.<name>" (resetStats() keeps the key set). */
+    void exportStats(StatRegistry &reg, const std::string &prefix) const;
 
     /** Zero all counters (chip reset; keys are retained). */
-    void resetStats() { stats_.clear(); }
+    void resetStats();
 
   private:
+    void count(NocCounter c, double amount = 1.0)
+    {
+        const auto i = static_cast<std::size_t>(c);
+        ctr_[i] += amount;
+        touched_[i] = true;
+    }
+
     const arch::MannaConfig &cfg_;
     const arch::EnergyModel &energy_;
-    StatGroup stats_{"noc"};
+    double ctr_[kNumNocCounters] = {};
+    bool touched_[kNumNocCounters] = {};
 };
 
 } // namespace manna::sim

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/logging.hh"
-#include "common/strutil.hh"
 #include "tensor/dispatch.hh"
 #include "tensor/vector_ops.hh"
 
@@ -19,34 +19,59 @@ using isa::Space;
 namespace
 {
 
-/** Stall counter keys, engine-major (TraceLane order) x reason-minor
- * (StallReason order) — preformatted so the hot path never
- * concatenates strings. */
-const char *const kStallKeys[kNumLanes][kNumStallReasons] = {
-    {"emac.stall.issue", "emac.stall.ctrl", "emac.stall.fence",
-     "emac.stall.drain", "emac.stall.dma", "emac.stall.compute",
-     "emac.stall.sfu_serial", "emac.stall.bank_conflict"},
-    {"sfu.stall.issue", "sfu.stall.ctrl", "sfu.stall.fence",
-     "sfu.stall.drain", "sfu.stall.dma", "sfu.stall.compute",
-     "sfu.stall.sfu_serial", "sfu.stall.bank_conflict"},
-    {"mat_dma.stall.issue", "mat_dma.stall.ctrl",
-     "mat_dma.stall.fence", "mat_dma.stall.drain",
-     "mat_dma.stall.dma", "mat_dma.stall.compute",
-     "mat_dma.stall.sfu_serial", "mat_dma.stall.bank_conflict"},
-    {"vec_dma.stall.issue", "vec_dma.stall.ctrl",
-     "vec_dma.stall.fence", "vec_dma.stall.drain",
-     "vec_dma.stall.dma", "vec_dma.stall.compute",
-     "vec_dma.stall.sfu_serial", "vec_dma.stall.bank_conflict"},
+/** Registry keys, indexed by TileCounter: the base counters, then the
+ * stall counters engine-major (TraceLane order) x reason-minor
+ * (StallReason order). */
+constexpr const char *kCounterNames[] = {
+    "emac.busy_cycles",     "emac.mac_ops",
+    "emac.elwise_ops",      "sfu.busy_cycles",
+    "sfu.ops",              "mat_dma.busy_cycles",
+    "mat_dma.words",        "vec_dma.busy_cycles",
+    "vec_dma.words",        "dmat.loads",
+    "dmat.transfer_cycles", "spad.conflict_free_words",
+    "spad.conflict_words",  "instructions",
+    "comm_instructions",
+    "emac.stall.issue", "emac.stall.ctrl", "emac.stall.fence",
+    "emac.stall.drain", "emac.stall.dma", "emac.stall.compute",
+    "emac.stall.sfu_serial", "emac.stall.bank_conflict",
+    "sfu.stall.issue", "sfu.stall.ctrl", "sfu.stall.fence",
+    "sfu.stall.drain", "sfu.stall.dma", "sfu.stall.compute",
+    "sfu.stall.sfu_serial", "sfu.stall.bank_conflict",
+    "mat_dma.stall.issue", "mat_dma.stall.ctrl",
+    "mat_dma.stall.fence", "mat_dma.stall.drain",
+    "mat_dma.stall.dma", "mat_dma.stall.compute",
+    "mat_dma.stall.sfu_serial", "mat_dma.stall.bank_conflict",
+    "vec_dma.stall.issue", "vec_dma.stall.ctrl",
+    "vec_dma.stall.fence", "vec_dma.stall.drain",
+    "vec_dma.stall.dma", "vec_dma.stall.compute",
+    "vec_dma.stall.sfu_serial", "vec_dma.stall.bank_conflict",
 };
-
-const char *
-stallKey(TraceLane lane, StallReason reason)
-{
-    return kStallKeys[static_cast<std::size_t>(lane)]
-                     [static_cast<std::size_t>(reason)];
-}
+static_assert(std::size(kCounterNames) == kNumTileCounters,
+              "one name per TileCounter");
 
 } // namespace
+
+TileCounter
+busyCounter(TraceLane lane)
+{
+    switch (lane) {
+      case TraceLane::Compute:
+        return TileCounter::EmacBusyCycles;
+      case TraceLane::Sfu:
+        return TileCounter::SfuBusyCycles;
+      case TraceLane::MatDma:
+        return TileCounter::MatDmaBusyCycles;
+      case TraceLane::VecDma:
+        return TileCounter::VecDmaBusyCycles;
+    }
+    panic("bad trace lane");
+}
+
+const char *
+counterName(TileCounter c)
+{
+    return kCounterNames[static_cast<std::size_t>(c)];
+}
 
 DiffMemTile::DiffMemTile(const arch::MannaConfig &cfg,
                          const arch::EnergyModel &energy,
@@ -54,30 +79,16 @@ DiffMemTile::DiffMemTile(const arch::MannaConfig &cfg,
                          const TileLayoutSizes &sizes)
     : cfg_(cfg), energy_(energy), tileIndex_(tileIndex),
       mem_(sizes.matBufWords, sizes.matSpadWords, sizes.vecBufWords,
-           sizes.vecSpadWords),
-      stats_(strformat("tile%zu", tileIndex))
+           sizes.vecSpadWords)
 {
-    initStatKeys();
 }
 
 void
-DiffMemTile::initStatKeys()
+DiffMemTile::exportStats(StatRegistry &reg,
+                         const std::string &prefix) const
 {
-    static const char *const kBase[] = {
-        "emac.busy_cycles",     "emac.mac_ops",
-        "emac.elwise_ops",      "sfu.busy_cycles",
-        "sfu.ops",              "mat_dma.busy_cycles",
-        "mat_dma.words",        "vec_dma.busy_cycles",
-        "vec_dma.words",        "dmat.loads",
-        "dmat.transfer_cycles", "spad.conflict_free_words",
-        "spad.conflict_words",  "instructions",
-        "comm_instructions",
-    };
-    for (const char *key : kBase)
-        stats_.inc(key, 0.0);
-    for (std::size_t l = 0; l < kNumLanes; ++l)
-        for (std::size_t r = 0; r < kNumStallReasons; ++r)
-            stats_.inc(kStallKeys[l][r], 0.0);
+    for (std::size_t i = 0; i < kNumTileCounters; ++i)
+        reg.set(prefix + "." + kCounterNames[i], ctr_[i]);
 }
 
 void
@@ -190,7 +201,7 @@ DiffMemTile::resumeAfterComm(Cycle resumeAt)
     if (fastFunctional_)
         return; // no timelines to fence, no counters to charge
     alignTo(resumeAt, StallReason::Fence);
-    stats_.inc("comm_instructions");
+    count(TileCounter::CommInstructions);
 }
 
 void
@@ -219,11 +230,11 @@ DiffMemTile::alignTo(Cycle at, StallReason reason)
     for (std::size_t l = 0; l < kNumLanes; ++l) {
         const auto lane = static_cast<TraceLane>(l);
         if (maxEnd_ > engineFree_[l])
-            stats_.inc(stallKey(lane, drainWhy),
-                       static_cast<double>(maxEnd_ - engineFree_[l]));
+            count(stallCounter(lane, drainWhy),
+                  static_cast<double>(maxEnd_ - engineFree_[l]));
         if (at > maxEnd_)
-            stats_.inc(stallKey(lane, reason),
-                       static_cast<double>(at - maxEnd_));
+            count(stallCounter(lane, reason),
+                  static_cast<double>(at - maxEnd_));
         engineFree_[l] = at;
     }
     now_ = at;
@@ -251,7 +262,7 @@ DiffMemTile::reset()
     lastEnd_ = 0;
     dmaLoadCount_ = 0;
     energyPj_ = 0.0;
-    stats_.clear(); // keys retained, values zeroed
+    std::fill(std::begin(ctr_), std::end(ctr_), 0.0);
     std::fill(std::begin(opCycles_), std::end(opCycles_), 0.0);
     std::fill(std::begin(opOps_), std::end(opOps_), 0.0);
     std::fill(std::begin(opWords_), std::end(opWords_), 0.0);
@@ -270,8 +281,8 @@ DiffMemTile::attributeStall(TraceLane lane, const StallPicker &picker)
 {
     const Cycle free = freeTime(lane);
     if (picker.at > free)
-        stats_.inc(stallKey(lane, picker.why),
-                   static_cast<double>(picker.at - free));
+        count(stallCounter(lane, picker.why),
+              static_cast<double>(picker.at - free));
 }
 
 void
@@ -338,12 +349,6 @@ DiffMemTile::noteRead(const Operand &op, Cycle end)
     }
 }
 
-void
-DiffMemTile::charge(arch::EnergyEvent ev, double count)
-{
-    energyPj_ += energy_.eventEnergyPj(ev) * count;
-}
-
 arch::EnergyEvent
 DiffMemTile::accessEvent(Space space) const
 {
@@ -369,29 +374,28 @@ DiffMemTile::finish(Cycle end)
     lastEnd_ = end;
 }
 
-StatGroup
-DiffMemTile::opProfile() const
+void
+DiffMemTile::exportOpProfile(StatRegistry &reg,
+                             const std::string &prefix) const
 {
-    StatGroup profile("profile");
     constexpr auto numOps =
         static_cast<std::size_t>(Opcode::NumOpcodes);
     for (std::size_t i = 0; i < numOps; ++i) {
         if (opOps_[i] == 0.0)
             continue;
         const std::string key =
-            isa::profileKey(static_cast<Opcode>(i));
-        profile.set(key + ".cycles", opCycles_[i]);
-        profile.set(key + ".ops", opOps_[i]);
-        profile.set(key + ".words", opWords_[i]);
+            prefix + "." + isa::profileKey(static_cast<Opcode>(i));
+        reg.set(key + ".cycles", opCycles_[i]);
+        reg.set(key + ".ops", opOps_[i]);
+        reg.set(key + ".words", opWords_[i]);
     }
-    return profile;
 }
 
 void
 DiffMemTile::execute(const Instruction &inst)
 {
     if (!fastFunctional_) {
-        stats_.inc("instructions");
+        count(TileCounter::Instructions);
         charge(arch::EnergyEvent::InstructionIssue, 1.0);
     }
     const Cycle issuedAt = now_;
@@ -503,8 +507,8 @@ DiffMemTile::execDmaMatrix(const Instruction &inst)
             start = p.at;
             attributeStall(TraceLane::MatDma, p);
             const Cycle end = start + std::max<Cycle>(dur, 1);
-            stats_.inc("mat_dma.busy_cycles",
-                       static_cast<double>(end - start));
+            count(TileCounter::MatDmaBusyCycles,
+                  static_cast<double>(end - start));
             lastOpBusy_ = static_cast<double>(end - start);
             freeTime(TraceLane::MatDma) = end;
             spadReadEnd_[half] = std::max(spadReadEnd_[half], end);
@@ -518,13 +522,13 @@ DiffMemTile::execDmaMatrix(const Instruction &inst)
             start = p.at;
             attributeStall(TraceLane::MatDma, p);
             const Cycle end = start + std::max<Cycle>(dur, 1);
-            stats_.inc("mat_dma.busy_cycles",
-                       static_cast<double>(end - start));
+            count(TileCounter::MatDmaBusyCycles,
+                  static_cast<double>(end - start));
             lastOpBusy_ = static_cast<double>(end - start);
             if (isDmat) {
-                stats_.inc("dmat.loads");
-                stats_.inc("dmat.transfer_cycles",
-                           static_cast<double>(end - start));
+                count(TileCounter::DmatLoads);
+                count(TileCounter::DmatTransferCycles,
+                      static_cast<double>(end - start));
             }
             freeTime(TraceLane::MatDma) = end;
             spadWriteEnd_[half] = end;
@@ -538,7 +542,7 @@ DiffMemTile::execDmaMatrix(const Instruction &inst)
         const double words = static_cast<double>(rows) * rowWords;
         charge(accessEvent(bufSide.space), words);
         charge(arch::EnergyEvent::MatrixScratchpadAccess, words);
-        stats_.inc("mat_dma.words", words);
+        count(TileCounter::MatDmaWords, words);
         lastOpWords_ = words;
     }
 
@@ -577,8 +581,8 @@ DiffMemTile::execDmaVector(const Instruction &inst)
         const Cycle dur = std::max<Cycle>(
             ceilDiv(src.len, cfg_.vectorDmaWidthWords), 1);
         const Cycle end = start + dur;
-        stats_.inc("vec_dma.busy_cycles",
-                   static_cast<double>(end - start));
+        count(TileCounter::VecDmaBusyCycles,
+              static_cast<double>(end - start));
         lastOpBusy_ = static_cast<double>(end - start);
         freeTime(TraceLane::VecDma) = end;
         noteRead(src, end);
@@ -588,7 +592,7 @@ DiffMemTile::execDmaVector(const Instruction &inst)
 
         charge(accessEvent(src.space), src.len);
         charge(accessEvent(dst.space), dst.len);
-        stats_.inc("vec_dma.words", src.len);
+        count(TileCounter::VecDmaWords, src.len);
         lastOpWords_ = src.len;
     }
 
@@ -657,9 +661,9 @@ DiffMemTile::execVmm(const Instruction &inst)
             // Column-direction scratchpad traffic: skew-padded (DMAT)
             // blocks read one word per bank per cycle, unskewed blocks
             // serialize on bank conflicts (Section 4.4 / Figure 14).
-            stats_.inc(inst.flags.skewed ? "spad.conflict_free_words"
-                                         : "spad.conflict_words",
-                       static_cast<double>(numRows) * numCols);
+            count(inst.flags.skewed ? TileCounter::SpadConflictFreeWords
+                                    : TileCounter::SpadConflictWords,
+                  static_cast<double>(numRows) * numCols);
             if (inst.flags.skewed) {
                 // Realignment shift of the finished partials,
                 // pipelined with the next block (Section 4.4, step 5).
@@ -684,11 +688,11 @@ DiffMemTile::execVmm(const Instruction &inst)
         const Cycle end = start + std::max<Cycle>(dur, 1);
         const double busy =
             static_cast<double>(end - start) - conflictExtra;
-        stats_.inc("emac.busy_cycles", busy);
+        count(TileCounter::EmacBusyCycles, busy);
         if (conflictExtra > 0.0)
-            stats_.inc(stallKey(TraceLane::Compute,
-                                StallReason::BankConflict),
-                       conflictExtra);
+            count(stallCounter(TraceLane::Compute,
+                               StallReason::BankConflict),
+                  conflictExtra);
         lastOpBusy_ = busy;
         freeTime(TraceLane::Compute) = end;
         noteRead(vec, end);
@@ -714,7 +718,7 @@ DiffMemTile::execVmm(const Instruction &inst)
             charge(arch::EnergyEvent::EmacLateralShift,
                    static_cast<double>(numCols) *
                        ceilDiv(numRows, lanes) * lanes);
-        stats_.inc("emac.mac_ops", macs);
+        count(TileCounter::EmacMacOps, macs);
         lastOpWords_ = static_cast<double>(numRows) * numCols;
     }
 
@@ -780,8 +784,8 @@ DiffMemTile::execElementwise(const Instruction &inst)
         const Cycle dur = std::max<Cycle>(
             ceilDiv(len, cfg_.emacsPerTile) * penalty, 1);
         const Cycle end = start + dur;
-        stats_.inc("emac.busy_cycles",
-                   static_cast<double>(end - start));
+        count(TileCounter::EmacBusyCycles,
+              static_cast<double>(end - start));
         lastOpBusy_ = static_cast<double>(end - start);
         lastOpWords_ = len;
         freeTime(TraceLane::Compute) = end;
@@ -796,11 +800,11 @@ DiffMemTile::execElementwise(const Instruction &inst)
         // Energy.
         if (isMac) {
             charge(arch::EnergyEvent::EmacMac, len);
-            stats_.inc("emac.mac_ops", len);
+            count(TileCounter::EmacMacOps, len);
         } else if (inst.op != Opcode::Fill) {
             charge(arch::EnergyEvent::EmacElwise,
                    static_cast<double>(len) * penalty);
-            stats_.inc("emac.elwise_ops", len);
+            count(TileCounter::EmacElwiseOps, len);
         }
         if (needsA)
             charge(accessEvent(a.space), a.len == 1 ? 1.0 : len);
@@ -890,7 +894,8 @@ DiffMemTile::execSfu(const Instruction &inst)
                     cfg_.sfusPerTile),
             1);
         const Cycle end = start + dur;
-        stats_.inc("sfu.busy_cycles", static_cast<double>(end - start));
+        count(TileCounter::SfuBusyCycles,
+              static_cast<double>(end - start));
         lastOpBusy_ = static_cast<double>(end - start);
         lastOpWords_ = len;
         freeTime(TraceLane::Sfu) = end;
@@ -902,7 +907,7 @@ DiffMemTile::execSfu(const Instruction &inst)
         charge(arch::EnergyEvent::SfuOp, len);
         charge(accessEvent(a.space), len);
         charge(accessEvent(dst.space), dst.len);
-        stats_.inc("sfu.ops", len);
+        count(TileCounter::SfuOps, len);
     }
 
     // Functional semantics (shared with replay — sim/replay.cc). The

@@ -28,7 +28,7 @@
 
 #include "arch/energy_model.hh"
 #include "arch/manna_config.hh"
-#include "common/stats.hh"
+#include "common/stat_registry.hh"
 #include "common/types.hh"
 #include "isa/program.hh"
 #include "sim/replay.hh"
@@ -44,6 +44,53 @@ enum class RunStatus
     Done,  ///< program finished (end or Halt)
     AtComm ///< blocked on a Reduce/Broadcast
 };
+
+/**
+ * Per-tile event counters, one array slot each. The 15 base counters
+ * come first; the kNumLanes x kNumStallReasons stall counters follow
+ * engine-major (TraceLane order) x reason-minor (StallReason order),
+ * so stallCounter() is an index computation. Names are the dotted
+ * registry keys of counterName().
+ */
+enum class TileCounter : std::uint8_t
+{
+    EmacBusyCycles,
+    EmacMacOps,
+    EmacElwiseOps,
+    SfuBusyCycles,
+    SfuOps,
+    MatDmaBusyCycles,
+    MatDmaWords,
+    VecDmaBusyCycles,
+    VecDmaWords,
+    DmatLoads,
+    DmatTransferCycles,
+    SpadConflictFreeWords,
+    SpadConflictWords,
+    Instructions,
+    CommInstructions,
+    FirstStall,
+    NumCounters = FirstStall + kNumLanes * kNumStallReasons,
+};
+
+constexpr std::size_t kNumTileCounters =
+    static_cast<std::size_t>(TileCounter::NumCounters);
+
+/** The counter charged while @p lane waits on @p reason. */
+constexpr TileCounter
+stallCounter(TraceLane lane, StallReason reason)
+{
+    return static_cast<TileCounter>(
+        static_cast<std::size_t>(TileCounter::FirstStall) +
+        static_cast<std::size_t>(lane) * kNumStallReasons +
+        static_cast<std::size_t>(reason));
+}
+
+/** The busy-cycle counter of an engine lane. */
+TileCounter busyCounter(TraceLane lane);
+
+/** Registry key of a tile counter ("emac.busy_cycles", ...). */
+const char *counterName(TileCounter c);
 
 /** Per-space word counts for the tile's functional storage. */
 struct TileLayoutSizes
@@ -124,19 +171,25 @@ class DiffMemTile
 
     std::size_t tileIndex() const { return tileIndex_; }
 
-    /** Event counters (macs, elwise ops, sfu ops, accesses, ...). */
-    const StatGroup &stats() const { return stats_; }
-    StatGroup &stats() { return stats_; }
+    /** One event counter (macs, elwise ops, sfu ops, stalls, ...). */
+    double counter(TileCounter c) const
+    {
+        return ctr_[static_cast<std::size_t>(c)];
+    }
+
+    /** Write every counter into @p reg as "<prefix>.<name>". */
+    void exportStats(StatRegistry &reg, const std::string &prefix) const;
 
     /**
-     * Per-opcode execution profile as a StatGroup with keys
-     * "<opcode>.{cycles,ops,words}" (opcode names via
+     * Write the per-opcode execution profile into @p reg as
+     * "<prefix>.<opcode>.{cycles,ops,words}" (opcode names via
      * isa::profileKey()), covering every executed non-communication
      * instruction. `cycles` is the engine-busy time attributed to the
      * opcode, so per engine lane the profile cycles sum exactly to
      * that engine's busy_cycles.
      */
-    StatGroup opProfile() const;
+    void exportOpProfile(StatRegistry &reg,
+                         const std::string &prefix) const;
 
     /** Attach (or detach, with nullptr) an instruction tracer. */
     void setTraceLogger(TraceLogger *logger) { trace_ = logger; }
@@ -239,8 +292,17 @@ class DiffMemTile
         return dmaLoadCount_ == 0 ? 0 : (dmaLoadCount_ - 1) % 2;
     }
 
-    /** Charge energy for @p count occurrences of an event. */
-    void charge(arch::EnergyEvent ev, double count);
+    /** Charge energy for @p occurrences of an event. */
+    void charge(arch::EnergyEvent ev, double occurrences)
+    {
+        energyPj_ += energy_.eventEnergyPj(ev) * occurrences;
+    }
+
+    /** Add @p amount to an event counter. */
+    void count(TileCounter c, double amount = 1.0)
+    {
+        ctr_[static_cast<std::size_t>(c)] += amount;
+    }
 
     /** Energy event for accessing a space. */
     arch::EnergyEvent accessEvent(isa::Space space) const;
@@ -277,11 +339,6 @@ class DiffMemTile
         return engineFree_[static_cast<std::size_t>(lane)];
     }
 
-    /** Pre-register every documented counter key at zero, so profile
-     * consumers (and the docs catalog lint) always see the full key
-     * set even for stall reasons a workload never hits. */
-    void initStatKeys();
-
     // --- timing state ------------------------------------------------------
     Cycle now_ = 0;
     Cycle engineFree_[kNumLanes] = {0, 0, 0, 0};
@@ -301,9 +358,13 @@ class DiffMemTile
 
     // --- accounting ----------------------------------------------------------
     Energy energyPj_ = 0.0;
-    StatGroup stats_;
-    /** Per-opcode totals (indexed by isa::Opcode); folded into a
-     * StatGroup only at report time by opProfile(). */
+    /** Event counters, indexed by TileCounter. Every one is exported
+     * (zero or not), so profile consumers and the docs catalog lint
+     * see the full key set even for stall reasons a workload never
+     * hits. */
+    double ctr_[kNumTileCounters] = {};
+    /** Per-opcode totals (indexed by isa::Opcode); written to the
+     * registry only at report time by exportOpProfile(). */
     double opCycles_[static_cast<std::size_t>(
         isa::Opcode::NumOpcodes)] = {};
     double opOps_[static_cast<std::size_t>(isa::Opcode::NumOpcodes)] =

@@ -143,7 +143,7 @@ TEST(EnergyModel, AllEventsPositive)
 {
     const MannaConfig cfg = MannaConfig::baseline16();
     const EnergyModel model(cfg);
-    for (int e = 0; e <= static_cast<int>(EnergyEvent::HbmAccess); ++e)
+    for (std::size_t e = 0; e < kNumEnergyEvents; ++e)
         EXPECT_GT(model.eventEnergyPj(static_cast<EnergyEvent>(e)),
                   0.0);
 }

@@ -229,33 +229,6 @@ TEST(Rng, ForkDecorrelates)
 // Stats
 // ---------------------------------------------------------------------
 
-TEST(Stats, CountersAccumulate)
-{
-    StatGroup g("grp");
-    g.inc("x");
-    g.inc("x", 2.5);
-    g.set("y", 7.0);
-    EXPECT_DOUBLE_EQ(g.get("x"), 3.5);
-    EXPECT_DOUBLE_EQ(g.get("y"), 7.0);
-    EXPECT_DOUBLE_EQ(g.get("absent"), 0.0);
-    EXPECT_TRUE(g.has("x"));
-    EXPECT_FALSE(g.has("absent"));
-}
-
-TEST(Stats, MergeAndClear)
-{
-    StatGroup a, b;
-    a.inc("k", 1.0);
-    b.inc("k", 2.0);
-    b.inc("only_b", 5.0);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.get("k"), 3.0);
-    EXPECT_DOUBLE_EQ(a.get("only_b"), 5.0);
-    a.clear();
-    EXPECT_DOUBLE_EQ(a.get("k"), 0.0);
-    EXPECT_TRUE(a.has("k"));
-}
-
 TEST(Stats, Geomean)
 {
     EXPECT_DOUBLE_EQ(geomean({}), 0.0);
@@ -269,22 +242,6 @@ TEST(Stats, MeanMinMax)
     EXPECT_DOUBLE_EQ(mean(v), 2.0);
     EXPECT_DOUBLE_EQ(minOf(v), 1.0);
     EXPECT_DOUBLE_EQ(maxOf(v), 3.0);
-}
-
-TEST(Stats, HistogramBuckets)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(-1.0);       // underflow
-    h.add(0.0);        // bucket 0
-    h.add(9.99);       // bucket 4
-    h.add(10.0);       // overflow
-    h.add(5.0, 2.0);   // bucket 2, weight 2
-    EXPECT_DOUBLE_EQ(h.count(), 6.0);
-    EXPECT_DOUBLE_EQ(h.buckets().front(), 1.0);
-    EXPECT_DOUBLE_EQ(h.buckets().back(), 1.0);
-    EXPECT_DOUBLE_EQ(h.buckets()[3], 2.0); // [4,6) is inner bucket 2
-    EXPECT_DOUBLE_EQ(h.min(), -1.0);
-    EXPECT_DOUBLE_EQ(h.max(), 10.0);
 }
 
 // ---------------------------------------------------------------------

@@ -62,14 +62,11 @@ TEST(StatRegistry, BasicOperations)
     EXPECT_EQ(reg.sumOver("tile", "sfu.busy_cycles"), 0.0);
 }
 
-TEST(StatRegistry, AdoptAndMerge)
+TEST(StatRegistry, SetAndMerge)
 {
-    StatGroup group("emac");
-    group.inc("busy_cycles", 42.0);
-    group.inc("mac_ops", 7.0);
-
     StatRegistry reg;
-    reg.adopt("tile.3", group);
+    reg.set("tile.3.busy_cycles", 42.0);
+    reg.set("tile.3.mac_ops", 7.0);
     EXPECT_EQ(reg.get("tile.3.busy_cycles"), 42.0);
     EXPECT_EQ(reg.get("tile.3.mac_ops"), 7.0);
 

@@ -500,7 +500,7 @@ TEST(TileTiming, EnergyAccumulates)
         inst(Opcode::EwAddImm, vb(128, 64), vb(0, 64), {}, 1.0f));
     f.run();
     EXPECT_GT(f.tile.energyPj(), before);
-    EXPECT_GT(f.tile.stats().get("instructions"), 0.0);
+    EXPECT_GT(f.tile.counter(TileCounter::Instructions), 0.0);
 }
 
 TEST(TileComm, BlocksAtReduceAndResumes)
@@ -521,6 +521,45 @@ TEST(TileComm, BlocksAtReduceAndResumes)
     EXPECT_EQ(f.tile.now(), resume);
     ASSERT_EQ(f.tile.runUntilComm(), RunStatus::Done);
     EXPECT_FLOAT_EQ(f.readVec(Space::VecBuf, 1, 1)[0], 3.0f);
+}
+
+TEST(TileCounters, NamesFollowLaneAndReason)
+{
+    // The stall counters are an index computation over (lane,
+    // reason); the name table must agree with it slot by slot.
+    const char *const engines[kNumLanes] = {"emac", "sfu", "mat_dma",
+                                            "vec_dma"};
+    for (std::size_t l = 0; l < kNumLanes; ++l) {
+        const auto lane = static_cast<TraceLane>(l);
+        EXPECT_EQ(std::string(counterName(busyCounter(lane))),
+                  std::string(engines[l]) + ".busy_cycles");
+        for (std::size_t r = 0; r < kNumStallReasons; ++r) {
+            const auto reason = static_cast<StallReason>(r);
+            EXPECT_EQ(std::string(counterName(stallCounter(lane, reason))),
+                      std::string(engines[l]) + ".stall." +
+                          toString(reason));
+        }
+    }
+}
+
+TEST(TileCounters, ExportWritesEveryCounterAndResetZeroes)
+{
+    TileFixture f;
+    f.program.append(
+        inst(Opcode::EwAddImm, vb(128, 64), vb(0, 64), {}, 1.0f));
+    f.run();
+    StatRegistry reg;
+    f.tile.exportStats(reg, "tile.0");
+    EXPECT_EQ(reg.size(), kNumTileCounters);
+    EXPECT_EQ(reg.get("tile.0.instructions"), 1.0);
+    EXPECT_EQ(reg.get("tile.0.emac.elwise_ops"), 64.0);
+
+    f.tile.reset();
+    StatRegistry after;
+    f.tile.exportStats(after, "tile.0");
+    EXPECT_EQ(after.size(), kNumTileCounters);
+    for (const auto &[key, value] : after.entries())
+        EXPECT_EQ(value, 0.0) << key;
 }
 
 } // namespace
