@@ -3,9 +3,9 @@
 # tests/CMakeLists.txt; SKIP_RETURN_CODE 77).
 #
 # Configures a separate build tree with -DMANNA_SANITIZE=address,
-# undefined, builds the robustness, fidelity, DNC-chip, tile and
-# observability test binaries, the fig12 bench and mannad, and runs
-# them under instrumentation:
+# undefined, builds the robustness, fidelity, DNC-chip, replay-tape,
+# tile and observability test binaries, the fig12 bench and mannad,
+# and runs them under instrumentation:
 #   - test_robustness plus the chaos soak (its daemon phases
 #     included): the fault-injection error paths (torn lines and
 #     frames, failed fsyncs, dropped connections, crashed pool
@@ -15,6 +15,9 @@
 #     replay -> reset path. The replay tape holds raw pointers into
 #     tile memory, which reset() must keep valid by reusing the
 #     buffers, for the NTM and the DNC alike;
+#   - test_replay: the tape passes on synthetic tapes. Block ops
+#     compute each row pointer from rows x pitchD, so ASan sees any
+#     row a collapsed op would reach past its block;
 #   - test_sim_tile and test_observability: the tile's timing paths
 #     and the report-time export into the stat registry. Every
 #     counter array is indexed by casting an enum, so UBSan's bounds
@@ -48,7 +51,8 @@ fi
 jobs=$(nproc 2>/dev/null || echo 2)
 if ! cmake --build "$builddir" -j"$jobs" \
         --target test_robustness test_fidelity test_dnc_chip \
-        test_sim_tile test_observability fig12_strong_scaling mannad \
+        test_replay test_sim_tile test_observability \
+        fig12_strong_scaling mannad \
         > "$probe/build.log" 2>&1; then
     echo "sanitize_gate: sanitized build failed:" >&2
     tail -20 "$probe/build.log" >&2
@@ -63,7 +67,8 @@ if ! "$builddir/tests/test_robustness" > "$probe/robust.log" 2>&1; then
     tail -30 "$probe/robust.log" >&2
     errors=$((errors + 1))
 fi
-for t in test_fidelity test_dnc_chip test_sim_tile test_observability; do
+for t in test_fidelity test_dnc_chip test_replay test_sim_tile \
+        test_observability; do
     if ! "$builddir/tests/$t" > "$probe/$t.log" 2>&1; then
         echo "sanitize_gate: sanitized $t failed:" >&2
         tail -30 "$probe/$t.log" >&2
@@ -78,4 +83,5 @@ fi
 
 [ "$errors" -eq 0 ] || exit 1
 echo "sanitize_gate: OK (ASan+UBSan: test_robustness + test_fidelity +" \
-    "test_dnc_chip + test_sim_tile + test_observability + chaos soak)"
+    "test_dnc_chip + test_replay + test_sim_tile + test_observability +" \
+    "chaos soak)"

@@ -402,6 +402,7 @@ ChipEngine::runTape()
           case ReplayKind::Elementwise:
           case ReplayKind::Sfu:
           case ReplayKind::FusedRowUpdate:
+          case ReplayKind::FusedLinkUpdate:
             execTileOp(op, &tape_);
             break;
           case ReplayKind::UsageToAlloc:

@@ -1,6 +1,7 @@
 #include "replay.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -194,24 +195,128 @@ execSfu(const ReplayOp &op)
     }
 }
 
-/** The soft-write quad in one pass: per element, the exact same
- * operation sequence as the four unfused ops, including the final
- * stage values (the TU is compiled with -ffp-contract=off, so no FMA
- * contraction can make the fused chain round differently). */
+/** Both fused row-update kinds: per row, the exact same per-element
+ * operation sequence as the unfused ops, including the final stage
+ * values (the kernel TUs are compiled with -ffp-contract=off, so no
+ * FMA contraction can make the fused chain round differently). Rows
+ * run in tape order, so rows = 1 is exactly one recorded row. */
 void
-execFusedRowUpdate(const ReplayOp &op, const ReplayTape &tape)
+execFusedUpdate(const ReplayOp &op, const ReplayTape &tape)
 {
     const float *add = tape.srcPtrs(op.pitchA)[0];
-    tensor::simd::kernels().rowUpdate(op.a, add, op.b[0], op.imm,
-                                      op.d, op.dn, op.n);
+    const auto &k = tensor::simd::kernels();
+    for (std::uint32_t r = 0; r < op.rows; ++r) {
+        float *row = op.d + std::size_t(r) * op.pitchD;
+        if (op.kind == ReplayKind::FusedRowUpdate)
+            k.rowUpdate(op.a, add, op.b[r], op.imm, row, op.dn, op.n);
+        else
+            k.linkUpdate(op.a, add, op.b[r], row, op.dn, op.n);
+    }
 }
 
-/** Half-open span overlap test for the fusion pass's alias checks. */
 bool
-overlaps(const float *a, std::uint32_t an, const float *b,
-         std::uint32_t bn)
+isFusedUpdate(const ReplayOp &op)
+{
+    return op.kind == ReplayKind::FusedRowUpdate ||
+           op.kind == ReplayKind::FusedLinkUpdate;
+}
+
+/** Half-open span overlap test for the passes' alias checks. */
+bool
+overlaps(const float *a, std::size_t an, const float *b, std::size_t bn)
 {
     return a < b + bn && b < a + an;
+}
+
+bool
+isEw(const ReplayOp &op, Opcode code, std::uint32_t n)
+{
+    return op.kind == ReplayKind::Elementwise && op.op == code &&
+           op.n == n;
+}
+
+/**
+ * The fused kernels write row[] and stage[] interleaved instead of
+ * pass-by-pass, so every source span must be disjoint from both
+ * written spans (they are in the compiler's layout — distinct memory
+ * spaces — but the tape only sees raw pointers, so verify).
+ */
+bool
+fusedAliasFree(const float *row, const float *stage, const float *src,
+               const float *add, const float *w, std::uint32_t n)
+{
+    return !overlaps(row, n, stage, n) && !overlaps(src, n, stage, n) &&
+           !overlaps(src, n, row, n) && !overlaps(add, n, stage, n) &&
+           !overlaps(add, n, row, n) && !overlaps(w, 1, stage, n) &&
+           !overlaps(w, 1, row, n);
+}
+
+/** Match the soft-write quad at @p o; fills @p rop (pitchA is left
+ * for the caller) and the add-vector row. */
+bool
+matchRowQuad(const ReplayOp *o, ReplayOp &rop, const float *&add)
+{
+    const std::uint32_t n = o[0].n;
+    // stage = e * w; stage = c - stage; row = row * stage;
+    // row += a * w.
+    const bool shape =
+        isEw(o[0], Opcode::EwMul, n) && o[0].pitchA == n &&
+        o[0].pitchD == 1 && isEw(o[1], Opcode::EwRsubImm, n) &&
+        o[1].pitchA == n && o[1].a == o[0].d && o[1].d == o[0].d &&
+        isEw(o[2], Opcode::EwMul, n) && o[2].pitchA == n &&
+        o[2].pitchD == n && o[2].a == o[2].d && o[2].b == o[0].d &&
+        isEw(o[3], Opcode::EwMac, n) && o[3].pitchA == n &&
+        o[3].pitchD == 1 && o[3].d == o[2].d && o[3].b == o[0].b;
+    if (!shape ||
+        !fusedAliasFree(o[2].d, o[0].d, o[0].a, o[3].a, o[0].b, n))
+        return false;
+    rop = ReplayOp{};
+    rop.kind = ReplayKind::FusedRowUpdate;
+    rop.n = n;
+    rop.rows = 1;
+    rop.imm = o[1].imm;
+    rop.a = o[0].a;  // erase row
+    rop.b = o[0].b;  // w scalar
+    rop.d = o[2].d;  // memory row
+    rop.dn = o[0].d; // stage
+    add = o[3].a;
+    return true;
+}
+
+/** Match the DNC link triple at @p o; same contract as matchRowQuad. */
+bool
+matchLinkTriple(const ReplayOp *o, ReplayOp &rop, const float *&add)
+{
+    const std::uint32_t n = o[0].n;
+    // stage = o - w; row = row * stage; row += p * w.
+    const bool shape =
+        isEw(o[0], Opcode::EwSub, n) && o[0].pitchA == n &&
+        o[0].pitchD == 1 && isEw(o[1], Opcode::EwMul, n) &&
+        o[1].pitchA == n && o[1].pitchD == n && o[1].a == o[1].d &&
+        o[1].b == o[0].d && isEw(o[2], Opcode::EwMac, n) &&
+        o[2].pitchA == n && o[2].pitchD == 1 && o[2].d == o[1].d &&
+        o[2].b == o[0].b;
+    if (!shape ||
+        !fusedAliasFree(o[1].d, o[0].d, o[0].a, o[2].a, o[0].b, n))
+        return false;
+    rop = ReplayOp{};
+    rop.kind = ReplayKind::FusedLinkUpdate;
+    rop.n = n;
+    rop.rows = 1;
+    rop.a = o[0].a;  // o row
+    rop.b = o[0].b;  // w scalar
+    rop.d = o[1].d;  // link row
+    rop.dn = o[0].d; // stage
+    add = o[2].a;    // precedence row
+    return true;
+}
+
+double
+msSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
 }
 
 } // namespace
@@ -237,9 +342,10 @@ execTileOp(const ReplayOp &op, const ReplayTape *tape)
         execSfu(op);
         break;
       case ReplayKind::FusedRowUpdate:
+      case ReplayKind::FusedLinkUpdate:
         MANNA_ASSERT(tape != nullptr,
-                     "FusedRowUpdate needs the owning tape");
-        execFusedRowUpdate(op, *tape);
+                     "fused row updates need the owning tape");
+        execFusedUpdate(op, *tape);
         break;
       default:
         panic("execTileOp on a chip-level replay op");
@@ -249,95 +355,63 @@ execTileOp(const ReplayOp &op, const ReplayTape *tape)
 void
 ReplayTape::fuseRowUpdates()
 {
-    if (ops_.size() < 4)
-        return;
-    std::vector<ReplayOp> fused;
-    fused.reserve(ops_.size());
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::size_t before = ops_.size();
+    // Compact in place: the write index never passes the read index.
+    std::size_t out = 0;
     std::size_t i = 0;
+    ReplayOp rop;
+    const float *add = nullptr;
     while (i < ops_.size()) {
-        if (i + 3 < ops_.size()) {
-            const ReplayOp &o1 = ops_[i];     // stage = e * w
-            const ReplayOp &o2 = ops_[i + 1]; // stage = c - stage
-            const ReplayOp &o3 = ops_[i + 2]; // row = row * stage
-            const ReplayOp &o4 = ops_[i + 3]; // row += a * w
-            const std::uint32_t n = o1.n;
-            const bool shape =
-                o1.kind == ReplayKind::Elementwise &&
-                o1.op == Opcode::EwMul && o1.pitchA == n &&
-                o1.pitchD == 1 &&
-                o2.kind == ReplayKind::Elementwise &&
-                o2.op == Opcode::EwRsubImm && o2.n == n &&
-                o2.pitchA == n && o2.a == o1.d && o2.d == o1.d &&
-                o3.kind == ReplayKind::Elementwise &&
-                o3.op == Opcode::EwMul && o3.n == n &&
-                o3.pitchA == n && o3.pitchD == n && o3.a == o3.d &&
-                o3.b == o1.d &&
-                o4.kind == ReplayKind::Elementwise &&
-                o4.op == Opcode::EwMac && o4.n == n &&
-                o4.pitchA == n && o4.pitchD == 1 && o4.d == o3.d &&
-                o4.b == o1.b;
-            // The fused kernel writes row[] and stage[] interleaved
-            // instead of pass-by-pass, so every source span must be
-            // disjoint from both written spans (they are in the
-            // compiler's layout — distinct memory spaces — but the
-            // tape only sees raw pointers, so verify).
-            const bool aliasFree =
-                shape &&
-                !overlaps(o3.d, n, o1.d, n) &&     // row vs stage
-                !overlaps(o1.a, n, o1.d, n) &&     // e vs stage
-                !overlaps(o1.a, n, o3.d, n) &&     // e vs row
-                !overlaps(o4.a, n, o1.d, n) &&     // add vs stage
-                !overlaps(o4.a, n, o3.d, n) &&     // add vs row
-                !overlaps(o1.b, 1, o1.d, n) &&     // w vs stage
-                !overlaps(o1.b, 1, o3.d, n);       // w vs row
-            if (aliasFree) {
-                ReplayOp rop;
-                rop.kind = ReplayKind::FusedRowUpdate;
-                rop.n = n;
-                rop.imm = o2.imm;
-                rop.a = o1.a;                     // erase row
-                rop.b = o1.b;                     // w scalar
-                rop.d = o3.d;                     // memory row
-                rop.dn = o1.d;                    // stage
-                rop.pitchA = static_cast<std::uint32_t>(
-                    srcPool_.size());             // add-vector row
-                srcPool_.push_back(o4.a);
-                fused.push_back(rop);
-                i += 4;
-                continue;
-            }
+        const std::size_t left = ops_.size() - i;
+        std::size_t used = 0;
+        if (left >= 4 && matchRowQuad(&ops_[i], rop, add))
+            used = 4;
+        else if (left >= 3 && matchLinkTriple(&ops_[i], rop, add))
+            used = 3;
+        if (used == 0) {
+            ops_[out++] = ops_[i++];
+            continue;
         }
-        fused.push_back(ops_[i]);
-        ++i;
+        // A block's rows share one add vector: reuse its pool slot.
+        if (srcPool_.empty() || srcPool_.back() != add)
+            srcPool_.push_back(add);
+        rop.pitchA = static_cast<std::uint32_t>(srcPool_.size() - 1);
+        ops_[out++] = rop;
+        i += used;
     }
+    ops_.resize(out);
     if (std::getenv("MANNA_REPLAY_DEBUG") != nullptr)
-        std::fprintf(stderr, "replay: %zu ops -> %zu after fusion\n",
-                     ops_.size(), fused.size());
-    ops_ = std::move(fused);
+        std::fprintf(stderr,
+                     "replay: %zu ops -> %zu after fusion (%.2f ms)\n",
+                     before, ops_.size(), msSince(t0));
 }
 
 void
 ReplayTape::elideStaging()
 {
-    // One matched blocked-sweep group. ops_[begin] is the load; for
-    // soft-write groups ops_[end - 1] is the mirror store.
+    const auto t0 = std::chrono::steady_clock::now();
+    const bool debug = std::getenv("MANNA_REPLAY_DEBUG") != nullptr;
+    const std::size_t before = ops_.size();
+
+    // One matched blocked-sweep group, as indices into the compacted
+    // tape. ops_[begin] is the load, which copies the block's home
+    // rows (in the matrix buffer) to its staged copy (in the
+    // scratchpad); for row-update groups ops_[end - 1] is the mirror
+    // store back home.
     struct Group
     {
         std::size_t begin = 0;
         std::size_t end = 0;
-        const float *buf = nullptr;
-        std::size_t bufLen = 0;
-        float *spadMut = nullptr; // non-null only for soft-write
-        const float *spad = nullptr;
-        std::size_t spadLen = 0;
-        std::uint32_t spadPitch = 0;
-        std::uint32_t bufPitch = 0;
-        bool softWrite = false;
-        int cluster = -1;
+        const float *staged = nullptr;
+        std::size_t stagedLen = 0;
+        std::uint32_t stagedPitch = 0;
+        float *homeMut = nullptr; // non-null only for row updates
+        const float *home = nullptr;
+        std::size_t homeLen = 0;
+        std::uint32_t homePitch = 0;
+        std::size_t cluster = 0;
     };
-
-    std::vector<Group> groups;
-    std::vector<int> groupOf(ops_.size(), -1);
 
     // Enumerate every memory span an op reads or writes.
     auto forEachSpan = [&](const ReplayOp &op, auto &&fn) {
@@ -373,9 +447,10 @@ ReplayTape::elideStaging()
                          : std::size_t(op.n));
             break;
           case ReplayKind::FusedRowUpdate:
+          case ReplayKind::FusedLinkUpdate:
             fn(op.a, std::size_t(op.n));
-            fn(op.b, std::size_t(1));
-            fn(op.d, std::size_t(op.n));
+            fn(op.b, std::size_t(op.rows));
+            fn(op.d, std::size_t(op.rows - 1) * op.pitchD + op.n);
             fn(op.dn, std::size_t(op.n));
             fn(srcPool_[op.pitchA], std::size_t(op.n));
             break;
@@ -402,215 +477,268 @@ ReplayTape::elideStaging()
         return hit;
     };
 
+    // Pass 1: match the groups and compact the tape in place (the
+    // write index never passes the read index, and matching only
+    // reads ahead of it). A row-update group whose R row ops share
+    // every operand but a w that steps by one word becomes [load]
+    // [one op with rows = R over the staged rows][store] here, so the
+    // later passes visit one op where there were R.
+    std::vector<Group> groups;
+    std::vector<int> groupOf; // per compacted op: its group, or -1
+    groupOf.reserve(ops_.size());
+    std::size_t out = 0;
+    auto emit = [&](const ReplayOp &op, int group) {
+        ops_[out++] = op;
+        groupOf.push_back(group);
+    };
+    std::vector<std::size_t> members; // block Vmms of a read group
     std::size_t i = 0;
     while (i < ops_.size()) {
-        const ReplayOp &ld = ops_[i];
+        const ReplayOp ld = ops_[i];
         const std::uint32_t R = ld.rows;
         const std::uint32_t n = ld.n;
-        const std::uint32_t pp = ld.pitchA;
-        const std::uint32_t bp = ld.pitchD;
-        if (ld.kind != ReplayKind::Copy2d || R == 0 || bp < n ||
-            pp < n) {
+        const std::uint32_t hp = ld.pitchA;
+        const std::uint32_t sp = ld.pitchD;
+        const float *staged = ld.d;
+        const float *home = ld.a;
+        const std::size_t stagedLen = std::size_t(R - 1) * sp + n;
+        const std::size_t homeLen = std::size_t(R - 1) * hp + n;
+        if (ld.kind != ReplayKind::Copy2d || R == 0 || sp < n ||
+            hp < n || overlaps(home, homeLen, staged, stagedLen)) {
+            emit(ld, -1);
             ++i;
             continue;
         }
-        const float *buf = ld.d;
-        const float *spad = ld.a;
-        const std::size_t bufLen = std::size_t(R - 1) * bp + n;
-        const std::size_t spadLen = std::size_t(R - 1) * pp + n;
-        if (overlaps(spad, spadLen, buf, bufLen)) {
-            ++i;
-            continue;
-        }
+        // True if a span touches neither the home nor the staged rows.
+        auto clear = [&](const float *p, std::size_t len) {
+            return !overlaps(p, len, home, homeLen) &&
+                   !overlaps(p, len, staged, stagedLen);
+        };
 
         Group g;
-        g.begin = i;
-        g.buf = buf;
-        g.bufLen = bufLen;
-        g.spad = spad;
-        g.spadLen = spadLen;
-        g.spadPitch = pp;
-        g.bufPitch = bp;
+        g.staged = staged;
+        g.stagedLen = stagedLen;
+        g.stagedPitch = sp;
+        g.home = home;
+        g.homeLen = homeLen;
+        g.homePitch = hp;
+        const int id = static_cast<int>(groups.size());
 
-        // Soft-write shape: R fused row updates then the mirror store.
-        // Every non-block operand must be disjoint from both regions,
-        // and spad rows must not overlap each other (pp >= n above),
-        // or the in-place update would read its own earlier writes.
-        if (i + R + 1 < ops_.size()) {
-            bool ok = true;
-            for (std::uint32_t k = 0; ok && k < R; ++k) {
-                const ReplayOp &f = ops_[i + 1 + k];
-                ok = f.kind == ReplayKind::FusedRowUpdate &&
-                     f.n == n && f.d == buf + std::size_t(k) * bp;
-                if (!ok)
-                    break;
-                const float *add = srcPool_[f.pitchA];
-                ok = !overlaps(f.a, n, spad, spadLen) &&
-                     !overlaps(f.a, n, buf, bufLen) &&
-                     !overlaps(add, n, spad, spadLen) &&
-                     !overlaps(add, n, buf, bufLen) &&
-                     !overlaps(f.b, 1, spad, spadLen) &&
-                     !overlaps(f.b, 1, buf, bufLen) &&
-                     !overlaps(f.dn, n, spad, spadLen) &&
-                     !overlaps(f.dn, n, buf, bufLen);
+        // Row-update shape: R fused row updates on the staged rows,
+        // then the mirror store. Every non-block operand must be
+        // disjoint from both regions, and home rows must not overlap
+        // each other (hp >= n above), or the in-place update would
+        // read its own earlier writes.
+        bool rowGroup = i + R + 1 < ops_.size();
+        bool shared = true;
+        const ReplayOp *rows = rowGroup ? &ops_[i + 1] : nullptr;
+        for (std::uint32_t k = 0; rowGroup && k < R; ++k) {
+            const ReplayOp &f = rows[k];
+            rowGroup = isFusedUpdate(f) && f.rows == 1 && f.n == n &&
+                       f.d == staged + std::size_t(k) * sp;
+            shared = shared && rowGroup && f.kind == rows[0].kind &&
+                     f.a == rows[0].a && f.dn == rows[0].dn &&
+                     f.imm == rows[0].imm && f.b == rows[0].b + k &&
+                     srcPool_[f.pitchA] == srcPool_[rows[0].pitchA];
+        }
+        if (rowGroup) {
+            const ReplayOp &st = ops_[i + 1 + R];
+            rowGroup = st.kind == ReplayKind::Copy2d &&
+                       st.a == staged && st.d == home && st.n == n &&
+                       st.rows == R && st.pitchA == sp &&
+                       st.pitchD == hp;
+        }
+        if (rowGroup && shared) {
+            const ReplayOp &f = rows[0];
+            rowGroup = clear(f.a, n) && clear(srcPool_[f.pitchA], n) &&
+                       clear(f.b, R) && clear(f.dn, n);
+        } else {
+            for (std::uint32_t k = 0; rowGroup && k < R; ++k) {
+                const ReplayOp &f = rows[k];
+                rowGroup = clear(f.a, n) &&
+                           clear(srcPool_[f.pitchA], n) &&
+                           clear(f.b, 1) && clear(f.dn, n);
             }
-            if (ok) {
-                const ReplayOp &st = ops_[i + 1 + R];
-                if (st.kind == ReplayKind::Copy2d && st.a == buf &&
-                    st.d == spad && st.n == n && st.rows == R &&
-                    st.pitchA == bp && st.pitchD == pp) {
-                    g.end = i + R + 2;
-                    g.spadMut = st.d;
-                    g.softWrite = true;
-                }
+        }
+        if (rowGroup) {
+            g.begin = out;
+            g.homeMut = ops_[i + 1 + R].d;
+            const ReplayOp store = ops_[i + 1 + R];
+            emit(ld, id);
+            if (shared) {
+                ReplayOp block = rows[0];
+                block.rows = R;
+                block.pitchD = sp;
+                emit(block, id);
+            } else {
+                for (std::uint32_t k = 0; k < R; ++k)
+                    emit(ops_[i + 1 + k], id);
             }
+            emit(store, id);
+            g.end = out;
+            groups.push_back(g);
+            i += R + 2;
+            continue;
         }
 
         // Read-only shape: Vmm ops over the staged block, possibly
-        // interleaved with ops that never touch the buffer (the
+        // interleaved with ops that never touch either region (the
         // codegen loads each head's key vector between Vmms). The
         // group ends at the last such Vmm; a cap bounds the scan.
-        if (g.end == 0) {
-            std::size_t lastVmm = 0;
-            std::size_t j = i + 1;
-            const std::size_t scanLimit =
-                std::min(ops_.size(), i + 1 + 256);
-            while (j < scanLimit) {
-                const ReplayOp &f = ops_[j];
-                const bool blockVmm =
-                    f.kind == ReplayKind::Vmm && f.b == buf &&
-                    f.pitchA == bp && f.rows == R && f.n == n;
-                if (blockVmm) {
-                    const bool rowDot = (f.flags & kReplayRowDot) != 0;
-                    const std::uint32_t aLen = rowDot ? n : R;
-                    const std::uint32_t dLen = rowDot ? R : n;
-                    const bool clean =
-                        !overlaps(f.a, aLen, spad, spadLen) &&
-                        !overlaps(f.a, aLen, buf, bufLen) &&
-                        !overlaps(f.d, dLen, spad, spadLen) &&
-                        !overlaps(f.d, dLen, buf, bufLen) &&
-                        (f.dn == nullptr ||
-                         (!overlaps(f.dn, R, spad, spadLen) &&
-                          !overlaps(f.dn, R, buf, bufLen)));
-                    if (!clean)
-                        break;
-                    lastVmm = j;
-                    ++j;
-                    continue;
-                }
-                if (touchesRegion(f, buf, bufLen) ||
-                    touchesRegion(f, spad, spadLen))
+        members.clear();
+        const std::size_t scanLimit = std::min(ops_.size(), i + 1 + 256);
+        for (std::size_t j = i + 1; j < scanLimit; ++j) {
+            const ReplayOp &f = ops_[j];
+            const bool blockVmm = f.kind == ReplayKind::Vmm &&
+                                  f.b == staged && f.pitchA == sp &&
+                                  f.rows == R && f.n == n;
+            if (blockVmm) {
+                const bool rowDot = (f.flags & kReplayRowDot) != 0;
+                if (!clear(f.a, rowDot ? n : R) ||
+                    !clear(f.d, rowDot ? R : n) ||
+                    (f.dn != nullptr && !clear(f.dn, R)))
                     break;
-                ++j;
+                members.push_back(j);
+            } else if (touchesRegion(f, staged, stagedLen) ||
+                       touchesRegion(f, home, homeLen)) {
+                break;
             }
-            if (lastVmm != 0)
-                g.end = lastVmm + 1;
         }
-
-        if (g.end == 0) {
+        if (members.empty()) {
+            emit(ld, -1);
             ++i;
             continue;
         }
-        const int id = static_cast<int>(groups.size());
-        for (std::size_t k = g.begin; k < g.end; ++k)
-            groupOf[k] = id;
+        // Interleaved ops stay outside the group (-1), so the validity
+        // check below still sees them as foreign to every cluster.
+        g.begin = out;
+        emit(ld, id);
+        std::size_t m = 0;
+        for (std::size_t j = i + 1; j <= members.back(); ++j) {
+            const bool member = members[m] == j;
+            m += member ? 1 : 0;
+            emit(ops_[j], member ? id : -1);
+        }
+        g.end = out;
         groups.push_back(g);
-        i = g.end;
+        i = members.back() + 1;
+    }
+    ops_.resize(out);
+
+    if (groups.empty()) {
+        if (debug)
+            std::fprintf(stderr,
+                         "replay: staging elision: 0 groups (%.2f ms)\n",
+                         msSince(t0));
+        return;
     }
 
-    if (groups.empty())
-        return;
-
-    // Cluster candidate buffer regions into merged address intervals.
+    // Pass 2: cluster the staged regions into merged address
+    // intervals. The result is sorted and disjoint, so lookups
+    // binary-search it.
     struct Interval
     {
         const float *lo;
         const float *hi;
     };
-    std::vector<Interval> ivs;
-    ivs.reserve(groups.size());
+    std::vector<Interval> clusters;
+    clusters.reserve(groups.size());
     for (const auto &g : groups)
-        ivs.push_back({g.buf, g.buf + g.bufLen});
-    std::sort(ivs.begin(), ivs.end(),
+        clusters.push_back({g.staged, g.staged + g.stagedLen});
+    std::sort(clusters.begin(), clusters.end(),
               [](const Interval &x, const Interval &y) {
                   return x.lo < y.lo;
               });
-    std::vector<Interval> clusters;
-    for (const auto &iv : ivs) {
-        if (!clusters.empty() && iv.lo <= clusters.back().hi)
-            clusters.back().hi = std::max(clusters.back().hi, iv.hi);
+    std::size_t merged = 0;
+    for (const auto &iv : clusters) {
+        if (merged > 0 && iv.lo <= clusters[merged - 1].hi)
+            clusters[merged - 1].hi =
+                std::max(clusters[merged - 1].hi, iv.hi);
         else
-            clusters.push_back(iv);
+            clusters[merged++] = iv;
     }
-    for (auto &g : groups) {
-        for (std::size_t c = 0; c < clusters.size(); ++c) {
-            if (g.buf >= clusters[c].lo && g.buf < clusters[c].hi) {
-                g.cluster = static_cast<int>(c);
-                break;
-            }
+    clusters.resize(merged);
+    // First cluster ending after @p p (branch-free: the probes are
+    // data-dependent, so a branchy search mispredicts on most spans).
+    auto firstClusterAfter = [&](const float *p) {
+        const Interval *base = clusters.data();
+        std::size_t len = clusters.size();
+        while (len > 1) {
+            const std::size_t half = len / 2;
+            base = base[half - 1].hi <= p ? base + half : base;
+            len -= half;
         }
-    }
+        return static_cast<std::size_t>(base - clusters.data()) +
+               (base->hi <= p ? 1 : 0);
+    };
+    for (auto &g : groups)
+        g.cluster = firstClusterAfter(g.staged);
 
     // A cluster stays elidable only if every span touching it belongs
     // to one of its own groups.
     std::vector<char> invalid(clusters.size(), 0);
-    auto touch = [&](std::size_t idx, const float *p, std::size_t len) {
-        if (p == nullptr || len == 0)
-            return;
+    for (std::size_t idx = 0; idx < ops_.size(); ++idx) {
         const int g = groupOf[idx];
-        for (std::size_t c = 0; c < clusters.size(); ++c) {
-            if (invalid[c])
-                continue;
-            if (p < clusters[c].hi && clusters[c].lo < p + len &&
-                (g < 0 || groups[g].cluster != static_cast<int>(c))) {
+        forEachSpan(ops_[idx], [&](const float *p, std::size_t len) {
+            if (p == nullptr || len == 0)
+                return;
+            for (std::size_t c = firstClusterAfter(p);
+                 c < clusters.size() && clusters[c].lo < p + len; ++c) {
+                if (invalid[c] || (g >= 0 && groups[g].cluster == c))
+                    continue;
                 invalid[c] = 1;
-                if (std::getenv("MANNA_REPLAY_DEBUG") != nullptr)
+                if (debug)
                     std::fprintf(stderr,
                                  "replay: staging cluster %zu kept "
                                  "(touched by op %zu kind=%d)\n",
                                  c, idx,
                                  static_cast<int>(ops_[idx].kind));
             }
-        }
-    };
-    for (std::size_t idx = 0; idx < ops_.size(); ++idx)
-        forEachSpan(ops_[idx], [&](const float *p, std::size_t len) {
-            touch(idx, p, len);
         });
-
-    // Rewrite: drop dead copies, retarget compute at the spad rows.
-    std::vector<ReplayOp> out;
-    out.reserve(ops_.size());
-    std::size_t elided = 0;
-    for (std::size_t idx = 0; idx < ops_.size(); ++idx) {
-        const int gi = groupOf[idx];
-        if (gi < 0 || invalid[static_cast<std::size_t>(
-                          groups[gi].cluster)] != 0) {
-            out.push_back(ops_[idx]);
-            continue;
-        }
-        const Group &g = groups[gi];
-        if (idx == g.begin ||
-            (g.softWrite && idx == g.end - 1)) {
-            ++elided; // dead load / store
-            continue;
-        }
-        ReplayOp op = ops_[idx];
-        if (g.softWrite) {
-            const std::size_t k = idx - (g.begin + 1);
-            op.d = g.spadMut + k * g.spadPitch;
-        } else if (op.kind == ReplayKind::Vmm && op.b == g.buf) {
-            op.b = g.spad;
-            op.pitchA = g.spadPitch;
-        }
-        out.push_back(op);
     }
-    if (std::getenv("MANNA_REPLAY_DEBUG") != nullptr)
+
+    // Pass 3, in place again: in elidable clusters, drop the dead
+    // copies and retarget the compute ops at the home rows.
+    const std::size_t compacted = ops_.size();
+    out = 0;
+    std::size_t elided = 0;
+    std::size_t idx = 0;
+    for (const Group &g : groups) {
+        while (idx < g.begin)
+            ops_[out++] = ops_[idx++];
+        if (invalid[g.cluster] != 0) {
+            while (idx < g.end)
+                ops_[out++] = ops_[idx++];
+            continue;
+        }
+        const bool rowGroup = g.homeMut != nullptr;
+        elided += rowGroup ? 2 : 1;
+        const std::size_t last = rowGroup ? g.end - 1 : g.end;
+        for (std::size_t k = g.begin + 1; k < last; ++k) {
+            ReplayOp op = ops_[k];
+            if (rowGroup) {
+                // Row op k-1 starts at staged row k-1 (a block op at
+                // row 0); move it and its pitch to the home rows.
+                op.d = g.homeMut + (k - g.begin - 1) * g.homePitch;
+                op.pitchD = g.homePitch;
+            } else if (groupOf[k] >= 0) {
+                op.b = g.home;
+                op.pitchA = g.homePitch;
+            }
+            ops_[out++] = op;
+        }
+        idx = g.end;
+    }
+    while (idx < ops_.size())
+        ops_[out++] = ops_[idx++];
+    ops_.resize(out);
+    if (debug)
         std::fprintf(stderr,
                      "replay: staging elision: %zu groups, "
-                     "%zu copies dropped, %zu ops -> %zu\n",
-                     groups.size(), elided, ops_.size(), out.size());
-    ops_ = std::move(out);
+                     "%zu copies dropped, %zu ops -> %zu -> %zu "
+                     "(%.2f ms)\n",
+                     groups.size(), elided, before, compacted,
+                     ops_.size(), msSince(t0));
 }
 
 void

@@ -45,9 +45,11 @@ enum class ReplayKind : std::uint8_t
     ReadVectorOut, ///< latch the NoC buffer as read vector `rows`
     Broadcast,     ///< write the NoC buffer to every tile span
     UsageToAlloc,  ///< DNC free-list scan on the NoC buffer
-    // Synthetic ops produced by the tape's peephole fusion pass
-    // (never recorded by a tile directly).
-    FusedRowUpdate, ///< soft-write quad: row = row*(c - e*w) + a*w
+    // Synthetic ops produced by the tape's peephole passes (never
+    // recorded by a tile directly). Each updates `rows` matrix rows
+    // in place, one scalar w per row.
+    FusedRowUpdate,  ///< soft-write quad: row = row*(c - e*w) + a*w
+    FusedLinkUpdate, ///< DNC link triple: row = row*(o - w) + p*w
 };
 
 /** ReplayOp::flags bits. */
@@ -75,9 +77,16 @@ inline constexpr std::uint8_t kReplayHiddenIn = 16;  ///< Broadcast src
  *  Broadcast:    n=words, rows=tile count, pitchA=offset into the
  *                dst-pointer pool, flags (kReplayHiddenIn).
  *  UsageToAlloc: no operands (chip rewrites its NoC buffer).
- *  FusedRowUpdate: a=erase row, b=w scalar, d=memory row, dn=stage,
- *                n=len, imm=the EwRsubImm constant, pitchA=offset of
- *                the add-vector row in the src-pointer pool.
+ *  FusedRowUpdate: a=erase row, b=w scalars (one per row), d=first
+ *                memory row, dn=stage, n=len, imm=the EwRsubImm
+ *                constant, pitchA=offset of the add-vector row in the
+ *                src-pointer pool, rows=row count, pitchD=row pitch.
+ *                Row r updates d + r*pitchD with w = b[r]; stage ends
+ *                holding the last row's values.
+ *  FusedLinkUpdate: a=o (the 1 - w row), b=w scalars, d=first link
+ *                row, dn=stage, n=len, pitchA=offset of the
+ *                precedence row p in the src-pointer pool, rows and
+ *                pitchD as for FusedRowUpdate.
  */
 struct ReplayOp
 {
@@ -160,28 +169,35 @@ public:
 
 private:
     /**
-     * Peephole pass: collapse the compiler's soft-write row-update
-     * quad [EwMul(stage, e, w), EwRsubImm(stage, c), EwMul(row, row,
-     * stage), EwMac(row, a, w)] into one FusedRowUpdate op. The fused
-     * kernel performs the identical per-element operation sequence
-     * (all four ops are element-independent maps), including the
-     * final stage values, so replay stays bit-exact; it exists to cut
-     * per-op dispatch overhead on the dominant tape pattern.
+     * Peephole pass: collapse the compiler's two in-place row-update
+     * idioms into one op each — the soft-write quad [EwMul(stage, e,
+     * w), EwRsubImm(stage, c), EwMul(row, row, stage), EwMac(row, a,
+     * w)] into FusedRowUpdate, and the DNC link triple [EwSub(stage,
+     * o, w), EwMul(row, row, stage), EwMac(row, p, w)] into
+     * FusedLinkUpdate. The fused kernels perform the identical
+     * per-element operation sequence (every op is an element-
+     * independent map), including the final stage values, so replay
+     * stays bit-exact; they exist to cut per-op dispatch overhead on
+     * the dominant tape patterns.
      */
     void fuseRowUpdates();
 
     /**
      * Staging-elision pass: the compiler's blocked sweeps stage every
-     * matrix block through a scratch buffer (DmaLoadM -> compute ->
-     * DmaStoreM), which on the big workloads is about half of the
-     * replayed memory traffic. This pass detects the two block shapes
-     * the codegen emits — [load][FusedRowUpdate x rows][store] and
-     * [load][Vmm reads...] — retargets the compute ops at the
-     * scratchpad rows directly (same values, same FP ops, just no
-     * round-trip through the buffer) and drops the dead copies. A
-     * buffer region is only elided when every tape op touching it
-     * belongs to one of its matched groups, so any unexpected
-     * consumer of staged data keeps the copies intact.
+     * matrix block from its home rows in the matrix buffer through a
+     * scratchpad copy (DmaLoadM -> compute -> DmaStoreM), which on the
+     * big workloads is about half of the replayed memory traffic. This
+     * pass detects the two block shapes the codegen emits —
+     * [load][fused row update x rows][store] (either fused kind) and
+     * [load][Vmm reads...] — retargets the compute ops at the home
+     * rows directly (same values, same FP ops, just no round-trip
+     * through the scratchpad) and drops the dead copies. A staging
+     * region is only elided when every tape op touching it belongs to
+     * one of its matched groups, so any unexpected consumer of staged
+     * data keeps the copies intact. The R row ops of a [load][rows]
+     * [store] group become one op with rows = R (over the staged rows
+     * if the copies stay) when they share every operand but a per-row
+     * w that steps by one word and lies outside the updated rows.
      */
     void elideStaging();
 
@@ -203,7 +219,7 @@ private:
  * single functional implementation: the tile interpreter builds a
  * ReplayOp per instruction and calls this in BOTH fidelities, so a
  * replayed fast step cannot diverge from a cycle-accurate one.
- * @p tape is required only for FusedRowUpdate (src-pointer pool).
+ * @p tape is required only for the fused kinds (src-pointer pool).
  */
 void execTileOp(const ReplayOp &op, const ReplayTape *tape = nullptr);
 

@@ -185,11 +185,24 @@ rowUpdateScalar(const float *e, const float *add, float w, float c,
     }
 }
 
+void
+linkUpdateScalar(const float *o, const float *p, float w, float *row,
+                 float *stage, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const float s = o[i] - w;
+        stage[i] = s;
+        const float r = row[i] * s;
+        row[i] = r + p[i] * w;
+    }
+}
+
 const KernelTable kScalarTable = {
     "scalar",    addScalar,      subScalar, mulScalar,
     scaleScalar, axpyScalar,     macScalar, sumScalar,
     dotScalar,   dotNormScalar,  scaleMaxScalar,
     circularConvolveScalar,      rowUpdateScalar,
+    linkUpdateScalar,
 };
 
 struct Selection

@@ -120,6 +120,15 @@ struct KernelTable
     void (*rowUpdate)(const float *e, const float *add, float w,
                       float c, float *row, float *stage,
                       std::size_t n);
+
+    /**
+     * Fused DNC link-row update: per element, s = o[i] - w;
+     * stage[i] = s; row[i] = row[i]*s; row[i] += p[i]*w. The exact
+     * rounding of the unfused sub / mul / mac sequence, on every path.
+     * No operand may alias row or stage.
+     */
+    void (*linkUpdate)(const float *o, const float *p, float w,
+                       float *row, float *stage, std::size_t n);
 };
 
 /** The scalar reference table (canonical semantics). */

@@ -236,11 +236,33 @@ rowUpdateAvx2(const float *e, const float *add, float w, float c,
     }
 }
 
+void
+linkUpdateAvx2(const float *o, const float *p, float w, float *row,
+               float *stage, std::size_t n)
+{
+    const __m256 vw = _mm256_set1_ps(w);
+    const std::size_t main = n & ~(kStripe - 1);
+    for (std::size_t i = 0; i < main; i += kStripe) {
+        const __m256 s = _mm256_sub_ps(_mm256_loadu_ps(o + i), vw);
+        _mm256_storeu_ps(stage + i, s);
+        const __m256 r = _mm256_mul_ps(_mm256_loadu_ps(row + i), s);
+        const __m256 pw = _mm256_mul_ps(_mm256_loadu_ps(p + i), vw);
+        _mm256_storeu_ps(row + i, _mm256_add_ps(r, pw));
+    }
+    for (std::size_t i = main; i < n; ++i) {
+        const float s = o[i] - w;
+        stage[i] = s;
+        const float r = row[i] * s;
+        row[i] = r + p[i] * w;
+    }
+}
+
 const KernelTable kAvx2Table = {
     "avx2",    addAvx2,      subAvx2, mulAvx2,
     scaleAvx2, axpyAvx2,     macAvx2, sumAvx2,
     dotAvx2,   dotNormAvx2,  scaleMaxAvx2,
     circularConvolveAvx2,    rowUpdateAvx2,
+    linkUpdateAvx2,
 };
 
 } // namespace

@@ -1,11 +1,12 @@
 /**
  * @file
  * fidelity=fast contract tests: fast runs must produce bit-identical
- * tensor state to cycle runs (outputs, read vectors, gathered memory)
- * on both chip models — which also exercises the step-replay tape,
- * the fused-row-update peephole, and the staging-elision pass — while
- * the extrapolated cycle counts stay within the 5% tolerance gate and
- * the report carries the same stats key set.
+ * tensor state to cycle runs (outputs, read vectors, gathered memory,
+ * and the DNC's link matrix and usage vector) on both chip models —
+ * which also exercises the step-replay tape, the row-update fusion
+ * peephole, staging elision and block ops — while the extrapolated
+ * cycle counts stay within the 5% tolerance gate and the report
+ * carries the same stats key set.
  */
 
 #include <gtest/gtest.h>
@@ -88,6 +89,31 @@ expectBitEqual(const FVec &a, const FVec &b, const char *what,
     }
 }
 
+/** Bitwise row-by-row comparison of two gathered matrices. */
+void
+expectBitEqual(const tensor::FMat &a, const tensor::FMat &b,
+               const char *what)
+{
+    ASSERT_EQ(a.rows(), b.rows()) << what;
+    ASSERT_EQ(a.cols(), b.cols()) << what;
+    for (std::size_t r = 0; r < a.rows(); ++r)
+        expectBitEqual(a.row(r), b.row(r), what, r);
+}
+
+/** Driver-specific end state beyond memory: the DNC's link matrix
+ * and usage vector, which its replay tape rewrites every step. */
+void
+compareExtraState(const Chip &, const Chip &)
+{
+}
+
+void
+compareExtraState(const DncChip &cyc, const DncChip &fast)
+{
+    expectBitEqual(cyc.gatherLink(), fast.gatherLink(), "link");
+    expectBitEqual(cyc.gatherUsage(), fast.gatherUsage(), "usage", 0);
+}
+
 template <typename ChipT, typename ModelT>
 void
 compareFidelities(const ModelT &model, std::size_t inputDim,
@@ -106,12 +132,8 @@ compareFidelities(const ModelT &model, std::size_t inputDim,
                            "readVector", t);
     }
 
-    const auto memC = cyc.gatherMemory();
-    const auto memF = fast.gatherMemory();
-    ASSERT_EQ(memC.rows(), memF.rows());
-    ASSERT_EQ(memC.cols(), memF.cols());
-    for (std::size_t r = 0; r < memC.rows(); ++r)
-        expectBitEqual(memC.row(r), memF.row(r), "memory", r);
+    expectBitEqual(cyc.gatherMemory(), fast.gatherMemory(), "memory");
+    compareExtraState(cyc, fast);
 
     // Same stats catalog, fast marker set, cycle deviation <= 5%.
     const RunReport repC = cyc.report();
@@ -153,6 +175,19 @@ TEST(Fidelity, NtmChipFastBitIdenticalAndWithinTolerance)
 TEST(Fidelity, DncChipFastBitIdenticalAndWithinTolerance)
 {
     const auto dc = dncConfig();
+    const auto model =
+        compiler::compileDnc(dc, arch::MannaConfig::withTiles(4));
+    compareFidelities<DncChip>(model, dc.inputDim, dc.numReadHeads);
+}
+
+/** memN 50 on 4 tiles splits 13/13/13/11 rows, and memM 40 leaves a
+ * short tail column block, so multi-row block ops, several column
+ * blocks and a ragged last tile all replay. */
+TEST(Fidelity, DncRaggedShapeFastBitIdentical)
+{
+    DncConfig dc = dncConfig();
+    dc.memN = 50;
+    dc.memM = 40;
     const auto model =
         compiler::compileDnc(dc, arch::MannaConfig::withTiles(4));
     compareFidelities<DncChip>(model, dc.inputDim, dc.numReadHeads);

@@ -609,6 +609,38 @@ TEST_P(SimdTwinProperty, RowUpdateBitIdenticalAndMatchesUnfused)
     expectBitEqual(stgA, stage, "rowUpdate stage vs unfused");
 }
 
+TEST_P(SimdTwinProperty, LinkUpdateBitIdenticalAndMatchesUnfused)
+{
+    const std::size_t n = GetParam();
+    Rng rng(n + 9500);
+    const auto &act = simd::kernels();
+    const auto &ref = simd::scalarKernels();
+    const FVec o = hostileVec(n, rng);
+    const FVec p = hostileVec(n, rng);
+    const FVec row0 = hostileVec(n, rng);
+    const float w = 0.37f;
+
+    FVec rowA = row0;
+    FVec rowR = row0;
+    FVec stgA(n);
+    FVec stgR(n);
+    act.linkUpdate(o.data(), p.data(), w, rowA.data(), stgA.data(), n);
+    ref.linkUpdate(o.data(), p.data(), w, rowR.data(), stgR.data(), n);
+    expectBitEqual(rowA, rowR, "linkUpdate row");
+    expectBitEqual(stgA, stgR, "linkUpdate stage");
+
+    // The fused kernel must round exactly like the unfused op
+    // sequence it replaces (sub w, mul stage, mac p*w).
+    const FVec wv(n, w);
+    FVec stage(n);
+    FVec rowU = row0;
+    ref.sub(o.data(), wv.data(), stage.data(), n);
+    ref.mul(rowU.data(), stage.data(), rowU.data(), n);
+    ref.mac(p.data(), wv.data(), rowU.data(), n);
+    expectBitEqual(rowA, rowU, "linkUpdate vs unfused sequence");
+    expectBitEqual(stgA, stage, "linkUpdate stage vs unfused");
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, SimdTwinProperty,
                          ::testing::Values(1, 3, 7, 8, 9, 31, 64,
                                            100, 257));
