@@ -3,18 +3,21 @@
 # tests/CMakeLists.txt; SKIP_RETURN_CODE 77).
 #
 # Configures a separate build tree with -DMANNA_SANITIZE=address,
-# undefined, builds the robustness, fidelity, DNC-chip, replay-tape,
-# tile and observability test binaries, the fig12 bench and mannad,
-# and runs them under instrumentation:
+# undefined, builds the robustness, fidelity, NTM-chip, DNC-chip,
+# replay-tape, tile and observability test binaries, the fig12 bench
+# and mannad, and runs them under instrumentation:
 #   - test_robustness plus the chaos soak (its daemon phases
 #     included): the fault-injection error paths (torn lines and
 #     frames, failed fsyncs, dropped connections, crashed pool
 #     workers, signal interrupts) are exactly the code that normal
 #     runs rarely exercise;
-#   - test_fidelity and test_dnc_chip: both chip drivers' record ->
-#     replay -> reset path. The replay tape holds raw pointers into
-#     tile memory, which reset() must keep valid by reusing the
-#     buffers, for the NTM and the DNC alike;
+#   - test_fidelity, test_sim_chip and test_dnc_chip: both chip
+#     drivers' record -> replay -> reset path in both fidelities. The
+#     replay tape holds raw pointers into tile memory, which reset()
+#     must keep valid by reusing the buffers, for the NTM and the DNC
+#     alike; every step of either fidelity computes from it, and
+#     test_sim_chip also runs the stale-tape check and the
+#     data-independence test at 1, 4 and 16 tiles;
 #   - test_replay: the tape passes on synthetic tapes. Block ops
 #     compute each row pointer from rows x pitchD, so ASan sees any
 #     row a collapsed op would reach past its block;
@@ -50,8 +53,8 @@ if ! cmake -S . -B "$builddir" -DMANNA_SANITIZE=address,undefined \
 fi
 jobs=$(nproc 2>/dev/null || echo 2)
 if ! cmake --build "$builddir" -j"$jobs" \
-        --target test_robustness test_fidelity test_dnc_chip \
-        test_replay test_sim_tile test_observability \
+        --target test_robustness test_fidelity test_sim_chip \
+        test_dnc_chip test_replay test_sim_tile test_observability \
         fig12_strong_scaling mannad \
         > "$probe/build.log" 2>&1; then
     echo "sanitize_gate: sanitized build failed:" >&2
@@ -67,8 +70,8 @@ if ! "$builddir/tests/test_robustness" > "$probe/robust.log" 2>&1; then
     tail -30 "$probe/robust.log" >&2
     errors=$((errors + 1))
 fi
-for t in test_fidelity test_dnc_chip test_replay test_sim_tile \
-        test_observability; do
+for t in test_fidelity test_sim_chip test_dnc_chip test_replay \
+        test_sim_tile test_observability; do
     if ! "$builddir/tests/$t" > "$probe/$t.log" 2>&1; then
         echo "sanitize_gate: sanitized $t failed:" >&2
         tail -30 "$probe/$t.log" >&2
@@ -83,5 +86,5 @@ fi
 
 [ "$errors" -eq 0 ] || exit 1
 echo "sanitize_gate: OK (ASan+UBSan: test_robustness + test_fidelity +" \
-    "test_dnc_chip + test_replay + test_sim_tile + test_observability +" \
-    "chaos soak)"
+    "test_sim_chip + test_dnc_chip + test_replay + test_sim_tile +" \
+    "test_observability + chaos soak)"

@@ -1,6 +1,7 @@
 #include "proto.hh"
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -477,7 +478,13 @@ decodeJob(std::string_view text, std::string *err)
                           static_cast<unsigned long long>(task)));
     job.benchmark.task = static_cast<workloads::TaskKind>(task);
     in.expect("steps");
-    job.steps = static_cast<std::size_t>(in.u64());
+    const std::uint64_t steps = in.u64();
+    // Zero steps would report NaN rates; a count past INT64_MAX is a
+    // negative steps= that wrapped on its way in.
+    if (in.ok() && (steps == 0 || steps > INT64_MAX))
+        in.fail(strformat("bad step count %llu",
+                          static_cast<unsigned long long>(steps)));
+    job.steps = static_cast<std::size_t>(steps);
     in.expect("seed");
     job.seed = in.u64();
     in.expect("fidelity");

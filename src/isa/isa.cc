@@ -116,18 +116,6 @@ toString(ReduceOp op)
     return "?";
 }
 
-std::uint32_t
-Operand::effectiveBase(const std::int64_t iters[kMaxLoopDepth],
-                       std::size_t depth) const
-{
-    std::int64_t addr = base;
-    for (std::size_t l = 0; l < depth && l < kMaxLoopDepth; ++l)
-        addr += iters[l] * stride[l];
-    MANNA_ASSERT(addr >= 0, "operand address underflow: %lld",
-                 static_cast<long long>(addr));
-    return static_cast<std::uint32_t>(addr);
-}
-
 std::string
 Operand::toString() const
 {

@@ -24,6 +24,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/logging.hh"
+
 namespace manna::isa
 {
 
@@ -126,9 +128,18 @@ struct Operand
     /** A scalar operand broadcasts its single element. */
     bool isScalarBroadcast() const { return len == 1; }
 
-    /** Effective base for the given loop iteration counters. */
+    /** Effective base for the given loop iteration counters (inline:
+     * the tile resolves every operand of every instruction). */
     std::uint32_t effectiveBase(const std::int64_t iters[kMaxLoopDepth],
-                                std::size_t depth) const;
+                                std::size_t depth) const
+    {
+        std::int64_t addr = base;
+        for (std::size_t l = 0; l < depth && l < kMaxLoopDepth; ++l)
+            addr += iters[l] * stride[l];
+        MANNA_ASSERT(addr >= 0, "operand address underflow: %lld",
+                     static_cast<long long>(addr));
+        return static_cast<std::uint32_t>(addr);
+    }
 
     std::string toString() const;
 

@@ -29,9 +29,9 @@ namespace manna::sim
 class DncChip
 {
   public:
-    /** Same fidelity semantics as sim::Chip: Fidelity::Fast runs a
-     * cycle-accurate calibration prefix, then functional-only steps
-     * with the report extrapolated (bit-identical tensor results). */
+    /** Same fidelity semantics as sim::Chip: Fidelity::Fast times a
+     * calibration prefix, then only replays the tape, with the report
+     * extrapolated (bit-identical tensor results). */
     DncChip(const compiler::CompiledDnc &model, std::uint64_t seed = 1,
             Fidelity fidelity = Fidelity::Cycle);
 

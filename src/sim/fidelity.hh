@@ -2,21 +2,25 @@
  * @file
  * Execution-fidelity selection for the chip simulators.
  *
- * fidelity=cycle is the default: every instruction is timed against
+ * fidelity=cycle is the default: every time step is timed against
  * the resource timelines (the per-cycle accounting in tile.cc).
  *
- * fidelity=fast computes exact tensor results through the same
- * compiled program but replaces the per-instruction timing loop with
- * a calibrated analytic model: the first kFastCalibrationSteps time
- * steps run with full cycle accounting, and because every instruction
- * duration in the timing model depends only on static operand shapes
- * (never on data values), the per-step cost reaches a steady state
- * immediately — the remaining steps execute functionally only and the
- * final RunReport extrapolates every counter linearly from the
- * calibration delta. The report carries the same stats key set as
- * cycle mode plus fidelity.* markers, including an op_counter-derived
- * peak-rate estimate (fidelity.analytic_cycles_per_step) for
- * cross-checking the calibration against the pure analytic model.
+ * In both fidelities the timing interpreter computes nothing: step 1
+ * records the resolved operations on a replay tape (sim/replay.hh),
+ * which computes every step, so tensor results are bit-identical
+ * across fidelities by construction.
+ *
+ * fidelity=fast replaces the per-step timing loop with a calibrated
+ * analytic model: only the first kFastCalibrationSteps time steps are
+ * timed, and because every instruction duration in the timing model
+ * depends only on static operand shapes (never on data values), the
+ * per-step cost reaches a steady state immediately — the remaining
+ * steps only replay the tape, and the final RunReport extrapolates
+ * every counter linearly from the calibration delta. The report
+ * carries the same stats key set as cycle mode plus fidelity.*
+ * markers, including an op_counter-derived peak-rate estimate
+ * (fidelity.analytic_cycles_per_step) for cross-checking the
+ * calibration against the pure analytic model.
  */
 
 #ifndef MANNA_SIM_FIDELITY_HH
@@ -54,11 +58,11 @@ std::optional<Fidelity> parseFidelity(std::string_view text);
 Fidelity defaultFidelity();
 
 /**
- * Cycle-accurate steps executed before fast mode switches the tiles
- * to functional-only execution. Two snapshots bound the steady-state
- * per-step delta; step 1 additionally absorbs any cold-start effects
- * (empty double-buffer halves) so the delta is taken between warmed
- * steps.
+ * Timed (cycle-accurate) steps before fast mode stops timing and only
+ * replays the tape. Two snapshots bound the steady-state per-step
+ * delta; step 1 additionally absorbs any cold-start effects (empty
+ * double-buffer halves) so the delta is taken between warmed steps.
+ * Step 1 records the tape; step 2 checks it (sim/replay.hh).
  */
 inline constexpr std::size_t kFastCalibrationSteps = 2;
 
@@ -88,7 +92,7 @@ double analyticCyclesPerStep(const mann::MannConfig &mc,
  * Stamp the fidelity.* marker keys onto a report. Both fidelities
  * emit the same key set; @p calibrated is the number of
  * cycle-accurate steps actually run and @p extrapolated the number of
- * functional-only steps covered by extrapolation (both 0 in cycle
+ * replay-only steps covered by extrapolation (both 0 in cycle
  * mode).
  */
 void markFidelity(RunReport &rep, Fidelity f, std::size_t calibrated,

@@ -101,20 +101,20 @@ Noc::resetStats()
 }
 
 void
-Noc::combineInto(const std::vector<std::vector<float>> &perTile,
-                 isa::ReduceOp op, std::vector<float> &out)
+Noc::combineInto(const float *const *perTile, std::size_t tiles,
+                 std::size_t words, isa::ReduceOp op,
+                 std::vector<float> &out)
 {
-    MANNA_ASSERT(!perTile.empty(), "combine over zero tiles");
-    out.assign(perTile[0].begin(), perTile[0].end());
-    for (std::size_t t = 1; t < perTile.size(); ++t) {
-        MANNA_ASSERT(perTile[t].size() == out.size(),
-                     "combine length mismatch: %zu vs %zu",
-                     perTile[t].size(), out.size());
-        for (std::size_t i = 0; i < out.size(); ++i) {
-            if (op == isa::ReduceOp::Sum)
-                out[i] += perTile[t][i];
-            else
-                out[i] = std::max(out[i], perTile[t][i]);
+    MANNA_ASSERT(tiles > 0, "combine over zero tiles");
+    out.assign(perTile[0], perTile[0] + words);
+    for (std::size_t t = 1; t < tiles; ++t) {
+        const float *src = perTile[t];
+        if (op == isa::ReduceOp::Sum) {
+            for (std::size_t i = 0; i < words; ++i)
+                out[i] += src[i];
+        } else {
+            for (std::size_t i = 0; i < words; ++i)
+                out[i] = std::max(out[i], src[i]);
         }
     }
 }

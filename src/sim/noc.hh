@@ -64,12 +64,13 @@ class Noc
     /** Energy of a broadcast of @p words. */
     Energy broadcastEnergyPj(std::size_t words) const;
 
-    /** Functional element-wise combine across per-tile vectors:
-     * @p out is assigned the combined vector, reusing its capacity.
-     * @p out must not be an element of @p perTile. */
-    static void
-    combineInto(const std::vector<std::vector<float>> &perTile,
-                isa::ReduceOp op, std::vector<float> &out);
+    /** Functional element-wise combine of @p tiles spans of @p words
+     * each (the replay tape's Reduce): @p out is assigned tile 0's
+     * span, then every later tile folds in, in tile order, reusing its
+     * capacity. @p out must not alias any span. */
+    static void combineInto(const float *const *perTile, std::size_t tiles,
+                            std::size_t words, isa::ReduceOp op,
+                            std::vector<float> &out);
 
     /** Account one reduce of @p words costing @p cycles (called by
      * the chip when it performs the exchange). */

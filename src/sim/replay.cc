@@ -6,7 +6,11 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/error.hh"
 #include "common/logging.hh"
+#include "common/strutil.hh"
+#include "mann/dnc.hh"
+#include "sim/noc.hh"
 #include "tensor/dispatch.hh"
 
 namespace manna::sim
@@ -353,38 +357,52 @@ execTileOp(const ReplayOp &op, const ReplayTape *tape)
 }
 
 void
-ReplayTape::fuseRowUpdates()
+ReplayTape::checkStep(std::size_t step) const
 {
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::size_t before = ops_.size();
-    // Compact in place: the write index never passes the read index.
-    std::size_t out = 0;
-    std::size_t i = 0;
+    if (digest_ == recordedDigest_ && appended_ == recordedOps_)
+        return;
+    throw SimError(strformat(
+        "step %zu resolved %zu ops (digest %016llx) but step 1 "
+        "recorded %zu (digest %016llx): the replay tape is stale",
+        step, appended_, static_cast<unsigned long long>(digest_),
+        recordedOps_, static_cast<unsigned long long>(recordedDigest_)));
+}
+
+void
+ReplayTape::finishRecording()
+{
+    recordedDigest_ = digest_;
+    recordedOps_ = appended_;
+    if (std::getenv("MANNA_REPLAY_DEBUG") != nullptr)
+        std::fprintf(stderr, "replay: %zu ops -> %zu after fusion\n",
+                     appended_, ops_.size());
+    elideStaging();
+    state_ = State::Ready;
+}
+
+void
+ReplayTape::record(const ReplayOp &op)
+{
+    ops_.push_back(op);
+    // Both idioms end in an EwMac; a fused op never matches again.
+    if (op.kind != ReplayKind::Elementwise || op.op != Opcode::EwMac)
+        return;
+    const std::size_t size = ops_.size();
     ReplayOp rop;
     const float *add = nullptr;
-    while (i < ops_.size()) {
-        const std::size_t left = ops_.size() - i;
-        std::size_t used = 0;
-        if (left >= 4 && matchRowQuad(&ops_[i], rop, add))
-            used = 4;
-        else if (left >= 3 && matchLinkTriple(&ops_[i], rop, add))
-            used = 3;
-        if (used == 0) {
-            ops_[out++] = ops_[i++];
-            continue;
-        }
-        // A block's rows share one add vector: reuse its pool slot.
-        if (srcPool_.empty() || srcPool_.back() != add)
-            srcPool_.push_back(add);
-        rop.pitchA = static_cast<std::uint32_t>(srcPool_.size() - 1);
-        ops_[out++] = rop;
-        i += used;
-    }
-    ops_.resize(out);
-    if (std::getenv("MANNA_REPLAY_DEBUG") != nullptr)
-        std::fprintf(stderr,
-                     "replay: %zu ops -> %zu after fusion (%.2f ms)\n",
-                     before, ops_.size(), msSince(t0));
+    std::size_t used = 0;
+    if (size >= 4 && matchRowQuad(&ops_[size - 4], rop, add))
+        used = 4;
+    else if (size >= 3 && matchLinkTriple(&ops_[size - 3], rop, add))
+        used = 3;
+    if (used == 0)
+        return;
+    // A block's rows share one add vector: reuse its pool slot.
+    if (srcPool_.empty() || srcPool_.back() != add)
+        srcPool_.push_back(add);
+    rop.pitchA = static_cast<std::uint32_t>(srcPool_.size() - 1);
+    ops_.resize(size - used);
+    ops_.push_back(rop);
 }
 
 void
@@ -748,25 +766,13 @@ execCommOp(const ReplayOp &op, const ReplayTape &tape,
            const tensor::FVec &pendingHidden)
 {
     switch (op.kind) {
-      case ReplayKind::Reduce: {
-        // Matches Noc::combineInto(): tile 0 seeds the buffer, later
-        // tiles fold in sequentially, so the accumulation order (and
-        // therefore every float bit) is identical to cycle mode.
-        const float *const *srcs = tape.srcPtrs(op.pitchA);
-        nocBuffer.assign(srcs[0], srcs[0] + op.n);
-        const bool isMax = (op.flags & kReplayReduceMax) != 0;
-        for (std::uint32_t t = 1; t < op.rows; ++t) {
-            const float *src = srcs[t];
-            if (isMax) {
-                for (std::uint32_t i = 0; i < op.n; ++i)
-                    nocBuffer[i] = std::max(nocBuffer[i], src[i]);
-            } else {
-                for (std::uint32_t i = 0; i < op.n; ++i)
-                    nocBuffer[i] += src[i];
-            }
-        }
+      case ReplayKind::Reduce:
+        Noc::combineInto(tape.srcPtrs(op.pitchA), op.rows, op.n,
+                         (op.flags & kReplayReduceMax) != 0
+                             ? isa::ReduceOp::Max
+                             : isa::ReduceOp::Sum,
+                         nocBuffer);
         break;
-      }
       case ReplayKind::ReadVectorOut:
         readVectors[op.rows].assign(nocBuffer.begin(),
                                     nocBuffer.begin() + op.n);
@@ -781,8 +787,13 @@ execCommOp(const ReplayOp &op, const ReplayTape &tape,
                       dsts[t]);
         break;
       }
+      case ReplayKind::UsageToAlloc:
+        // The Controller tile's DNC free-list scan, with the golden
+        // model's own function.
+        nocBuffer = mann::dncAllocationFromUsage(nocBuffer);
+        break;
       default:
-        panic("execCommOp on a tile-level or chip-specific replay op");
+        panic("execCommOp on a tile-level replay op");
     }
 }
 

@@ -1,19 +1,23 @@
 /**
  * @file
- * Step-replay tape for fidelity=fast runs (sim/fidelity.hh).
+ * Step-replay tape: the one place a chip step's tensor math runs.
  *
  * A compiled Manna program has no data-dependent control flow: loop
  * trip counts are static and operand addresses depend only on the loop
  * iteration vector, so every MANN time step executes the exact same
  * sequence of resolved functional operations on the exact same tile
- * memory spans. Fast mode exploits that: the first post-calibration
- * step runs through the normal interpreter while appending each
- * resolved operation (raw span pointers + lengths) to a ReplayTape;
- * every later step replays the flat tape with none of the fetch /
- * decode / operand-resolution overhead. Replay executes the same
- * shared execTileOp() routine the interpreter itself uses, so a
- * replayed step is bit-identical to an interpreted one by
- * construction.
+ * memory spans. The simulator splits timing from function on that
+ * fact. The tile interpreter (sim/tile.hh) and the chip's comm handler
+ * only time, count and trace instructions; each resolved operation
+ * (raw span pointers + lengths) goes to the ReplayTape. Step 1 records
+ * the tape and runs its peephole passes, and execTileOp() and
+ * execCommOp() then compute every step from it, step 1 included.
+ *
+ * Every later timed step (fast mode's second calibration step, every
+ * cycle-mode step) folds the ops it would record into a running digest
+ * instead, and checkStep() throws SimError unless that digest equals
+ * the one of the raw, pre-pass recording, so a stale tape fails
+ * loudly instead of computing the wrong step.
  *
  * The recorded pointers stay valid because tile memories and the
  * chip-level staging vectors are allocated once per reset(); the tape
@@ -23,7 +27,9 @@
 #ifndef MANNA_SIM_REPLAY_HH
 #define MANNA_SIM_REPLAY_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "isa/isa.hh"
@@ -40,7 +46,7 @@ enum class ReplayKind : std::uint8_t
     Vmm,         ///< vector-matrix multiply block
     Elementwise, ///< EwAdd..Fill, including len-1 broadcast sources
     Sfu,         ///< special-function unit map / accumulate
-    // Chip-level communication ops (executed by the owning chip).
+    // Chip-level communication ops (executed by execCommOp()).
     Reduce,        ///< combine per-tile spans into the NoC buffer
     ReadVectorOut, ///< latch the NoC buffer as read vector `rows`
     Broadcast,     ///< write the NoC buffer to every tile span
@@ -76,7 +82,7 @@ inline constexpr std::uint8_t kReplayHiddenIn = 16;  ///< Broadcast src
  *  ReadVectorOut: rows=head index, n=words.
  *  Broadcast:    n=words, rows=tile count, pitchA=offset into the
  *                dst-pointer pool, flags (kReplayHiddenIn).
- *  UsageToAlloc: no operands (chip rewrites its NoC buffer).
+ *  UsageToAlloc: n=words; rewrites the NoC buffer in place.
  *  FusedRowUpdate: a=erase row, b=w scalars (one per row), d=first
  *                memory row, dn=stage, n=len, imm=the EwRsubImm
  *                constant, pitchA=offset of the add-vector row in the
@@ -109,6 +115,8 @@ struct ReplayOp
  * (whose operand count — one span per tile — doesn't fit a fixed
  * struct). Lifecycle: Idle -> startRecording() -> Recording ->
  * finishRecording() -> Ready; clear() returns to Idle from any state.
+ * A Ready tape is checked against each later timed step with
+ * startCheck(), the step's append()s, then checkStep().
  */
 class ReplayTape
 {
@@ -122,37 +130,53 @@ public:
         state_ = State::Recording;
     }
 
-    /** Seal the tape and run the peephole optimisation passes. */
-    void finishRecording()
+    /** Seal the tape, remember the digest of the raw recording, and
+     * run the staging-elision pass (fusion ran while recording). */
+    void finishRecording();
+
+    /** Start folding a timed step's ops into a fresh digest. */
+    void startCheck()
     {
-        fuseRowUpdates();
-        elideStaging();
-        state_ = State::Ready;
+        digest_ = 0;
+        appended_ = 0;
     }
+
+    /**
+     * Throw SimError naming time step @p step (1-based) unless the ops
+     * appended since startCheck() are exactly the raw recording.
+     */
+    void checkStep(std::size_t step) const;
 
     void clear()
     {
         ops_.clear();
         srcPool_.clear();
         dstPool_.clear();
+        startCheck();
+        recordedDigest_ = 0;
+        recordedOps_ = 0;
         state_ = State::Idle;
     }
 
-    void append(const ReplayOp &op) { ops_.push_back(op); }
-
-    /** Pool @p ptrs; returns the offset to store in ReplayOp::pitchA. */
-    std::uint32_t appendSrcPtrs(const std::vector<const float *> &ptrs)
+    /** Fold @p op into the step digest; keep it while recording. */
+    void append(const ReplayOp &op)
     {
-        const auto ofs = static_cast<std::uint32_t>(srcPool_.size());
-        srcPool_.insert(srcPool_.end(), ptrs.begin(), ptrs.end());
-        return ofs;
+        note(op);
+        if (recording())
+            record(op);
     }
 
-    std::uint32_t appendDstPtrs(const std::vector<float *> &ptrs)
+    /** Append a Reduce whose per-tile source spans are @p srcs: they
+     * go to the src-pointer pool, and op.pitchA to their offset. */
+    void append(const ReplayOp &op, const std::vector<const float *> &srcs)
     {
-        const auto ofs = static_cast<std::uint32_t>(dstPool_.size());
-        dstPool_.insert(dstPool_.end(), ptrs.begin(), ptrs.end());
-        return ofs;
+        appendPooled(op, srcs, srcPool_);
+    }
+
+    /** Append a Broadcast whose per-tile destinations are @p dsts. */
+    void append(const ReplayOp &op, const std::vector<float *> &dsts)
+    {
+        appendPooled(op, dsts, dstPool_);
     }
 
     const float *const *srcPtrs(std::uint32_t ofs) const
@@ -169,18 +193,19 @@ public:
 
 private:
     /**
-     * Peephole pass: collapse the compiler's two in-place row-update
-     * idioms into one op each — the soft-write quad [EwMul(stage, e,
-     * w), EwRsubImm(stage, c), EwMul(row, row, stage), EwMac(row, a,
-     * w)] into FusedRowUpdate, and the DNC link triple [EwSub(stage,
-     * o, w), EwMul(row, row, stage), EwMac(row, p, w)] into
-     * FusedLinkUpdate. The fused kernels perform the identical
-     * per-element operation sequence (every op is an element-
-     * independent map), including the final stage values, so replay
-     * stays bit-exact; they exist to cut per-op dispatch overhead on
-     * the dominant tape patterns.
+     * Keep @p op, fusing it with the ops before it when they end one
+     * of the compiler's two in-place row-update idioms: the soft-write
+     * quad [EwMul(stage, e, w), EwRsubImm(stage, c), EwMul(row, row,
+     * stage), EwMac(row, a, w)] becomes FusedRowUpdate and the DNC
+     * link triple [EwSub(stage, o, w), EwMul(row, row, stage),
+     * EwMac(row, p, w)] FusedLinkUpdate. The fused kernels perform the
+     * identical per-element operation sequence (every op is an
+     * element-independent map), including the final stage values, so
+     * replay stays bit-exact; they exist to cut per-op dispatch
+     * overhead on the dominant tape patterns. Fusing as ops arrive
+     * keeps the recording a third of its raw size.
      */
-    void fuseRowUpdates();
+    void record(const ReplayOp &op);
 
     /**
      * Staging-elision pass: the compiler's blocked sweeps stage every
@@ -208,26 +233,92 @@ private:
         Ready,
     };
 
+    static std::uint64_t wordOf(const void *p)
+    {
+        return static_cast<std::uint64_t>(
+            reinterpret_cast<std::uintptr_t>(p));
+    }
+
+    /**
+     * Every field of @p op, each spread by its own odd multiplier and
+     * combined by xor: the products are independent of each other and
+     * of the running digest, so fold() carries the only dependent
+     * multiply per op. A change to any single field changes the hash
+     * (multiplying by an odd constant is a bijection mod 2^64).
+     */
+    static std::uint64_t opHash(const ReplayOp &op)
+    {
+        std::uint32_t imm;
+        std::memcpy(&imm, &op.imm, sizeof imm);
+        const std::uint64_t head =
+            static_cast<std::uint64_t>(op.kind) |
+            static_cast<std::uint64_t>(op.op) << 8 |
+            static_cast<std::uint64_t>(op.flags) << 16 |
+            static_cast<std::uint64_t>(op.n) << 32;
+        const std::uint64_t shape =
+            op.rows | static_cast<std::uint64_t>(op.pitchA) << 32;
+        const std::uint64_t tail =
+            op.pitchD | static_cast<std::uint64_t>(imm) << 32;
+        return head * 0x9e3779b97f4a7c15ull ^
+               shape * 0xc2b2ae3d27d4eb4full ^
+               tail * 0x165667b19e3779f9ull ^
+               wordOf(op.a) * 0xd6e8feb86659fd93ull ^
+               wordOf(op.b) * 0xff51afd7ed558ccdull ^
+               wordOf(op.d) * 0xc4ceb9fe1a85ec53ull ^
+               wordOf(op.dn) * 0x94d049bb133111ebull;
+    }
+
+    /** Chain one value into the digest: a bijection of the running
+     * digest for every @p h, so one differing op cannot cancel out. */
+    void fold(std::uint64_t h)
+    {
+        digest_ = ((digest_ << 23 | digest_ >> 41) ^ h) *
+                  0xbf58476d1ce4e5b9ull;
+    }
+
+    void note(const ReplayOp &op)
+    {
+        fold(opHash(op));
+        ++appended_;
+    }
+
+    template <typename Ptr>
+    void appendPooled(ReplayOp op, const std::vector<Ptr> &ptrs,
+                      std::vector<Ptr> &pool)
+    {
+        for (const float *p : ptrs)
+            fold(wordOf(p));
+        note(op);
+        if (recording()) {
+            op.pitchA = static_cast<std::uint32_t>(pool.size());
+            pool.insert(pool.end(), ptrs.begin(), ptrs.end());
+            ops_.push_back(op);
+        }
+    }
+
     State state_ = State::Idle;
     std::vector<ReplayOp> ops_;
     std::vector<const float *> srcPool_;
     std::vector<float *> dstPool_;
+    // The running digest of the current step and its op count, and
+    // the raw recording's digest and op count.
+    std::uint64_t digest_ = 0;
+    std::size_t appended_ = 0;
+    std::uint64_t recordedDigest_ = 0;
+    std::size_t recordedOps_ = 0;
 };
 
 /**
- * Execute one tile-local op (Copy2d/Vmm/Elementwise/Sfu). This is the
- * single functional implementation: the tile interpreter builds a
- * ReplayOp per instruction and calls this in BOTH fidelities, so a
- * replayed fast step cannot diverge from a cycle-accurate one.
+ * Execute one tile-local op (Copy2d/Vmm/Elementwise/Sfu and the fused
+ * kinds). This is the single functional implementation of a tile
+ * instruction: the interpreter only records the resolved op.
  * @p tape is required only for the fused kinds (src-pointer pool).
  */
 void execTileOp(const ReplayOp &op, const ReplayTape *tape = nullptr);
 
 /**
- * Execute one chip-level comm op (Reduce/ReadVectorOut/Broadcast)
- * against the owning chip's staging state. UsageToAlloc is
- * chip-specific (DNC only) and is handled by the caller before
- * delegating here.
+ * Execute one chip-level comm op (Reduce/ReadVectorOut/Broadcast/
+ * UsageToAlloc) against the owning chip's staging state.
  */
 void execCommOp(const ReplayOp &op, const ReplayTape &tape,
                 std::vector<float> &nocBuffer,

@@ -14,30 +14,6 @@ TileMemory::TileMemory(std::size_t matBufWords, std::size_t matSpadWords,
 {
 }
 
-std::vector<float> &
-TileMemory::storage(isa::Space space)
-{
-    switch (space) {
-      case isa::Space::MatBuf:
-        return matBuf_;
-      case isa::Space::MatSpad:
-        return matSpad_;
-      case isa::Space::VecBuf:
-        return vecBuf_;
-      case isa::Space::VecSpad:
-        return vecSpad_;
-      case isa::Space::None:
-        break;
-    }
-    panic("invalid memory space");
-}
-
-const std::vector<float> &
-TileMemory::storage(isa::Space space) const
-{
-    return const_cast<TileMemory *>(this)->storage(space);
-}
-
 float
 TileMemory::read(isa::Space space, std::uint32_t addr) const
 {
@@ -71,25 +47,6 @@ TileMemory::writeRange(isa::Space space, std::uint32_t addr,
     float *p = span(space, addr,
                     static_cast<std::uint32_t>(values.size()));
     std::copy(values.begin(), values.end(), p);
-}
-
-const float *
-TileMemory::span(isa::Space space, std::uint32_t addr,
-                 std::uint32_t len) const
-{
-    const auto &s = storage(space);
-    MANNA_ASSERT(static_cast<std::size_t>(addr) + len <= s.size(),
-                 "%s span [%u, %u) out of %zu", toString(space), addr,
-                 addr + len, s.size());
-    return s.data() + addr;
-}
-
-float *
-TileMemory::span(isa::Space space, std::uint32_t addr, std::uint32_t len)
-{
-    const float *p =
-        const_cast<const TileMemory *>(this)->span(space, addr, len);
-    return const_cast<float *>(p);
 }
 
 std::size_t

@@ -14,6 +14,7 @@
 
 #include <vector>
 
+#include "common/logging.hh"
 #include "isa/isa.hh"
 
 namespace manna::sim
@@ -43,10 +44,22 @@ class TileMemory
     void writeRange(isa::Space space, std::uint32_t addr,
                     const std::vector<float> &values);
 
-    /** Direct span access for the interpreter's inner loops. */
+    /** Direct span access (bounds-checked) for the interpreter's inner
+     * loops: inline, since every instruction resolves two or three. */
     const float *span(isa::Space space, std::uint32_t addr,
-                      std::uint32_t len) const;
-    float *span(isa::Space space, std::uint32_t addr, std::uint32_t len);
+                      std::uint32_t len) const
+    {
+        const auto &s = storage(space);
+        MANNA_ASSERT(static_cast<std::size_t>(addr) + len <= s.size(),
+                     "%s span [%u, %u) out of %zu", toString(space),
+                     addr, addr + len, s.size());
+        return s.data() + addr;
+    }
+    float *span(isa::Space space, std::uint32_t addr, std::uint32_t len)
+    {
+        return const_cast<float *>(
+            const_cast<const TileMemory *>(this)->span(space, addr, len));
+    }
 
     std::size_t words(isa::Space space) const;
 
@@ -54,8 +67,27 @@ class TileMemory
     void clear();
 
   private:
-    std::vector<float> &storage(isa::Space space);
-    const std::vector<float> &storage(isa::Space space) const;
+    const std::vector<float> &storage(isa::Space space) const
+    {
+        switch (space) {
+          case isa::Space::MatBuf:
+            return matBuf_;
+          case isa::Space::MatSpad:
+            return matSpad_;
+          case isa::Space::VecBuf:
+            return vecBuf_;
+          case isa::Space::VecSpad:
+            return vecSpad_;
+          case isa::Space::None:
+            break;
+        }
+        panic("invalid memory space");
+    }
+    std::vector<float> &storage(isa::Space space)
+    {
+        return const_cast<std::vector<float> &>(
+            const_cast<const TileMemory *>(this)->storage(space));
+    }
 
     std::vector<float> matBuf_;
     std::vector<float> matSpad_;

@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
 #include "compiler/compiler.hh"
+#include "compiler/dnc_codegen.hh"
 #include "mann/ntm.hh"
 #include "sim/chip.hh"
+#include "sim/dnc_chip.hh"
 
 namespace manna::sim
 {
@@ -269,6 +272,117 @@ TEST(Chip, RenderReportMentionsGroups)
     const std::string text = chip.report().render();
     EXPECT_NE(text.find("soft-read"), std::string::npos);
     EXPECT_NE(text.find("steps/J"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Timing depends on the program only. The tile interpreter times each
+// step without computing it and the replay tape computes it, which is
+// sound only if no timing decision ever reads data.
+// ---------------------------------------------------------------------
+
+struct TimedEpisode
+{
+    RunReport report;
+    FVec lastOutput;
+};
+
+/** Three cycle-mode steps of a chip built from @p seed, on inputs
+ * drawn from @p episodeSeed. */
+template <typename ChipT, typename ModelT>
+TimedEpisode
+runEpisode(const ModelT &model, std::size_t inputDim, std::uint64_t seed,
+           std::uint64_t episodeSeed)
+{
+    ChipT chip(model, seed, Fidelity::Cycle);
+    Rng rng(episodeSeed);
+    TimedEpisode out;
+    for (int t = 0; t < 3; ++t) {
+        FVec x(inputDim);
+        for (auto &v : x)
+            v = static_cast<float>(rng.uniform(-2.0, 2.0));
+        out.lastOutput = chip.step(x);
+    }
+    out.report = chip.report();
+    return out;
+}
+
+void
+expectSameTiming(const TimedEpisode &a, const TimedEpisode &b)
+{
+    // The episodes really did compute different things...
+    EXPECT_NE(a.lastOutput, b.lastOutput);
+    // ...yet every timing and energy figure is identical, bit for bit.
+    EXPECT_EQ(a.report.totalCycles, b.report.totalCycles);
+    EXPECT_EQ(a.report.dynamicEnergyPj, b.report.dynamicEnergyPj);
+    EXPECT_EQ(a.report.leakageEnergyPj, b.report.leakageEnergyPj);
+    EXPECT_EQ(a.report.infrastructureEnergyPj,
+              b.report.infrastructureEnergyPj);
+    ASSERT_EQ(a.report.groups.size(), b.report.groups.size());
+    for (const auto &[group, gs] : a.report.groups) {
+        ASSERT_EQ(b.report.groups.count(group), 1u);
+        EXPECT_EQ(gs.cycles, b.report.groups.at(group).cycles);
+        EXPECT_EQ(gs.energyPj, b.report.groups.at(group).energyPj);
+    }
+    EXPECT_EQ(a.report.stats.entries(), b.report.stats.entries());
+}
+
+TEST(ChipTiming, IndependentOfWeightsAndInputs)
+{
+    const MannConfig mc = makeConfig(40, 16, 2, 1);
+    mann::DncConfig dc;
+    dc.memN = 40;
+    dc.memM = 16;
+    dc.numReadHeads = 2;
+    dc.controllerWidth = 32;
+    dc.inputDim = 6;
+    dc.outputDim = 5;
+    for (const std::size_t tiles : {1u, 4u, 16u}) {
+        SCOPED_TRACE("tiles=" + std::to_string(tiles));
+        const auto ac = arch::MannaConfig::withTiles(tiles);
+        const auto ntm = compiler::compile(mc, ac);
+        expectSameTiming(runEpisode<Chip>(ntm, mc.inputDim, 1, 100),
+                         runEpisode<Chip>(ntm, mc.inputDim, 2, 200));
+        const auto dnc = compiler::compileDnc(dc, ac);
+        expectSameTiming(runEpisode<DncChip>(dnc, dc.inputDim, 1, 100),
+                         runEpisode<DncChip>(dnc, dc.inputDim, 2, 200));
+    }
+}
+
+TEST(ChipTiming, StaleTapeFailsTheNextTimedStep)
+{
+    const MannConfig mc = makeConfig(64, 16, 1, 1);
+    compiler::CompiledModel model =
+        compiler::compile(mc, arch::MannaConfig::withTiles(4));
+    Chip chip(model, 3);
+    const FVec x(mc.inputDim, 0.5f);
+    chip.step(x); // records the tape
+
+    // Move one source operand of one tile instruction down a word
+    // (still in bounds): the program now resolves a different op.
+    isa::Instruction *edited = nullptr;
+    for (auto &segment : model.stepSegments) {
+        for (auto &inst : segment.tilePrograms[0].instructions()) {
+            if (inst.op != isa::Opcode::Reduce &&
+                inst.op != isa::Opcode::Broadcast &&
+                inst.srcA.valid() && inst.srcA.base > 0) {
+                edited = &inst;
+                break;
+            }
+        }
+        if (edited != nullptr)
+            break;
+    }
+    ASSERT_NE(edited, nullptr);
+    edited->srcA.base -= 1;
+
+    try {
+        chip.step(x);
+        FAIL() << "step 2 ran on a stale tape";
+    } catch (const SimError &e) {
+        EXPECT_NE(std::string(e.what()).find("step 2"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace

@@ -58,19 +58,21 @@ TEST(Noc, EnergyScalesWithPayloadAndTiles)
 
 TEST(Noc, CombineSum)
 {
-    const std::vector<std::vector<float>> perTile = {
-        {1.0f, 2.0f}, {3.0f, 4.0f}, {5.0f, 6.0f}};
+    const float t0[] = {1.0f, 2.0f}, t1[] = {3.0f, 4.0f},
+                t2[] = {5.0f, 6.0f};
+    const float *const perTile[] = {t0, t1, t2};
     std::vector<float> out;
-    Noc::combineInto(perTile, isa::ReduceOp::Sum, out);
+    Noc::combineInto(perTile, 3, 2, isa::ReduceOp::Sum, out);
     EXPECT_EQ(out, (std::vector<float>{9.0f, 12.0f}));
 }
 
 TEST(Noc, CombineMax)
 {
-    const std::vector<std::vector<float>> perTile = {
-        {1.0f, 9.0f}, {3.0f, 4.0f}, {-5.0f, 6.0f}};
+    const float t0[] = {1.0f, 9.0f}, t1[] = {3.0f, 4.0f},
+                t2[] = {-5.0f, 6.0f};
+    const float *const perTile[] = {t0, t1, t2};
     std::vector<float> out;
-    Noc::combineInto(perTile, isa::ReduceOp::Max, out);
+    Noc::combineInto(perTile, 3, 2, isa::ReduceOp::Max, out);
     EXPECT_EQ(out, (std::vector<float>{3.0f, 9.0f}));
 }
 
