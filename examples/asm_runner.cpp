@@ -123,7 +123,7 @@ main(int argc, char **argv)
     sim::TraceLogger trace;
     tile.setTraceLogger(&trace);
     tile.setProgram(&program);
-    const sim::RunStatus status = tile.runUntilComm();
+    const sim::RunStatus status = sim::runAndCompute(tile);
     if (status == sim::RunStatus::AtComm)
         fatal("program blocked on a communication instruction; "
               "asm_runner drives a single tile only");

@@ -235,7 +235,11 @@ TEST(DncChip, LinkMatrixCostDominatesForTallMemories)
 // ---------------------------------------------------------------------
 // Pinned counters: both chip drivers share one engine, so a refactor
 // of it must leave every cycle, energy and stats counter of both MANN
-// variants byte-identical, in both fidelities.
+// variants byte-identical, in both fidelities. The tensor digests pin
+// the computed bits too: they were recorded when cycle mode still
+// executed every instruction unfused as it was interpreted, so they
+// hold the replay tape's passes (fusion, staging elision, block ops)
+// to that per-instruction reference on real compiled programs.
 // ---------------------------------------------------------------------
 
 struct PinnedCounters
@@ -247,6 +251,9 @@ struct PinnedCounters
     std::uint64_t energyBits; ///< bit pattern of totalEnergyPj()
     std::uint64_t statsDigest;
     std::uint64_t groupsDigest;
+    /** FNV-1a over every step's output and read vectors, then the
+     * gathered memory (and the DNC's link matrix and usage). */
+    std::uint64_t tensorDigest;
 };
 
 /** FNV-1a over the stats keys and f64 values (perfbench's scheme). */
@@ -272,18 +279,51 @@ groupsDigestOf(const RunReport &rep)
     return h.value();
 }
 
+void
+hashBits(Fnv1a &h, const FVec &v)
+{
+    h.bytes(v.data(), v.size() * sizeof(float));
+}
+
+void
+hashBits(Fnv1a &h, const tensor::FMat &m)
+{
+    for (std::size_t r = 0; r < m.rows(); ++r)
+        hashBits(h, m.row(r));
+}
+
+void
+hashEndState(Fnv1a &h, const Chip &chip)
+{
+    hashBits(h, chip.gatherMemory());
+}
+
+void
+hashEndState(Fnv1a &h, const DncChip &chip)
+{
+    hashBits(h, chip.gatherMemory());
+    hashBits(h, chip.gatherLink());
+    hashBits(h, chip.gatherUsage());
+}
+
 template <typename ChipT, typename ModelT>
 RunReport
-runPinned(const ModelT &model, std::size_t inputDim, Fidelity fidelity)
+runPinned(const ModelT &model, std::size_t inputDim, Fidelity fidelity,
+          std::uint64_t *tensorDigest)
 {
     ChipT chip(model, 5, fidelity);
     Rng rng(77);
+    Fnv1a h;
     for (std::size_t t = 0; t < 6; ++t) {
         FVec x(inputDim);
         for (auto &v : x)
             v = static_cast<float>(rng.uniform(-1.0, 1.0));
-        chip.step(x);
+        hashBits(h, chip.step(x));
+        for (const FVec &r : chip.readVectors())
+            hashBits(h, r);
     }
+    hashEndState(h, chip);
+    *tensorDigest = h.value();
     return chip.report();
 }
 
@@ -302,38 +342,53 @@ TEST(ChipEngine, PinnedCountersBothDrivers)
     // from the multi-tile key set; 16 is the baseline chip.
     const PinnedCounters expected[] = {
         {"ntm", 1, Fidelity::Cycle, 23700, 0x418e7197ad2ec26full,
-         0x68fc8cc541e356a9ull, 0xeae3ed7540b7c340ull},
+         0x68fc8cc541e356a9ull, 0xeae3ed7540b7c340ull,
+         0x99921fc0225aa6f2ull},
         {"ntm", 1, Fidelity::Fast, 23700, 0x418e7197ad2ec26dull,
-         0xe19fdb4d8ae4f419ull, 0x34387f2461b4d6a8ull},
+         0xe19fdb4d8ae4f419ull, 0x34387f2461b4d6a8ull,
+         0x99921fc0225aa6f2ull},
         {"dnc", 1, Fidelity::Cycle, 25638, 0x41909efe996d3d86ull,
-         0xc1c1e25c0a33d2e2ull, 0xcb5e9fd55ffb15a3ull},
+         0xc1c1e25c0a33d2e2ull, 0xcb5e9fd55ffb15a3ull,
+         0x279405590d3acfbaull},
         {"dnc", 1, Fidelity::Fast, 25638, 0x41909efe996d3d82ull,
-         0x0f7ad41975009e24ull, 0x0a49e484e5f5f0abull},
+         0x0f7ad41975009e24ull, 0x0a49e484e5f5f0abull,
+         0x279405590d3acfbaull},
         {"ntm", 4, Fidelity::Cycle, 10656, 0x418c8c372a08a882ull,
-         0x1ca69ff73fb251d4ull, 0x6e4cb38e4901c7b9ull},
+         0x1ca69ff73fb251d4ull, 0x6e4cb38e4901c7b9ull,
+         0xc71ff4ece9004a6aull},
         {"ntm", 4, Fidelity::Fast, 10656, 0x418c8c372a08a885ull,
-         0x7d4fd2400492196eull, 0x8b581e35782d770cull},
+         0x7d4fd2400492196eull, 0x8b581e35782d770cull,
+         0xc71ff4ece9004a6aull},
         {"dnc", 4, Fidelity::Cycle, 12672, 0x41911d1a44a69270ull,
-         0x8b08ea650baa498eull, 0x3c8434e7f022ccb3ull},
+         0x8b08ea650baa498eull, 0x3c8434e7f022ccb3ull,
+         0xc9e3a24fae1f0442ull},
         {"dnc", 4, Fidelity::Fast, 12672, 0x41911d1a44a69270ull,
-         0x984ded97170c522dull, 0xfda80f2347895e2cull},
+         0x984ded97170c522dull, 0xfda80f2347895e2cull,
+         0xc9e3a24fae1f0442ull},
         {"ntm", 16, Fidelity::Cycle, 9522, 0x41a37d2a26148301ull,
-         0x2e7d3aff986dc349ull, 0x934d82db54e11d5bull},
+         0x2e7d3aff986dc349ull, 0x934d82db54e11d5bull,
+         0xaa1feb8ab5c12d19ull},
         {"ntm", 16, Fidelity::Fast, 9522, 0x41a37d2a26148301ull,
-         0x00a0bc9ec7acd6aeull, 0xb6f7c4b427bbb7eeull},
+         0x00a0bc9ec7acd6aeull, 0xb6f7c4b427bbb7eeull,
+         0xaa1feb8ab5c12d19ull},
         {"dnc", 16, Fidelity::Cycle, 11586, 0x41a7c93b6c2a5909ull,
-         0xa0a8ae47042286cdull, 0x1a86f1186b61dcc5ull},
+         0xa0a8ae47042286cdull, 0x1a86f1186b61dcc5ull,
+         0xa2b9b02c9b185d5dull},
         {"dnc", 16, Fidelity::Fast, 11586, 0x41a7c93b6c2a590bull,
-         0xcff9d20229d6d0b7ull, 0xd7e9d6a721d4ddaeull},
+         0xcff9d20229d6d0b7ull, 0xd7e9d6a721d4ddaeull,
+         0xa2b9b02c9b185d5dull},
     };
     for (const PinnedCounters &want : expected) {
         const auto ac = arch::MannaConfig::withTiles(want.tiles);
         const bool isNtm = std::string(want.name) == "ntm";
+        std::uint64_t tensorDigest = 0;
         const RunReport rep =
             isNtm ? runPinned<Chip>(compiler::compile(mc, ac),
-                                    mc.inputDim, want.fidelity)
+                                    mc.inputDim, want.fidelity,
+                                    &tensorDigest)
                   : runPinned<DncChip>(compiler::compileDnc(dc, ac),
-                                       dc.inputDim, want.fidelity);
+                                       dc.inputDim, want.fidelity,
+                                       &tensorDigest);
         const double energy = rep.totalEnergyPj();
         std::uint64_t energyBits = 0;
         std::memcpy(&energyBits, &energy, sizeof(energyBits));
@@ -346,6 +401,8 @@ TEST(ChipEngine, PinnedCountersBothDrivers)
             << std::hex << statsDigestOf(rep);
         EXPECT_EQ(groupsDigestOf(rep), want.groupsDigest)
             << std::hex << groupsDigestOf(rep);
+        EXPECT_EQ(tensorDigest, want.tensorDigest) << std::hex
+                                                   << tensorDigest;
     }
 }
 

@@ -1,12 +1,14 @@
 /**
  * @file
- * fidelity=fast contract tests: fast runs must produce bit-identical
- * tensor state to cycle runs (outputs, read vectors, gathered memory,
- * and the DNC's link matrix and usage vector) on both chip models —
- * which also exercises the step-replay tape, the row-update fusion
- * peephole, staging elision and block ops — while the extrapolated
- * cycle counts stay within the 5% tolerance gate and the report
- * carries the same stats key set.
+ * fidelity=fast contract tests. Both fidelities compute every step
+ * from the replay tape, so their tensor state (outputs, read vectors,
+ * gathered memory, and the DNC's link matrix and usage vector) must
+ * match bit for bit; the fast report must also carry the cycle
+ * report's stats key set and extrapolate its cycle count within the
+ * 5% tolerance gate. Whether the tape's passes (fusion, staging
+ * elision, block ops) compute what per-instruction execution did is
+ * pinned by the tensor digests of ChipEngine.PinnedCountersBothDrivers
+ * in test_dnc_chip.
  */
 
 #include <gtest/gtest.h>
@@ -31,8 +33,8 @@ using mann::DncConfig;
 using mann::MannConfig;
 using tensor::FVec;
 
-// Enough steps that most of the run executes from the replay tape
-// (steps 1-2 calibrate and record; 3+ replay).
+// Enough steps that fast mode extrapolates most of the run (steps 1-2
+// are timed; 3+ only replay).
 constexpr std::size_t kSteps = 8;
 
 MannConfig
