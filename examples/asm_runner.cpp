@@ -133,7 +133,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(tile.quiesceTime()),
                 tile.energyPj());
     StatRegistry counters;
-    tile.exportStats(counters, "tile0");
+    tile.counters().exportStats(counters, "tile0");
     std::printf("%s\n", counters.render().c_str());
 
     std::printf("=== trace ===\n%s\n", trace.render(40).c_str());

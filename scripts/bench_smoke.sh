@@ -2,8 +2,8 @@
 # Smoke-test the sweep-parallel bench harness: run a tiny strong-
 # scaling sweep twice (serial and with 2 workers) under a wall-clock
 # budget and require byte-identical tables, then require
-# fidelity=fast to match cycle mode and an unknown bench= name to
-# fail loudly.
+# fidelity=fast to match cycle mode (tables and stats.json) and an
+# unknown bench= name to fail loudly.
 #
 # Usage: bench_smoke.sh <path-to-fig12_strong_scaling> [budget-seconds]
 set -euo pipefail
@@ -39,9 +39,9 @@ echo "OK: parallel sweep output byte-identical to serial"
 # steady, so even the cycle columns agree. steps=4 so the run actually
 # leaves calibration (2 steps) and executes from the replay tape.
 run_budgeted "$BIN" bench=recall steps=4 jobs=1 fidelity=cycle \
-    > "$OUTDIR/cycle.txt"
+    stats="$OUTDIR/cycle.json" > "$OUTDIR/cycle.txt"
 run_budgeted "$BIN" bench=recall steps=4 jobs=1 fidelity=fast \
-    > "$OUTDIR/fast.txt"
+    stats="$OUTDIR/fast.json" > "$OUTDIR/fast.txt"
 
 if ! cmp -s "$OUTDIR/cycle.txt" "$OUTDIR/fast.txt"; then
     echo "FAIL: fidelity=fast and fidelity=cycle outputs differ" >&2
@@ -50,6 +50,48 @@ if ! cmp -s "$OUTDIR/cycle.txt" "$OUTDIR/fast.txt"; then
 fi
 
 echo "OK: fidelity=fast output byte-identical to cycle mode"
+
+# The stats must agree too: the same keys in every section, and every
+# value equal except energies (*_pj counters, which sum per-step
+# floating-point charges in a different order: relative 1e-12) and the
+# fidelity.* markers. The throughput section is wall-clock time.
+python3 - "$OUTDIR/cycle.json" "$OUTDIR/fast.json" <<'EOF'
+import json
+import sys
+
+def flat(path):
+    doc = json.load(open(path))
+    doc.pop("throughput")
+    out = {}
+    def walk(prefix, v):
+        if isinstance(v, dict):
+            for k, sub in v.items():
+                walk(f"{prefix}.{k}" if prefix else k, sub)
+        else:
+            out[prefix] = v
+    walk("", doc)
+    return out
+
+cyc, fast = flat(sys.argv[1]), flat(sys.argv[2])
+if set(cyc) != set(fast):
+    sys.exit("FAIL: stats key sets differ: cycle-only "
+             f"{sorted(set(cyc) - set(fast))[:5]}, fast-only "
+             f"{sorted(set(fast) - set(cyc))[:5]}")
+bad = []
+for key, c in sorted(cyc.items()):
+    f = fast[key]
+    if key.startswith("counters.fidelity."):
+        continue
+    if key.startswith("counters.") and key.endswith("_pj"):
+        if abs(f - c) > 1e-12 * abs(c):
+            bad.append(f"{key}: cycle {c!r} fast {f!r}")
+    elif f != c:
+        bad.append(f"{key}: cycle {c!r} fast {f!r}")
+if bad:
+    sys.exit("FAIL: fidelity=fast stats differ from cycle mode:\n  " +
+             "\n  ".join(bad[:20]))
+print(f"OK: fidelity=fast stats match cycle mode ({len(cyc)} keys)")
+EOF
 
 # An unknown bench= name must fail loudly (nonzero exit, the valid
 # names on stderr) instead of printing an empty table.

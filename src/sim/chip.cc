@@ -146,23 +146,39 @@ namespace
 {
 
 /**
- * Fill @p rep.stats with the dotted counter hierarchy of a chip run
+ * Build @p rep from @p s: copy its totals and groups, fill
+ * @p rep.stats with the dotted counter hierarchy of a chip run
  * (tile.<n>.*, noc.*, ctrl.*, chip.*) and derive
  * @p rep.resourceUtilization from the per-tile busy-cycle counters.
- * Requires steps/totalCycles/energy fields to be filled in already.
  */
 void
-populateRunStats(RunReport &rep,
-                 const std::vector<std::unique_ptr<DiffMemTile>> &tiles,
-                 const Noc &noc, const ControllerTileModel &ctrlModel)
+populateRunStats(RunReport &rep, const CounterState &s)
 {
     // Engine key prefixes, indexed by TraceLane.
     static constexpr const char *kEngines[kNumLanes] = {
         "emac", "sfu", "mat_dma", "vec_dma"};
+    rep.steps = s.steps;
+    rep.totalCycles = s.totalCycles;
+    rep.totalSeconds = s.totalSeconds;
+    rep.dynamicEnergyPj = s.dynamicEnergyPj;
+    rep.leakageEnergyPj = s.leakageEnergyPj;
+    rep.infrastructureEnergyPj = s.infrastructureEnergyPj;
+    rep.groups = s.groups;
+    // Every report carries the same descriptions: copy them.
+    static const StatRegistry described = [] {
+        StatRegistry r;
+        describeRunStats(r);
+        return r;
+    }();
+    rep.stats = described;
     StatRegistry &reg = rep.stats;
     const double total = static_cast<double>(rep.totalCycles);
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-        const DiffMemTile &tile = *tiles[t];
+    // Every busy count is an integer-valued double, so these sums are
+    // exact in any order.
+    double laneBusy[kNumLanes] = {};
+    std::string key;
+    for (std::size_t t = 0; t < s.tiles.size(); ++t) {
+        const TileCounters &tile = s.tiles[t];
         const std::string prefix = strformat("tile.%zu", t);
         tile.exportStats(reg, prefix);
         tile.exportOpProfile(reg, strformat("profile.%zu", t));
@@ -176,30 +192,33 @@ populateRunStats(RunReport &rep,
             // Cycle accounting is closed: every engine cycle is
             // either busy or attributed to exactly one stall reason.
             // All values are integer-valued doubles, so the equality
-            // is exact; a mismatch means a timing path forgot (or
-            // double-counted) an attribution.
+            // is exact (extrapolated counters included); a mismatch
+            // means a timing path forgot (or double-counted) an
+            // attribution.
             MANNA_ASSERT(busy + stalls == total,
                          "tile %zu %s: busy %g + stalls %g != chip "
                          "cycles %g",
                          t, kEngines[l], busy, stalls, total);
-            reg.set(prefix + "." + kEngines[l] + ".idle_cycles", stalls);
+            laneBusy[l] += busy;
+            key.assign(prefix).append(".").append(kEngines[l]);
+            reg.set(key.append(".idle_cycles"), stalls);
         }
-        reg.set(prefix + ".energy_pj", tile.energyPj());
+        reg.set(key.assign(prefix).append(".energy_pj"), tile.energyPj);
     }
-    noc.exportStats(reg, "noc");
-    ctrlModel.exportStats(reg, "ctrl");
+    s.noc.exportStats(reg, "noc");
+    s.ctrl.exportStats(reg, "ctrl");
     // The NoC is busy exactly during the recorded reduce/broadcast
     // exchanges (their intervals never overlap: each one starts at or
     // after the previous chip time); the controller tile is busy for
     // the cycles its forward passes contributed to chip time. The
     // remainder is attributed as a single stall bucket each.
-    const double nocBusy = noc.counter(NocCounter::ReduceCycles) +
-                           noc.counter(NocCounter::BroadcastCycles);
+    const double nocBusy = s.noc.counter(NocCounter::ReduceCycles) +
+                           s.noc.counter(NocCounter::BroadcastCycles);
     MANNA_ASSERT(nocBusy <= total,
                  "noc busy %g exceeds chip cycles %g", nocBusy, total);
     reg.set("noc.busy_cycles", nocBusy);
     reg.set("noc.stall.idle", total - nocBusy);
-    const double ctrlBusy = ctrlModel.counter(CtrlCounter::Cycles);
+    const double ctrlBusy = s.ctrl.counter(CtrlCounter::Cycles);
     MANNA_ASSERT(ctrlBusy <= total,
                  "ctrl busy %g exceeds chip cycles %g", ctrlBusy,
                  total);
@@ -207,23 +226,20 @@ populateRunStats(RunReport &rep,
     reg.set("ctrl.stall.diffmem_wait", total - ctrlBusy);
     reg.set("chip.steps", static_cast<double>(rep.steps));
     reg.set("chip.cycles", total);
-    reg.set("chip.tiles", static_cast<double>(tiles.size()));
+    reg.set("chip.tiles", static_cast<double>(s.tiles.size()));
     reg.set("chip.energy.dynamic_pj", rep.dynamicEnergyPj);
     reg.set("chip.energy.leakage_pj", rep.leakageEnergyPj);
     reg.set("chip.energy.infrastructure_pj",
             rep.infrastructureEnergyPj);
-    if (rep.totalCycles > 0 && !tiles.empty()) {
+    if (rep.totalCycles > 0 && !s.tiles.empty()) {
         const double denom =
-            total * static_cast<double>(tiles.size());
-        for (const char *engine : kEngines) {
-            const double busy =
-                reg.sumOver("tile",
-                            std::string(engine) + ".busy_cycles");
-            rep.resourceUtilization[engine] = busy / denom;
-            reg.set(std::string("chip.util.") + engine, busy / denom);
+            total * static_cast<double>(s.tiles.size());
+        for (std::size_t l = 0; l < kNumLanes; ++l) {
+            const double util = laneBusy[l] / denom;
+            rep.resourceUtilization[kEngines[l]] = util;
+            reg.set(std::string("chip.util.") + kEngines[l], util);
         }
     }
-    describeRunStats(reg);
 }
 
 } // namespace
@@ -263,8 +279,8 @@ ChipEngine::reset()
     ctrlEnergyPj_ = 0.0;
     groups_.clear();
     steps_ = 0;
-    calib1_ = RunReport();
-    calib2_ = RunReport();
+    calib1_ = CounterState();
+    calib2_ = CounterState();
 }
 
 void
@@ -339,9 +355,9 @@ ChipEngine::step(mann::Controller &controller, const tensor::FVec &input)
     ++steps_;
     if (fidelity_ == Fidelity::Fast) {
         if (steps_ == kFastCalibrationSteps - 1)
-            calib1_ = cycleReport();
+            calib1_ = counterState();
         else if (steps_ == kFastCalibrationSteps)
-            calib2_ = cycleReport();
+            calib2_ = counterState();
     }
     return std::move(ctrl.output);
 }
@@ -538,34 +554,38 @@ ChipEngine::handleComm(const Instruction &inst)
         tile->resumeAfterComm(chipTime_);
 }
 
-RunReport
-ChipEngine::cycleReport() const
+CounterState
+ChipEngine::counterState() const
 {
-    RunReport rep;
-    rep.steps = steps_;
-    rep.totalCycles = chipTime_;
-    rep.totalSeconds =
+    CounterState s;
+    s.steps = steps_;
+    s.totalCycles = chipTime_;
+    s.totalSeconds =
         static_cast<double>(chipTime_) * arch_.cyclePeriodSec();
-    rep.dynamicEnergyPj = ctrlEnergyPj_ + nocEnergyPj_;
-    for (const auto &tile : tiles_)
-        rep.dynamicEnergyPj += tile->energyPj();
-    rep.leakageEnergyPj =
-        energy_.leakageWatts() * rep.totalSeconds * 1e12;
-    rep.infrastructureEnergyPj =
-        energy_.infrastructureWatts() * rep.totalSeconds * 1e12;
-    rep.groups = groups_;
-    populateRunStats(rep, tiles_, noc_, ctrlModel_);
-    return rep;
+    s.dynamicEnergyPj = ctrlEnergyPj_ + nocEnergyPj_;
+    s.tiles.reserve(tiles_.size());
+    for (const auto &tile : tiles_) {
+        s.dynamicEnergyPj += tile->energyPj();
+        s.tiles.push_back(tile->counters());
+    }
+    s.leakageEnergyPj = energy_.leakageWatts() * s.totalSeconds * 1e12;
+    s.infrastructureEnergyPj =
+        energy_.infrastructureWatts() * s.totalSeconds * 1e12;
+    s.groups = groups_;
+    s.noc = noc_.counters();
+    s.ctrl = ctrlModel_.counters();
+    return s;
 }
 
 RunReport
 ChipEngine::report() const
 {
-    const bool extrapolate =
-        fidelity_ == Fidelity::Fast && steps_ > kFastCalibrationSteps;
-    RunReport rep = extrapolate
-                        ? extrapolateRunReport(calib1_, calib2_, steps_)
-                        : cycleReport();
+    RunReport rep;
+    if (fidelity_ == Fidelity::Fast && steps_ > kFastCalibrationSteps)
+        populateRunStats(rep,
+                         extrapolateCounters(calib1_, calib2_, steps_));
+    else
+        populateRunStats(rep, counterState());
     std::size_t calibrated = 0;
     std::size_t extrapolated = 0;
     if (fidelity_ == Fidelity::Fast) {

@@ -90,6 +90,26 @@ struct RunReport
 };
 
 /**
+ * Every raw counter a chip report is built from, with the report's
+ * totals. It holds arrays, not registry keys, so a calibration
+ * snapshot is a copy; populateRunStats() (chip.cc) builds the one
+ * stats registry from it at report time.
+ */
+struct CounterState
+{
+    std::size_t steps = 0;
+    Cycle totalCycles = 0;
+    Seconds totalSeconds = 0.0;
+    Energy dynamicEnergyPj = 0.0;
+    Energy leakageEnergyPj = 0.0;
+    Energy infrastructureEnergyPj = 0.0;
+    std::map<mann::KernelGroup, GroupStats> groups;
+    std::vector<TileCounters> tiles;
+    NocCounters noc;
+    CtrlCounters ctrl;
+};
+
+/**
  * Register human-readable descriptions (suffix patterns, see
  * StatRegistry::describe()) for every counter family a chip report
  * emits (populateRunStats() in chip.cc). Called by it; exposed so
@@ -140,6 +160,10 @@ class ChipEngine
     std::vector<tensor::FVec> run(mann::Controller &controller,
                                   const std::vector<tensor::FVec> &in);
 
+    /** Accounting for everything since the last reset(). The stats
+     * registry is built once, here: from the live counters, or in
+     * fast mode past calibration from the extrapolation of the two
+     * calibration snapshots (sim/fidelity.hh). */
     RunReport report() const;
 
     const std::vector<tensor::FVec> &readVectors() const
@@ -174,9 +198,9 @@ class ChipEngine
     void runSegment(const compiler::CompiledSegment &segment);
     void handleComm(const isa::Instruction &inst);
     void checkCancelled() const;
-    /** report() body for the cycle-accurate counters (also the
-     * calibration snapshots in fast mode). */
-    RunReport cycleReport() const;
+    /** The live counters and totals: what report() builds from in
+     * cycle mode, and fast mode's calibration snapshots. */
+    CounterState counterState() const;
     /** Time one step: the controller, then every segment. The first
      * timed step records the tape; later ones check it. */
     void timeStep();
@@ -217,8 +241,8 @@ class ChipEngine
     // fidelity=fast calibration state: snapshots after the first and
     // second cycle-accurate steps.
     Fidelity fidelity_ = Fidelity::Cycle;
-    RunReport calib1_;
-    RunReport calib2_;
+    CounterState calib1_;
+    CounterState calib2_;
 
     // The step-replay tape: recorded by the first timed step, checked
     // by every later one, and run to compute every step. The ptr

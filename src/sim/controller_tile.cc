@@ -102,18 +102,18 @@ ControllerTileModel::forwardCost(const mann::MannConfig &mc) const
 }
 
 void
-ControllerTileModel::exportStats(StatRegistry &reg,
-                                 const std::string &prefix) const
+CtrlCounters::exportStats(StatRegistry &reg,
+                          const std::string &prefix) const
 {
     for (std::size_t i = 0; i < kNumCtrlCounters; ++i)
-        if (touched_[i])
-            reg.set(prefix + "." + kCounterNames[i], ctr_[i]);
+        if (touched[i])
+            reg.set(prefix + "." + kCounterNames[i], value[i]);
 }
 
 void
 ControllerTileModel::resetStats()
 {
-    std::fill(std::begin(ctr_), std::end(ctr_), 0.0);
+    std::fill(std::begin(ctr_.value), std::end(ctr_.value), 0.0);
 }
 
 } // namespace manna::sim

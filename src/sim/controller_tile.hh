@@ -41,7 +41,7 @@ struct CtrlCost
 };
 
 /** Controller-tile work counters (registry keys in
- * ControllerTileModel::exportStats()). */
+ * CtrlCounters::exportStats()). */
 enum class CtrlCounter : std::uint8_t
 {
     DenseLayers,
@@ -55,6 +55,23 @@ enum class CtrlCounter : std::uint8_t
 
 constexpr std::size_t kNumCtrlCounters =
     static_cast<std::size_t>(CtrlCounter::NumCounters);
+
+/** The controller tile's counters, plus which were recorded since
+ * construction (the exported key set; a reset keeps it). */
+struct CtrlCounters
+{
+    double value[kNumCtrlCounters] = {};
+    bool touched[kNumCtrlCounters] = {};
+
+    double counter(CtrlCounter c) const
+    {
+        return value[static_cast<std::size_t>(c)];
+    }
+
+    /** Write every recorded counter into @p reg as
+     * "<prefix>.<name>". */
+    void exportStats(StatRegistry &reg, const std::string &prefix) const;
+};
 
 /** Analytic systolic-array model. */
 class ControllerTileModel
@@ -76,17 +93,11 @@ class ControllerTileModel
     /** Whole controller forward pass for one time step. */
     CtrlCost forwardCost(const mann::MannConfig &mc) const;
 
-    /** One work counter (forward passes, layer passes, macs, cycles).
-     * The cost queries are const (they are pure timing math); the
-     * counters are mutable bookkeeping on the side. */
-    double counter(CtrlCounter c) const
-    {
-        return ctr_[static_cast<std::size_t>(c)];
-    }
-
-    /** Write every counter recorded since construction into @p reg
-     * as "<prefix>.<name>" (resetStats() keeps the key set). */
-    void exportStats(StatRegistry &reg, const std::string &prefix) const;
+    /** Every work counter (forward passes, layer passes, macs,
+     * cycles) and its recorded bit. The cost queries are const (they
+     * are pure timing math); the counters are mutable bookkeeping on
+     * the side. */
+    const CtrlCounters &counters() const { return ctr_; }
 
     /** Zero all counters (chip reset; keys are retained). */
     void resetStats();
@@ -95,14 +106,13 @@ class ControllerTileModel
     void count(CtrlCounter c, double amount = 1.0) const
     {
         const auto i = static_cast<std::size_t>(c);
-        ctr_[i] += amount;
-        touched_[i] = true;
+        ctr_.value[i] += amount;
+        ctr_.touched[i] = true;
     }
 
     const arch::MannaConfig &cfg_;
     const arch::EnergyModel &energy_;
-    mutable double ctr_[kNumCtrlCounters] = {};
-    mutable bool touched_[kNumCtrlCounters] = {};
+    mutable CtrlCounters ctr_;
 };
 
 } // namespace manna::sim

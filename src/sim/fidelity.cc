@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 
 #include "common/logging.hh"
@@ -48,70 +49,64 @@ defaultFidelity()
     return *parsed;
 }
 
-RunReport
-extrapolateRunReport(const RunReport &r1, const RunReport &r2,
-                     std::size_t steps)
+CounterState
+extrapolateCounters(const CounterState &s1, const CounterState &s2,
+                    std::size_t steps)
 {
-    MANNA_ASSERT(r1.steps + 1 == r2.steps,
+    MANNA_ASSERT(s1.steps + 1 == s2.steps,
                  "calibration snapshots must be consecutive steps "
                  "(%zu then %zu)",
-                 r1.steps, r2.steps);
-    MANNA_ASSERT(steps >= r2.steps,
+                 s1.steps, s2.steps);
+    MANNA_ASSERT(steps >= s2.steps,
                  "cannot extrapolate %zu steps backwards from %zu",
-                 steps, r2.steps);
-    const auto extraSteps = static_cast<Cycle>(steps - r2.steps);
-    const double extra = static_cast<double>(extraSteps);
-
-    RunReport out = r2; // keeps descriptions and the full key set
-    out.steps = steps;
-    MANNA_ASSERT(r2.totalCycles >= r1.totalCycles,
+                 steps, s2.steps);
+    MANNA_ASSERT(s2.totalCycles >= s1.totalCycles,
                  "chip time went backwards between snapshots");
-    const Cycle cyclesPerStep = r2.totalCycles - r1.totalCycles;
-    out.totalCycles = r2.totalCycles + cyclesPerStep * extraSteps;
-    out.totalSeconds =
-        r2.totalSeconds + (r2.totalSeconds - r1.totalSeconds) * extra;
-    out.dynamicEnergyPj =
-        r2.dynamicEnergyPj +
-        (r2.dynamicEnergyPj - r1.dynamicEnergyPj) * extra;
-    out.leakageEnergyPj =
-        r2.leakageEnergyPj +
-        (r2.leakageEnergyPj - r1.leakageEnergyPj) * extra;
+    MANNA_ASSERT(s1.tiles.size() == s2.tiles.size(),
+                 "snapshots of %zu and %zu tiles", s1.tiles.size(),
+                 s2.tiles.size());
+    const auto extraSteps = static_cast<Cycle>(steps - s2.steps);
+    const double extra = static_cast<double>(extraSteps);
+    const auto lerp = [extra](double v1, double v2) {
+        return v2 + (v2 - v1) * extra;
+    };
+    const auto lerpAll = [&lerp](auto &out, const auto &a1,
+                                 const auto &a2) {
+        for (std::size_t i = 0; i < std::size(out); ++i)
+            out[i] = lerp(a1[i], a2[i]);
+    };
+
+    CounterState out = s2; // keeps the tile count and recorded bits
+    out.steps = steps;
+    out.totalCycles =
+        s2.totalCycles + (s2.totalCycles - s1.totalCycles) * extraSteps;
+    out.totalSeconds = lerp(s1.totalSeconds, s2.totalSeconds);
+    out.dynamicEnergyPj = lerp(s1.dynamicEnergyPj, s2.dynamicEnergyPj);
+    out.leakageEnergyPj = lerp(s1.leakageEnergyPj, s2.leakageEnergyPj);
     out.infrastructureEnergyPj =
-        r2.infrastructureEnergyPj +
-        (r2.infrastructureEnergyPj - r1.infrastructureEnergyPj) *
-            extra;
+        lerp(s1.infrastructureEnergyPj, s2.infrastructureEnergyPj);
 
     for (auto &[group, gs] : out.groups) {
         GroupStats prev; // groups absent at step 1 extrapolate from 0
-        const auto it = r1.groups.find(group);
-        if (it != r1.groups.end())
+        const auto it = s1.groups.find(group);
+        if (it != s1.groups.end())
             prev = it->second;
         gs.cycles += (gs.cycles - prev.cycles) * extraSteps;
-        gs.energyPj += (gs.energyPj - prev.energyPj) * extra;
+        gs.energyPj = lerp(prev.energyPj, gs.energyPj);
     }
 
-    for (const auto &[key, v2] : r2.stats.entries()) {
-        const double v1 = r1.stats.get(key);
-        out.stats.set(key, v2 + (v2 - v1) * extra);
+    for (std::size_t t = 0; t < out.tiles.size(); ++t) {
+        const TileCounters &t1 = s1.tiles[t];
+        const TileCounters &t2 = s2.tiles[t];
+        TileCounters &o = out.tiles[t];
+        lerpAll(o.ctr, t1.ctr, t2.ctr);
+        lerpAll(o.opCycles, t1.opCycles, t2.opCycles);
+        lerpAll(o.opOps, t1.opOps, t2.opOps);
+        lerpAll(o.opWords, t1.opWords, t2.opWords);
+        o.energyPj = lerp(t1.energyPj, t2.energyPj);
     }
-
-    // Fix up the non-linear (ratio) and count keys.
-    out.stats.set("chip.steps", static_cast<double>(steps));
-    out.stats.set("chip.cycles", static_cast<double>(out.totalCycles));
-    const double total = static_cast<double>(out.totalCycles);
-    const double tiles = out.stats.get("chip.tiles");
-    if (total > 0.0 && tiles > 0.0) {
-        static constexpr const char *kEngines[] = {"emac", "sfu",
-                                                   "mat_dma",
-                                                   "vec_dma"};
-        for (const char *engine : kEngines) {
-            const double busy = out.stats.sumOver(
-                "tile", std::string(engine) + ".busy_cycles");
-            const double util = busy / (total * tiles);
-            out.resourceUtilization[engine] = util;
-            out.stats.set(std::string("chip.util.") + engine, util);
-        }
-    }
+    lerpAll(out.noc.value, s1.noc.value, s2.noc.value);
+    lerpAll(out.ctrl.value, s1.ctrl.value, s2.ctrl.value);
     return out;
 }
 

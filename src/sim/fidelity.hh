@@ -15,12 +15,12 @@
  * timed, and because every instruction duration in the timing model
  * depends only on static operand shapes (never on data values), the
  * per-step cost reaches a steady state immediately — the remaining
- * steps only replay the tape, and the final RunReport extrapolates
- * every counter linearly from the calibration delta. The report
- * carries the same stats key set as cycle mode plus fidelity.*
- * markers, including an op_counter-derived peak-rate estimate
- * (fidelity.analytic_cycles_per_step) for cross-checking the
- * calibration against the pure analytic model.
+ * steps only replay the tape. After each calibration step the chip
+ * copies its raw counter arrays (a CounterState, sim/chip.hh);
+ * report() extrapolates every counter linearly from the delta of the
+ * two snapshots and builds the stats registry once, from the result.
+ * Both fidelities' reports carry the same stats key set, including
+ * the fidelity.* markers.
  */
 
 #ifndef MANNA_SIM_FIDELITY_HH
@@ -36,6 +36,7 @@
 namespace manna::sim
 {
 
+struct CounterState;
 struct RunReport;
 
 /** How a chip run charges time: per-cycle or calibrated-analytic. */
@@ -59,25 +60,28 @@ Fidelity defaultFidelity();
 
 /**
  * Timed (cycle-accurate) steps before fast mode stops timing and only
- * replays the tape. Two snapshots bound the steady-state per-step
- * delta; step 1 additionally absorbs any cold-start effects (empty
- * double-buffer halves) so the delta is taken between warmed steps.
- * Step 1 records the tape; step 2 checks it (sim/replay.hh).
+ * replays the tape. The counter snapshots taken after steps 1 and 2
+ * bound the steady-state per-step delta; step 1 additionally absorbs
+ * any cold-start effects (empty double-buffer halves) so the delta is
+ * taken between warmed steps. Step 1 records the tape; step 2 checks
+ * it (sim/replay.hh).
  */
 inline constexpr std::size_t kFastCalibrationSteps = 2;
 
 /**
  * Linear extrapolation of a run to @p steps time steps from two
- * cycle-accurate calibration snapshots taken after consecutive steps
- * (r1.steps + 1 == r2.steps, steps >= r2.steps). Every energy term,
- * kernel-group tally, and stats counter is extended by
- * (r2 - r1) * (steps - r2.steps); ratio-valued keys (chip.util.*,
- * resourceUtilization) are recomputed from the extrapolated counters.
- * Because the per-engine closure (busy + stalls == total) holds at
- * both snapshots, it holds exactly for the extrapolated counters too.
+ * counter snapshots taken after consecutive cycle-accurate steps
+ * (s1.steps + 1 == s2.steps, steps >= s2.steps). Every counter,
+ * energy, total and kernel-group tally v is extended to
+ * v2 + (v2 - v1) * (steps - s2.steps). Every counter but the energies
+ * is an integer-valued double, so the keys report time derives from
+ * them (idle cycles, NoC and controller stalls, utilization) equal
+ * the extrapolation of the derived keys, and the per-engine closure
+ * (busy + stalls == total) holds exactly.
  */
-RunReport extrapolateRunReport(const RunReport &r1, const RunReport &r2,
-                               std::size_t steps);
+CounterState extrapolateCounters(const CounterState &s1,
+                                 const CounterState &s2,
+                                 std::size_t steps);
 
 /**
  * Pure analytic cycles-per-step estimate from the op-counter work

@@ -87,17 +87,18 @@ Noc::recordBroadcast(std::size_t words, Cycle cycles)
 }
 
 void
-Noc::exportStats(StatRegistry &reg, const std::string &prefix) const
+NocCounters::exportStats(StatRegistry &reg,
+                         const std::string &prefix) const
 {
     for (std::size_t i = 0; i < kNumNocCounters; ++i)
-        if (touched_[i])
-            reg.set(prefix + "." + kCounterNames[i], ctr_[i]);
+        if (touched[i])
+            reg.set(prefix + "." + kCounterNames[i], value[i]);
 }
 
 void
 Noc::resetStats()
 {
-    std::fill(std::begin(ctr_), std::end(ctr_), 0.0);
+    std::fill(std::begin(ctr_.value), std::end(ctr_.value), 0.0);
 }
 
 void

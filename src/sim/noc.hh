@@ -25,7 +25,8 @@
 namespace manna::sim
 {
 
-/** NoC operation counters (registry keys in Noc::exportStats()). */
+/** NoC operation counters (registry keys in
+ * NocCounters::exportStats()). */
 enum class NocCounter : std::uint8_t
 {
     ReduceOps,
@@ -41,6 +42,23 @@ enum class NocCounter : std::uint8_t
 
 constexpr std::size_t kNumNocCounters =
     static_cast<std::size_t>(NocCounter::NumCounters);
+
+/** The NoC's counters, plus which were recorded since construction
+ * (the exported key set; a reset keeps it). */
+struct NocCounters
+{
+    double value[kNumNocCounters] = {};
+    bool touched[kNumNocCounters] = {};
+
+    double counter(NocCounter c) const
+    {
+        return value[static_cast<std::size_t>(c)];
+    }
+
+    /** Write every recorded counter into @p reg as
+     * "<prefix>.<name>". */
+    void exportStats(StatRegistry &reg, const std::string &prefix) const;
+};
 
 /** Latency/energy model of the H-tree; functional combining is done
  * by the chip, which owns the tiles' data. */
@@ -79,15 +97,9 @@ class Noc
     /** Account one broadcast of @p words costing @p cycles. */
     void recordBroadcast(std::size_t words, Cycle cycles);
 
-    /** One operation counter (reduce/broadcast ops, words, cycles). */
-    double counter(NocCounter c) const
-    {
-        return ctr_[static_cast<std::size_t>(c)];
-    }
-
-    /** Write every counter recorded since construction into @p reg
-     * as "<prefix>.<name>" (resetStats() keeps the key set). */
-    void exportStats(StatRegistry &reg, const std::string &prefix) const;
+    /** Every operation counter (reduce/broadcast ops, words, cycles)
+     * and its recorded bit. */
+    const NocCounters &counters() const { return ctr_; }
 
     /** Zero all counters (chip reset; keys are retained). */
     void resetStats();
@@ -96,14 +108,13 @@ class Noc
     void count(NocCounter c, double amount = 1.0)
     {
         const auto i = static_cast<std::size_t>(c);
-        ctr_[i] += amount;
-        touched_[i] = true;
+        ctr_.value[i] += amount;
+        ctr_.touched[i] = true;
     }
 
     const arch::MannaConfig &cfg_;
     const arch::EnergyModel &energy_;
-    double ctr_[kNumNocCounters] = {};
-    bool touched_[kNumNocCounters] = {};
+    NocCounters ctr_;
 };
 
 } // namespace manna::sim

@@ -84,11 +84,33 @@ DiffMemTile::DiffMemTile(const arch::MannaConfig &cfg,
 }
 
 void
-DiffMemTile::exportStats(StatRegistry &reg,
-                         const std::string &prefix) const
+TileCounters::exportStats(StatRegistry &reg,
+                          const std::string &prefix) const
 {
+    // One key buffer, rewritten in place: building the registry is
+    // most of a report's cost.
+    std::string key;
     for (std::size_t i = 0; i < kNumTileCounters; ++i)
-        reg.set(prefix + "." + kCounterNames[i], ctr_[i]);
+        reg.set(key.assign(prefix).append(".").append(kCounterNames[i]),
+                ctr[i]);
+}
+
+void
+TileCounters::exportOpProfile(StatRegistry &reg,
+                              const std::string &prefix) const
+{
+    std::string key;
+    for (std::size_t i = 0; i < kNumOpcodes; ++i) {
+        if (opOps[i] == 0.0)
+            continue;
+        key.assign(prefix).append(".").append(
+            isa::profileKey(static_cast<Opcode>(i)));
+        const std::size_t stem = key.size();
+        reg.set(key.append(".cycles"), opCycles[i]);
+        reg.set(key.replace(stem, std::string::npos, ".ops"), opOps[i]);
+        reg.set(key.replace(stem, std::string::npos, ".words"),
+                opWords[i]);
+    }
 }
 
 void
@@ -239,11 +261,7 @@ DiffMemTile::reset()
     maxEnd_ = 0;
     lastEnd_ = 0;
     dmaLoadCount_ = 0;
-    energyPj_ = 0.0;
-    std::fill(std::begin(ctr_), std::end(ctr_), 0.0);
-    std::fill(std::begin(opCycles_), std::end(opCycles_), 0.0);
-    std::fill(std::begin(opOps_), std::end(opOps_), 0.0);
-    std::fill(std::begin(opWords_), std::end(opWords_), 0.0);
+    acct_ = TileCounters();
     lastOpBusy_ = 0.0;
     lastOpWords_ = 0.0;
     tape_ = nullptr;
@@ -352,23 +370,6 @@ DiffMemTile::finish(Cycle end)
 }
 
 void
-DiffMemTile::exportOpProfile(StatRegistry &reg,
-                             const std::string &prefix) const
-{
-    constexpr auto numOps =
-        static_cast<std::size_t>(Opcode::NumOpcodes);
-    for (std::size_t i = 0; i < numOps; ++i) {
-        if (opOps_[i] == 0.0)
-            continue;
-        const std::string key =
-            prefix + "." + isa::profileKey(static_cast<Opcode>(i));
-        reg.set(key + ".cycles", opCycles_[i]);
-        reg.set(key + ".ops", opOps_[i]);
-        reg.set(key + ".words", opWords_[i]);
-    }
-}
-
-void
 DiffMemTile::execute(const Instruction &inst)
 {
     count(TileCounter::Instructions);
@@ -415,9 +416,9 @@ DiffMemTile::execute(const Instruction &inst)
               toString(inst.op));
     }
     const auto opIdx = static_cast<std::size_t>(inst.op);
-    opCycles_[opIdx] += lastOpBusy_;
-    opOps_[opIdx] += 1.0;
-    opWords_[opIdx] += lastOpWords_;
+    acct_.opCycles[opIdx] += lastOpBusy_;
+    acct_.opOps[opIdx] += 1.0;
+    acct_.opWords[opIdx] += lastOpWords_;
     // After dispatch now_ == start + 1, so the op's engine interval is
     // [now_ - 1, lastEnd_].
     if (trace_ != nullptr)

@@ -96,6 +96,47 @@ TileCounter busyCounter(TraceLane lane);
 /** Registry key of a tile counter ("emac.busy_cycles", ...). */
 const char *counterName(TileCounter c);
 
+constexpr std::size_t kNumOpcodes =
+    static_cast<std::size_t>(isa::Opcode::NumOpcodes);
+
+/**
+ * A tile's accounting: event counters, per-opcode profile and
+ * dynamic energy. Plain arrays, so a snapshot is a copy; the chip
+ * report exports them into the stats registry.
+ */
+struct TileCounters
+{
+    /** Event counters, indexed by TileCounter. Every one is exported
+     * (zero or not), so profile consumers and the docs catalog lint
+     * see the full key set even for stall reasons a workload never
+     * hits. */
+    double ctr[kNumTileCounters] = {};
+    /** Per-opcode totals, indexed by isa::Opcode. */
+    double opCycles[kNumOpcodes] = {};
+    double opOps[kNumOpcodes] = {};
+    double opWords[kNumOpcodes] = {};
+    Energy energyPj = 0.0;
+
+    double counter(TileCounter c) const
+    {
+        return ctr[static_cast<std::size_t>(c)];
+    }
+
+    /** Write every counter into @p reg as "<prefix>.<name>". */
+    void exportStats(StatRegistry &reg, const std::string &prefix) const;
+
+    /**
+     * Write the per-opcode execution profile into @p reg as
+     * "<prefix>.<opcode>.{cycles,ops,words}" (opcode names via
+     * isa::profileKey()), covering every executed non-communication
+     * instruction. `cycles` is the engine-busy time attributed to the
+     * opcode, so per engine lane the profile cycles sum exactly to
+     * that engine's busy_cycles.
+     */
+    void exportOpProfile(StatRegistry &reg,
+                         const std::string &prefix) const;
+};
+
 /** Per-space word counts for the tile's functional storage. */
 struct TileLayoutSizes
 {
@@ -158,7 +199,7 @@ class DiffMemTile
     Cycle now() const { return now_; }
 
     /** Accumulated dynamic energy in pJ. */
-    Energy energyPj() const { return energyPj_; }
+    Energy energyPj() const { return acct_.energyPj; }
 
     /** Functional storage (for loading weights / inspecting state;
      * the replay tape's ops point into it). */
@@ -167,25 +208,9 @@ class DiffMemTile
 
     std::size_t tileIndex() const { return tileIndex_; }
 
-    /** One event counter (macs, elwise ops, sfu ops, stalls, ...). */
-    double counter(TileCounter c) const
-    {
-        return ctr_[static_cast<std::size_t>(c)];
-    }
-
-    /** Write every counter into @p reg as "<prefix>.<name>". */
-    void exportStats(StatRegistry &reg, const std::string &prefix) const;
-
-    /**
-     * Write the per-opcode execution profile into @p reg as
-     * "<prefix>.<opcode>.{cycles,ops,words}" (opcode names via
-     * isa::profileKey()), covering every executed non-communication
-     * instruction. `cycles` is the engine-busy time attributed to the
-     * opcode, so per engine lane the profile cycles sum exactly to
-     * that engine's busy_cycles.
-     */
-    void exportOpProfile(StatRegistry &reg,
-                         const std::string &prefix) const;
+    /** Every event counter (macs, elwise ops, sfu ops, stalls, ...),
+     * the op profile and the energy. */
+    const TileCounters &counters() const { return acct_; }
 
     /** Attach (or detach, with nullptr) an instruction tracer. */
     void setTraceLogger(TraceLogger *logger) { trace_ = logger; }
@@ -276,13 +301,13 @@ class DiffMemTile
     /** Charge energy for @p occurrences of an event. */
     void charge(arch::EnergyEvent ev, double occurrences)
     {
-        energyPj_ += energy_.eventEnergyPj(ev) * occurrences;
+        acct_.energyPj += energy_.eventEnergyPj(ev) * occurrences;
     }
 
     /** Add @p amount to an event counter. */
     void count(TileCounter c, double amount = 1.0)
     {
-        ctr_[static_cast<std::size_t>(c)] += amount;
+        acct_.ctr[static_cast<std::size_t>(c)] += amount;
     }
 
     /** Energy event for accessing a space. */
@@ -338,20 +363,7 @@ class DiffMemTile
     std::uint64_t dmaLoadCount_ = 0; ///< matrix loads issued (parity)
 
     // --- accounting ----------------------------------------------------------
-    Energy energyPj_ = 0.0;
-    /** Event counters, indexed by TileCounter. Every one is exported
-     * (zero or not), so profile consumers and the docs catalog lint
-     * see the full key set even for stall reasons a workload never
-     * hits. */
-    double ctr_[kNumTileCounters] = {};
-    /** Per-opcode totals (indexed by isa::Opcode); written to the
-     * registry only at report time by exportOpProfile(). */
-    double opCycles_[static_cast<std::size_t>(
-        isa::Opcode::NumOpcodes)] = {};
-    double opOps_[static_cast<std::size_t>(isa::Opcode::NumOpcodes)] =
-        {};
-    double opWords_[static_cast<std::size_t>(
-        isa::Opcode::NumOpcodes)] = {};
+    TileCounters acct_;
     /** Set by each exec* for execute()'s per-opcode accounting. */
     double lastOpBusy_ = 0.0;
     double lastOpWords_ = 0.0;

@@ -133,23 +133,23 @@ TEST(Noc, ExportsRecordedCountersAndResetKeepsKeys)
 {
     NocFixture f;
     StatRegistry none;
-    f.noc.exportStats(none, "noc");
+    f.noc.counters().exportStats(none, "noc");
     EXPECT_TRUE(none.empty()); // nothing recorded yet
 
     f.noc.recordReduce(16, 40);
     f.noc.recordReduce(4, 10);
     StatRegistry reg;
-    f.noc.exportStats(reg, "noc");
+    f.noc.counters().exportStats(reg, "noc");
     EXPECT_EQ(reg.size(), 4u); // reduce.* only
     EXPECT_EQ(reg.get("noc.reduce.ops"), 2.0);
     EXPECT_EQ(reg.get("noc.reduce.words"), 20.0);
     EXPECT_EQ(reg.get("noc.reduce.cycles"), 50.0);
-    EXPECT_EQ(f.noc.counter(NocCounter::ReduceCycles), 50.0);
+    EXPECT_EQ(f.noc.counters().counter(NocCounter::ReduceCycles), 50.0);
     EXPECT_FALSE(reg.has("noc.broadcast.ops"));
 
     f.noc.resetStats();
     StatRegistry after;
-    f.noc.exportStats(after, "noc");
+    f.noc.counters().exportStats(after, "noc");
     EXPECT_EQ(after.size(), 4u);
     EXPECT_EQ(after.get("noc.reduce.ops"), 0.0);
 }
@@ -159,11 +159,11 @@ TEST(ControllerTile, ExportsRecordedCounters)
     CtrlFixture f;
     f.model.activation(64);
     StatRegistry reg;
-    f.model.exportStats(reg, "ctrl");
+    f.model.counters().exportStats(reg, "ctrl");
     EXPECT_EQ(reg.size(), 2u); // activations + cycles
     EXPECT_EQ(reg.get("ctrl.activations"), 64.0);
     EXPECT_EQ(reg.get("ctrl.cycles"), 8.0);
-    EXPECT_EQ(f.model.counter(CtrlCounter::Cycles), 8.0);
+    EXPECT_EQ(f.model.counters().counter(CtrlCounter::Cycles), 8.0);
 }
 
 } // namespace

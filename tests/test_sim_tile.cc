@@ -500,7 +500,7 @@ TEST(TileTiming, EnergyAccumulates)
         inst(Opcode::EwAddImm, vb(128, 64), vb(0, 64), {}, 1.0f));
     f.run();
     EXPECT_GT(f.tile.energyPj(), before);
-    EXPECT_GT(f.tile.counter(TileCounter::Instructions), 0.0);
+    EXPECT_GT(f.tile.counters().counter(TileCounter::Instructions), 0.0);
 }
 
 TEST(TileComm, BlocksAtReduceAndResumes)
@@ -549,14 +549,14 @@ TEST(TileCounters, ExportWritesEveryCounterAndResetZeroes)
         inst(Opcode::EwAddImm, vb(128, 64), vb(0, 64), {}, 1.0f));
     f.run();
     StatRegistry reg;
-    f.tile.exportStats(reg, "tile.0");
+    f.tile.counters().exportStats(reg, "tile.0");
     EXPECT_EQ(reg.size(), kNumTileCounters);
     EXPECT_EQ(reg.get("tile.0.instructions"), 1.0);
     EXPECT_EQ(reg.get("tile.0.emac.elwise_ops"), 64.0);
 
     f.tile.reset();
     StatRegistry after;
-    f.tile.exportStats(after, "tile.0");
+    f.tile.counters().exportStats(after, "tile.0");
     EXPECT_EQ(after.size(), kNumTileCounters);
     for (const auto &[key, value] : after.entries())
         EXPECT_EQ(value, 0.0) << key;
