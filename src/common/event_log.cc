@@ -33,8 +33,6 @@ const char *const kEventNames[] = {
     "journal.load",
     "journal.append",
     "compile.model",
-    "artifact.load",
-    "artifact.store",
     "server.run",
     "server.conn",
     // instants

@@ -2,10 +2,8 @@
 
 #include <cerrno>
 #include <cstring>
-#include <ctime>
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/logging.hh"
@@ -61,20 +59,6 @@ writeFileAtomic(const std::string &path, std::string_view content)
         return false;
     }
     return true;
-}
-
-std::optional<double>
-fileAgeSeconds(const std::string &path)
-{
-    struct stat st;
-    if (::stat(path.c_str(), &st) != 0)
-        return std::nullopt;
-    struct timespec now;
-    ::clock_gettime(CLOCK_REALTIME, &now);
-    const double age =
-        static_cast<double>(now.tv_sec - st.st_mtim.tv_sec) +
-        static_cast<double>(now.tv_nsec - st.st_mtim.tv_nsec) * 1e-9;
-    return age > 0.0 ? age : 0.0;
 }
 
 } // namespace manna

@@ -1,16 +1,14 @@
 /**
  * @file
- * Small POSIX file helpers for the crash-safety machinery: atomic
+ * A small POSIX file helper for the crash-safety machinery: atomic
  * whole-file publication (write temp + fsync + rename) so a killed
  * process never leaves a half-written stats/bench-JSON/report
- * artifact, plus the mtime-based age query the artifact cache's
- * eviction uses.
+ * artifact.
  */
 
 #ifndef MANNA_COMMON_FILEIO_HH
 #define MANNA_COMMON_FILEIO_HH
 
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -26,10 +24,6 @@ namespace manna
  */
 bool writeFileAtomic(const std::string &path,
                      std::string_view content);
-
-/** Seconds since @p path's last mtime; nullopt when it does not
- * exist (or cannot be stat'ed). */
-std::optional<double> fileAgeSeconds(const std::string &path);
 
 } // namespace manna
 

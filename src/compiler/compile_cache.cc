@@ -7,7 +7,6 @@
 
 #include "common/event_log.hh"
 #include "common/strutil.hh"
-#include "compiler/artifact.hh"
 
 namespace manna::compiler
 {
@@ -134,20 +133,10 @@ compileCached(const mann::MannConfig &mann, const arch::MannaConfig &arch)
         // dropped, so nothing deadlocks and the error stays
         // recoverable per sweep job.
         try {
-            // The on-disk artifact layer (compiler/artifact.hh)
-            // sits under the in-memory cache: an in-memory miss
-            // first tries the fingerprint-keyed artifact directory
-            // and only compiles (then stores the artifact) when
-            // that misses too.
-            std::shared_ptr<const CompiledModel> model =
-                loadCachedArtifact(mann, arch);
-            if (!model) {
-                events::Span span("compile.model");
-                model = std::make_shared<const CompiledModel>(
-                    compile(mann, arch));
-                span.end();
-                storeCachedArtifact(*model);
-            }
+            events::Span span("compile.model");
+            auto model =
+                std::make_shared<const CompiledModel>(compile(mann, arch));
+            span.end();
             promise.set_value(std::move(model));
             std::lock_guard<std::mutex> lock(c.mu);
             if (auto it = c.entries.find(key);

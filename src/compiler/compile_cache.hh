@@ -18,12 +18,9 @@
  * Evicted models referenced by callers stay alive through their
  * shared_ptrs; only the cache's own reference goes away.
  *
- * When an on-disk artifact cache is configured (artifact_cache=DIR /
- * MANNA_ARTIFACT_CACHE — see compiler/artifact.hh), an in-memory miss
- * first tries the fingerprint-keyed artifact directory, so repeated
- * sweeps and mannad daemons across *processes* skip recompilation;
- * compile() runs only when both layers miss, and its result is then
- * stored as an artifact.
+ * The cache lives in memory only. Compiling a Table-2 model takes
+ * well under a millisecond, so there is nothing to gain from keeping
+ * compiled models across processes.
  */
 
 #ifndef MANNA_COMPILER_COMPILE_CACHE_HH

@@ -4,7 +4,7 @@
  * prefixed, checksummed binary frames plus the text codecs for job
  * specifications and results that ride inside them.
  *
- * Frame layout (documented alongside MNPR/MNCA in docs/FORMATS.md):
+ * Frame layout (documented alongside MNPR in docs/FORMATS.md):
  *
  *   offset  size  field
  *   0       4     magic: "MNRQ" (client->daemon) / "MNRS" (reply)

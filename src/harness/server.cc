@@ -21,7 +21,6 @@
 #include "common/logging.hh"
 #include "common/shutdown.hh"
 #include "common/strutil.hh"
-#include "compiler/artifact.hh"
 #include "compiler/compile_cache.hh"
 #include "harness/journal.hh"
 #include "harness/proto.hh"
@@ -102,16 +101,9 @@ serverOptionsFromConfig(const Config &cfg)
                           static_cast<std::int64_t>(
                               defaultCacheEntries()))));
     // Same process-wide side effects as sweepOptionsFromConfig: the
-    // daemon is a sweep executor, so it gets the fault-injection,
-    // artifact-cache, and tracing knobs with identical semantics.
+    // daemon is a sweep executor, so it gets the fault-injection
+    // and tracing knobs with identical semantics.
     fault::configureFromConfig(cfg);
-    compiler::setArtifactCacheDir(cfg.getString(
-        "artifact_cache", compiler::defaultArtifactCacheDir()));
-    compiler::setArtifactCacheCapacity(static_cast<std::size_t>(
-        std::max<std::int64_t>(
-            0, cfg.getInt("artifact_cache_entries",
-                          static_cast<std::int64_t>(
-                              compiler::artifactCacheCapacity())))));
     setLogRole("daemon");
     events::configureFromConfig(cfg, "daemon");
     return opts;

@@ -97,8 +97,8 @@ struct ServerOptions
 /** Parse the daemon knobs: server=, pool=, queue_depth=, steal=,
  * clients=, journal=, resume=, stats=, metrics=, metrics_interval=,
  * cache_entries= — with MANNA_* environment twins where the in-
- * process sweep has them — and arm the process-wide fault/event/
- * artifact-cache machinery exactly like sweepOptionsFromConfig. */
+ * process sweep has them — and arm the process-wide fault and event
+ * machinery exactly like sweepOptionsFromConfig. */
 ServerOptions serverOptionsFromConfig(const Config &cfg);
 
 class Server

@@ -20,7 +20,6 @@
 #include "common/logging.hh"
 #include "common/shutdown.hh"
 #include "common/strutil.hh"
-#include "compiler/artifact.hh"
 #include "compiler/compile_cache.hh"
 #include "harness/client.hh"
 #include "harness/journal.hh"
@@ -216,12 +215,7 @@ SweepJob::fingerprint() const
     h.u64(seed);
     h.u64(static_cast<std::uint64_t>(benchmark.task));
     h.bytes(benchmark.name.data(), benchmark.name.size());
-    // Mixed in only for fast jobs so every pre-existing cycle journal
-    // keeps its fingerprints.
-    if (fidelity == sim::Fidelity::Fast) {
-        static constexpr const char kTag[] = "fidelity=fast";
-        h.bytes(kTag, sizeof(kTag) - 1);
-    }
+    h.u64(static_cast<std::uint64_t>(fidelity));
     return h.value();
 }
 
@@ -330,18 +324,10 @@ renderSweepStats(const SweepReport &report)
         jsonNumber(wallMin).c_str(), jsonNumber(wallMax).c_str());
     out += strformat("  \"process\": {\"compile_cache_hits\": %zu, "
                      "\"compile_cache_misses\": %zu, "
-                     "\"compile_cache_evictions\": %zu, "
-                     "\"artifact_cache.hits\": %zu, "
-                     "\"artifact_cache.misses\": %zu, "
-                     "\"artifact_cache.evictions\": %zu, "
-                     "\"artifact_cache.corrupt\": %zu}\n",
+                     "\"compile_cache_evictions\": %zu}\n",
                      compiler::compileCacheHits(),
                      compiler::compileCacheMisses(),
-                     compiler::compileCacheEvictions(),
-                     compiler::artifactCacheHits(),
-                     compiler::artifactCacheMisses(),
-                     compiler::artifactCacheEvictions(),
-                     compiler::artifactCacheCorrupt());
+                     compiler::compileCacheEvictions());
     out += "}\n";
     return out;
 }
@@ -401,17 +387,6 @@ sweepOptionsFromConfig(const Config &cfg)
     // every sweep bench gets the knobs for free. Process-wide state,
     // like the compile cache.
     fault::configureFromConfig(cfg);
-    // The on-disk program-artifact cache (compiler/artifact.hh) is
-    // process-wide state too: artifact_cache=DIR selects the
-    // directory (MANNA_ARTIFACT_CACHE fallback, "" = off) and
-    // artifact_cache_entries= bounds it.
-    compiler::setArtifactCacheDir(cfg.getString(
-        "artifact_cache", compiler::defaultArtifactCacheDir()));
-    compiler::setArtifactCacheCapacity(static_cast<std::size_t>(
-        std::max<std::int64_t>(
-            0, cfg.getInt("artifact_cache_entries",
-                          static_cast<std::int64_t>(
-                              compiler::artifactCacheCapacity())))));
     opts.metrics.path = cfg.getString("metrics", opts.metrics.path);
     opts.metrics.intervalSeconds =
         cfg.getDouble("metrics_interval",
@@ -491,14 +466,12 @@ renderMetricsSample(const MetricsSample &s)
         "\"done\": %zu, \"failed\": %zu, \"restored\": %zu, "
         "\"queue_depth\": %zu, \"jobs_per_second\": %s, "
         "\"compile_cache_hits\": %zu, \"compile_cache_misses\": %zu, "
-        "\"artifact_cache_hits\": %zu, "
-        "\"artifact_cache_misses\": %zu, \"journal_bytes\": %llu, "
+        "\"journal_bytes\": %llu, "
         "\"rss_kb\": %zu}",
         jsonNumber(s.elapsedSeconds).c_str(), s.jobsTotal, s.done,
         s.failed, s.restored, s.queueDepth,
         jsonNumber(s.jobsPerSecond).c_str(), s.compileCacheHits,
-        s.compileCacheMisses, s.artifactCacheHits,
-        s.artifactCacheMisses,
+        s.compileCacheMisses,
         static_cast<unsigned long long>(s.journalBytes), s.rssKb);
 }
 
@@ -1029,9 +1002,6 @@ SweepRunner::runIsolated(std::size_t count, const IsolatedFn &fn,
                 s.compileCacheHits = compiler::compileCacheHits();
                 s.compileCacheMisses =
                     compiler::compileCacheMisses();
-                s.artifactCacheHits = compiler::artifactCacheHits();
-                s.artifactCacheMisses =
-                    compiler::artifactCacheMisses();
                 s.journalBytes =
                     journal ? journal->bytesWritten() : 0;
                 s.rssKb = processRssKb();

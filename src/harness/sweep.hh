@@ -144,8 +144,7 @@ struct SweepJob
      * Stable fingerprint over everything the job's result depends on
      * (benchmark shape + task, Manna config, steps, seed, fidelity).
      * Used as the checkpoint-journal key: a restored result is valid
-     * iff the fingerprints match. Cycle-fidelity jobs hash exactly as
-     * before the fidelity knob existed, so old journals stay valid.
+     * iff the fingerprints match.
      */
     std::uint64_t fingerprint() const;
 
@@ -230,8 +229,6 @@ struct MetricsSample
     double jobsPerSecond = 0.0;
     std::size_t compileCacheHits = 0;
     std::size_t compileCacheMisses = 0;
-    std::size_t artifactCacheHits = 0;
-    std::size_t artifactCacheMisses = 0;
     std::uint64_t journalBytes = 0;
     std::size_t rssKb = 0; ///< process resident set (0 if unknown)
 };
@@ -401,11 +398,9 @@ struct SweepReport
  * sweep-based bench accepts: retries=, timeout=, journal=, resume=,
  * progress=, stats=, cache_entries=, server=, the fault-injection knobs
  * faults=/fault_seed= (armed process-wide as a side effect — see
- * docs/ROBUSTNESS.md), the program-artifact-cache knobs
- * artifact_cache=/artifact_cache_entries= (also process-wide — see
- * compiler/artifact.hh and docs/FORMATS.md), the tracing/metrics
- * knobs events=/events_limit=/metrics=/metrics_interval= (events=
- * opens the process-wide event log, a process-wide side effect; see
+ * docs/ROBUSTNESS.md), the tracing/metrics knobs
+ * events=/events_limit=/metrics=/metrics_interval= (events= opens the
+ * process-wide event log, a process-wide side effect; see
  * docs/OBSERVABILITY.md). */
 SweepOptions sweepOptionsFromConfig(const Config &cfg);
 

@@ -1,8 +1,7 @@
 /**
  * @file
- * Tier-1 tests for the versioned binary program container, the
- * compiled-model artifact codec, and the fingerprint-keyed on-disk
- * artifact cache (docs/ISA.md "Binary encoding", docs/FORMATS.md).
+ * Tier-1 tests for the versioned binary program container
+ * (docs/ISA.md "Binary encoding", docs/FORMATS.md).
  *
  * The contracts under test:
  *  - decode(encode(p)) is structurally identical to p and encoding is
@@ -10,25 +9,17 @@
  *    opcode, stride shape, and loop depth — and for every program the
  *    compiler emits (NTM and DNC);
  *  - assemble(disassemble(p)) == p for the same corpus;
- *  - any truncation or single bit flip of a container is rejected;
- *  - the artifact cache turns a cold compile into a hot load with
- *    byte-identical sweep results, and recovers from corrupt entries
- *    by recompiling.
+ *  - any truncation or single bit flip of a container is rejected.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <random>
 #include <string>
 #include <vector>
 
-#include "compiler/artifact.hh"
-#include "compiler/compile_cache.hh"
 #include "compiler/compiler.hh"
 #include "compiler/dnc_codegen.hh"
-#include "harness/sweep.hh"
 #include "isa/assembler.hh"
 #include "isa/binary.hh"
 #include "workloads/benchmarks.hh"
@@ -357,348 +348,6 @@ TEST(IsaBinary, CompilerDncProgramsRoundTrip)
     const auto model =
         compiler::compileDnc(dnc, arch::MannaConfig::withTiles(4));
     expectSegmentsRoundTrip(model.stepSegments);
-}
-
-// ---------------------------------------------------------------------
-// Compiled-model artifacts and the on-disk cache.
-// ---------------------------------------------------------------------
-
-/** Structural equality of two compiled models (the pieces the
- * artifact codec must preserve). */
-void
-expectModelsIdentical(const compiler::CompiledModel &a,
-                      const compiler::CompiledModel &b)
-{
-    EXPECT_EQ(a.mannCfg.fingerprint(), b.mannCfg.fingerprint());
-    EXPECT_EQ(a.archCfg.fingerprint(), b.archCfg.fingerprint());
-
-    EXPECT_EQ(a.mapping.nDistrib, b.mapping.nDistrib);
-    EXPECT_EQ(a.mapping.mDistrib, b.mapping.mDistrib);
-    EXPECT_EQ(a.mapping.localRowsMax, b.mapping.localRowsMax);
-    ASSERT_EQ(a.mapping.kernels.size(), b.mapping.kernels.size());
-    for (std::size_t i = 0; i < a.mapping.kernels.size(); ++i) {
-        const auto &ka = a.mapping.kernels[i];
-        const auto &kb = b.mapping.kernels[i];
-        EXPECT_EQ(ka.kernel, kb.kernel);
-        EXPECT_EQ(ka.rows, kb.rows);
-        EXPECT_EQ(ka.cols, kb.cols);
-        EXPECT_EQ(ka.blockN, kb.blockN);
-        EXPECT_EQ(ka.blockM, kb.blockM);
-        EXPECT_EQ(ka.transposed, kb.transposed);
-        EXPECT_EQ(ka.blockLoop, kb.blockLoop);
-        EXPECT_EQ(ka.computeLoop, kb.computeLoop);
-        for (int d = 0; d < 2; ++d) {
-            EXPECT_EQ(ka.blockLoopCost[d], kb.blockLoopCost[d]);
-            EXPECT_EQ(ka.computeLoopCost[d], kb.computeLoopCost[d]);
-        }
-    }
-
-    const auto expectPartition = [](const compiler::RowPartition &x,
-                                    const compiler::RowPartition &y) {
-        EXPECT_EQ(x.base, y.base);
-        EXPECT_EQ(x.cols, y.cols);
-        EXPECT_EQ(x.rowStart, y.rowStart);
-        EXPECT_EQ(x.rowCount, y.rowCount);
-    };
-    expectPartition(a.layout.memory, b.layout.memory);
-    ASSERT_EQ(a.layout.headWeights.size(), b.layout.headWeights.size());
-    for (std::size_t i = 0; i < a.layout.headWeights.size(); ++i)
-        expectPartition(a.layout.headWeights[i],
-                        b.layout.headWeights[i]);
-    EXPECT_EQ(a.layout.wPrevBase, b.layout.wPrevBase);
-    EXPECT_EQ(a.layout.matBufWords, b.layout.matBufWords);
-    EXPECT_EQ(a.layout.matSpadWords, b.layout.matSpadWords);
-    EXPECT_EQ(a.layout.vecBufWords, b.layout.vecBufWords);
-    EXPECT_EQ(a.layout.vecSpadWords, b.layout.vecSpadWords);
-
-    ASSERT_EQ(a.stepSegments.size(), b.stepSegments.size());
-    for (std::size_t i = 0; i < a.stepSegments.size(); ++i) {
-        const auto &sa = a.stepSegments[i];
-        const auto &sb = b.stepSegments[i];
-        EXPECT_EQ(sa.group, sb.group);
-        EXPECT_EQ(sa.name, sb.name);
-        ASSERT_EQ(sa.tilePrograms.size(), sb.tilePrograms.size());
-        for (std::size_t t = 0; t < sa.tilePrograms.size(); ++t)
-            EXPECT_EQ(sa.tilePrograms[t].instructions(),
-                      sb.tilePrograms[t].instructions());
-    }
-    EXPECT_EQ(a.warnings, b.warnings);
-}
-
-TEST(Artifact, ModelRoundTripsAndIsDeterministic)
-{
-    const auto &bench = workloads::benchmarkByName("recall");
-    const auto arch = arch::MannaConfig::withTiles(4);
-    const auto model = compiler::compile(bench.config, arch);
-
-    const std::string blob = compiler::encodeModel(model);
-    ASSERT_TRUE(compiler::looksLikeArtifact(blob));
-
-    compiler::CompiledModel decoded;
-    std::string error;
-    ASSERT_TRUE(compiler::decodeModel(blob, bench.config, arch,
-                                      decoded, &error))
-        << error;
-    expectModelsIdentical(model, decoded);
-    EXPECT_EQ(compiler::encodeModel(decoded), blob);
-
-    // Header-only structure peek recovers the fingerprints.
-    compiler::CompiledModel structure;
-    std::uint64_t mannFp = 0, archFp = 0;
-    ASSERT_TRUE(compiler::decodeModelStructure(blob, structure,
-                                               &mannFp, &archFp,
-                                               &error))
-        << error;
-    EXPECT_EQ(mannFp, bench.config.fingerprint());
-    EXPECT_EQ(archFp, arch.fingerprint());
-    EXPECT_EQ(structure.stepSegments.size(),
-              model.stepSegments.size());
-}
-
-TEST(Artifact, WrongConfigIsRejected)
-{
-    const auto &bench = workloads::benchmarkByName("recall");
-    const auto arch = arch::MannaConfig::withTiles(4);
-    const std::string blob =
-        compiler::encodeModel(compiler::compile(bench.config, arch));
-
-    compiler::CompiledModel out;
-    std::string error;
-    EXPECT_FALSE(compiler::decodeModel(
-        blob, bench.config, arch::MannaConfig::withTiles(8), out,
-        &error));
-    EXPECT_FALSE(error.empty());
-
-    mann::MannConfig other = bench.config;
-    other.memN *= 2;
-    EXPECT_FALSE(
-        compiler::decodeModel(blob, other, arch, out, nullptr));
-}
-
-TEST(Artifact, TruncationAndBitFlipsAreRejected)
-{
-    const auto &bench = workloads::benchmarkByName("recall");
-    const auto arch = arch::MannaConfig::withTiles(4);
-    const std::string blob =
-        compiler::encodeModel(compiler::compile(bench.config, arch));
-
-    compiler::CompiledModel out;
-    for (std::size_t n = 0; n < blob.size();
-         n += std::max<std::size_t>(1, blob.size() / 97))
-        EXPECT_FALSE(compiler::decodeModel(blob.substr(0, n),
-                                           bench.config, arch, out,
-                                           nullptr))
-            << "accepted a " << n << "-byte truncation";
-
-    // Every header bit, plus a stride through the payload (the
-    // checksum covers all of it, so any flip must be caught).
-    std::vector<std::size_t> bytes;
-    for (std::size_t i = 0; i < 40 && i < blob.size(); ++i)
-        bytes.push_back(i);
-    for (std::size_t i = 40; i < blob.size();
-         i += std::max<std::size_t>(1, blob.size() / 211))
-        bytes.push_back(i);
-    for (const std::size_t byte : bytes) {
-        for (int bit = 0; bit < 8; ++bit) {
-            std::string flipped = blob;
-            flipped[byte] = static_cast<char>(
-                static_cast<unsigned char>(flipped[byte]) ^
-                (1u << bit));
-            EXPECT_FALSE(compiler::decodeModel(flipped, bench.config,
-                                               arch, out, nullptr))
-                << "accepted flip of byte " << byte << " bit " << bit;
-        }
-    }
-}
-
-/** RAII temp cache dir: points the artifact cache at a fresh
- * directory, restores the previous (disabled) state on exit. */
-class ScopedArtifactCache
-{
-  public:
-    ScopedArtifactCache()
-    {
-        char tmpl[] = "/tmp/manna-artifact-test-XXXXXX";
-        const char *dir = ::mkdtemp(tmpl);
-        EXPECT_NE(dir, nullptr);
-        dir_ = dir ? dir : "";
-        compiler::setArtifactCacheDir(dir_);
-        compiler::setArtifactCacheCapacity(0);
-        compiler::resetArtifactCacheCounters();
-        compiler::clearCompileCache();
-    }
-
-    ~ScopedArtifactCache()
-    {
-        compiler::setArtifactCacheDir("");
-        compiler::setArtifactCacheCapacity(0);
-        compiler::resetArtifactCacheCounters();
-        compiler::clearCompileCache();
-        if (!dir_.empty()) {
-            const std::string cmd = "rm -rf '" + dir_ + "'";
-            [[maybe_unused]] const int rc = std::system(cmd.c_str());
-        }
-    }
-
-    const std::string &dir() const { return dir_; }
-
-  private:
-    std::string dir_;
-};
-
-TEST(ArtifactCache, ColdMissThenCrossProcessStyleHit)
-{
-    ScopedArtifactCache cache;
-    const auto &bench = workloads::benchmarkByName("recall");
-    const auto arch = arch::MannaConfig::withTiles(4);
-
-    // Cold: nothing on disk — a miss, then the compile is stored.
-    const auto first = compiler::compileCached(bench.config, arch);
-    EXPECT_EQ(compiler::artifactCacheHits(), 0u);
-    EXPECT_EQ(compiler::artifactCacheMisses(), 1u);
-    const std::string path = compiler::artifactCachePath(
-        bench.config.fingerprint(), arch.fingerprint());
-    ASSERT_FALSE(path.empty());
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr) << "no artifact written at " << path;
-    std::fclose(f);
-
-    // Drop the in-memory layer (as a new process would): the artifact
-    // serves the model with zero compiles.
-    compiler::clearCompileCache();
-    compiler::resetArtifactCacheCounters();
-    const auto second = compiler::compileCached(bench.config, arch);
-    EXPECT_EQ(compiler::artifactCacheHits(), 1u);
-    EXPECT_EQ(compiler::artifactCacheMisses(), 0u);
-    expectModelsIdentical(*first, *second);
-
-    // A further call in the same process hits the in-memory layer and
-    // never touches the disk cache.
-    (void)compiler::compileCached(bench.config, arch);
-    EXPECT_EQ(compiler::artifactCacheHits(), 1u);
-}
-
-TEST(ArtifactCache, CorruptEntryIsSkippedAndRepaired)
-{
-    ScopedArtifactCache cache;
-    const auto &bench = workloads::benchmarkByName("recall");
-    const auto arch = arch::MannaConfig::withTiles(4);
-
-    const auto first = compiler::compileCached(bench.config, arch);
-    const std::string path = compiler::artifactCachePath(
-        bench.config.fingerprint(), arch.fingerprint());
-
-    // Flip one payload byte in the stored artifact.
-    {
-        std::FILE *f = std::fopen(path.c_str(), "r+b");
-        ASSERT_NE(f, nullptr);
-        ASSERT_EQ(std::fseek(f, 64, SEEK_SET), 0);
-        const int c = std::fgetc(f);
-        ASSERT_NE(c, EOF);
-        ASSERT_EQ(std::fseek(f, 64, SEEK_SET), 0);
-        std::fputc(c ^ 0x20, f);
-        std::fclose(f);
-    }
-
-    compiler::clearCompileCache();
-    compiler::resetArtifactCacheCounters();
-    const auto second = compiler::compileCached(bench.config, arch);
-    EXPECT_EQ(compiler::artifactCacheHits(), 0u);
-    EXPECT_EQ(compiler::artifactCacheMisses(), 1u);
-    EXPECT_EQ(compiler::artifactCacheCorrupt(), 1u);
-    expectModelsIdentical(*first, *second);
-
-    // The recompile rewrote the entry; it is trustworthy again.
-    compiler::clearCompileCache();
-    compiler::resetArtifactCacheCounters();
-    (void)compiler::compileCached(bench.config, arch);
-    EXPECT_EQ(compiler::artifactCacheHits(), 1u);
-    EXPECT_EQ(compiler::artifactCacheCorrupt(), 0u);
-}
-
-TEST(ArtifactCache, CapacityBoundEvictsOldestEntries)
-{
-    ScopedArtifactCache cache;
-    compiler::setArtifactCacheCapacity(1);
-    const auto &bench = workloads::benchmarkByName("recall");
-
-    (void)compiler::compileCached(bench.config,
-                                  arch::MannaConfig::withTiles(4));
-    (void)compiler::compileCached(bench.config,
-                                  arch::MannaConfig::withTiles(8));
-    EXPECT_GE(compiler::artifactCacheEvictions(), 1u);
-
-    // Exactly one entry survives.
-    const std::string cmd =
-        "ls '" + cache.dir() + "' | grep -c '\\.mca$' > '" +
-        cache.dir() + "/.count'";
-    ASSERT_EQ(std::system(cmd.c_str()), 0);
-    std::FILE *f =
-        std::fopen((cache.dir() + "/.count").c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    int count = 0;
-    ASSERT_EQ(std::fscanf(f, "%d", &count), 1);
-    std::fclose(f);
-    EXPECT_EQ(count, 1);
-}
-
-// ---------------------------------------------------------------------
-// End-to-end: sweeps with the artifact cache are byte-identical to
-// sweeps without it, and a warm cache serves every model from disk.
-// ---------------------------------------------------------------------
-
-void
-expectResultsIdentical(const harness::MannaResult &a,
-                       const harness::MannaResult &b)
-{
-    EXPECT_EQ(a.report.steps, b.report.steps);
-    EXPECT_EQ(a.report.totalCycles, b.report.totalCycles);
-    EXPECT_EQ(a.report.totalSeconds, b.report.totalSeconds);
-    EXPECT_EQ(a.report.dynamicEnergyPj, b.report.dynamicEnergyPj);
-    EXPECT_EQ(a.report.leakageEnergyPj, b.report.leakageEnergyPj);
-    EXPECT_EQ(a.secondsPerStep, b.secondsPerStep);
-    EXPECT_EQ(a.joulesPerStep, b.joulesPerStep);
-    EXPECT_EQ(a.report.stats, b.report.stats);
-    EXPECT_EQ(a.report.render(), b.report.render());
-}
-
-TEST(ArtifactCache, SweepResultsByteIdenticalColdAndHot)
-{
-    std::vector<harness::SweepJob> jobs;
-    const auto &bench = workloads::benchmarkByName("recall");
-    for (std::size_t tiles : {4u, 8u})
-        jobs.push_back(
-            {bench, arch::MannaConfig::withTiles(tiles), 2, 1});
-
-    // Baseline: no artifact cache.
-    compiler::setArtifactCacheDir("");
-    compiler::clearCompileCache();
-    harness::SweepRunner runner(2);
-    const auto baseline = runner.runAll(jobs);
-
-    ScopedArtifactCache cache;
-
-    // Cold: every model compiles and is stored.
-    const auto cold = runner.runAll(jobs);
-    EXPECT_EQ(compiler::artifactCacheHits(), 0u);
-    EXPECT_EQ(compiler::artifactCacheMisses(), jobs.size());
-
-    // Hot (fresh process simulated by dropping the memory layer):
-    // every model loads from disk, zero compiles.
-    compiler::clearCompileCache();
-    compiler::resetArtifactCacheCounters();
-    const auto hot = runner.runAll(jobs);
-    EXPECT_GT(compiler::artifactCacheHits(), 0u);
-    EXPECT_EQ(compiler::artifactCacheHits(), jobs.size());
-    EXPECT_EQ(compiler::artifactCacheMisses(), 0u);
-
-    ASSERT_EQ(cold.size(), baseline.size());
-    ASSERT_EQ(hot.size(), baseline.size());
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-        SCOPED_TRACE(i);
-        expectResultsIdentical(baseline[i], cold[i]);
-        expectResultsIdentical(baseline[i], hot[i]);
-    }
 }
 
 } // namespace

@@ -592,8 +592,8 @@ TEST(EventLog, RegistryIsClosedAndQueryable)
     EXPECT_GE(events::eventNameCount(), 20u);
     for (const char *name :
          {"sweep.run", "job.run", "job.attempt", "journal.load",
-          "journal.append", "compile.model", "artifact.load",
-          "artifact.store", "server.run", "server.conn",
+          "journal.append", "compile.model", "server.run",
+          "server.conn",
           "server.accept", "compile.cache.hit", "fault.injected",
           "log.warn", "log.info"})
         EXPECT_TRUE(events::isRegisteredEventName(name)) << name;
@@ -901,8 +901,6 @@ TEST(Metrics, SampleRenderIsDeterministicAndValid)
     s.jobsPerSecond = 4.0 + 2.0 / 3.0;
     s.compileCacheHits = 3;
     s.compileCacheMisses = 4;
-    s.artifactCacheHits = 1;
-    s.artifactCacheMisses = 3;
     s.journalBytes = 2048;
     s.rssKb = 4096;
     const std::string a = renderMetricsSample(s);

@@ -189,6 +189,13 @@ TEST(Fingerprint, StableAndSensitive)
     EXPECT_EQ(m.fingerprint(), bench.config.fingerprint());
     m.memN *= 2;
     EXPECT_NE(m.fingerprint(), bench.config.fingerprint());
+
+    // A fast job must never restore a cycle job's journaled result.
+    SweepJob cycle{bench, a, /*steps=*/2, /*seed=*/1};
+    SweepJob fast = cycle;
+    fast.fidelity = sim::Fidelity::Fast;
+    EXPECT_EQ(cycle.fingerprint(), SweepJob(cycle).fingerprint());
+    EXPECT_NE(cycle.fingerprint(), fast.fingerprint());
 }
 
 } // namespace

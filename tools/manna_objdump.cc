@@ -1,23 +1,19 @@
 /**
  * @file
  * manna-objdump: inspect (and produce) Manna binary program
- * artifacts (docs/FORMATS.md, docs/ISA.md "Binary encoding").
+ * containers (docs/FORMATS.md, docs/ISA.md "Binary encoding").
  *
  * The input is sniffed by magic:
  *  - "MNPR" — a single binary program container (isa/binary.hh):
  *    prints the header, a disassembly listing, a per-opcode
  *    histogram, and (with hex=1) a hexdump;
- *  - "MNCA" — a compiled-model artifact (compiler/artifact.hh, the
- *    artifact-cache entry format): prints the header fingerprints
- *    and every segment's per-tile listing/histogram;
  *  - anything else — treated as `.masm` assembly text, assembled
  *    with isa::assemble(), then shown like a program container; with
  *    out=PATH the encoded container is also written, which makes the
  *    tool the textual->binary encoder.
  *
  * Knobs: file=PATH (required), list=/hist= (default 1), hex=
- * (default 0), tile=N (restrict artifact listings to one tile,
- * default all), out=PATH (write the binary program container).
+ * (default 0), out=PATH (write the binary program container).
  */
 
 #include <cstdio>
@@ -27,8 +23,6 @@
 #include "common/config.hh"
 #include "common/fileio.hh"
 #include "common/logging.hh"
-#include "common/strutil.hh"
-#include "compiler/artifact.hh"
 #include "isa/assembler.hh"
 #include "isa/binary.hh"
 
@@ -77,8 +71,8 @@ main(int argc, char **argv)
     const Config cfg = Config::fromArgs(argc, argv);
     const std::string path = cfg.getString("file");
     if (path.empty())
-        fatal("usage: manna-objdump file=PROG[.mpb|.masm|.mca] "
-              "[list=1] [hist=1] [hex=0] [tile=N] [out=PROG.mpb]");
+        fatal("usage: manna-objdump file=PROG[.mpb|.masm] "
+              "[list=1] [hist=1] [hex=0] [out=PROG.mpb]");
     std::ifstream in(path, std::ios::binary);
     if (!in)
         fatal("cannot open '%s'", path.c_str());
@@ -90,45 +84,6 @@ main(int argc, char **argv)
     const bool hist = cfg.getBool("hist", true);
     const bool hex = cfg.getBool("hex", false);
     const std::string out = cfg.getString("out");
-
-    if (compiler::looksLikeArtifact(data)) {
-        compiler::CompiledModel model;
-        std::uint64_t mannFp = 0, archFp = 0;
-        std::string error;
-        if (!compiler::decodeModelStructure(data, model, &mannFp,
-                                            &archFp, &error))
-            fatal("'%s': invalid artifact: %s", path.c_str(),
-                  error.c_str());
-        if (!out.empty())
-            fatal("out= writes program containers; '%s' is a "
-                  "compiled-model artifact",
-                  path.c_str());
-        std::printf("%s: Manna compiled-model artifact v%u "
-                    "(%zu bytes)\n",
-                    path.c_str(), compiler::kArtifactVersion,
-                    data.size());
-        std::printf("  mann fingerprint: %016llx\n"
-                    "  arch fingerprint: %016llx\n"
-                    "  segments: %zu   warnings: %zu\n",
-                    static_cast<unsigned long long>(mannFp),
-                    static_cast<unsigned long long>(archFp),
-                    model.stepSegments.size(), model.warnings.size());
-        const std::int64_t tileSel = cfg.getInt("tile", -1);
-        for (const auto &seg : model.stepSegments) {
-            std::printf("\nsegment '%s' (%s), %zu tile program(s):\n",
-                        seg.name.c_str(), mann::toString(seg.group),
-                        seg.tilePrograms.size());
-            for (std::size_t t = 0; t < seg.tilePrograms.size();
-                 ++t) {
-                if (tileSel >= 0 &&
-                    t != static_cast<std::size_t>(tileSel))
-                    continue;
-                std::printf("-- tile %zu --\n", t);
-                printProgram(seg.tilePrograms[t], list, hist, hex);
-            }
-        }
-        return 0;
-    }
 
     isa::Program program;
     if (isa::looksLikeProgram(data)) {
