@@ -32,7 +32,7 @@ fi
 unset MANNA_FAULTS MANNA_FAULT_SEED MANNA_JOBS MANNA_RETRIES \
       MANNA_TIMEOUT MANNA_STATS MANNA_TRACE MANNA_PROGRESS \
       MANNA_PROFILE MANNA_BENCH_JSON MANNA_SERVER MANNA_POOL \
-      MANNA_QUEUE_DEPTH MANNA_STEAL MANNA_CLIENTS 2>/dev/null
+      MANNA_QUEUE_DEPTH MANNA_CLIENTS 2>/dev/null
 
 tmpdir=$(mktemp -d)
 daemon_pid=

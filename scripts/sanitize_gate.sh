@@ -4,8 +4,8 @@
 #
 # Configures a separate build tree with -DMANNA_SANITIZE=address,
 # undefined, builds the robustness, fidelity, NTM-chip, DNC-chip,
-# replay-tape, tile and observability test binaries, the fig12 bench
-# and mannad, and runs them under instrumentation:
+# replay-tape, tile, observability, sweep and service test binaries,
+# the fig12 bench and mannad, and runs them under instrumentation:
 #   - test_robustness plus the chaos soak (its daemon phases
 #     included): the fault-injection error paths (torn lines and
 #     frames, failed fsyncs, dropped connections, crashed pool
@@ -24,7 +24,11 @@
 #   - test_sim_tile and test_observability: the tile's timing paths
 #     and the report-time export into the stat registry. Every
 #     counter array is indexed by casting an enum, so UBSan's bounds
-#     checks see each index directly.
+#     checks see each index directly;
+#   - test_sweep and test_service: the one WorkerPool under in-process
+#     sweeps and under the daemon, whose tasks hold shared_ptr<Conn>
+#     and resubmit themselves after an injected crash, so task
+#     lifetimes and the server's stop order are what ASan checks.
 # Exits 77 (ctest SKIP) when the toolchain cannot link sanitized
 # binaries.
 #
@@ -55,7 +59,7 @@ jobs=$(nproc 2>/dev/null || echo 2)
 if ! cmake --build "$builddir" -j"$jobs" \
         --target test_robustness test_fidelity test_sim_chip \
         test_dnc_chip test_replay test_sim_tile test_observability \
-        fig12_strong_scaling mannad \
+        test_sweep test_service fig12_strong_scaling mannad \
         > "$probe/build.log" 2>&1; then
     echo "sanitize_gate: sanitized build failed:" >&2
     tail -20 "$probe/build.log" >&2
@@ -71,7 +75,7 @@ if ! "$builddir/tests/test_robustness" > "$probe/robust.log" 2>&1; then
     errors=$((errors + 1))
 fi
 for t in test_fidelity test_sim_chip test_dnc_chip test_replay \
-        test_sim_tile test_observability; do
+        test_sim_tile test_observability test_sweep test_service; do
     if ! "$builddir/tests/$t" > "$probe/$t.log" 2>&1; then
         echo "sanitize_gate: sanitized $t failed:" >&2
         tail -30 "$probe/$t.log" >&2

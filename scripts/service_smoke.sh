@@ -11,7 +11,7 @@
 # bench_json= snapshot must match the in-process one at tolerance 0,
 # and a `server=` run with events=/harness_trace=/metrics= armed must
 # keep its stdout byte-identical. The daemon's metrics JSONL must
-# carry the queue-depth/steal sample fields.
+# carry the queue-depth sample field.
 #
 # Usage: service_smoke.sh <mannad> <manna-submit> <fig12 binary>
 set -u
@@ -28,7 +28,7 @@ for bin in "$mannad" "$submit" "$bench"; do
 done
 
 # The smoke controls its own topology; ambient knobs would skew it.
-unset MANNA_SERVER MANNA_POOL MANNA_QUEUE_DEPTH MANNA_STEAL \
+unset MANNA_SERVER MANNA_POOL MANNA_QUEUE_DEPTH \
       MANNA_CLIENTS MANNA_FAULTS MANNA_FAULT_SEED MANNA_JOBS \
       MANNA_RETRIES MANNA_TIMEOUT MANNA_STATS MANNA_TRACE \
       MANNA_PROGRESS MANNA_PROFILE MANNA_BENCH_JSON MANNA_EVENTS \
@@ -177,17 +177,14 @@ daemon_pid=
 grep -q "manna-daemon-stats-v1" "$tmpdir/daemon_stats.json" ||
     complain "daemon stats= snapshot missing or malformed"
 
-# Work-stealing visibility: the metrics JSONL must carry the
-# queue-depth and steal-count fields in header + samples.
+# Pool visibility: the metrics JSONL must carry its header and the
+# queue-depth field in every sample.
 head -1 "$tmpdir/daemon_metrics.jsonl" |
     grep -q "manna-daemon-metrics-v1" ||
     complain "metrics JSONL header missing"
 tail -n +2 "$tmpdir/daemon_metrics.jsonl" |
     grep -q '"queue_depth":' ||
     complain "metrics samples lack queue_depth"
-tail -n +2 "$tmpdir/daemon_metrics.jsonl" |
-    grep -q '"steals":' ||
-    complain "metrics samples lack steal counts"
 
 if [ "$errors" -gt 0 ]; then
     echo "service_smoke: $errors problem(s)" >&2

@@ -46,7 +46,6 @@ const char *const kEventNames[] = {
     "server.accept",
     "server.retry_after",
     "job.enqueue",
-    "job.steal",
     "log.warn",
     "log.info",
 };

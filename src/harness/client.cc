@@ -244,7 +244,7 @@ class DaemonClient
             !eventsRegistered_) {
             // The daemon advertises its event-log file: merge it
             // into this client's harness trace so daemon-side spans
-            // (server.accept, job.enqueue, job.steal) appear with
+            // (server.accept, job.enqueue) appear with
             // their own pid track (docs/OBSERVABILITY.md).
             events::EventLog::instance().registerMergeFile(
                 daemonEvents);

@@ -42,23 +42,13 @@ constexpr std::uint64_t kQuantum = 32;
 /** Suggested client backoff when admission control pushes back. */
 constexpr std::uint64_t kRetryAfterMs = 100;
 
-std::int64_t
-envInt(const char *name, std::int64_t def)
-{
-    if (const char *v = std::getenv(name))
-        if (const auto parsed = parseInt(v))
-            return *parsed;
-    return def;
-}
-
 } // namespace
 
 const char *const kServiceKnobs[] = {
-    "server",           "pool",    "queue_depth", "steal",
-    "clients",          "journal", "resume",      "stats",
-    "metrics",          "metrics_interval",       "events",
-    "events_limit",     "cache_entries",          "faults",
-    "fault_seed",
+    "server",           "pool",    "queue_depth", "clients",
+    "journal",          "resume",  "stats",       "metrics",
+    "metrics_interval", "events",  "events_limit",
+    "cache_entries",    "faults",  "fault_seed",
 };
 const std::size_t kNumServiceKnobs =
     sizeof(kServiceKnobs) / sizeof(kServiceKnobs[0]);
@@ -70,17 +60,16 @@ serverOptionsFromConfig(const Config &cfg)
     const char *envServer = std::getenv("MANNA_SERVER");
     opts.address =
         cfg.getString("server", envServer ? envServer : "");
-    opts.pool = static_cast<std::size_t>(std::max<std::int64_t>(
-        0, cfg.getInt("pool", envInt("MANNA_POOL", 0))));
-    opts.queueDepth = static_cast<std::size_t>(
-        std::max<std::int64_t>(
-            1, cfg.getInt("queue_depth",
-                          envInt("MANNA_QUEUE_DEPTH", 64))));
-    opts.steal =
-        cfg.getBool("steal", envInt("MANNA_STEAL", 1) != 0);
-    opts.maxClients = static_cast<std::size_t>(
-        std::max<std::int64_t>(
-            1, cfg.getInt("clients", envInt("MANNA_CLIENTS", 16))));
+    const auto count = [&cfg](const char *key, const char *env,
+                              std::size_t def, std::size_t min) {
+        return static_cast<std::size_t>(std::max<std::int64_t>(
+            static_cast<std::int64_t>(min),
+            cfg.getInt(key, static_cast<std::int64_t>(
+                                envCount(env, def, min)))));
+    };
+    opts.pool = count("pool", "MANNA_POOL", 0, 0);
+    opts.queueDepth = count("queue_depth", "MANNA_QUEUE_DEPTH", 64, 1);
+    opts.maxClients = count("clients", "MANNA_CLIENTS", 16, 1);
     opts.journalPath = cfg.getString("journal", "");
     opts.resumeFrom = cfg.getString("resume", "");
     if (opts.journalPath.empty() && !opts.resumeFrom.empty() &&
@@ -95,11 +84,7 @@ serverOptionsFromConfig(const Config &cfg)
         opts.metricsIntervalSeconds = 1.0;
     }
     opts.eventsPath = cfg.getString("events", "");
-    opts.cacheEntries = static_cast<std::size_t>(
-        std::max<std::int64_t>(
-            0, cfg.getInt("cache_entries",
-                          static_cast<std::int64_t>(
-                              defaultCacheEntries()))));
+    opts.cacheEntries = count("cache_entries", "MANNA_CACHE_ENTRIES", 0, 0);
     // Same process-wide side effects as sweepOptionsFromConfig: the
     // daemon is a sweep executor, so it gets the fault-injection
     // and tracing knobs with identical semantics.
@@ -163,6 +148,7 @@ struct Server::Impl
     std::uint64_t cancelled = 0;
     std::uint64_t retryAfter = 0;
     std::uint64_t journalHits = 0;
+    std::uint64_t restarts = 0; ///< injected pool.worker.crash requeues
     std::map<std::string, std::uint64_t> perClientDispatched;
 
     std::map<std::uint64_t, MannaResult> restored;
@@ -245,8 +231,7 @@ Server::start()
 
     const std::size_t workers =
         im.opts.pool > 0 ? im.opts.pool : defaultJobs();
-    pool_ = std::make_unique<WorkerPool>(workers, im.opts.steal);
-    pool_->start();
+    pool_ = std::make_unique<WorkerPool>(workers);
 
     {
         std::lock_guard<std::mutex> lock(im.mu);
@@ -264,10 +249,9 @@ Server::start()
     im.dispatchThread = std::thread([this] { dispatchLoop(); });
     if (!im.opts.metricsPath.empty())
         im.metricsThread = std::thread([this] { metricsLoop(); });
-    debugLog("mannad listening on %s (pool=%zu steal=%d "
-             "queue_depth=%zu clients=%zu)",
-             im.addr.describe().c_str(), workers,
-             im.opts.steal ? 1 : 0, im.opts.queueDepth,
+    debugLog("mannad listening on %s (pool=%zu queue_depth=%zu "
+             "clients=%zu)",
+             im.addr.describe().c_str(), workers, im.opts.queueDepth,
              im.opts.maxClients);
 }
 
@@ -724,14 +708,9 @@ Server::dispatchLoop()
                 ++im.perClientDispatched[conn->name];
                 dispatched = true;
                 lock.unlock();
-                WorkerPool::Task task;
-                task.cancel = token;
-                task.run = [this, conn, token,
-                            pending = std::make_shared<Pending>(
-                                std::move(pending))]() mutable {
-                    executeJob(conn, std::move(*pending), token);
-                };
-                pool_->submit(std::move(task));
+                submitJob(conn,
+                          std::make_shared<Pending>(std::move(pending)),
+                          token);
                 lock.lock();
             }
             if (conn->queue.empty())
@@ -742,6 +721,34 @@ Server::dispatchLoop()
             im.dispatchCv.wait_for(lock,
                                    std::chrono::milliseconds(50));
     }
+}
+
+void
+Server::submitJob(std::shared_ptr<Conn> conn,
+                  std::shared_ptr<Pending> pending,
+                  std::shared_ptr<CancelToken> token)
+{
+    if (events::enabled())
+        events::instant(
+            "job.enqueue",
+            strformat("id=%llu",
+                      static_cast<unsigned long long>(pending->id)));
+    pool_->submit([this, conn, pending, token] {
+        if (fault::anyArmed() &&
+            fault::shouldFire(fault::Site::PoolWorkerCrash)) {
+            // The worker "dies" at pickup holding the job: count the
+            // restart and queue the job again. Jobs are pure, so the
+            // re-execution is byte-identical.
+            {
+                std::lock_guard<std::mutex> lock(impl_->mu);
+                ++impl_->restarts;
+            }
+            warn("pool worker crashed (injected); restarting");
+            submitJob(conn, pending, token);
+            return;
+        }
+        executeJob(conn, std::move(*pending), token);
+    });
 }
 
 void
@@ -833,7 +840,8 @@ Server::metricsLoop()
                  jsonNumber(im.opts.metricsIntervalSeconds).c_str());
     auto sample = [&] {
         std::size_t queued, clients = 0, inFlight;
-        std::uint64_t completed, failed, cancelled, retryAfter;
+        std::uint64_t completed, failed, cancelled, retryAfter,
+            restarts;
         {
             std::lock_guard<std::mutex> lock(im.mu);
             queued = queuedTotalLocked();
@@ -845,6 +853,7 @@ Server::metricsLoop()
             failed = im.failed;
             cancelled = im.cancelled;
             retryAfter = im.retryAfter;
+            restarts = im.restarts;
         }
         const double elapsed =
             std::chrono::duration<double>(Clock::now() -
@@ -854,14 +863,13 @@ Server::metricsLoop()
             file,
             "{\"elapsed_seconds\": %s, \"clients\": %zu, "
             "\"queue_depth\": %zu, \"in_flight\": %zu, "
-            "\"busy_workers\": %zu, \"steals\": %llu, "
+            "\"busy_workers\": %zu, "
             "\"restarts\": %llu, \"completed\": %llu, "
             "\"failed\": %llu, \"cancelled\": %llu, "
             "\"retry_after\": %llu, \"rss_kb\": %zu}\n",
             jsonNumber(elapsed).c_str(), clients, queued, inFlight,
             pool_->busyWorkers(),
-            static_cast<unsigned long long>(pool_->steals()),
-            static_cast<unsigned long long>(pool_->restarts()),
+            static_cast<unsigned long long>(restarts),
             static_cast<unsigned long long>(completed),
             static_cast<unsigned long long>(failed),
             static_cast<unsigned long long>(cancelled),
@@ -897,8 +905,7 @@ Server::statsJson() const
             "\"rejected\": %llu, \"submits\": %llu, "
             "\"completed\": %llu, \"failed\": %llu, "
             "\"cancelled\": %llu, \"retry_after\": %llu, "
-            "\"journal_hits\": %llu, \"steals\": %llu, "
-            "\"restarts\": %llu, \"watchdog_cancelled\": %llu},\n",
+            "\"journal_hits\": %llu, \"restarts\": %llu},\n",
             static_cast<unsigned long long>(im.accepted),
             static_cast<unsigned long long>(im.rejected),
             static_cast<unsigned long long>(im.submits),
@@ -907,12 +914,7 @@ Server::statsJson() const
             static_cast<unsigned long long>(im.cancelled),
             static_cast<unsigned long long>(im.retryAfter),
             static_cast<unsigned long long>(im.journalHits),
-            static_cast<unsigned long long>(
-                pool_ ? pool_->steals() : 0),
-            static_cast<unsigned long long>(
-                pool_ ? pool_->restarts() : 0),
-            static_cast<unsigned long long>(
-                pool_ ? pool_->watchdogCancellations() : 0));
+            static_cast<unsigned long long>(im.restarts));
         out += "  \"per_client\": {";
         bool first = true;
         for (const auto &entry : im.perClientDispatched) {
@@ -973,6 +975,13 @@ Server::journalHits() const
 {
     std::lock_guard<std::mutex> lock(impl_->mu);
     return impl_->journalHits;
+}
+
+std::uint64_t
+Server::restarts() const
+{
+    std::lock_guard<std::mutex> lock(impl_->mu);
+    return impl_->restarts;
 }
 
 } // namespace manna::harness::server

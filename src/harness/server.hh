@@ -4,7 +4,7 @@
  *
  * A Server listens on a Unix or TCP socket (common/net.hh), speaks
  * the MNRQ/MNRS framing protocol (harness/proto.hh), and executes
- * submitted sweep jobs on a persistent work-stealing pool
+ * submitted sweep jobs on the shared-FIFO WorkerPool
  * (harness/worker_pool.hh). Scheduling is two-level:
  *
  *  - per client, a priority-ordered pending queue with admission
@@ -24,6 +24,12 @@
  * disconnects (crash, SIGTERM) has its queued jobs dropped and its
  * running jobs cancelled through their CancelTokens.
  *
+ * The daemon's task wrapper (submitJob) emits the `job.enqueue`
+ * instant and hosts the `pool.worker.crash` fault site: a crashed
+ * pickup counts a restart and resubmits the job. Keeping both out of
+ * the pool means in-process sweeps, which run on the same pool,
+ * neither emit the event nor consume the fault.
+ *
  * An optional daemon-side journal (journal=/resume=) short-circuits
  * resubmitted fingerprints across daemon restarts; metrics= appends a
  * manna-daemon-metrics-v1 JSONL series and stats= writes the final
@@ -39,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cancel.hh"
 #include "common/net.hh"
 #include "harness/worker_pool.hh"
 
@@ -67,9 +74,6 @@ struct ServerOptions
      * across all clients before submissions get RetryAfter. */
     std::size_t queueDepth = 64;
 
-    /** Work stealing between pool workers (steal=, default on). */
-    bool steal = true;
-
     /** Max concurrently connected clients; further connections are
      * rejected at the protocol level. */
     std::size_t maxClients = 16;
@@ -94,8 +98,8 @@ struct ServerOptions
     std::size_t cacheEntries = 0;
 };
 
-/** Parse the daemon knobs: server=, pool=, queue_depth=, steal=,
- * clients=, journal=, resume=, stats=, metrics=, metrics_interval=,
+/** Parse the daemon knobs: server=, pool=, queue_depth=, clients=,
+ * journal=, resume=, stats=, metrics=, metrics_interval=,
  * cache_entries= — with MANNA_* environment twins where the in-
  * process sweep has them — and arm the process-wide fault and event
  * machinery exactly like sweepOptionsFromConfig. */
@@ -137,7 +141,8 @@ class Server
     std::uint64_t cancelledJobs() const;
     std::uint64_t retryAfterCount() const;
     std::uint64_t journalHits() const;
-    const WorkerPool &pool() const { return *pool_; }
+    /** Injected pool.worker.crash pickups (each one resubmitted). */
+    std::uint64_t restarts() const;
 
   private:
     struct Conn;
@@ -147,6 +152,9 @@ class Server
     void readerLoop(std::shared_ptr<Conn> conn);
     void dispatchLoop();
     void metricsLoop();
+    void submitJob(std::shared_ptr<Conn> conn,
+                   std::shared_ptr<Pending> pending,
+                   std::shared_ptr<CancelToken> token);
     void executeJob(std::shared_ptr<Conn> conn, Pending pending,
                     std::shared_ptr<CancelToken> token);
     void handleSubmit(const std::shared_ptr<Conn> &conn,

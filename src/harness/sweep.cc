@@ -27,55 +27,64 @@
 namespace manna::harness
 {
 
+namespace
+{
+
+/** envCount() for a duration: the value of @p name when it parses as
+ * a number >= 0 (> 0 when @p positive), else @p fallback with a
+ * warning. */
+double
+envSeconds(const char *name, double fallback, bool positive)
+{
+    const char *env = std::getenv(name);
+    if (!env)
+        return fallback;
+    char *end = nullptr;
+    const double v = std::strtod(env, &end);
+    if (end != env && *end == '\0' && (positive ? v > 0.0 : v >= 0.0))
+        return v;
+    warn("ignoring invalid %s='%s'", name, env);
+    return fallback;
+}
+
+} // namespace
+
+std::size_t
+envCount(const char *name, std::size_t fallback, std::size_t min)
+{
+    const char *env = std::getenv(name);
+    if (!env)
+        return fallback;
+    const auto v = parseInt(env);
+    if (v && *v >= 0 && static_cast<std::size_t>(*v) >= min)
+        return static_cast<std::size_t>(*v);
+    warn("ignoring invalid %s='%s'", name, env);
+    return fallback;
+}
+
 std::size_t
 defaultJobs()
 {
-    if (const char *env = std::getenv("MANNA_JOBS")) {
-        const auto v = parseInt(env);
-        if (v && *v > 0)
-            return static_cast<std::size_t>(*v);
-        warn("ignoring invalid MANNA_JOBS='%s'", env);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
+    return envCount("MANNA_JOBS", hw > 0 ? hw : 1, 1);
 }
 
 std::size_t
 defaultRetries()
 {
-    if (const char *env = std::getenv("MANNA_RETRIES")) {
-        const auto v = parseInt(env);
-        if (v && *v >= 0)
-            return static_cast<std::size_t>(*v);
-        warn("ignoring invalid MANNA_RETRIES='%s'", env);
-    }
-    return 0;
+    return envCount("MANNA_RETRIES", 0);
 }
 
 double
 defaultTimeoutSeconds()
 {
-    if (const char *env = std::getenv("MANNA_TIMEOUT")) {
-        char *end = nullptr;
-        const double v = std::strtod(env, &end);
-        if (end != env && *end == '\0' && v >= 0.0)
-            return v;
-        warn("ignoring invalid MANNA_TIMEOUT='%s'", env);
-    }
-    return 0.0;
+    return envSeconds("MANNA_TIMEOUT", 0.0, false);
 }
 
 double
 defaultProgressSeconds()
 {
-    if (const char *env = std::getenv("MANNA_PROGRESS")) {
-        char *end = nullptr;
-        const double v = std::strtod(env, &end);
-        if (end != env && *end == '\0' && v >= 0.0)
-            return v;
-        warn("ignoring invalid MANNA_PROGRESS='%s'", env);
-    }
-    return 0.0;
+    return envSeconds("MANNA_PROGRESS", 0.0, false);
 }
 
 std::string
@@ -89,13 +98,7 @@ defaultStatsPath()
 std::size_t
 defaultCacheEntries()
 {
-    if (const char *env = std::getenv("MANNA_CACHE_ENTRIES")) {
-        const auto v = parseInt(env);
-        if (v && *v >= 0)
-            return static_cast<std::size_t>(*v);
-        warn("ignoring invalid MANNA_CACHE_ENTRIES='%s'", env);
-    }
-    return 0;
+    return envCount("MANNA_CACHE_ENTRIES", 0);
 }
 
 std::string
@@ -109,93 +112,7 @@ defaultMetricsPath()
 double
 defaultMetricsIntervalSeconds()
 {
-    if (const char *env = std::getenv("MANNA_METRICS_INTERVAL")) {
-        char *end = nullptr;
-        const double v = std::strtod(env, &end);
-        if (end != env && *end == '\0' && v > 0.0)
-            return v;
-        warn("ignoring invalid MANNA_METRICS_INTERVAL='%s'", env);
-    }
-    return 1.0;
-}
-
-// ---------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------
-
-ThreadPool::ThreadPool(std::size_t threads)
-{
-    workers_.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        stopping_ = true;
-    }
-    hasWork_.notify_all();
-    for (auto &w : workers_)
-        w.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    if (workers_.empty()) {
-        // Degenerate pool: run inline so submit()/wait() still work.
-        task();
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        queue_.push_back(std::move(task));
-        ++inFlight_;
-    }
-    hasWork_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    allDone_.wait(lock, [this] { return inFlight_ == 0; });
-}
-
-void
-ThreadPool::workerLoop()
-{
-    while (true) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            hasWork_.wait(lock, [this] {
-                return stopping_ || !queue_.empty();
-            });
-            if (queue_.empty())
-                return; // stopping_ and drained
-            task = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        // Pool tasks are fault-isolated wrappers that catch their own
-        // exceptions; a throw reaching here would leave inFlight_
-        // stuck and deadlock wait(), so fail loudly instead.
-        try {
-            task();
-        } catch (const std::exception &e) {
-            panic("sweep pool task threw (harness bug): %s", e.what());
-        } catch (...) {
-            panic("sweep pool task threw (harness bug)");
-        }
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            --inFlight_;
-            if (inFlight_ == 0)
-                allDone_.notify_all();
-        }
-    }
+    return envSeconds("MANNA_METRICS_INTERVAL", 1.0, true);
 }
 
 // ---------------------------------------------------------------------
@@ -804,7 +721,7 @@ SweepRunner::SweepRunner(std::size_t jobs)
     : jobs_(jobs == 0 ? defaultJobs() : jobs)
 {
     if (jobs_ > 1)
-        pool_ = std::make_unique<ThreadPool>(jobs_);
+        pool_ = std::make_unique<WorkerPool>(jobs_);
 }
 
 SweepReport

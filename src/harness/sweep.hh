@@ -26,8 +26,8 @@
  * CancelToken; completed outcomes can be journaled to an append-only
  * file and skipped on resume after a crash.
  *
- * The pool is a plain std::thread + mutex/condition-variable work
- * queue — no external dependencies.
+ * Jobs run on the process's one in-process pool, the shared-FIFO
+ * WorkerPool of harness/worker_pool.hh — no external dependencies.
  */
 
 #ifndef MANNA_HARNESS_SWEEP_HH
@@ -36,7 +36,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -47,6 +46,7 @@
 #include "common/error.hh"
 #include "common/stat_registry.hh"
 #include "harness/experiment.hh"
+#include "harness/worker_pool.hh"
 
 namespace manna
 {
@@ -55,6 +55,14 @@ class Config;
 
 namespace manna::harness
 {
+
+/**
+ * Integer environment knob: the value of @p name when it parses as an
+ * integer >= @p min, otherwise @p fallback. A set but invalid value
+ * warns "ignoring invalid NAME='...'" before falling back.
+ */
+std::size_t envCount(const char *name, std::size_t fallback,
+                     std::size_t min = 0);
 
 /**
  * Worker count to use when none is requested explicitly: the
@@ -91,42 +99,6 @@ std::string defaultMetricsPath();
 /** Metrics sampling interval in seconds: the MANNA_METRICS_INTERVAL
  * environment variable if set and valid, otherwise 1.0. */
 double defaultMetricsIntervalSeconds();
-
-/**
- * Fixed-size thread pool with a FIFO work queue. submit() may be
- * called from the owning thread only. Tasks must not throw: the
- * fault-isolation layer catches everything at the job boundary, so a
- * throw escaping a task indicates a harness bug and panics.
- */
-class ThreadPool
-{
-  public:
-    /** @p threads == 0 or 1 runs every task inline in wait(). */
-    explicit ThreadPool(std::size_t threads);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Enqueue a task. */
-    void submit(std::function<void()> task);
-
-    /** Block until every submitted task has finished. */
-    void wait();
-
-    std::size_t threadCount() const { return workers_.size(); }
-
-  private:
-    void workerLoop();
-
-    std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> queue_;
-    std::mutex mu_;
-    std::condition_variable hasWork_;
-    std::condition_variable allDone_;
-    std::size_t inFlight_ = 0;
-    bool stopping_ = false;
-};
 
 /** One independent simulation point of a sweep. */
 struct SweepJob
@@ -503,13 +475,13 @@ class SweepRunner
         }
         for (std::size_t i = 0; i < count; ++i)
             pool_->submit([&results, &fn, i] { results[i] = fn(i); });
-        pool_->wait();
+        pool_->drain();
         return results;
     }
 
   private:
     std::size_t jobs_;
-    std::unique_ptr<ThreadPool> pool_; ///< null when jobs_ == 1
+    std::unique_ptr<WorkerPool> pool_; ///< null when jobs_ == 1
 };
 
 } // namespace manna::harness

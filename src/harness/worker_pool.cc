@@ -1,36 +1,18 @@
 #include "worker_pool.hh"
 
-#include <chrono>
+#include <exception>
 
-#include "common/event_log.hh"
-#include "common/fault.hh"
 #include "common/logging.hh"
-#include "common/strutil.hh"
 
 namespace manna::harness
 {
 
-namespace
+WorkerPool::WorkerPool(std::size_t workers)
+    : executed_(workers > 0 ? workers : 1, 0)
 {
-
-double
-monotonicSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-} // namespace
-
-WorkerPool::WorkerPool(std::size_t workers, bool steal)
-    : steal_(steal)
-{
-    if (workers == 0)
-        workers = 1;
-    workers_.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i)
-        workers_.push_back(std::make_unique<WorkerState>());
+    threads_.reserve(executed_.size());
+    for (std::size_t i = 0; i < executed_.size(); ++i)
+        threads_.emplace_back([this, i] { workerLoop(i); });
 }
 
 WorkerPool::~WorkerPool()
@@ -39,237 +21,78 @@ WorkerPool::~WorkerPool()
 }
 
 void
-WorkerPool::start()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (started_)
-        return;
-    started_ = true;
-    stopping_ = false;
-    threads_.reserve(workers_.size());
-    for (std::size_t i = 0; i < workers_.size(); ++i)
-        threads_.emplace_back([this, i] { workerLoop(i); });
-    watchdog_ = std::thread([this] { watchdogLoop(); });
-}
-
-void
 WorkerPool::stop()
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (!started_)
-            return;
         stopping_ = true;
     }
     workCv_.notify_all();
     for (auto &t : threads_)
-        t.join();
-    threads_.clear();
-    if (watchdog_.joinable())
-        watchdog_.join();
-    std::lock_guard<std::mutex> lock(mutex_);
-    started_ = false;
+        if (t.joinable())
+            t.join();
 }
 
 void
 WorkerPool::submit(Task task)
 {
-    std::size_t target = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        std::size_t best = workers_[0]->queue.size();
-        for (std::size_t i = 1; i < workers_.size(); ++i) {
-            if (workers_[i]->queue.size() < best) {
-                best = workers_[i]->queue.size();
-                target = i;
-            }
-        }
-        workers_[target]->queue.push_back(std::move(task));
+        queue_.push_back(std::move(task));
     }
-    if (events::enabled())
-        events::instant("job.enqueue",
-                        strformat("worker=%zu", target));
-    workCv_.notify_all();
-}
-
-void
-WorkerPool::submitTo(std::size_t worker, Task task)
-{
-    MANNA_ASSERT(worker < workers_.size(), "bad pool worker index");
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        workers_[worker]->queue.push_back(std::move(task));
-    }
-    if (events::enabled())
-        events::instant("job.enqueue",
-                        strformat("worker=%zu pinned=1", worker));
-    workCv_.notify_all();
+    workCv_.notify_one();
 }
 
 void
 WorkerPool::drain()
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    idleCv_.wait(lock, [this] {
-        for (const auto &w : workers_)
-            if (w->busy || !w->queue.empty())
-                return false;
-        return true;
-    });
-}
-
-std::size_t
-WorkerPool::queuedTasks() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t n = 0;
-    for (const auto &w : workers_)
-        n += w->queue.size();
-    return n;
+    idleCv_.wait(lock, [this] { return queue_.empty() && busy_ == 0; });
 }
 
 std::size_t
 WorkerPool::busyWorkers() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t n = 0;
-    for (const auto &w : workers_)
-        if (w->busy)
-            ++n;
-    return n;
-}
-
-std::uint64_t
-WorkerPool::steals() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return steals_;
-}
-
-std::uint64_t
-WorkerPool::restarts() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return restarts_;
-}
-
-std::uint64_t
-WorkerPool::completed() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return completed_;
-}
-
-std::uint64_t
-WorkerPool::watchdogCancellations() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return watchdogCancellations_;
+    return busy_;
 }
 
 std::uint64_t
 WorkerPool::executedBy(std::size_t worker) const
 {
-    MANNA_ASSERT(worker < workers_.size(), "bad pool worker index");
+    MANNA_ASSERT(worker < executed_.size(), "bad pool worker index");
     std::lock_guard<std::mutex> lock(mutex_);
-    return workers_[worker]->executed;
+    return executed_[worker];
 }
 
 void
 WorkerPool::workerLoop(std::size_t self)
 {
-    WorkerState &me = *workers_[self];
     std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
-        Task task;
-        bool stolen = false;
-        std::size_t victim = self;
-        if (!me.queue.empty()) {
-            task = std::move(me.queue.front());
-            me.queue.pop_front();
-        } else {
-            // Steal from the back of the largest non-empty queue —
-            // the task its owner would reach last.
-            std::size_t best = 0;
-            for (std::size_t i = 0; steal_ && i < workers_.size();
-                 ++i) {
-                if (i == self)
-                    continue;
-                if (workers_[i]->queue.size() > best) {
-                    best = workers_[i]->queue.size();
-                    victim = i;
-                }
-            }
-            if (best > 0) {
-                task = std::move(workers_[victim]->queue.back());
-                workers_[victim]->queue.pop_back();
-                ++steals_;
-                stolen = true;
-            } else {
-                if (stopping_)
-                    return;
-                workCv_.wait(lock);
-                continue;
-            }
-        }
-        if (fault::anyArmed() &&
-            fault::shouldFire(fault::Site::PoolWorkerCrash)) {
-            // The worker "dies" holding the task: put it back where
-            // the restarted worker will pick it up first. Jobs are
-            // pure, so the re-execution is byte-identical.
-            me.queue.push_front(std::move(task));
-            ++restarts_;
-            lock.unlock();
-            warn("pool worker %zu crashed (injected); restarting",
-                 self);
-            workCv_.notify_all();
-            lock.lock();
-            continue;
-        }
-        me.busy = true;
-        me.runningCancel = task.cancel;
-        me.runningDeadline =
-            (task.cancel && task.timeoutSeconds > 0.0)
-                ? monotonicSeconds() + task.timeoutSeconds
-                : 0.0;
-        me.cancelledByWatchdog = false;
+        workCv_.wait(lock,
+                     [this] { return stopping_ || !queue_.empty(); });
+        if (queue_.empty())
+            return; // stopping_ and drained
+        Task task = std::move(queue_.front());
+        queue_.pop_front();
+        ++busy_;
         lock.unlock();
-        if (stolen && events::enabled())
-            events::instant("job.steal",
-                            strformat("thief=%zu victim=%zu", self,
-                                      victim));
-        task.run();
-        lock.lock();
-        me.busy = false;
-        me.runningCancel.reset();
-        me.runningDeadline = 0.0;
-        me.executed += 1;
-        completed_ += 1;
-        idleCv_.notify_all();
-        if (stopping_ && me.queue.empty())
-            return;
-    }
-}
-
-void
-WorkerPool::watchdogLoop()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stopping_) {
-        const double now = monotonicSeconds();
-        for (auto &w : workers_) {
-            if (w->busy && w->runningCancel &&
-                w->runningDeadline > 0.0 &&
-                now >= w->runningDeadline &&
-                !w->cancelledByWatchdog) {
-                w->runningCancel->cancel();
-                w->cancelledByWatchdog = true;
-                ++watchdogCancellations_;
-            }
+        // A throw reaching here would leave busy_ stuck and deadlock
+        // drain(), so fail loudly instead.
+        try {
+            task();
+        } catch (const std::exception &e) {
+            panic("pool task threw (harness bug): %s", e.what());
+        } catch (...) {
+            panic("pool task threw (harness bug)");
         }
-        lock.unlock();
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        task = nullptr; // release its captures before relocking
         lock.lock();
+        --busy_;
+        ++executed_[self];
+        if (busy_ == 0 && queue_.empty())
+            idleCv_.notify_all();
     }
 }
 

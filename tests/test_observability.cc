@@ -33,7 +33,6 @@
 #include "harness/observe.hh"
 #include "harness/server.hh"
 #include "harness/sweep.hh"
-#include "harness/worker_pool.hh"
 #include "isa/isa.hh"
 #include "sim/trace.hh"
 #include "workloads/benchmarks.hh"
@@ -1050,46 +1049,6 @@ TEST(ServiceTrace, DaemonSpansLandInTheMergedHarnessTrace)
     EXPECT_NE(json.find("\"name\":\"server.run\""), std::string::npos);
     EXPECT_NE(json.find("\"name\":\"job.enqueue\""),
               std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(ServiceTrace, StealInstantsNameThiefAndVictimWorkers)
-{
-    const std::string path = "test_observability_steal.events";
-    events::EventLog &log = events::EventLog::instance();
-    ASSERT_TRUE(log.open(path, "daemon"));
-    {
-        WorkerPool pool(2);
-        pool.start();
-        // Pin every task to worker 0: any progress on worker 1 is a
-        // steal, and each one must be traced with thief and victim.
-        for (int i = 0; i < 16; ++i)
-            pool.submitTo(0, {[] {
-                                  std::this_thread::sleep_for(
-                                      std::chrono::milliseconds(2));
-                              },
-                              nullptr, 0.0});
-        pool.drain();
-        EXPECT_GT(pool.steals(), 0u);
-        pool.stop();
-    }
-    log.close();
-
-    const auto f = events::parseEventFile(path);
-    ASSERT_TRUE(f.ok);
-    std::size_t steals = 0, pinned = 0;
-    for (const auto &e : f.events) {
-        if (e.name == "job.steal") {
-            ++steals;
-            EXPECT_EQ(e.detail, "thief=1 victim=0") << e.detail;
-        } else if (e.name == "job.enqueue") {
-            ++pinned;
-            EXPECT_NE(e.detail.find("pinned=1"), std::string::npos)
-                << e.detail;
-        }
-    }
-    EXPECT_GT(steals, 0u);
-    EXPECT_EQ(pinned, 16u);
     std::remove(path.c_str());
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Tier-1 tests for the simulation service (docs/SERVICE.md): the
  * MNRQ/MNRS framing protocol and job codec (harness/proto.*), the
- * persistent work-stealing pool (harness/worker_pool.*), and the
+ * shared-FIFO worker pool (harness/worker_pool.*), and the
  * daemon + client pair (harness/server.*, harness/client.*).
  *
  * The headline invariant: routing a sweep through a daemon must not
@@ -17,7 +17,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <deque>
+#include <mutex>
 #include <thread>
 
 #include <unistd.h>
@@ -264,14 +267,13 @@ TEST(Proto, TamperedJobPayloadFailsTheFingerprintCheck)
 TEST(WorkerPool, ExecutesEverythingAcrossWorkers)
 {
     WorkerPool pool(4);
-    pool.start();
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit({[&] { ran.fetch_add(1); }, nullptr, 0.0});
+    std::vector<int> done(100, 0);
+    for (std::size_t i = 0; i < done.size(); ++i)
+        pool.submit([&done, i] { done[i] = 1; });
     pool.drain();
-    EXPECT_EQ(ran.load(), 100);
-    EXPECT_EQ(pool.completed(), 100u);
-    EXPECT_EQ(pool.queuedTasks(), 0u);
+    for (int d : done)
+        EXPECT_EQ(d, 1);
+    EXPECT_EQ(pool.busyWorkers(), 0u);
     std::uint64_t executed = 0;
     for (std::size_t w = 0; w < pool.workers(); ++w)
         executed += pool.executedBy(w);
@@ -279,90 +281,64 @@ TEST(WorkerPool, ExecutesEverythingAcrossWorkers)
     pool.stop();
 }
 
-TEST(WorkerPool, IdleWorkersStealPinnedBacklog)
+TEST(WorkerPool, StartsTasksInSubmissionOrder)
 {
+    // A baton keeps exactly one worker free to pick up the next task:
+    // each task records its index, wakes the longest-parked worker,
+    // and parks itself until the last index is recorded. The recorded
+    // order is therefore the pickup order, with no race between the
+    // pool's pop and the record.
+    constexpr std::size_t kTasks = 64;
+    std::mutex mu;
+    std::condition_variable cv;
+    std::deque<bool *> parked;
+    std::vector<std::size_t> order;
+    bool done = false;
+    auto park = [&](std::unique_lock<std::mutex> &lock) {
+        bool go = false;
+        parked.push_back(&go);
+        cv.notify_all();
+        cv.wait(lock, [&] { return go || done; });
+    };
+
     WorkerPool pool(3);
-    pool.start();
-    std::atomic<int> ran{0};
-    // Pin everything to worker 0: progress on workers 1/2 can only
-    // come from stealing. Make each task slow enough that worker 0
-    // cannot drain its own queue before the thieves wake up.
-    for (int i = 0; i < 24; ++i)
-        pool.submitTo(0, {[&] {
-                              std::this_thread::sleep_for(
-                                  std::chrono::milliseconds(2));
-                              ran.fetch_add(1);
-                          },
-                          nullptr, 0.0});
+    for (int p = 0; p < 2; ++p)
+        pool.submit([&] {
+            std::unique_lock<std::mutex> lock(mu);
+            park(lock);
+        });
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return parked.size() == 2; });
+    }
+    for (std::size_t i = 0; i < kTasks; ++i)
+        pool.submit([&, i] {
+            std::unique_lock<std::mutex> lock(mu);
+            order.push_back(i);
+            done = order.size() == kTasks;
+            *parked.front() = true;
+            parked.pop_front();
+            park(lock);
+        });
     pool.drain();
-    EXPECT_EQ(ran.load(), 24);
-    EXPECT_GT(pool.steals(), 0u);
-    EXPECT_GT(pool.executedBy(1) + pool.executedBy(2), 0u);
-    pool.stop();
+
+    std::vector<std::size_t> expected(kTasks);
+    for (std::size_t i = 0; i < kTasks; ++i)
+        expected[i] = i;
+    EXPECT_EQ(order, expected);
 }
 
-TEST(WorkerPool, StealKnobOffKeepsPinnedWorkLocal)
+TEST(WorkerPool, StopRunsEveryQueuedTask)
 {
-    WorkerPool pool(3, /*steal=*/false);
-    pool.start();
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 16; ++i)
-        pool.submitTo(0, {[&] {
-                              std::this_thread::sleep_for(
-                                  std::chrono::milliseconds(1));
-                              ran.fetch_add(1);
-                          },
-                          nullptr, 0.0});
-    pool.drain();
-    EXPECT_EQ(ran.load(), 16);
-    EXPECT_EQ(pool.steals(), 0u);
-    EXPECT_EQ(pool.executedBy(0), 16u);
-    pool.stop();
-}
-
-TEST(WorkerPool, InjectedCrashRequeuesTheTask)
-{
-    fault::configure(
-        strformat("%s:once@1",
-                  fault::siteName(fault::Site::PoolWorkerCrash)),
-        0);
     WorkerPool pool(2);
-    pool.start();
     std::atomic<int> ran{0};
     for (int i = 0; i < 8; ++i)
-        pool.submit({[&] { ran.fetch_add(1); }, nullptr, 0.0});
-    pool.drain();
-    fault::reset();
-    // The crashed pickup re-queued its task: nothing was lost, and
-    // the restart is visible in the counter the metrics JSONL samples.
+        pool.submit([&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            ran.fetch_add(1);
+        });
+    pool.stop();
     EXPECT_EQ(ran.load(), 8);
-    EXPECT_EQ(pool.completed(), 8u);
-    EXPECT_EQ(pool.restarts(), 1u);
-    pool.stop();
-}
-
-TEST(WorkerPool, WatchdogCancelsOverdueTask)
-{
-    WorkerPool pool(1);
-    pool.start();
-    auto token = std::make_shared<CancelToken>();
-    std::atomic<bool> sawCancel{false};
-    pool.submit({[&] {
-                     // Cooperative loop, like a simulation step loop.
-                     for (int i = 0; i < 4000; ++i) {
-                         if (token->cancelled()) {
-                             sawCancel.store(true);
-                             return;
-                         }
-                         std::this_thread::sleep_for(
-                             std::chrono::milliseconds(1));
-                     }
-                 },
-                 token, 0.15});
-    pool.drain();
-    EXPECT_TRUE(sawCancel.load());
-    EXPECT_EQ(pool.watchdogCancellations(), 1u);
-    pool.stop();
 }
 
 // -- options parsing ---------------------------------------------------
@@ -373,16 +349,28 @@ TEST(ServerOptions, ParsedFromConfigKnobs)
     cfg.set("server", "unix:/tmp/svc.sock");
     cfg.set("pool", "3");
     cfg.set("queue_depth", "17");
-    cfg.set("steal", "0");
     cfg.set("clients", "5");
     cfg.set("metrics_interval", "0.25");
     const server::ServerOptions o = server::serverOptionsFromConfig(cfg);
     EXPECT_EQ(o.address, "unix:/tmp/svc.sock");
     EXPECT_EQ(o.pool, 3u);
     EXPECT_EQ(o.queueDepth, 17u);
-    EXPECT_FALSE(o.steal);
     EXPECT_EQ(o.maxClients, 5u);
     EXPECT_DOUBLE_EQ(o.metricsIntervalSeconds, 0.25);
+}
+
+TEST(ServerOptions, MalformedEnvironmentWarnsAndFallsBack)
+{
+    ::setenv("MANNA_POOL", "abc", 1);
+    testing::internal::CaptureStderr();
+    const server::ServerOptions o =
+        server::serverOptionsFromConfig(Config{});
+    const std::string err = testing::internal::GetCapturedStderr();
+    ::unsetenv("MANNA_POOL");
+    EXPECT_EQ(o.pool, 0u); // 0 selects defaultJobs()
+    EXPECT_NE(err.find("ignoring invalid MANNA_POOL='abc'"),
+              std::string::npos)
+        << err;
 }
 
 TEST(ServerOptions, ServiceKnobTableIsNonEmptyAndUnique)
@@ -508,7 +496,7 @@ TEST(Service, InjectedWorkerCrashKeepsResultsIdentical)
 
     EXPECT_EQ(outcomeFingerprints(plain),
               outcomeFingerprints(viaDaemon));
-    EXPECT_EQ(daemon->pool().restarts(), 1u);
+    EXPECT_EQ(daemon->restarts(), 1u);
     EXPECT_EQ(daemon->completedJobs(), jobs.size());
 }
 

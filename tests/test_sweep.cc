@@ -121,17 +121,6 @@ TEST(SweepRunner, DefaultJobsHonorsEnvironment)
     EXPECT_GE(defaultJobs(), 1u);
 }
 
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    ThreadPool pool(4);
-    std::vector<int> done(100, 0);
-    for (std::size_t i = 0; i < done.size(); ++i)
-        pool.submit([&done, i] { done[i] = 1; });
-    pool.wait();
-    for (int d : done)
-        EXPECT_EQ(d, 1);
-}
-
 TEST(CompileCache, HitReturnsIdenticalCompiledModel)
 {
     compiler::clearCompileCache();

@@ -4,16 +4,15 @@
  *
  * Listens on a Unix or TCP socket, accepts MNRQ job submissions from
  * manna-submit / `server=` bench runs, and executes them on a
- * persistent work-stealing worker pool with per-client fairness and
+ * persistent shared-FIFO worker pool with per-client fairness and
  * queue-depth admission control. Runs until SIGINT/SIGTERM or a
  * client sends a Shutdown request.
  *
  * Knobs (all also documented in docs/SERVICE.md):
  *   server=ADDR       listen endpoint: unix:/path or tcp:host:port
  *                     (required; MANNA_SERVER)
- *   pool=N            worker threads, 0 = hardware default
+ *   pool=N            worker threads, 0 = MANNA_JOBS, else hardware
  *   queue_depth=N     backlog bound before RetryAfter (default 64)
- *   steal=0|1         work stealing between workers (default 1)
  *   clients=N         max concurrent client connections (default 16)
  *   journal=PATH      daemon-side result journal
  *   resume=P1,P2      journals to preload (fingerprint cache)
@@ -42,7 +41,7 @@ main(int argc, char **argv)
     server::ServerOptions opts = server::serverOptionsFromConfig(cfg);
     if (opts.address.empty())
         fatal("usage: mannad server=unix:/path|tcp:host:port "
-              "[pool=N] [queue_depth=N] [steal=1] [clients=N] "
+              "[pool=N] [queue_depth=N] [clients=N] "
               "[journal=PATH] [resume=P1,P2] [stats=PATH] "
               "[metrics=PATH] [events=PATH]");
 
