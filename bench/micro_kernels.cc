@@ -13,9 +13,8 @@
  * retries=/timeout=/stats=/bench_json= knobs all apply; a crashed or
  * failed micro-bench renders as a FAILED cell and makes the binary
  * exit nonzero. Timings are wall-clock measurements and are NOT
- * byte-identical across runs — only the table *structure* is stable
- * (that structure is what bench/baselines/BENCH_micro_kernels.json
- * pins).
+ * byte-identical across runs — only the table *structure* (the row
+ * names and columns) is stable.
  *
  * The Kernel/<op>/{scalar,dispatch} rows time every entry of the SIMD
  * kernel table (tensor/dispatch.hh) through the scalar reference and
@@ -24,6 +23,12 @@
  * "dispatch" rather than the selected level so the table structure is
  * identical on every host; the selected level is printed above the
  * table.
+ *
+ * The TimedStep/<bench>/<tiles>/{literal,fastforward} rows time one
+ * cycle-mode chip step (timing, tape check and replay) of a Table-2
+ * benchmark. The literal rows attach a zero-capacity TraceLogger, which
+ * makes the tile interpreter time every instruction instead of
+ * fast-forwarding steady-state loops (docs/PERF.md).
  */
 
 #include <chrono>
@@ -195,6 +200,50 @@ addKernelMicros(std::vector<Micro> &micros)
     }
 }
 
+/** A cycle-mode chip (every step timed) and its input, built on the
+ * first call of its micro's body. */
+struct TimedChip
+{
+    compiler::CompiledModel model;
+    sim::TraceLogger literal{0};
+    std::unique_ptr<sim::Chip> chip;
+    tensor::FVec x;
+};
+
+void
+addTimedStepMicros(std::vector<Micro> &micros)
+{
+    const struct
+    {
+        const char *bench;
+        std::size_t tiles;
+    } points[] = {{"copy", 1}, {"sort", 16}};
+    for (const auto &point : points) {
+        for (const bool literal : {true, false}) {
+            auto tc = std::make_shared<TimedChip>();
+            const std::string bench = point.bench;
+            const std::size_t tiles = point.tiles;
+            micros.push_back(
+                {strformat("TimedStep/%s/%zu/%s", point.bench, tiles,
+                           literal ? "literal" : "fastforward"),
+                 0, 0, 0, [tc, bench, tiles, literal] {
+                     if (!tc->chip) {
+                         const auto &cfg =
+                             workloads::benchmarkByName(bench).config;
+                         tc->model = compiler::compile(
+                             cfg, arch::MannaConfig::withTiles(tiles));
+                         tc->chip = std::make_unique<sim::Chip>(
+                             tc->model, 1, sim::Fidelity::Cycle);
+                         if (literal)
+                             tc->chip->attachTrace(&tc->literal);
+                         tc->x = tensor::FVec(cfg.inputDim, 0.1f);
+                     }
+                     doNotOptimize(tc->chip->step(tc->x));
+                 }});
+        }
+    }
+}
+
 std::vector<Micro>
 buildMicros()
 {
@@ -292,6 +341,7 @@ buildMicros()
              doNotOptimize(chip->step(x));
          }});
 
+    addTimedStepMicros(micros);
     return micros;
 }
 

@@ -22,6 +22,7 @@
 #define MANNA_ISA_ISA_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "common/logging.hh"
@@ -137,6 +138,10 @@ struct Operand
         for (std::size_t l = 0; l < depth && l < kMaxLoopDepth; ++l)
             addr += iters[l] * stride[l];
         MANNA_ASSERT(addr >= 0, "operand address underflow: %lld",
+                     static_cast<long long>(addr));
+        // A wrapped address could pass the span bounds check.
+        MANNA_ASSERT(addr <= std::numeric_limits<std::uint32_t>::max(),
+                     "operand address overflow: %lld",
                      static_cast<long long>(addr));
         return static_cast<std::uint32_t>(addr);
     }

@@ -1,6 +1,8 @@
 #include "chip.hh"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -255,9 +257,11 @@ ChipEngine::ChipEngine(const arch::MannaConfig &arch,
 {
     // Fresh tiles, zeroed memory and empty accounting are already the
     // state reset() restores.
-    for (std::size_t t = 0; t < arch_.numTiles; ++t)
+    for (std::size_t t = 0; t < arch_.numTiles; ++t) {
         tiles_.push_back(
             std::make_unique<DiffMemTile>(arch_, energy_, t, sizes));
+        tiles_.back()->shareLoopRecords(&loopRecords_);
+    }
 }
 
 void
@@ -387,10 +391,24 @@ ChipEngine::timeStep()
         tile->setReplayTape(&tape_);
     for (const auto &segment : segments_)
         runSegment(segment);
-    if (record)
-        tape_.finishRecording();
-    else
+    if (!record) {
         tape_.checkStep(steps_ + 1);
+        return;
+    }
+    tape_.finishRecording();
+    if (std::getenv("MANNA_REPLAY_DEBUG") != nullptr) {
+        double total = 0.0, forwarded = 0.0;
+        std::size_t skips = 0;
+        for (const auto &tile : tiles_) {
+            total += tile->counters().counter(TileCounter::Instructions);
+            forwarded += tile->forwardedInstructions();
+            skips += tile->loopSkips();
+        }
+        std::fprintf(stderr,
+                     "replay: timing interpreted %.0f instructions, "
+                     "fast-forwarded %.0f in %zu loop skips\n",
+                     total - forwarded, forwarded, skips);
+    }
 }
 
 std::vector<tensor::FVec>

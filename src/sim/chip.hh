@@ -215,6 +215,8 @@ class ChipEngine
     ControllerTileModel ctrlModel_;
 
     std::vector<std::unique_ptr<DiffMemTile>> tiles_;
+    /** The tiles' shared loop fast-forward scratch. */
+    LoopRecords loopRecords_;
 
     // Recurrent state held at the chip (controller side).
     std::vector<tensor::FVec> readVectors_;

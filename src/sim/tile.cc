@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iterator>
+#include <limits>
 
 #include "common/logging.hh"
 #include "tensor/dispatch.hh"
@@ -48,6 +50,43 @@ constexpr const char *kCounterNames[] = {
 };
 static_assert(std::size(kCounterNames) == kNumTileCounters,
               "one name per TileCounter");
+
+/** LoopShape value of a dependency time that can no longer matter. */
+constexpr std::int64_t kDead = std::numeric_limits<std::int64_t>::min();
+
+// Bounds of the fast-forward logs (LoopRecords): the open loops run
+// literally from where their records outgrow them.
+constexpr std::size_t kMaxLoggedOps = std::size_t{1} << 15;
+constexpr std::size_t kMaxLoggedCharges = std::size_t{1} << 17;
+
+std::uintptr_t
+wordOf(const void *p)
+{
+    return reinterpret_cast<std::uintptr_t>(p);
+}
+
+/** Every field of two ops but their pointers' values agrees. */
+bool
+sameShape(const ReplayOp &x, const ReplayOp &y)
+{
+    std::uint32_t xi, yi;
+    std::memcpy(&xi, &x.imm, sizeof xi);
+    std::memcpy(&yi, &y.imm, sizeof yi);
+    return x.kind == y.kind && x.op == y.op && x.flags == y.flags &&
+           x.n == y.n && x.rows == y.rows && x.pitchA == y.pitchA &&
+           x.pitchD == y.pitchD && xi == yi &&
+           (x.a == nullptr) == (y.a == nullptr) &&
+           (x.b == nullptr) == (y.b == nullptr) &&
+           (x.d == nullptr) == (y.d == nullptr) &&
+           (x.dn == nullptr) == (y.dn == nullptr);
+}
+
+template <typename T>
+T *
+stepped(T *p, std::uintptr_t step)
+{
+    return reinterpret_cast<T *>(wordOf(p) + step);
+}
 
 } // namespace
 
@@ -119,8 +158,12 @@ DiffMemTile::setProgram(const isa::Program *program)
     MANNA_ASSERT(program != nullptr, "null program");
     program_ = program;
     pc_ = 0;
+    stopRecording();
     loopStack_.clear();
     std::fill(std::begin(iters_), std::end(iters_), 0);
+    quietDepth_ = 0;
+    iterMax_ = 0;
+    touched_ = 0;
 }
 
 RunStatus
@@ -128,38 +171,29 @@ DiffMemTile::runUntilComm()
 {
     MANNA_ASSERT(program_ != nullptr, "tile %zu has no program",
                  tileIndex_);
+    if (records_ == nullptr) {
+        ownRecords_ = std::make_unique<LoopRecords>();
+        records_ = ownRecords_.get();
+    }
     const auto &insts = program_->instructions();
     while (pc_ < insts.size()) {
         const Instruction &inst = insts[pc_];
         switch (inst.op) {
-          case Opcode::Loop: {
-            MANNA_ASSERT(loopStack_.size() < isa::kMaxLoopDepth,
-                         "loop nesting too deep at pc %zu", pc_);
-            loopStack_.push_back({pc_ + 1, inst.count, 0});
-            iters_[loopStack_.size() - 1] = 0;
-            ++pc_;
+          case Opcode::Loop:
+            enterLoop(inst.count);
             break;
-          }
-          case Opcode::EndLoop: {
-            MANNA_ASSERT(!loopStack_.empty(),
-                         "endloop without loop at pc %zu", pc_);
-            LoopFrame &frame = loopStack_.back();
-            ++frame.iter;
-            if (frame.iter <
-                static_cast<std::int64_t>(frame.count)) {
-                iters_[loopStack_.size() - 1] = frame.iter;
-                pc_ = frame.bodyPc;
-            } else {
-                loopStack_.pop_back();
-                ++pc_;
-            }
+          case Opcode::EndLoop:
+            endLoopIteration();
             break;
-          }
           case Opcode::Halt:
             pc_ = insts.size();
+            stopRecording();
             return RunStatus::Done;
           case Opcode::Reduce:
           case Opcode::Broadcast:
+            // The open loops reach a communication instruction: they
+            // run literally.
+            stopRecording();
             return RunStatus::AtComm;
           case Opcode::Nop:
             ++pc_;
@@ -170,7 +204,292 @@ DiffMemTile::runUntilComm()
             break;
         }
     }
+    stopRecording();
     return RunStatus::Done;
+}
+
+void
+DiffMemTile::enterLoop(std::uint32_t count)
+{
+    MANNA_ASSERT(loopStack_.size() < isa::kMaxLoopDepth,
+                 "loop nesting too deep at pc %zu", pc_);
+    LoopFrame &frame = loopStack_.emplace_back();
+    frame.bodyPc = pc_ + 1;
+    frame.count = count;
+    iters_[loopStack_.size() - 1] = 0;
+    // A trace lists every instruction, and the first two iterations
+    // are needed to see a third repeat the second.
+    frame.skippable = count >= 3 && trace_ == nullptr;
+    frame.outerTouched = touched_;
+    frame.outerIterMax = iterMax_;
+    touched_ = 0;
+    iterMax_ = 0;
+    if (frame.skippable) {
+        recording_ = true;
+        frame.opsAt[0] = frame.opsAt[1] = records_->ops.size();
+        frame.chargesAt[0] = frame.chargesAt[1] =
+            records_->charges.size();
+    }
+    ++pc_;
+}
+
+void
+DiffMemTile::endLoopIteration()
+{
+    MANNA_ASSERT(!loopStack_.empty(), "endloop without loop at pc %zu",
+                 pc_);
+    const std::size_t depth = loopStack_.size();
+    LoopFrame &frame = loopStack_.back();
+    const Cycle iterMax = iterMax_;
+    frame.loopMax = std::max(frame.loopMax, iterMax);
+    iterMax_ = 0;
+    if (++frame.iter < static_cast<std::int64_t>(frame.count)) {
+        if (frame.skippable)
+            loopBoundary(frame, iterMax);
+        iters_[depth - 1] = frame.iter;
+        pc_ = frame.bodyPc;
+        return;
+    }
+    touched_ |= frame.outerTouched;
+    iterMax_ = std::max(frame.outerIterMax, frame.loopMax);
+    if (quietDepth_ == depth)
+        quietDepth_ = 0;
+    const bool wasRecorded = frame.skippable;
+    loopStack_.pop_back();
+    if (wasRecorded)
+        updateRecording();
+    ++pc_;
+}
+
+DiffMemTile::LoopShape
+DiffMemTile::loopShape() const
+{
+    LoopShape s;
+    s.touched = touched_;
+    s.loaded = dmaLoadCount_ != 0;
+    const auto dep = [this](Cycle t) {
+        return t >= now_ ? static_cast<std::int64_t>(t - now_) : kDead;
+    };
+    for (std::size_t l = 0; l < kNumLanes; ++l)
+        if (touched_ & touchBit(static_cast<TraceLane>(l)))
+            s.free[l] = static_cast<std::int64_t>(engineFree_[l] - now_);
+    if (touched_ & touchBit(Space::MatSpad)) {
+        for (std::size_t k = 0; k < 2; ++k) {
+            const std::size_t h = (computeHalf() + k) % 2;
+            s.spadWrite[k] = dep(spadWriteEnd_[h]);
+            s.spadRead[k] = dep(spadReadEnd_[h]);
+            if (s.spadWrite[k] != kDead)
+                s.spadWhy[k] = spadWriteWhy_[h];
+        }
+    }
+    for (std::size_t sp = 0; sp < std::size(lastWrite_); ++sp) {
+        if (!(touched_ & touchBit(static_cast<Space>(sp))))
+            continue;
+        s.lastWrite[sp] = dep(lastWrite_[sp]);
+        if (s.lastWrite[sp] != kDead)
+            s.lastWhy[sp] = lastWriteWhy_[sp];
+    }
+    return s;
+}
+
+void
+DiffMemTile::loopBoundary(LoopFrame &frame, Cycle iterMax)
+{
+    // Iterations 0 .. iter-1 have run. If the timing state after the
+    // last one equals (relative to now_) the state after the one
+    // before, every remaining iteration repeats the last one shifted
+    // in time. Untimed, inside a skipped loop's final iteration, only
+    // the ops have to repeat.
+    const bool timing = timed();
+    const LoopShape shape = timing ? loopShape() : LoopShape{};
+    if (frame.iter >= 2 && shape == frame.prevShape &&
+        sameOpShapes(frame)) {
+        skipLoop(frame, iterMax);
+        return;
+    }
+    LoopRecords &rec = *records_;
+    frame.prevShape = shape;
+    if (timing) {
+        frame.prevNow = now_;
+        frame.prevLoads = dmaLoadCount_;
+        rec.iterStart[loopStack_.size() - 1] = acct_;
+    }
+    frame.opsAt[0] = frame.opsAt[1];
+    frame.opsAt[1] = rec.ops.size();
+    frame.chargesAt[0] = frame.chargesAt[1];
+    frame.chargesAt[1] = rec.charges.size();
+}
+
+bool
+DiffMemTile::sameOpShapes(const LoopFrame &frame) const
+{
+    const std::vector<ReplayOp> &ops = records_->ops;
+    const std::size_t prev = frame.opsAt[0], cur = frame.opsAt[1];
+    if (cur - prev != ops.size() - cur)
+        return false;
+    for (std::size_t i = 0; prev + i < cur; ++i)
+        if (!sameShape(ops[prev + i], ops[cur + i]))
+            return false;
+    return true;
+}
+
+void
+DiffMemTile::skipLoop(LoopFrame &frame, Cycle iterMax)
+{
+    LoopRecords &rec = *records_;
+    const std::size_t depth = loopStack_.size();
+    // r iterations remain, the final one included; each repeats the
+    // last one, Δ later.
+    const std::uint64_t r =
+        frame.count - static_cast<std::uint64_t>(frame.iter);
+
+    // Take the last iteration's ops and charges out of the logs: this
+    // loop records no more, and an enclosing one logs what follows.
+    const std::size_t numOps = rec.ops.size() - frame.opsAt[1];
+    rec.stepped.assign(rec.ops.begin() +
+                           static_cast<std::ptrdiff_t>(frame.opsAt[1]),
+                       rec.ops.end());
+    rec.steps.resize(numOps);
+    for (std::size_t i = 0; i < numOps; ++i) {
+        const ReplayOp &prev = rec.ops[frame.opsAt[0] + i];
+        const ReplayOp &cur = rec.stepped[i];
+        rec.steps[i] = {wordOf(cur.a) - wordOf(prev.a),
+                        wordOf(cur.b) - wordOf(prev.b),
+                        wordOf(cur.d) - wordOf(prev.d),
+                        wordOf(cur.dn) - wordOf(prev.dn)};
+    }
+    rec.replay.assign(rec.charges.begin() +
+                          static_cast<std::ptrdiff_t>(frame.chargesAt[1]),
+                      rec.charges.end());
+    frame.skippable = false;
+    updateRecording();
+
+    if (timed()) {
+        skipTime(frame, iterMax, r);
+        quietDepth_ = depth;
+    }
+
+    // Addressing is affine in the iteration index: iterations
+    // iter .. count-2 emit the last one's ops with every pointer
+    // stepped. The final iteration runs untimed through the
+    // interpreter, so its operands get the first one's bounds checks
+    // (in bounds at both ends means in bounds throughout).
+    for (std::uint64_t k = 1; k < r && (tape_ != nullptr || recording_);
+         ++k) {
+        for (std::size_t i = 0; i < numOps; ++i) {
+            ReplayOp &op = rec.stepped[i];
+            const auto &step = rec.steps[i];
+            op.a = stepped(op.a, step[0]);
+            op.b = stepped(op.b, step[1]);
+            op.d = stepped(op.d, step[2]);
+            op.dn = stepped(op.dn, step[3]);
+            emit(op);
+        }
+    }
+    frame.iter = frame.count - 1;
+}
+
+void
+DiffMemTile::skipTime(LoopFrame &frame, Cycle iterMax, std::uint64_t r)
+{
+    const Cycle shift = r * (now_ - frame.prevNow);
+    const std::uint64_t loads = r * (dmaLoadCount_ - frame.prevLoads);
+
+    // Counters and the op profile hold integers (exact below 2^53):
+    // advance each by r times the last iteration's increment.
+    const TileCounters &from = records_->iterStart[loopStack_.size() - 1];
+    const auto times = static_cast<double>(r);
+    const auto advance = [times](double *v, const double *start,
+                                 std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i)
+            v[i] += times * (v[i] - start[i]);
+    };
+    forwardedInsts_ += times * (acct_.counter(TileCounter::Instructions) -
+                                from.counter(TileCounter::Instructions));
+    ++loopSkips_;
+    advance(acct_.ctr, from.ctr, kNumTileCounters);
+    advance(acct_.opCycles, from.opCycles, kNumOpcodes);
+    advance(acct_.opOps, from.opOps, kNumOpcodes);
+    advance(acct_.opWords, from.opWords, kNumOpcodes);
+
+    // Every time the body touches moves by r·Δ (a dead one stays
+    // dead); what it never touches stays as it is.
+    now_ += shift;
+    lastEnd_ += shift;
+    maxEnd_ = std::max(maxEnd_, iterMax + shift);
+    frame.loopMax = std::max(frame.loopMax, iterMax + shift);
+    for (std::size_t l = 0; l < kNumLanes; ++l)
+        if (touched_ & touchBit(static_cast<TraceLane>(l)))
+            engineFree_[l] += shift;
+    if (touched_ & touchBit(Space::MatSpad)) {
+        for (std::size_t h = 0; h < 2; ++h) {
+            spadWriteEnd_[h] += shift;
+            spadReadEnd_[h] += shift;
+        }
+    }
+    for (std::size_t sp = 0; sp < std::size(lastWrite_); ++sp)
+        if (touched_ & touchBit(static_cast<Space>(sp)))
+            lastWrite_[sp] += shift;
+    // Halves are compared relative to computeHalf(): an odd number of
+    // skipped loads swaps them.
+    if (loads % 2 == 1) {
+        std::swap(spadWriteEnd_[0], spadWriteEnd_[1]);
+        std::swap(spadReadEnd_[0], spadReadEnd_[1]);
+        std::swap(spadWriteWhy_[0], spadWriteWhy_[1]);
+    }
+    dmaLoadCount_ += loads;
+
+    // Energy is re-added charge by charge, in order, never multiplied,
+    // so the sum rounds exactly as literal interpretation's does.
+    const std::vector<Energy> &charges = records_->replay;
+    Energy energy = acct_.energyPj;
+    for (std::uint64_t k = 0; k < r; ++k)
+        for (const Energy pj : charges)
+            energy += pj;
+    acct_.energyPj = energy;
+    // An enclosing loop's iteration includes them.
+    for (std::uint64_t k = 0; k < r && recording_; ++k) {
+        records_->charges.insert(records_->charges.end(), charges.begin(),
+                                 charges.end());
+        if (records_->charges.size() > kMaxLoggedCharges)
+            stopRecording();
+    }
+}
+
+void
+DiffMemTile::recordOp(const ReplayOp &op)
+{
+    records_->ops.push_back(op);
+    if (records_->ops.size() > kMaxLoggedOps)
+        stopRecording();
+}
+
+void
+DiffMemTile::recordCharge(Energy pj)
+{
+    records_->charges.push_back(pj);
+    if (records_->charges.size() > kMaxLoggedCharges)
+        stopRecording();
+}
+
+void
+DiffMemTile::updateRecording()
+{
+    recording_ = false;
+    for (const LoopFrame &f : loopStack_)
+        recording_ = recording_ || f.skippable;
+    if (!recording_ && records_ != nullptr) {
+        records_->ops.clear();
+        records_->charges.clear();
+    }
+}
+
+void
+DiffMemTile::stopRecording()
+{
+    for (LoopFrame &f : loopStack_)
+        f.skippable = false;
+    updateRecording();
 }
 
 const Instruction &
@@ -267,13 +586,20 @@ DiffMemTile::reset()
     tape_ = nullptr;
     program_ = nullptr;
     pc_ = 0;
+    stopRecording();
     loopStack_.clear();
     std::fill(std::begin(iters_), std::end(iters_), 0);
+    quietDepth_ = 0;
+    iterMax_ = 0;
+    touched_ = 0;
+    loopSkips_ = 0;
+    forwardedInsts_ = 0.0;
 }
 
 inline void
 DiffMemTile::attributeStall(TraceLane lane, const StallPicker &picker)
 {
+    touched_ |= touchBit(lane);
     const Cycle free = freeTime(lane);
     if (picker.at > free)
         count(stallCounter(lane, picker.why),
@@ -281,10 +607,11 @@ DiffMemTile::attributeStall(TraceLane lane, const StallPicker &picker)
 }
 
 inline void
-DiffMemTile::readDependency(const Operand &op, StallPicker &p) const
+DiffMemTile::readDependency(const Operand &op, StallPicker &p)
 {
     if (!op.valid())
         return;
+    touched_ |= touchBit(op.space);
     if (op.space == Space::MatSpad) {
         const std::size_t half = computeHalf();
         p.consider(spadWriteEnd_[half], spadWriteWhy_[half]);
@@ -295,10 +622,11 @@ DiffMemTile::readDependency(const Operand &op, StallPicker &p) const
 }
 
 inline void
-DiffMemTile::writeDependency(const Operand &op, StallPicker &p) const
+DiffMemTile::writeDependency(const Operand &op, StallPicker &p)
 {
     if (!op.valid())
         return;
+    touched_ |= touchBit(op.space);
     if (op.space == Space::MatSpad) {
         // Non-DMA writes (e.g. soft-write updates) modify the half
         // compute is currently working on. The WAR side is a
@@ -366,14 +694,17 @@ void
 DiffMemTile::finish(Cycle end)
 {
     maxEnd_ = std::max(maxEnd_, end);
+    iterMax_ = std::max(iterMax_, end);
     lastEnd_ = end;
 }
 
 void
 DiffMemTile::execute(const Instruction &inst)
 {
-    count(TileCounter::Instructions);
-    charge(arch::EnergyEvent::InstructionIssue, 1.0);
+    if (timed()) {
+        count(TileCounter::Instructions);
+        charge(arch::EnergyEvent::InstructionIssue, 1.0);
+    }
     const Cycle issuedAt = now_;
     lastOpBusy_ = 0.0;
     lastOpWords_ = 0.0;
@@ -415,6 +746,8 @@ DiffMemTile::execute(const Instruction &inst)
         panic("unexpected opcode %s in execute",
               toString(inst.op));
     }
+    if (!timed())
+        return;
     const auto opIdx = static_cast<std::size_t>(inst.op);
     acct_.opCycles[opIdx] += lastOpBusy_;
     acct_.opOps[opIdx] += 1.0;
@@ -462,9 +795,28 @@ DiffMemTile::execDmaMatrix(const Instruction &inst)
                  "matrix DMA: buffer pitch %u < row width %u", bufPitch,
                  rowWords);
 
+    // Functional copy with pitches. The effective base of the buffer
+    // side addresses the first row; subsequent rows advance by
+    // bufPitch. The span covers first row start through last row end
+    // (every row is in the buffer, so the full extent is too).
+    ReplayOp rop;
+    rop.kind = ReplayKind::Copy2d;
+    rop.n = rowWords;
+    rop.rows = rows;
+    rop.pitchA = isStore ? spadPitch : bufPitch;
+    rop.pitchD = isStore ? bufPitch : spadPitch;
+    rop.a = mem_.span(src.space, src.base,
+                      (rows - 1) * rop.pitchA + rowWords);
+    rop.d = mem_.span(dst.space, dst.base,
+                      (rows - 1) * rop.pitchD + rowWords);
+    emit(rop);
+    if (!timed())
+        return;
+
     // Timing. Loads rotate the double-buffer halves; a load may
     // only overwrite a half once the compute that consumed it has
     // drained (WAR through spadReadEnd_).
+    touched_ |= touchBit(Space::MatSpad);
     StallPicker p(freeTime(TraceLane::MatDma));
     p.consider(now_, StallReason::Issue);
     Cycle dur = static_cast<Cycle>(rows) *
@@ -518,21 +870,6 @@ DiffMemTile::execDmaMatrix(const Instruction &inst)
     count(TileCounter::MatDmaWords, words);
     lastOpWords_ = words;
 
-    // Functional copy with pitches. The effective base of the buffer
-    // side addresses the first row; subsequent rows advance by
-    // bufPitch. The span covers first row start through last row end
-    // (every row is in the buffer, so the full extent is too).
-    ReplayOp rop;
-    rop.kind = ReplayKind::Copy2d;
-    rop.n = rowWords;
-    rop.rows = rows;
-    rop.pitchA = isStore ? spadPitch : bufPitch;
-    rop.pitchD = isStore ? bufPitch : spadPitch;
-    rop.a = mem_.span(src.space, src.base,
-                      (rows - 1) * rop.pitchA + rowWords);
-    rop.d = mem_.span(dst.space, dst.base,
-                      (rows - 1) * rop.pitchD + rowWords);
-    emit(rop);
 }
 
 void
@@ -542,6 +879,16 @@ DiffMemTile::execDmaVector(const Instruction &inst)
     const Operand dst = resolveOperand(inst.dst);
     MANNA_ASSERT(src.len == dst.len, "vector DMA len %u != %u", src.len,
                  dst.len);
+
+    ReplayOp rop;
+    rop.kind = ReplayKind::Copy2d;
+    rop.n = src.len;
+    rop.rows = 1;
+    rop.a = mem_.span(src.space, src.base, src.len);
+    rop.d = mem_.span(dst.space, dst.base, dst.len);
+    emit(rop);
+    if (!timed())
+        return;
 
     StallPicker p(freeTime(TraceLane::VecDma));
     p.consider(now_, StallReason::Issue);
@@ -565,14 +912,6 @@ DiffMemTile::execDmaVector(const Instruction &inst)
     charge(accessEvent(dst.space), dst.len);
     count(TileCounter::VecDmaWords, src.len);
     lastOpWords_ = src.len;
-
-    ReplayOp rop;
-    rop.kind = ReplayKind::Copy2d;
-    rop.n = src.len;
-    rop.rows = 1;
-    rop.a = mem_.span(src.space, src.base, src.len);
-    rop.d = mem_.span(dst.space, dst.base, dst.len);
-    emit(rop);
 }
 
 void
@@ -607,6 +946,26 @@ DiffMemTile::execVmm(const Instruction &inst)
                  "vmm block len %u != %u rows x pitch %u", matBlock.len,
                  numRows, pitch);
     MANNA_ASSERT(numRows > 0 && numCols > 0, "vmm with empty block");
+
+    // Functional semantics, computed by the tape (sim/replay.cc).
+    ReplayOp rop;
+    rop.kind = ReplayKind::Vmm;
+    rop.n = numCols;
+    rop.rows = numRows;
+    rop.pitchA = pitch;
+    rop.flags = static_cast<std::uint8_t>(
+        (rowDot ? kReplayRowDot : 0) |
+        (withNorms ? kReplayWithNorms : 0) |
+        (accumulate ? kReplayAccumulate : 0));
+    rop.a = mem_.span(vec.space, vec.base, vec.len);
+    rop.b = mem_.span(matBlock.space, matBlock.base, matBlock.len);
+    rop.d = mem_.span(dst.space, dst.base, dst.len);
+    rop.dn = withNorms ? mem_.span(dst.space, dst.base + inst.count,
+                                   numRows)
+                       : nullptr;
+    emit(rop);
+    if (!timed())
+        return;
 
     // Timing.
     StallPicker p(freeTime(TraceLane::Compute));
@@ -689,24 +1048,6 @@ DiffMemTile::execVmm(const Instruction &inst)
                    ceilDiv(numRows, lanes) * lanes);
     count(TileCounter::EmacMacOps, macs);
     lastOpWords_ = static_cast<double>(numRows) * numCols;
-
-    // Functional semantics, computed by the tape (sim/replay.cc).
-    ReplayOp rop;
-    rop.kind = ReplayKind::Vmm;
-    rop.n = numCols;
-    rop.rows = numRows;
-    rop.pitchA = pitch;
-    rop.flags = static_cast<std::uint8_t>(
-        (rowDot ? kReplayRowDot : 0) |
-        (withNorms ? kReplayWithNorms : 0) |
-        (accumulate ? kReplayAccumulate : 0));
-    rop.a = mem_.span(vec.space, vec.base, vec.len);
-    rop.b = mem_.span(matBlock.space, matBlock.base, matBlock.len);
-    rop.d = mem_.span(dst.space, dst.base, dst.len);
-    rop.dn = withNorms ? mem_.span(dst.space, dst.base + inst.count,
-                                   numRows)
-                       : nullptr;
-    emit(rop);
 }
 
 void
@@ -731,6 +1072,21 @@ DiffMemTile::execElementwise(const Instruction &inst)
         MANNA_ASSERT(b.len == len || b.len == 1,
                      "%s srcB len %u incompatible with dst %u",
                      toString(inst.op), b.len, len);
+
+    // Functional semantics, computed by the tape (sim/replay.cc).
+    ReplayOp rop;
+    rop.kind = ReplayKind::Elementwise;
+    rop.op = inst.op;
+    rop.n = len;
+    rop.pitchA = needsA ? a.len : 0;
+    rop.pitchD = needsB ? b.len : 0;
+    rop.imm = inst.imm;
+    rop.a = needsA ? mem_.span(a.space, a.base, a.len) : nullptr;
+    rop.b = needsB ? mem_.span(b.space, b.base, b.len) : nullptr;
+    rop.d = mem_.span(dst.space, dst.base, len);
+    emit(rop);
+    if (!timed())
+        return;
 
     StallPicker p(freeTime(TraceLane::Compute));
     p.consider(now_, StallReason::Issue);
@@ -779,19 +1135,6 @@ DiffMemTile::execElementwise(const Instruction &inst)
         charge(accessEvent(b.space), b.len == 1 ? 1.0 : len);
     charge(accessEvent(dst.space),
            static_cast<double>(len) * (isMac ? 2.0 : 1.0));
-
-    // Functional semantics, computed by the tape (sim/replay.cc).
-    ReplayOp rop;
-    rop.kind = ReplayKind::Elementwise;
-    rop.op = inst.op;
-    rop.n = len;
-    rop.pitchA = needsA ? a.len : 0;
-    rop.pitchD = needsB ? b.len : 0;
-    rop.imm = inst.imm;
-    rop.a = needsA ? mem_.span(a.space, a.base, a.len) : nullptr;
-    rop.b = needsB ? mem_.span(b.space, b.base, b.len) : nullptr;
-    rop.d = mem_.span(dst.space, dst.base, len);
-    emit(rop);
 }
 
 void
@@ -817,6 +1160,20 @@ DiffMemTile::execSfu(const Instruction &inst)
                      "sfu.pow exponent must be scalar");
         pexp = mem_.span(expOperand.space, expOperand.base, 1);
     }
+
+    // Functional semantics, computed by the tape (sim/replay.cc). The
+    // SfuPow exponent pointer is recorded, not its value: the tape
+    // re-reads it each step because tile code can update it.
+    ReplayOp rop;
+    rop.kind = ReplayKind::Sfu;
+    rop.op = inst.op;
+    rop.n = len;
+    rop.a = mem_.span(a.space, a.base, len);
+    rop.b = pexp;
+    rop.d = mem_.span(dst.space, dst.base, dst.len);
+    emit(rop);
+    if (!timed())
+        return;
 
     std::size_t perElem;
     switch (inst.op) {
@@ -873,18 +1230,6 @@ DiffMemTile::execSfu(const Instruction &inst)
     charge(accessEvent(a.space), len);
     charge(accessEvent(dst.space), dst.len);
     count(TileCounter::SfuOps, len);
-
-    // Functional semantics, computed by the tape (sim/replay.cc). The
-    // SfuPow exponent pointer is recorded, not its value: the tape
-    // re-reads it each step because tile code can update it.
-    ReplayOp rop;
-    rop.kind = ReplayKind::Sfu;
-    rop.op = inst.op;
-    rop.n = len;
-    rop.a = mem_.span(a.space, a.base, len);
-    rop.b = pexp;
-    rop.d = mem_.span(dst.space, dst.base, dst.len);
-    emit(rop);
 }
 
 const float *

@@ -22,12 +22,23 @@
  * nothing: it bounds-checks each instruction's operands and hands the
  * resolved functional operation to the attached ReplayTape, whose
  * execTileOp() (sim/replay.hh) is the one place tile math runs.
+ *
+ * Nor does any duration depend on an address, and every timing rule
+ * is invariant under a shift of all times. So once a static loop's
+ * timing state, taken relative to the issue pointer, repeats from one
+ * iteration to the next, every later iteration repeats the last one
+ * shifted in time: runUntilComm() then advances the rest of the loop
+ * in closed form (docs/PERF.md, "Checked timing steps"), with every
+ * counter, energy and emitted op exactly as literal interpretation
+ * gives them.
  */
 
 #ifndef MANNA_SIM_TILE_HH
 #define MANNA_SIM_TILE_HH
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "arch/energy_model.hh"
@@ -137,6 +148,27 @@ struct TileCounters
                          const std::string &prefix) const;
 };
 
+/**
+ * Scratch records of the loop fast-forward (DiffMemTile::
+ * runUntilComm()): the ops and energy charges of the open skippable
+ * loops' last two iterations, and each loop's counters at the start
+ * of its current iteration. A chip's tiles share one (a tile leaves
+ * nothing in it when runUntilComm() returns), so its buffers grow once
+ * and are reused across tiles and steps; both logs are bounded.
+ */
+struct LoopRecords
+{
+    std::vector<ReplayOp> ops;
+    std::vector<Energy> charges;
+    TileCounters iterStart[isa::kMaxLoopDepth];
+    // A skip's working copies: the last iteration's ops (stepped once
+    // per emitted iteration), their per-iteration pointer steps, and
+    // its charges.
+    std::vector<ReplayOp> stepped;
+    std::vector<std::array<std::uintptr_t, 4>> steps;
+    std::vector<Energy> replay;
+};
+
 /** Per-space word counts for the tile's functional storage. */
 struct TileLayoutSizes
 {
@@ -160,7 +192,13 @@ class DiffMemTile
      * (timing state is preserved across programs). */
     void setProgram(const isa::Program *program);
 
-    /** Run until the program ends or a communication instruction. */
+    /**
+     * Run until the program ends or a communication instruction. A
+     * loop of three or more iterations that reaches no communication
+     * instruction is fast-forwarded once its timing reaches steady
+     * state, unless a TraceLogger is attached (a trace lists every
+     * instruction).
+     */
     RunStatus runUntilComm();
 
     /** The communication instruction currently blocking (AtComm). */
@@ -222,6 +260,17 @@ class DiffMemTile
      */
     void setReplayTape(ReplayTape *tape) { tape_ = tape; }
 
+    /** Keep the loop fast-forward's records in @p records (one per
+     * chip, shared by its tiles); by default a tile allocates its own
+     * on first use. */
+    void shareLoopRecords(LoopRecords *records) { records_ = records; }
+
+    /** Loops fast-forwarded since reset(), and the instructions they
+     * advanced in closed form; the rest of the `instructions` counter
+     * was interpreted. */
+    std::size_t loopSkips() const { return loopSkips_; }
+    double forwardedInstructions() const { return forwardedInsts_; }
+
     /** Resolved span of @p op against current loop state (for the
      * chip's comm-op recording). */
     const float *operandSpan(const isa::Operand &op) const;
@@ -234,7 +283,13 @@ class DiffMemTile
     {
         if (tape_ != nullptr)
             tape_->append(op);
+        if (recording_)
+            recordOp(op);
     }
+
+    /** False during the final iteration of a fast-forwarded loop,
+     * which only resolves, checks and emits its ops. */
+    bool timed() const { return quietDepth_ == 0; }
 
     // --- execution helpers -------------------------------------------
     void execute(const isa::Instruction &inst);
@@ -271,10 +326,10 @@ class DiffMemTile
     void attributeStall(TraceLane lane, const StallPicker &picker);
 
     /** Data-dependency constraint for reading a resolved operand. */
-    void readDependency(const isa::Operand &op, StallPicker &p) const;
+    void readDependency(const isa::Operand &op, StallPicker &p);
 
     /** Constraint for writing a resolved operand (WAR/WAW). */
-    void writeDependency(const isa::Operand &op, StallPicker &p) const;
+    void writeDependency(const isa::Operand &op, StallPicker &p);
 
     /** Record a write's completion for later dependents, tagged with
      * the stall reason its consumers will report while waiting. */
@@ -301,7 +356,10 @@ class DiffMemTile
     /** Charge energy for @p occurrences of an event. */
     void charge(arch::EnergyEvent ev, double occurrences)
     {
-        acct_.energyPj += energy_.eventEnergyPj(ev) * occurrences;
+        const Energy pj = energy_.eventEnergyPj(ev) * occurrences;
+        acct_.energyPj += pj;
+        if (recording_)
+            recordCharge(pj);
     }
 
     /** Add @p amount to an event counter. */
@@ -314,6 +372,59 @@ class DiffMemTile
     arch::EnergyEvent accessEvent(isa::Space space) const;
 
     void finish(Cycle end);
+
+    // --- loop fast-forward ---------------------------------------------
+    /**
+     * The timing state a loop body sees, relative to now_: the engine
+     * free times and the scratchpad-half (indexed from computeHalf())
+     * and per-space dependency times the body touches, with their
+     * stall tags. A dependency time before now_ can never win a
+     * start-time election (each first considers now_), so it is
+     * "dead", whatever its value.
+     */
+    struct LoopShape
+    {
+        std::uint16_t touched = 0;
+        bool loaded = false; ///< dmaLoadCount_ != 0
+        std::int64_t free[kNumLanes] = {};
+        std::int64_t spadWrite[2] = {}, spadRead[2] = {};
+        std::int64_t lastWrite[5] = {};
+        StallReason spadWhy[2] = {}, lastWhy[5] = {};
+        bool operator==(const LoopShape &) const = default;
+    };
+    LoopShape loopShape() const;
+
+    struct LoopFrame;
+    void enterLoop(std::uint32_t count);
+    void endLoopIteration();
+    /** At the end of a skippable loop's iteration: skip the rest of
+     * the loop if the last two iterations match, else remember this
+     * one. */
+    void loopBoundary(LoopFrame &frame, Cycle iterMax);
+    bool sameOpShapes(const LoopFrame &frame) const;
+    void skipLoop(LoopFrame &frame, Cycle iterMax);
+    /** Advance the timing state, counters and energy by @p r more
+     * iterations like the last one. */
+    void skipTime(LoopFrame &frame, Cycle iterMax, std::uint64_t r);
+
+    void recordOp(const ReplayOp &op);
+    void recordCharge(Energy pj);
+    /** Recompute recording_; empty the logs when nothing records. */
+    void updateRecording();
+    /** No open loop may be skipped any more. */
+    void stopRecording();
+
+    // touched_ bits: one per engine lane, then one per memory space
+    // (the MatSpad bit covers both scratchpad halves).
+    static constexpr std::uint16_t touchBit(TraceLane lane)
+    {
+        return static_cast<std::uint16_t>(1u << static_cast<unsigned>(lane));
+    }
+    static constexpr std::uint16_t touchBit(isa::Space space)
+    {
+        return static_cast<std::uint16_t>(
+            1u << (kNumLanes + static_cast<unsigned>(space)));
+    }
 
     // --- configuration ------------------------------------------------
     const arch::MannaConfig &cfg_;
@@ -328,9 +439,22 @@ class DiffMemTile
     std::size_t pc_ = 0;
     struct LoopFrame
     {
-        std::size_t bodyPc;    ///< pc of the first body instruction
-        std::uint32_t count;   ///< trip count
-        std::int64_t iter;     ///< current iteration
+        std::size_t bodyPc = 0;  ///< pc of the first body instruction
+        std::uint32_t count = 0; ///< trip count
+        std::int64_t iter = 0;   ///< current iteration
+        // Fast-forward state (runUntilComm()).
+        bool skippable = false;
+        std::uint16_t outerTouched = 0; ///< enclosing body's touched_
+        Cycle outerIterMax = 0;         ///< enclosing body's iterMax_
+        Cycle loopMax = 0; ///< latest end of this loop's iterations
+        // At the end of the previous iteration:
+        LoopShape prevShape;
+        Cycle prevNow = 0;
+        std::uint64_t prevLoads = 0;
+        /** Where the previous and the current iteration begin in
+         * LoopRecords::ops and ::charges. */
+        std::size_t opsAt[2] = {0, 0};
+        std::size_t chargesAt[2] = {0, 0};
     };
     std::vector<LoopFrame> loopStack_;
     std::int64_t iters_[isa::kMaxLoopDepth] = {0, 0, 0};
@@ -361,6 +485,10 @@ class DiffMemTile
     Cycle maxEnd_ = 0;
     Cycle lastEnd_ = 0; ///< end time of the most recent instruction
     std::uint64_t dmaLoadCount_ = 0; ///< matrix loads issued (parity)
+    /** Latest end within the innermost loop's current iteration. */
+    Cycle iterMax_ = 0;
+    /** Lanes and spaces the innermost loop's body has used so far. */
+    std::uint16_t touched_ = 0;
 
     // --- accounting ----------------------------------------------------------
     TileCounters acct_;
@@ -369,6 +497,17 @@ class DiffMemTile
     double lastOpWords_ = 0.0;
     TraceLogger *trace_ = nullptr;
     ReplayTape *tape_ = nullptr;
+
+    // --- loop fast-forward -----------------------------------------------
+    LoopRecords *records_ = nullptr;
+    std::unique_ptr<LoopRecords> ownRecords_;
+    /** Some open loop is skippable: log ops and charges. */
+    bool recording_ = false;
+    /** Depth (1-based) of the loop whose final iteration runs untimed;
+     * 0 while timing. */
+    std::size_t quietDepth_ = 0;
+    std::size_t loopSkips_ = 0;
+    double forwardedInsts_ = 0.0;
 };
 
 /**

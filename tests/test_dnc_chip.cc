@@ -17,6 +17,7 @@
 #include "sim/chip.hh"
 #include "sim/dnc_chip.hh"
 #include "tensor/vector_ops.hh"
+#include "workloads/benchmarks.hh"
 
 namespace manna::sim
 {
@@ -244,6 +245,8 @@ TEST(DncChip, LinkMatrixCostDominatesForTallMemories)
 
 struct PinnedCounters
 {
+    /** "ntm" / "dnc": the memN 40 shapes of the test; "dnc512": the
+     * 512-row DNC; any other name: that Table-2 benchmark. */
     const char *name;
     std::size_t tiles;
     Fidelity fidelity;
@@ -337,9 +340,18 @@ TEST(ChipEngine, PinnedCountersBothDrivers)
     mc.inputDim = 6;
     mc.outputDim = 5;
     const DncConfig dc = makeConfig(40, 16, 2);
+    // perfbench's dnc512 shape.
+    DncConfig dnc512 = makeConfig(512, 64, 2);
+    dnc512.controllerWidth = 128;
+    dnc512.inputDim = workloads::benchmarkByName("travers").config.inputDim;
+    dnc512.outputDim =
+        workloads::benchmarkByName("travers").config.outputDim;
 
     // 1 tile is where lazily created NoC/controller keys could differ
-    // from the multi-tile key set; 16 is the baseline chip.
+    // from the multi-tile key set; 16 is the baseline chip. The memN 40
+    // loops are short; copy at 1 tile (its loop 16 x loop 8 x loop 64
+    // soft-write nest), sort at 16 tiles and dnc512 at 1 tile pin long
+    // loop nests too.
     const PinnedCounters expected[] = {
         {"ntm", 1, Fidelity::Cycle, 23700, 0x418e7197ad2ec26full,
          0x68fc8cc541e356a9ull, 0xeae3ed7540b7c340ull,
@@ -377,22 +389,48 @@ TEST(ChipEngine, PinnedCountersBothDrivers)
         {"dnc", 16, Fidelity::Fast, 11586, 0x41a7c93b6c2a590bull,
          0xcff9d20229d6d0b7ull, 0xd7e9d6a721d4ddaeull,
          0xa2b9b02c9b185d5dull},
+        {"copy", 1, Fidelity::Cycle, 880056, 0x41e2413a2d53ca34ull,
+         0xdf4d365cdb70370bull, 0x9c0b766954213874ull,
+         0xaead27dd3fafc615ull},
+        {"copy", 1, Fidelity::Fast, 880056, 0x41e2413a2d53ce1full,
+         0xeb21300bd989b303ull, 0x09038b78394b0829ull,
+         0xaead27dd3fafc615ull},
+        {"sort", 16, Fidelity::Cycle, 102738, 0x41db73bb3b6ec7beull,
+         0xf7811f18b564e825ull, 0xb4cd9e8f79cbf62cull,
+         0x1298100a10aa5134ull},
+        {"sort", 16, Fidelity::Fast, 102738, 0x41db73bb3b6ec770ull,
+         0x9fdc6455cc7bbf2dull, 0x60583d9a1a24783full,
+         0x1298100a10aa5134ull},
+        {"dnc512", 1, Fidelity::Cycle, 750186, 0x41dfb7dada55fe56ull,
+         0x815bf85a0a40bef1ull, 0xac1fa1c1604778c0ull,
+         0x41782aa375f439c3ull},
+        {"dnc512", 1, Fidelity::Fast, 750186, 0x41dfb7dada560db4ull,
+         0xb47606fc94034474ull, 0x1004e1b3446d99daull,
+         0x41782aa375f439c3ull},
     };
     for (const PinnedCounters &want : expected) {
         const auto ac = arch::MannaConfig::withTiles(want.tiles);
-        const bool isNtm = std::string(want.name) == "ntm";
+        const std::string name = want.name;
         std::uint64_t tensorDigest = 0;
-        const RunReport rep =
-            isNtm ? runPinned<Chip>(compiler::compile(mc, ac),
-                                    mc.inputDim, want.fidelity,
-                                    &tensorDigest)
-                  : runPinned<DncChip>(compiler::compileDnc(dc, ac),
-                                       dc.inputDim, want.fidelity,
-                                       &tensorDigest);
+        RunReport rep;
+        if (name == "dnc" || name == "dnc512") {
+            const DncConfig &cfg = name == "dnc" ? dc : dnc512;
+            rep = runPinned<DncChip>(compiler::compileDnc(cfg, ac),
+                                     cfg.inputDim, want.fidelity,
+                                     &tensorDigest);
+        } else {
+            const mann::MannConfig &cfg =
+                name == "ntm"
+                    ? mc
+                    : workloads::benchmarkByName(name).config;
+            rep = runPinned<Chip>(compiler::compile(cfg, ac),
+                                  cfg.inputDim, want.fidelity,
+                                  &tensorDigest);
+        }
         const double energy = rep.totalEnergyPj();
         std::uint64_t energyBits = 0;
         std::memcpy(&energyBits, &energy, sizeof(energyBits));
-        SCOPED_TRACE(std::string(want.name) + " x" +
+        SCOPED_TRACE(name + " x" +
                      std::to_string(want.tiles) + " " +
                      toString(want.fidelity));
         EXPECT_EQ(rep.totalCycles, want.totalCycles);

@@ -9,12 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/error.hh"
 #include "compiler/compiler.hh"
 #include "compiler/dnc_codegen.hh"
 #include "mann/ntm.hh"
 #include "sim/chip.hh"
 #include "sim/dnc_chip.hh"
+#include "workloads/benchmarks.hh"
 
 namespace manna::sim
 {
@@ -382,6 +385,155 @@ TEST(ChipTiming, StaleTapeFailsTheNextTimedStep)
         EXPECT_NE(std::string(e.what()).find("step 2"),
                   std::string::npos)
             << e.what();
+    }
+}
+
+// ---------------------------------------------------------------------
+// Loop fast-forward oracle. A chip with a zero-capacity TraceLogger
+// attached interprets every instruction (a trace lists each one); the
+// fast-forwarding chip must match it bit for bit: every report field
+// and stats value, and every output, read vector and memory word.
+// ---------------------------------------------------------------------
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    return bits;
+}
+
+void
+expectSameBits(const FVec &a, const FVec &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)),
+              0);
+}
+
+void
+expectSameBits(const tensor::FMat &a, const tensor::FMat &b)
+{
+    ASSERT_EQ(a.rows(), b.rows());
+    for (std::size_t r = 0; r < a.rows(); ++r)
+        expectSameBits(a.row(r), b.row(r));
+}
+
+void
+expectSameReport(const RunReport &a, const RunReport &b)
+{
+    EXPECT_EQ(a.steps, b.steps);
+    EXPECT_EQ(a.totalCycles, b.totalCycles);
+    EXPECT_EQ(bitsOf(a.totalSeconds), bitsOf(b.totalSeconds));
+    EXPECT_EQ(bitsOf(a.dynamicEnergyPj), bitsOf(b.dynamicEnergyPj));
+    EXPECT_EQ(bitsOf(a.leakageEnergyPj), bitsOf(b.leakageEnergyPj));
+    EXPECT_EQ(bitsOf(a.infrastructureEnergyPj),
+              bitsOf(b.infrastructureEnergyPj));
+    ASSERT_EQ(a.groups.size(), b.groups.size());
+    for (const auto &[group, gs] : a.groups) {
+        ASSERT_EQ(b.groups.count(group), 1u);
+        EXPECT_EQ(gs.cycles, b.groups.at(group).cycles);
+        EXPECT_EQ(bitsOf(gs.energyPj), bitsOf(b.groups.at(group).energyPj));
+    }
+    ASSERT_EQ(a.resourceUtilization.size(), b.resourceUtilization.size());
+    for (const auto &[name, util] : a.resourceUtilization)
+        EXPECT_EQ(bitsOf(util), bitsOf(b.resourceUtilization.at(name)))
+            << name;
+    ASSERT_EQ(a.stats.size(), b.stats.size());
+    for (const auto &[key, value] : a.stats.entries()) {
+        ASSERT_TRUE(b.stats.has(key)) << key;
+        EXPECT_EQ(bitsOf(value), bitsOf(b.stats.get(key))) << key;
+    }
+}
+
+void
+expectSameEndState(const Chip &a, const Chip &b)
+{
+    expectSameBits(a.gatherMemory(), b.gatherMemory());
+}
+
+void
+expectSameEndState(const DncChip &a, const DncChip &b)
+{
+    expectSameBits(a.gatherMemory(), b.gatherMemory());
+    expectSameBits(a.gatherLink(), b.gatherLink());
+    expectSameBits(a.gatherUsage(), b.gatherUsage());
+}
+
+template <typename ChipT, typename ModelT>
+void
+expectFastForwardExact(const ModelT &model, std::size_t inputDim,
+                       Fidelity fidelity)
+{
+    ChipT fast(model, 9, fidelity);
+    ChipT literal(model, 9, fidelity);
+    TraceLogger everyInstruction(0);
+    literal.attachTrace(&everyInstruction);
+    Rng rng(21);
+    for (std::size_t t = 0; t < 3; ++t) {
+        FVec x(inputDim);
+        for (auto &v : x)
+            v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        expectSameBits(fast.step(x), literal.step(x));
+        ASSERT_EQ(fast.readVectors().size(), literal.readVectors().size());
+        for (std::size_t h = 0; h < fast.readVectors().size(); ++h)
+            expectSameBits(fast.readVectors()[h], literal.readVectors()[h]);
+    }
+    EXPECT_GT(everyInstruction.dropped(), 0u);
+    expectSameEndState(fast, literal);
+    expectSameReport(fast.report(), literal.report());
+}
+
+class FastForwardOracle : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(FastForwardOracle, MatchesLiteralInterpretation)
+{
+    const std::string name = GetParam();
+    for (const std::size_t tiles : {1u, 4u, 16u}) {
+        const auto ac = arch::MannaConfig::withTiles(tiles);
+        for (const Fidelity fidelity : {Fidelity::Cycle, Fidelity::Fast}) {
+            SCOPED_TRACE(name + " x" + std::to_string(tiles) + " " +
+                         toString(fidelity));
+            if (name == "dnc512") {
+                // perfbench's dnc512 shape.
+                const auto &stimulus =
+                    workloads::benchmarkByName("travers").config;
+                mann::DncConfig dc;
+                dc.memN = 512;
+                dc.memM = 64;
+                dc.numReadHeads = 2;
+                dc.controllerWidth = 128;
+                dc.inputDim = stimulus.inputDim;
+                dc.outputDim = stimulus.outputDim;
+                expectFastForwardExact<DncChip>(
+                    compiler::compileDnc(dc, ac), dc.inputDim, fidelity);
+            } else {
+                const MannConfig &mc =
+                    workloads::benchmarkByName(name).config;
+                expectFastForwardExact<Chip>(compiler::compile(mc, ac),
+                                             mc.inputDim, fidelity);
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Table2AndDnc, FastForwardOracle,
+                         ::testing::Values("copy", "rptcopy", "recall",
+                                           "ngrams", "sort", "bAbI",
+                                           "short", "travers", "inf",
+                                           "shrdlu", "dnc512"));
+
+TEST(FastForwardOracle, UnevenRowsOnSixteenTiles)
+{
+    // memN 50 leaves the 16 tiles unequal row counts.
+    const MannConfig mc = makeConfig(50, 16, 2, 1);
+    const auto model =
+        compiler::compile(mc, arch::MannaConfig::withTiles(16));
+    for (const Fidelity fidelity : {Fidelity::Cycle, Fidelity::Fast}) {
+        SCOPED_TRACE(toString(fidelity));
+        expectFastForwardExact<Chip>(model, mc.inputDim, fidelity);
     }
 }
 

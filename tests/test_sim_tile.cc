@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "arch/energy_model.hh"
 #include "isa/assembler.hh"
@@ -99,6 +100,17 @@ TEST(TileMemoryDeathTest, OutOfBoundsCaught)
     TileMemory mem(8, 8, 8, 8);
     EXPECT_DEATH(mem.read(Space::MatBuf, 8), "out of");
     EXPECT_DEATH(mem.readRange(Space::VecBuf, 6, 4), "out of");
+}
+
+TEST(OperandDeathTest, AddressBeyond32BitsCaught)
+{
+    // Cast to uint32, address 2^32 + 2 would wrap to 2 and pass the
+    // span bounds check.
+    const Operand op =
+        isa::makeStridedOperand(Space::VecBuf, 4294967290u, 4, 8);
+    const std::int64_t iters[isa::kMaxLoopDepth] = {1, 0, 0};
+    EXPECT_EQ(op.effectiveBase(iters, 0), 4294967290u);
+    EXPECT_DEATH(op.effectiveBase(iters, 1), "address overflow");
 }
 
 // ---------------------------------------------------------------------
@@ -560,6 +572,205 @@ TEST(TileCounters, ExportWritesEveryCounterAndResetZeroes)
     EXPECT_EQ(after.size(), kNumTileCounters);
     for (const auto &[key, value] : after.entries())
         EXPECT_EQ(value, 0.0) << key;
+}
+
+// ---------------------------------------------------------------------
+// Loop fast-forward. Each program runs twice on one tile: with a
+// zero-capacity TraceLogger attached, which keeps every instruction
+// literal, and fast-forwarding. Counters, energy, times and the
+// emitted op stream must agree exactly.
+// ---------------------------------------------------------------------
+
+struct LoopRun
+{
+    TileCounters acct;
+    Cycle quiesce = 0;
+    Cycle now = 0;
+    std::size_t skips = 0;
+    std::size_t comms = 0;
+};
+
+/** Run f.program to its end, resuming each communication instruction
+ * 7 cycles after the tile quiesces. */
+LoopRun
+runLoops(TileFixture &f, ReplayTape &tape, bool literal)
+{
+    TraceLogger everyInstruction(0);
+    f.tile.reset();
+    f.tile.setTraceLogger(literal ? &everyInstruction : nullptr);
+    f.tile.setReplayTape(&tape);
+    f.tile.setProgram(&f.program);
+    LoopRun run;
+    while (f.tile.runUntilComm() == RunStatus::AtComm) {
+        ++run.comms;
+        f.tile.resumeAfterComm(f.tile.quiesceTime() + 7);
+    }
+    f.tile.setTraceLogger(nullptr);
+    f.tile.setReplayTape(nullptr);
+    run.acct = f.tile.counters();
+    run.quiesce = f.tile.quiesceTime();
+    run.now = f.tile.now();
+    run.skips = f.tile.loopSkips();
+    return run;
+}
+
+/** Check the fast-forwarding run against the literal one; returns
+ * the fast run. */
+LoopRun
+expectFastForwardExact(TileFixture &f)
+{
+    EXPECT_EQ(f.program.validate(), "");
+    ReplayTape tape;
+    tape.startRecording();
+    const LoopRun literal = runLoops(f, tape, true);
+    tape.finishRecording();
+    tape.startCheck();
+    const LoopRun fast = runLoops(f, tape, false);
+    // The same ops, in the same order, with the same pointers.
+    EXPECT_NO_THROW(tape.checkStep(2));
+    EXPECT_EQ(literal.skips, 0u);
+    EXPECT_EQ(fast.comms, literal.comms);
+    EXPECT_EQ(fast.quiesce, literal.quiesce);
+    EXPECT_EQ(fast.now, literal.now);
+    for (std::size_t i = 0; i < kNumTileCounters; ++i)
+        EXPECT_EQ(fast.acct.ctr[i], literal.acct.ctr[i])
+            << counterName(static_cast<TileCounter>(i));
+    for (std::size_t i = 0; i < kNumOpcodes; ++i) {
+        EXPECT_EQ(fast.acct.opCycles[i], literal.acct.opCycles[i]);
+        EXPECT_EQ(fast.acct.opOps[i], literal.acct.opOps[i]);
+        EXPECT_EQ(fast.acct.opWords[i], literal.acct.opWords[i]);
+    }
+    EXPECT_EQ(std::memcmp(&fast.acct.energyPj, &literal.acct.energyPj,
+                          sizeof(Energy)),
+              0)
+        << fast.acct.energyPj << " vs " << literal.acct.energyPj;
+    return fast;
+}
+
+Operand
+strided(Space space, std::uint32_t base, std::uint32_t len,
+        std::int32_t s0, std::int32_t s1 = 0, std::int32_t s2 = 0)
+{
+    return isa::makeStridedOperand(space, base, len, s0, s1, s2);
+}
+
+TEST(TileFastForward, PeriodTwoLoadComputeLoop)
+{
+    // One matrix load per iteration: the scratchpad halves alternate,
+    // so the absolute state repeats every two iterations. An odd
+    // number of skipped iterations ends on the other half.
+    for (const std::uint32_t blocks : {40u, 41u}) {
+        for (const bool skew : {false, true}) {
+            TileFixture f;
+            appendStreamLoop(f, blocks, 32, 32, skew);
+            // A load after the loop waits for its half to drain.
+            f.program.append(dmaLoad(false, 0, 32, 32, 32));
+            EXPECT_EQ(expectFastForwardExact(f).skips, 1u);
+        }
+    }
+}
+
+TEST(TileFastForward, IdleLaneKeepsItsFreeTime)
+{
+    // A long SFU op before the loop leaves the SFU busy far ahead of
+    // the eMAC-only body; the SFU op after it stalls on that time.
+    TileFixture f;
+    f.program.append(inst(Opcode::SfuExp, isa::makeOperand(
+                                              Space::VecSpad, 0, 512),
+                          vb(0, 512)));
+    f.program.beginLoop(30);
+    f.program.append(inst(Opcode::EwAddImm, strided(Space::VecBuf, 1024, 8, 8),
+                          strided(Space::VecBuf, 512, 8, 8), {}, 1.0f));
+    f.program.endLoop();
+    f.program.append(inst(Opcode::SfuTanh, isa::makeOperand(
+                                               Space::VecSpad, 600, 16),
+                          vb(1024, 16)));
+    EXPECT_EQ(expectFastForwardExact(f).skips, 1u);
+}
+
+TEST(TileFastForward, LiveDependencyAcrossIterations)
+{
+    // The serial SFU paces the loop; its VecSpad result is still
+    // pending at every iteration boundary, and the eMAC op waits on
+    // the previous iteration's result.
+    TileFixture f;
+    f.program.beginLoop(20);
+    f.program.append(inst(Opcode::SfuExp,
+                          isa::makeOperand(Space::VecSpad, 0, 64),
+                          strided(Space::VecBuf, 0, 64, 64)));
+    f.program.append(inst(Opcode::EwMulImm,
+                          strided(Space::MatBuf, 0, 32, 32),
+                          isa::makeOperand(Space::VecSpad, 0, 32), {},
+                          2.0f));
+    f.program.endLoop();
+    EXPECT_EQ(expectFastForwardExact(f).skips, 1u);
+}
+
+TEST(TileFastForward, NestedLoops)
+{
+    TileFixture f;
+    f.program.append(inst(Opcode::Fill, vb(0, 64), {}, {}, 1.0f));
+    f.program.beginLoop(5);
+    f.program.append(dmaLoad(true, 0, 8, 16, 16));
+    f.program.beginLoop(6);
+    f.program.append(inst(Opcode::EwMul, strided(Space::VecBuf, 4096, 16, 96, 16),
+                          strided(Space::MatBuf, 0, 16, 128, 16),
+                          vb(0, 16)));
+    f.program.beginLoop(7);
+    f.program.append(inst(Opcode::EwMac, strided(Space::VecBuf, 8192, 4, 168, 28, 4),
+                          strided(Space::VecBuf, 4096, 4, 96, 16, 0),
+                          vb(32, 4)));
+    f.program.append(inst(Opcode::SfuSigmoid,
+                          strided(Space::VecSpad, 0, 4, 168, 28, 4),
+                          strided(Space::VecBuf, 8192, 4, 168, 28, 4)));
+    f.program.endLoop();
+    f.program.endLoop();
+    Instruction vmm;
+    vmm.op = Opcode::Vmm;
+    vmm.flags.rowDot = true;
+    vmm.flags.skewed = true;
+    vmm.srcA = isa::makeOperand(Space::VecSpad, 900, 16);
+    vmm.srcB = isa::makeOperand(Space::MatSpad, 0, 8 * 17);
+    vmm.dst = strided(Space::VecBuf, 12288, 8, 8);
+    f.program.append(vmm);
+    f.program.endLoop();
+    const LoopRun fast = expectFastForwardExact(f);
+    EXPECT_GE(fast.skips, 5u);
+}
+
+TEST(TileFastForward, ShortLoopsRunLiterally)
+{
+    for (const std::uint32_t trips : {1u, 2u}) {
+        TileFixture f;
+        f.program.beginLoop(trips);
+        f.program.beginLoop(trips);
+        f.program.append(inst(Opcode::EwAddImm,
+                              strided(Space::VecBuf, 64, 8, 16, 8),
+                              strided(Space::VecBuf, 0, 8, 16, 8), {},
+                              1.0f));
+        f.program.endLoop();
+        f.program.endLoop();
+        EXPECT_EQ(expectFastForwardExact(f).skips, 0u) << trips;
+    }
+}
+
+TEST(TileFastForward, LoopReachingReduceIsNeverSkipped)
+{
+    TileFixture f;
+    f.program.beginLoop(6);
+    f.program.beginLoop(9); // no reduce inside: skippable
+    f.program.append(inst(Opcode::EwAddImm,
+                          strided(Space::VecBuf, 64, 8, 0, 8),
+                          strided(Space::VecBuf, 0, 8, 0, 8), {}, 1.0f));
+    f.program.endLoop();
+    Instruction red;
+    red.op = Opcode::Reduce;
+    red.srcA = vb(64, 8);
+    f.program.append(red);
+    f.program.endLoop();
+    const LoopRun fast = expectFastForwardExact(f);
+    EXPECT_EQ(fast.comms, 6u);
+    EXPECT_EQ(fast.skips, 6u); // the inner loop, once per outer trip
 }
 
 } // namespace
