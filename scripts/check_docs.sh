@@ -19,7 +19,11 @@
 #     matches, in both directions, the kEventNames registry of
 #     src/common/event_log.cc;
 #  8. the knob table of docs/SERVICE.md matches, in both directions,
-#     the kServiceKnobs registry of src/harness/server.cc.
+#     the kServiceKnobs registry of src/harness/server.cc;
+#  9. every backticked C++ name in docs/PORTING.md (an identifier,
+#     optionally ::-qualified, optionally followed by "()") exists in
+#     src/, so the porting guide cannot name helpers the code renamed
+#     or deleted.
 #
 # Pure grep/sed; no dependencies beyond POSIX tools + bash.
 set -u
@@ -243,6 +247,19 @@ for knob in $knobs_doc; do
     printf '%s\n' "$knobs_src" | grep -qxF "$knob" ||
         complain "service knob '$knob=' documented but not" \
                  "registered in src/harness/server.cc"
+done
+
+# --- 9. C++ names in docs/PORTING.md --------------------------------
+# Each ::-separated part must occur as a whole word in the C++ sources.
+idents=$(grep -oE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)*(\(\))?`' \
+             docs/PORTING.md | tr -d '`' | sed 's/()$//' | sort -u)
+[ -n "$idents" ] || complain "no C++ names found in docs/PORTING.md"
+for ident in $idents; do
+    for part in ${ident//::/ }; do
+        grep -rqw --include='*.cc' --include='*.hh' -- "$part" src ||
+            complain "docs/PORTING.md names '$ident' but '$part' is" \
+                     "not in src/"
+    done
 done
 
 if [ "$errors" -gt 0 ]; then

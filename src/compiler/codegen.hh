@@ -2,8 +2,9 @@
  * @file
  * The compiler's code-generation phase (Section 5.2.2): lowers one
  * NTM time step to per-tile Manna programs, using the blocking and
- * ordering decisions from the mapping phase and a library of
- * parameterized kernel routines.
+ * ordering decisions from the mapping phase and the parameterized
+ * kernel routines of codegen_util.hh (KernelRoutines), which the DNC
+ * generator (dnc_codegen.hh) shares.
  *
  * The generated step is a sequence of bulk-synchronous segments, one
  * per paper kernel group:

@@ -1,8 +1,9 @@
 /**
  * @file
  * Output of the Manna compiler (Section 5.2): per-tile programs for
- * one NTM time step, the memory layout needed to load model state
- * onto the tiles, and the mapping decisions that produced them.
+ * one time step, the memory layout needed to load model state onto
+ * the tiles, and (for the NTM) the mapping decisions that produced
+ * them. CompiledDnc (dnc_codegen.hh) shares CompiledProgram.
  */
 
 #ifndef MANNA_COMPILER_COMPILED_MODEL_HH
@@ -67,8 +68,17 @@ struct RowPartition
     std::vector<std::uint32_t> rowCount; ///< rows held, per tile
 };
 
+/** Per-space functional storage sizes (uniform across tiles). */
+struct BufferWords
+{
+    std::size_t matBufWords = 0;
+    std::size_t matSpadWords = 0;
+    std::size_t vecBufWords = 0;
+    std::size_t vecSpadWords = 0;
+};
+
 /** Addresses the chip needs to load model state onto the tiles. */
-struct ChipLayout
+struct ChipLayout : BufferWords
 {
     /** Differentiable memory slice (rows of M). */
     RowPartition memory;
@@ -81,23 +91,15 @@ struct ChipLayout
      * slice (length = local memory row count), one entry per head
      * (read heads first). */
     std::vector<std::uint32_t> wPrevBase;
-
-    /** Per-space functional storage sizes (uniform across tiles). */
-    std::size_t matBufWords = 0;
-    std::size_t matSpadWords = 0;
-    std::size_t vecBufWords = 0;
-    std::size_t vecSpadWords = 0;
 };
 
-/** The complete compiled artifact. */
-struct CompiledModel
+/** What every compiled model carries: the per-tile programs of one
+ * time step and the compile diagnostics. */
+struct CompiledProgram
 {
-    mann::MannConfig mannCfg;
     arch::MannaConfig archCfg;
-    Mapping mapping;
-    ChipLayout layout;
 
-    /** Segments executed in order for every NTM time step. */
+    /** Segments executed in order for every time step. */
     std::vector<CompiledSegment> stepSegments;
 
     /** Human-readable capacity/diagnostic warnings. */
@@ -108,6 +110,14 @@ struct CompiledModel
 
     /** Disassembly of every segment for one tile. */
     std::string disassembleTile(std::size_t tile) const;
+};
+
+/** The complete compiled NTM artifact. */
+struct CompiledModel : CompiledProgram
+{
+    mann::MannConfig mannCfg;
+    Mapping mapping;
+    ChipLayout layout;
 };
 
 } // namespace manna::compiler

@@ -6,7 +6,9 @@
  * step — interface projection, usage/allocation, content weighting,
  * soft write, temporal-link update, forward/backward link products,
  * read-mode mixing, and soft reads — onto the same ISA, tiles, and
- * NoC used for the NTM.
+ * NoC used for the NTM, with the NTM generator's kernel routines
+ * (KernelRoutines, codegen_util.hh): projection, key similarity,
+ * content softmax, soft write and soft read are one definition each.
  *
  * Distribution follows the NTM mapping (MDistrib = 1): each tile owns
  * a row slice of the external memory *and* the matching row slice of
@@ -27,7 +29,7 @@ namespace manna::compiler
 {
 
 /** Addresses the DNC chip needs to load/inspect model state. */
-struct DncLayout
+struct DncLayout : BufferWords
 {
     RowPartition memory;     ///< memN x memM slice in MatBuf
     RowPartition link;       ///< memN x memN slice in MatBuf
@@ -44,24 +46,13 @@ struct DncLayout
      * previous read weights (persistent). */
     std::vector<std::uint32_t> wReadLocalBase;
     std::vector<std::uint32_t> wPrevReadFullBase;
-
-    std::size_t matBufWords = 0;
-    std::size_t matSpadWords = 0;
-    std::size_t vecBufWords = 0;
-    std::size_t vecSpadWords = 0;
 };
 
 /** Compiled DNC artifact. */
-struct CompiledDnc
+struct CompiledDnc : CompiledProgram
 {
     mann::DncConfig dncCfg;
-    arch::MannaConfig archCfg;
     DncLayout layout;
-    std::vector<CompiledSegment> stepSegments;
-    std::vector<std::string> warnings;
-
-    std::size_t maxProgramLength() const;
-    std::string disassembleTile(std::size_t tile) const;
 };
 
 /** Compile a DNC for a Manna configuration. */

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
+#include "common/hash.hh"
 #include "compiler/compiler.hh"
+#include "compiler/dnc_codegen.hh"
 #include "isa/assembler.hh"
+#include "workloads/benchmarks.hh"
 
 namespace manna::compiler
 {
@@ -369,6 +372,199 @@ TEST(Codegen, DisassembleTileShowsSegments)
     EXPECT_NE(text.find("segment heads"), std::string::npos);
     EXPECT_NE(text.find("segment soft-write"), std::string::npos);
     EXPECT_NE(text.find("vmm"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Pinned programs
+// ---------------------------------------------------------------------
+
+void
+hashString(Fnv1a &h, const std::string &s)
+{
+    h.u64(s.size()).bytes(s.data(), s.size());
+}
+
+void
+hashPartition(Fnv1a &h, const RowPartition &part)
+{
+    h.u64(part.base).u64(part.cols);
+    for (std::uint32_t v : part.rowStart)
+        h.u64(v);
+    for (std::uint32_t v : part.rowCount)
+        h.u64(v);
+}
+
+/** Digest of every segment's name, group and per-tile program bytes,
+ * then of the warning list. */
+template <class Compiled>
+void
+hashProgramsAndWarnings(Fnv1a &h, const Compiled &model)
+{
+    for (const CompiledSegment &seg : model.stepSegments) {
+        hashString(h, seg.name);
+        h.u64(static_cast<std::uint64_t>(seg.group));
+        for (const isa::Program &p : seg.tilePrograms)
+            hashString(h, p.serialize());
+    }
+    for (const std::string &w : model.warnings)
+        hashString(h, w);
+}
+
+std::uint64_t
+digestOf(const CompiledModel &model)
+{
+    Fnv1a h;
+    hashProgramsAndWarnings(h, model);
+    const ChipLayout &l = model.layout;
+    hashPartition(h, l.memory);
+    for (const RowPartition &part : l.headWeights)
+        hashPartition(h, part);
+    for (std::uint32_t v : l.wPrevBase)
+        h.u64(v);
+    h.u64(l.matBufWords).u64(l.matSpadWords).u64(l.vecBufWords)
+        .u64(l.vecSpadWords);
+    return h.value();
+}
+
+std::uint64_t
+digestOf(const CompiledDnc &model)
+{
+    Fnv1a h;
+    hashProgramsAndWarnings(h, model);
+    const DncLayout &l = model.layout;
+    hashPartition(h, l.memory);
+    hashPartition(h, l.link);
+    hashPartition(h, l.interfaceW);
+    h.u64(l.usageBase).u64(l.writeWBase).u64(l.precedenceBase);
+    for (std::uint32_t v : l.wReadLocalBase)
+        h.u64(v);
+    for (std::uint32_t v : l.wPrevReadFullBase)
+        h.u64(v);
+    h.u64(l.matBufWords).u64(l.matSpadWords).u64(l.vecBufWords)
+        .u64(l.vecSpadWords);
+    return h.value();
+}
+
+mann::DncConfig
+dncShape(std::size_t memN, std::size_t memM, std::size_t readHeads,
+         std::size_t width)
+{
+    mann::DncConfig cfg;
+    cfg.memN = memN;
+    cfg.memM = memM;
+    cfg.numReadHeads = readHeads;
+    cfg.controllerWidth = width;
+    cfg.inputDim = 6;
+    cfg.outputDim = 5;
+    return cfg;
+}
+
+TEST(Codegen, ProgramDigestsPinned)
+{
+    // Every compiled program, layout address and warning, for the
+    // Table-2 shapes, the benchmarked DNC shapes and the edge cases
+    // (empty tiles, no DMAT, the other soft-read loop order, several
+    // read heads). Any change to instruction order, operands, flags,
+    // count tags or region allocation moves a digest.
+    std::vector<std::pair<std::string, std::uint64_t>> got;
+    for (const auto &b : workloads::table2Suite())
+        for (std::size_t tiles : {1u, 4u, 16u})
+            got.push_back(
+                {b.name + "@" + std::to_string(tiles),
+                 digestOf(compile(b.config,
+                                  arch::MannaConfig::withTiles(tiles)))});
+
+    mann::MannConfig mc = smallMann();
+    mc.memN = 50; // 16 tiles: tiles 13-15 hold no memory rows
+    got.push_back({"ntm50@16",
+                   digestOf(compile(mc, arch::MannaConfig::baseline16()))});
+    arch::MannaConfig noDmat = arch::MannaConfig::withTiles(4);
+    noDmat.hasDmat = false;
+    got.push_back({"ntm-nodmat@4", digestOf(compile(smallMann(), noDmat))});
+    {
+        const arch::MannaConfig ac = arch::MannaConfig::withTiles(4);
+        Mapping mapping = computeMapping(smallMann(), ac);
+        auto &softRead = const_cast<KernelMapping &>(
+            mapping.forKernel(mann::Kernel::SoftRead));
+        softRead.blockLoop =
+            softRead.blockLoop == LoopOrder::InputStationary
+                ? LoopOrder::OutputStationary
+                : LoopOrder::InputStationary;
+        got.push_back({"ntm-flipped-order@4",
+                       digestOf(generateCode(smallMann(), ac, mapping))});
+    }
+
+    const auto &travers = workloads::benchmarkByName("travers").config;
+    for (std::size_t rows : {512u, 1024u, 2048u}) {
+        mann::DncConfig dc = dncShape(rows, 64, 2, 128);
+        dc.inputDim = travers.inputDim;
+        dc.outputDim = travers.outputDim;
+        for (std::size_t tiles : {1u, 4u, 16u}) {
+            if (rows != 512 && tiles != 16)
+                continue;
+            got.push_back({"dnc" + std::to_string(rows) + "@" +
+                               std::to_string(tiles),
+                           digestOf(compileDnc(
+                               dc, arch::MannaConfig::withTiles(tiles)))});
+        }
+    }
+    for (std::size_t heads : {1u, 3u})
+        got.push_back(
+            {"dnc35x" + std::to_string(heads) + "@8",
+             digestOf(compileDnc(dncShape(35, 12, heads, 32),
+                                 arch::MannaConfig::withTiles(8)))});
+    got.push_back({"dnc-nodmat@4",
+                   digestOf(compileDnc(dncShape(40, 16, 2, 32), noDmat))});
+
+    const std::vector<std::pair<std::string, std::uint64_t>> want = {
+        {"copy@1", 0xab22bc0f0f13f039ull},
+        {"copy@4", 0xe37b7a7bc7acbd71ull},
+        {"copy@16", 0x8e2b6fd073019bacull},
+        {"rptcopy@1", 0xff5abb391f2bfd0eull},
+        {"rptcopy@4", 0x8413f0c76aa22da9ull},
+        {"rptcopy@16", 0x62dcd0765d446fe8ull},
+        {"recall@1", 0x01f13be7a434eee4ull},
+        {"recall@4", 0xad30af94c4e80e6bull},
+        {"recall@16", 0x9a873e34a4205603ull},
+        {"ngrams@1", 0x2c90d5a4e5b7ef60ull},
+        {"ngrams@4", 0x373e2c54dc8e181cull},
+        {"ngrams@16", 0xecf86d35f403f6c2ull},
+        {"sort@1", 0x9ffcd63bb44dd602ull},
+        {"sort@4", 0x0936a05a31bcf939ull},
+        {"sort@16", 0xcb42aa66d5cba25cull},
+        {"bAbI@1", 0x41aff22ac2e9dda4ull},
+        {"bAbI@4", 0x2b116ef106399d2full},
+        {"bAbI@16", 0x85f47ac4a5fa9f76ull},
+        {"short@1", 0x0526b42277ed1c15ull},
+        {"short@4", 0xb367c36a9c0d2011ull},
+        {"short@16", 0x3ceadd799f3d2668ull},
+        {"travers@1", 0x82d3bc15cb95e694ull},
+        {"travers@4", 0xa47f5da96ea96357ull},
+        {"travers@16", 0x820c8f232352e0d2ull},
+        {"inf@1", 0x8270e807e8c35cd7ull},
+        {"inf@4", 0x1af3a012273d9f00ull},
+        {"inf@16", 0x09666f9d454fd9a7ull},
+        {"shrdlu@1", 0x3d4e3524eb2124f8ull},
+        {"shrdlu@4", 0x72c7688d6108029aull},
+        {"shrdlu@16", 0xdc8229457d4be290ull},
+        {"ntm50@16", 0x66547914dfbffd39ull},
+        {"ntm-nodmat@4", 0x2d66cc74ba4106b2ull},
+        {"ntm-flipped-order@4", 0xb8b00444e86b3dc2ull},
+        {"dnc512@1", 0x3b703c1838525121ull},
+        {"dnc512@4", 0xe6f77bfac5d6f4b0ull},
+        {"dnc512@16", 0x23fe1600e178fc99ull},
+        {"dnc1024@16", 0x03c769ff83b6f422ull},
+        {"dnc2048@16", 0xfac875813d3d8f94ull},
+        {"dnc35x1@8", 0x7f7543c5487d87dfull},
+        {"dnc35x3@8", 0xd5a0f4860905da5full},
+        {"dnc-nodmat@4", 0x3d70bd9e4ad7b7ecull},
+    };
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].first, want[i].first);
+        EXPECT_EQ(got[i].second, want[i].second)
+            << got[i].first << " digest 0x" << std::hex << got[i].second;
+    }
 }
 
 class CodegenShapeSweep

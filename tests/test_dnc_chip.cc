@@ -457,6 +457,34 @@ TEST(DncChipValidation, CompileRejectsTooManyTiles)
     }
 }
 
+TEST(DncChipValidation, StrictCapacityThrowsAssemblyError)
+{
+    // 512 locations on one tile overflow the Vector Buffer. The error
+    // must be catchable (a sweep isolates the failing point) and name
+    // the configuration.
+    arch::MannaConfig ac = arch::MannaConfig::withTiles(1);
+    ac.strictCapacity = true;
+    try {
+        compiler::compileDnc(makeConfig(512, 64, 2), ac);
+        FAIL() << "strict-capacity compile succeeded unexpectedly";
+    } catch (const AssemblyError &e) {
+        EXPECT_NE(std::string(e.what()).find("capacity violation"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_EQ(e.context().fingerprint, ac.fingerprint());
+    }
+
+    // Program length is checked against the instruction memory too.
+    arch::MannaConfig tinyInstMem = arch::MannaConfig::withTiles(4);
+    tinyInstMem.instMemEntries = 16;
+    const auto model =
+        compiler::compileDnc(makeConfig(40, 16, 2), tinyInstMem);
+    ASSERT_EQ(model.warnings.size(), 1u);
+    EXPECT_NE(model.warnings[0].find("instruction memory"),
+              std::string::npos)
+        << model.warnings[0];
+}
+
 TEST(DncChip, CommSequencesAlignedAcrossTiles)
 {
     const auto model = compiler::compileDnc(

@@ -738,6 +738,54 @@ TEST(TileFastForward, NestedLoops)
     EXPECT_GE(fast.skips, 5u);
 }
 
+TEST(TileFastForward, DependencyEndingAtTheBoundary)
+{
+    // A one-word vector load ends exactly at the next iteration's
+    // issue time (now_), and that iteration's first op reads the word.
+    // The tie wins the start-time election, so the eMAC lane's idle
+    // cycle is a DMA stall, not an issue stall, in every iteration
+    // after the first, fast-forwarded ones included.
+    {
+        TileFixture f;
+        f.program.beginLoop(12);
+        f.program.append(inst(Opcode::EwMul, vb(64, 8),
+                              isa::makeOperand(Space::VecSpad, 0, 1),
+                              vb(0, 8)));
+        f.program.append(inst(Opcode::DmaLoadV,
+                              isa::makeOperand(Space::VecSpad, 0, 1),
+                              vb(128, 1)));
+        f.program.endLoop();
+        const LoopRun fast = expectFastForwardExact(f);
+        EXPECT_EQ(fast.skips, 1u);
+        EXPECT_EQ(fast.acct.counter(stallCounter(TraceLane::Compute,
+                                                 StallReason::Dma)),
+                  11.0);
+        EXPECT_EQ(fast.acct.counter(stallCounter(TraceLane::Compute,
+                                                 StallReason::Issue)),
+                  0.0);
+    }
+    // The scratchpad read time a pre-loop SFU op leaves is never
+    // waited on in the body; relative to now_ it falls through zero.
+    // A time equal to now_ counts as live, so no two boundaries past
+    // the second have the same shape and the loop runs literally.
+    {
+        TileFixture f;
+        f.program.append(inst(Opcode::SfuAccSum, vb(448, 1),
+                              isa::makeOperand(Space::MatSpad, 24, 12)));
+        f.program.beginLoop(6);
+        f.program.append(inst(Opcode::EwAddImm,
+                              isa::makeOperand(Space::VecSpad, 16, 16),
+                              strided(Space::MatSpad, 8, 16, 16), {},
+                              1.0f));
+        f.program.append(inst(Opcode::EwMul,
+                              strided(Space::VecSpad, 24, 33, 33),
+                              isa::makeOperand(Space::MatBuf, 256, 33),
+                              isa::makeOperand(Space::MatBuf, 832, 33)));
+        f.program.endLoop();
+        EXPECT_EQ(expectFastForwardExact(f).skips, 0u);
+    }
+}
+
 TEST(TileFastForward, ShortLoopsRunLiterally)
 {
     for (const std::uint32_t trips : {1u, 2u}) {
