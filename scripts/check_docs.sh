@@ -14,7 +14,7 @@
 #  5. the fault-site catalog of docs/ROBUSTNESS.md matches, in both
 #     directions, the kSiteNames registry of src/common/fault.cc;
 #  6. the opcode table of docs/ISA.md matches, in both directions,
-#     the toString(Opcode) mnemonic registry of src/isa/isa.cc;
+#     the mnemonics and classes of the src/isa/isa.hh descriptor table;
 #  7. the harness span/event catalog of docs/OBSERVABILITY.md
 #     matches, in both directions, the kEventNames registry of
 #     src/common/event_log.cc;
@@ -168,30 +168,32 @@ for site in $sites_doc; do
                  "in src/common/fault.cc"
 done
 
-# --- 6. opcode table vs the isa.cc mnemonic registry ---------------
-# The mnemonics live once, in the toString(Opcode) switch of
-# src/isa/isa.cc; docs/ISA.md documents each one in its "## Opcode
-# table" section as the backticked second column. Both directions
-# must agree, so neither side can drift.
-ops_src=$(sed -n '/^toString(Opcode op)$/,/^}$/p' src/isa/isa.cc |
-          grep -oE '"[a-z.]+"' | tr -d '"' | sort -u)
+# --- 6. opcode table vs the isa.hh descriptor table ---------------
+# Each opcode's mnemonic and class are written once, in its row of the
+# kOpTable descriptor table of src/isa/isa.hh; docs/ISA.md documents
+# each opcode in its "## Opcode table" section, with backticked
+# Mnemonic and Class columns. The (mnemonic, class) pairs must agree
+# in both directions, so neither side can drift.
+ops_src=$(sed -n '/kOpTable\[\] = {/,/^};/p' src/isa/isa.hh |
+          sed -nE 's/^ *\{"([a-z.]+)", *([A-Za-z]+),.*/\1 \2/p' |
+          sort -u)
+row='^\| [0-9]+ \| `([a-z.]+)` \| `[A-Za-z]+` \| `([A-Za-z]+)` \|$'
 ops_doc=$(sed -n '/^## Opcode table$/,/^## [A-Z]/p' docs/ISA.md |
-          grep -oE '^\| [0-9]+ \| `[a-z.]+`' |
-          grep -oE '`[a-z.]+`' | tr -d '`' | sort -u)
+          sed -nE "s/$row/\1 \2/p" | sort -u)
 [ -n "$ops_src" ] ||
-    complain "no opcode mnemonics found in src/isa/isa.cc"
+    complain "no opcode rows found in the src/isa/isa.hh kOpTable"
 [ -n "$ops_doc" ] ||
     complain "no opcode table found in docs/ISA.md"
-for op in $ops_src; do
-    printf '%s\n' "$ops_doc" | grep -qxF "$op" ||
-        complain "opcode '$op' implemented but missing from the" \
-                 "docs/ISA.md opcode table"
-done
-for op in $ops_doc; do
-    printf '%s\n' "$ops_src" | grep -qxF "$op" ||
-        complain "opcode '$op' documented but not implemented" \
-                 "in src/isa/isa.cc"
-done
+while read -r op cls; do
+    printf '%s\n' "$ops_doc" | grep -qxF "$op $cls" ||
+        complain "opcode '$op' (class $cls) implemented but missing" \
+                 "from the docs/ISA.md opcode table"
+done <<< "$ops_src"
+while read -r op cls; do
+    printf '%s\n' "$ops_src" | grep -qxF "$op $cls" ||
+        complain "opcode '$op' (class $cls) documented but not in" \
+                 "the src/isa/isa.hh kOpTable"
+done <<< "$ops_doc"
 
 # --- 7. harness event catalog vs the event_log.cc registry ---------
 # Harness span/event names are registered once, in the kEventNames

@@ -59,8 +59,7 @@ evaluateCluster(const workloads::Benchmark &benchmark,
     for (const auto &segment : model->stepSegments) {
         for (const auto &inst :
              segment.tilePrograms[0].instructions()) {
-            if (inst.op != isa::Opcode::Reduce &&
-                inst.op != isa::Opcode::Broadcast)
+            if (isa::opInfo(inst.op).cls != isa::OpClass::Comm)
                 continue;
             const std::size_t words = inst.op == isa::Opcode::Reduce
                                           ? inst.srcA.len

@@ -1,6 +1,8 @@
 #include "assembler.hh"
 
-#include <map>
+#include <algorithm>
+#include <iterator>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -11,32 +13,24 @@ namespace manna::isa
 namespace
 {
 
-/** Opcode mnemonic lookup, built once from toString(). */
-const std::map<std::string, Opcode> &
-mnemonicTable()
+/** Parse @p text as an integer that fits T; the error names
+ * @p field. */
+template <typename T>
+bool
+parseNumber(const std::string &text, const std::string &field, T &out,
+            std::string &error)
 {
-    static const std::map<std::string, Opcode> table = [] {
-        std::map<std::string, Opcode> t;
-        for (std::uint32_t i = 0;
-             i < static_cast<std::uint32_t>(Opcode::NumOpcodes); ++i) {
-            const Opcode op = static_cast<Opcode>(i);
-            t[toString(op)] = op;
-        }
-        return t;
-    }();
-    return table;
-}
-
-const std::map<std::string, Space> &
-spaceTable()
-{
-    static const std::map<std::string, Space> table = {
-        {"mbuf", Space::MatBuf},
-        {"mspad", Space::MatSpad},
-        {"vbuf", Space::VecBuf},
-        {"vspad", Space::VecSpad},
-    };
-    return table;
+    const auto v = parseInt(text);
+    if (!v) {
+        error = "bad " + field + " '" + text + "'";
+        return false;
+    }
+    if (!std::in_range<T>(*v)) {
+        error = field + " '" + text + "' out of range";
+        return false;
+    }
+    out = static_cast<T>(*v);
+    return true;
 }
 
 /** Parse "space[base:len]" or "space[base:len,s0,s1,s2]". */
@@ -49,8 +43,11 @@ parseOperand(const std::string &text, Operand &out, std::string &error)
         return false;
     }
     const std::string spaceName = text.substr(0, bracket);
-    auto spaceIt = spaceTable().find(spaceName);
-    if (spaceIt == spaceTable().end()) {
+    std::size_t space = 1; // "none" names no operand
+    while (space < std::size(kSpaceNames) &&
+           spaceName != kSpaceNames[space])
+        ++space;
+    if (space == std::size(kSpaceNames)) {
         error = "unknown memory space '" + spaceName + "'";
         return false;
     }
@@ -66,23 +63,15 @@ parseOperand(const std::string &text, Operand &out, std::string &error)
         error = "operand '" + text + "' missing base:len";
         return false;
     }
-    const auto base = parseInt(baseLen[0]);
-    const auto len = parseInt(baseLen[1]);
-    if (!base || !len || *base < 0 || *len < 0) {
-        error = "operand '" + text + "' has non-numeric base/len";
-        return false;
-    }
     Operand op;
-    op.space = spaceIt->second;
-    op.base = static_cast<std::uint32_t>(*base);
-    op.len = static_cast<std::uint32_t>(*len);
-    for (std::size_t i = 1; i < parts.size(); ++i) {
-        const auto s = parseInt(parts[i]);
-        if (!s) {
-            error = "operand '" + text + "' has non-numeric stride";
-            return false;
-        }
-        op.stride[i - 1] = static_cast<std::int32_t>(*s);
+    op.space = static_cast<Space>(space);
+    bool ok = parseNumber(baseLen[0], "base", op.base, error) &&
+              parseNumber(baseLen[1], "len", op.len, error);
+    for (std::size_t i = 1; ok && i < parts.size(); ++i)
+        ok = parseNumber(parts[i], "stride", op.stride[i - 1], error);
+    if (!ok) {
+        error = "operand '" + text + "': " + error;
+        return false;
     }
     out = op;
     return true;
@@ -105,9 +94,12 @@ parseInstruction(const std::string &line, std::string &error)
     Instruction inst;
     std::vector<std::string> suffixes;
     while (true) {
-        auto it = mnemonicTable().find(mnemonic);
-        if (it != mnemonicTable().end()) {
-            inst.op = it->second;
+        std::size_t op = 0;
+        while (op < kNumOpcodes &&
+               mnemonic != opInfo(static_cast<Opcode>(op)).mnemonic)
+            ++op;
+        if (op < kNumOpcodes) {
+            inst.op = static_cast<Opcode>(op);
             break;
         }
         const auto dot = mnemonic.rfind('.');
@@ -118,38 +110,33 @@ parseInstruction(const std::string &line, std::string &error)
         suffixes.push_back(mnemonic.substr(dot + 1));
         mnemonic = mnemonic.substr(0, dot);
     }
+    const OpInfo &info = opInfo(inst.op);
+    std::uint32_t bits = 0;
     for (const auto &sfx : suffixes) {
-        if (sfx == "rowdot")
-            inst.flags.rowDot = true;
-        else if (sfx == "acc")
-            inst.flags.accumulate = true;
-        else if (sfx == "norms")
-            inst.flags.withNorms = true;
-        else if (sfx == "reuse")
-            inst.flags.reuseB = true;
-        else if (sfx == "skew")
-            inst.flags.skewed = true;
-        else if (sfx == "res")
-            inst.flags.dstResident = true;
-        else if (sfx == "sum")
-            inst.flags.reduceOp = ReduceOp::Sum;
-        else if (sfx == "max")
-            inst.flags.reduceOp = ReduceOp::Max;
-        else {
-            error = "unknown suffix '." + sfx + "'";
+        const auto named = [&](const FlagInfo &f) {
+            return (info.flags & f.bit) &&
+                   (sfx == f.suffix ||
+                    (f.clearSuffix != nullptr && sfx == f.clearSuffix));
+        };
+        const auto f = std::find_if(std::begin(kFlagTable),
+                                    std::end(kFlagTable), named);
+        if (f == std::end(kFlagTable)) {
+            error = "unknown suffix '." + sfx + "' for " + info.mnemonic;
             return std::nullopt;
         }
+        bits = sfx == f->suffix ? bits | f->bit : bits & ~f->bit;
     }
+    inst.flags = flagsFromBits(bits);
 
     for (std::size_t i = 1; i < tokens.size(); ++i) {
         const std::string &tok = tokens[i];
-        if (inst.op == Opcode::Loop && i == 1) {
-            const auto count = parseInt(tok);
-            if (!count || *count <= 0) {
+        if (info.count == CountRole::LoopTrip && i == 1) {
+            if (!parseNumber(tok, "loop count", inst.count, error))
+                return std::nullopt;
+            if (inst.count == 0) {
                 error = "loop needs a positive count";
                 return std::nullopt;
             }
-            inst.count = static_cast<std::uint32_t>(*count);
             continue;
         }
         const auto eq = tok.find('=');
@@ -159,20 +146,30 @@ parseInstruction(const std::string &line, std::string &error)
         }
         const std::string key = tok.substr(0, eq);
         const std::string value = tok.substr(eq + 1);
+        // Accept only what the disassembler prints for this opcode:
+        // the field of its CountRole, and a matrix DMA's srcB only as
+        // pitch=.
+        const bool isRows = info.count == CountRole::Rows;
+        bool valid = true;
+        if (key == "rows" || key == "pitch")
+            valid = isRows;
+        else if (key == "off")
+            valid = info.count == CountRole::NormsOffset &&
+                    inst.flags.withNorms;
+        else if (key == "tag")
+            valid = info.count == CountRole::Tag;
+        else if (key == "b")
+            valid = !isRows;
+        if (!valid) {
+            error = "field '" + key + "=' not valid for " + tokens[0];
+            return std::nullopt;
+        }
         if (key == "rows" || key == "off" || key == "tag") {
-            const auto v = parseInt(value);
-            if (!v || *v < 0) {
-                error = "bad " + key + " '" + value + "'";
+            if (!parseNumber(value, key, inst.count, error))
                 return std::nullopt;
-            }
-            inst.count = static_cast<std::uint32_t>(*v);
         } else if (key == "pitch") {
-            const auto v = parseInt(value);
-            if (!v || *v < 0) {
-                error = "bad pitch '" + value + "'";
+            if (!parseNumber(value, key, inst.srcB.base, error))
                 return std::nullopt;
-            }
-            inst.srcB.base = static_cast<std::uint32_t>(*v);
         } else if (key == "imm") {
             const auto v = parseDouble(value);
             if (!v) {

@@ -2,8 +2,11 @@
  * @file
  * Textual assembler/disassembler for the Manna ISA. The text format
  * is exactly what Instruction::toString() and Program::disassemble()
- * emit, so assemble(disassemble(p)) == p. Useful for tests, the
- * compiler-explorer example, and debugging compiled kernels.
+ * emit; the assembler rejects any suffix or count field the opcode's
+ * descriptor row does not carry, and any number that does not fit its
+ * field, so assemble(disassemble(p)) == p (conditions in docs/ISA.md).
+ * Useful for tests, the compiler-explorer example, and debugging
+ * compiled kernels.
  */
 
 #ifndef MANNA_ISA_ASSEMBLER_HH

@@ -143,12 +143,10 @@ looksLikeProgram(const std::string &data)
                        sizeof(kProgramMagic)) == 0;
 }
 
-std::array<std::uint64_t, static_cast<std::size_t>(Opcode::NumOpcodes)>
+std::array<std::uint64_t, kNumOpcodes>
 opcodeHistogram(const Program &program)
 {
-    std::array<std::uint64_t,
-               static_cast<std::size_t>(Opcode::NumOpcodes)>
-        hist{};
+    std::array<std::uint64_t, kNumOpcodes> hist{};
     for (const Instruction &inst : program.instructions())
         ++hist[static_cast<std::size_t>(inst.op)];
     return hist;

@@ -52,7 +52,7 @@ bool looksLikeProgram(const std::string &data);
 
 /** Per-opcode static instruction counts of a program (indexed by
  * Opcode value; used by manna-objdump's histogram). */
-std::array<std::uint64_t, static_cast<std::size_t>(Opcode::NumOpcodes)>
+std::array<std::uint64_t, kNumOpcodes>
 opcodeHistogram(const Program &program);
 
 /**

@@ -8,92 +8,6 @@
 namespace manna::isa
 {
 
-const char *
-toString(Space s)
-{
-    switch (s) {
-      case Space::None:
-        return "none";
-      case Space::MatBuf:
-        return "mbuf";
-      case Space::MatSpad:
-        return "mspad";
-      case Space::VecBuf:
-        return "vbuf";
-      case Space::VecSpad:
-        return "vspad";
-    }
-    return "?";
-}
-
-const char *
-toString(Opcode op)
-{
-    switch (op) {
-      case Opcode::Nop:
-        return "nop";
-      case Opcode::Halt:
-        return "halt";
-      case Opcode::Loop:
-        return "loop";
-      case Opcode::EndLoop:
-        return "endloop";
-      case Opcode::DmaLoadM:
-        return "dma.load.m";
-      case Opcode::DmatLoadM:
-        return "dmat.load.m";
-      case Opcode::DmaStoreM:
-        return "dma.store.m";
-      case Opcode::DmaLoadV:
-        return "dma.load.v";
-      case Opcode::DmaStoreV:
-        return "dma.store.v";
-      case Opcode::Vmm:
-        return "vmm";
-      case Opcode::EwAdd:
-        return "ew.add";
-      case Opcode::EwSub:
-        return "ew.sub";
-      case Opcode::EwMul:
-        return "ew.mul";
-      case Opcode::EwMac:
-        return "ew.mac";
-      case Opcode::EwAddImm:
-        return "ew.addi";
-      case Opcode::EwMulImm:
-        return "ew.muli";
-      case Opcode::EwRsubImm:
-        return "ew.rsubi";
-      case Opcode::Fill:
-        return "fill";
-      case Opcode::SfuExp:
-        return "sfu.exp";
-      case Opcode::SfuPow:
-        return "sfu.pow";
-      case Opcode::SfuRecip:
-        return "sfu.recip";
-      case Opcode::SfuSqrt:
-        return "sfu.sqrt";
-      case Opcode::SfuSigmoid:
-        return "sfu.sigmoid";
-      case Opcode::SfuTanh:
-        return "sfu.tanh";
-      case Opcode::SfuSoftplus:
-        return "sfu.softplus";
-      case Opcode::SfuAccSum:
-        return "sfu.accsum";
-      case Opcode::SfuAccMax:
-        return "sfu.accmax";
-      case Opcode::Reduce:
-        return "reduce";
-      case Opcode::Broadcast:
-        return "broadcast";
-      case Opcode::NumOpcodes:
-        break;
-    }
-    return "?";
-}
-
 std::string
 profileKey(Opcode op)
 {
@@ -102,18 +16,6 @@ profileKey(Opcode op)
         if (c == '.')
             c = '_';
     return key;
-}
-
-const char *
-toString(ReduceOp op)
-{
-    switch (op) {
-      case ReduceOp::Sum:
-        return "sum";
-      case ReduceOp::Max:
-        return "max";
-    }
-    return "?";
 }
 
 std::string
@@ -151,50 +53,72 @@ makeStridedOperand(Space space, std::uint32_t base, std::uint32_t len,
     return op;
 }
 
+std::uint32_t
+flagBits(const Flags &flags)
+{
+    std::uint32_t bits = 0;
+    for (const FlagInfo &f : kFlagTable)
+        if (f.member ? flags.*f.member
+                     : flags.reduceOp == ReduceOp::Max)
+            bits |= f.bit;
+    return bits;
+}
+
+Flags
+flagsFromBits(std::uint32_t bits)
+{
+    Flags flags;
+    for (const FlagInfo &f : kFlagTable) {
+        const bool set = bits & f.bit;
+        if (f.member)
+            flags.*f.member = set;
+        else
+            flags.reduceOp = set ? ReduceOp::Max : ReduceOp::Sum;
+    }
+    return flags;
+}
+
 std::string
 Instruction::toString() const
 {
-    std::string s = manna::isa::toString(op);
-    if (op == Opcode::Loop) {
-        s += strformat(" %u", count);
-        return s;
+    const OpInfo &info = opInfo(op);
+    std::string s = info.mnemonic;
+    if (info.count == CountRole::LoopTrip)
+        return s + strformat(" %u", count);
+    const std::uint32_t bits = flagBits(flags);
+    for (const FlagInfo &f : kFlagTable) {
+        if (!(info.flags & f.bit))
+            continue;
+        const char *suffix = bits & f.bit ? f.suffix : f.clearSuffix;
+        if (suffix != nullptr)
+            s += strformat(".%s", suffix);
     }
-    if (op == Opcode::Vmm) {
-        if (flags.rowDot)
-            s += ".rowdot";
-        if (flags.withNorms)
-            s += ".norms";
-        if (flags.accumulate)
-            s += ".acc";
-        if (flags.reuseB)
-            s += ".reuse";
-        if (flags.skewed)
-            s += ".skew";
-        if (flags.dstResident)
-            s += ".res";
-    }
-    if (op == Opcode::Reduce)
-        s += strformat(".%s", manna::isa::toString(flags.reduceOp));
-    const bool isMatrixDma = op == Opcode::DmaLoadM ||
-                             op == Opcode::DmatLoadM ||
-                             op == Opcode::DmaStoreM;
-    if (isMatrixDma) {
+    switch (info.count) {
+      case CountRole::Rows:
         // srcB.base carries the buffer-side row pitch for the 2D
         // transfers; it is not a real operand.
         s += strformat(" rows=%u pitch=%u", count, srcB.base);
+        break;
+      case CountRole::NormsOffset:
+        if (flags.withNorms)
+            s += strformat(" off=%u", count);
+        break;
+      case CountRole::Tag:
+        // A compiler-internal tag (compiler/compiled_model.hh);
+        // emitting it keeps assemble(disassemble(p)) == p for
+        // compiler-emitted programs.
+        if (count != 0)
+            s += strformat(" tag=%u", count);
+        break;
+      case CountRole::Unused:
+      case CountRole::LoopTrip:
+        break;
     }
-    if (op == Opcode::Vmm && flags.withNorms)
-        s += strformat(" off=%u", count);
-    // Communication instructions carry a compiler-internal tag in
-    // `count` (compiler/compiled_model.hh); emitting it keeps
-    // assemble(disassemble(p)) == p for compiler-emitted programs.
-    if ((op == Opcode::Reduce || op == Opcode::Broadcast) && count != 0)
-        s += strformat(" tag=%u", count);
     if (dst.valid())
         s += " d=" + dst.toString();
     if (srcA.valid())
         s += " a=" + srcA.toString();
-    if (srcB.valid() && !isMatrixDma)
+    if (srcB.valid() && info.count != CountRole::Rows)
         s += " b=" + srcB.toString();
     if (imm != 0.0f)
         s += strformat(" imm=%.9g", static_cast<double>(imm));
@@ -239,7 +163,7 @@ bool
 decodeOperand(const std::string &data, std::size_t off, Operand &op)
 {
     const std::uint32_t space = get32(data, off);
-    if (space > static_cast<std::uint32_t>(Space::VecSpad))
+    if (space >= std::size(kSpaceNames))
         return false;
     op.space = static_cast<Space>(space);
     op.base = get32(data, off + 4);
@@ -258,24 +182,8 @@ void
 encode(const Instruction &inst, std::string &out)
 {
     const std::size_t start = out.size();
-    std::uint32_t head = static_cast<std::uint32_t>(inst.op);
-    std::uint32_t flagBits = 0;
-    if (inst.flags.rowDot)
-        flagBits |= 1u;
-    if (inst.flags.accumulate)
-        flagBits |= 2u;
-    if (inst.flags.withNorms)
-        flagBits |= 4u;
-    if (inst.flags.reduceOp == ReduceOp::Max)
-        flagBits |= 8u;
-    if (inst.flags.reuseB)
-        flagBits |= 16u;
-    if (inst.flags.skewed)
-        flagBits |= 32u;
-    if (inst.flags.dstResident)
-        flagBits |= 64u;
-    put32(out, head);
-    put32(out, flagBits);
+    put32(out, static_cast<std::uint32_t>(inst.op));
+    put32(out, flagBits(inst.flags));
     put32(out, inst.count);
     std::uint32_t immBits;
     std::memcpy(&immBits, &inst.imm, 4);
@@ -297,18 +205,18 @@ decode(const std::string &data, std::size_t offset, Instruction &inst)
     if (offset + kEncodedBytes > data.size())
         return false;
     const std::uint32_t head = get32(data, offset);
-    if (head >= static_cast<std::uint32_t>(Opcode::NumOpcodes))
+    if (head >= kNumOpcodes)
         return false;
     inst.op = static_cast<Opcode>(head);
-    const std::uint32_t flagBits = get32(data, offset + 4);
-    inst.flags.rowDot = flagBits & 1u;
-    inst.flags.accumulate = flagBits & 2u;
-    inst.flags.withNorms = flagBits & 4u;
-    inst.flags.reduceOp =
-        (flagBits & 8u) ? ReduceOp::Max : ReduceOp::Sum;
-    inst.flags.reuseB = flagBits & 16u;
-    inst.flags.skewed = flagBits & 32u;
-    inst.flags.dstResident = flagBits & 64u;
+    // Flag bits the opcode does not carry, and non-zero padding, would
+    // not survive encode(decode(b)).
+    const std::uint32_t bits = get32(data, offset + 4);
+    if (bits & ~opInfo(inst.op).flags)
+        return false;
+    for (std::size_t i = 16 + 3 * kOperandBytes; i < kEncodedBytes; ++i)
+        if (data[offset + i] != '\0')
+            return false;
+    inst.flags = flagsFromBits(bits);
     inst.count = get32(data, offset + 8);
     const std::uint32_t immBits = get32(data, offset + 12);
     std::memcpy(&inst.imm, &immBits, 4);

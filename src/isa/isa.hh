@@ -11,6 +11,10 @@
  *  - communication: reduce and broadcast across all tiles, which
  *    double as synchronization fences.
  *
+ * Every fact about an opcode but its semantics is one row of the
+ * descriptor table (opInfo()): the assembler, disassembler, codec,
+ * tracer and tile read it instead of switching on the opcode.
+ *
  * An operand names a region of one of the tile's memory spaces. The
  * effective base address of an operand inside nested loops is
  *   base + sum_over_active_loops(iter[l] * stride[l])
@@ -22,6 +26,7 @@
 #define MANNA_ISA_ISA_HH
 
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
 
@@ -44,7 +49,15 @@ enum class Space : std::uint8_t
     VecSpad,  ///< Vector-Scratchpad (double buffered)
 };
 
-const char *toString(Space s);
+/** Assembly name of each Space, indexed by its value. */
+inline constexpr const char *kSpaceNames[] = {"none", "mbuf", "mspad",
+                                              "vbuf", "vspad"};
+
+inline const char *
+toString(Space s)
+{
+    return kSpaceNames[static_cast<std::size_t>(s)];
+}
 
 /** Opcodes. */
 enum class Opcode : std::uint8_t
@@ -97,7 +110,8 @@ enum class Opcode : std::uint8_t
     NumOpcodes,
 };
 
-const char *toString(Opcode op);
+constexpr std::size_t kNumOpcodes =
+    static_cast<std::size_t>(Opcode::NumOpcodes);
 
 /**
  * Opcode name as a single counter-key component: the dotted mnemonic
@@ -113,8 +127,6 @@ enum class ReduceOp : std::uint8_t
     Sum = 0,
     Max,
 };
-
-const char *toString(ReduceOp op);
 
 /** One operand: a (possibly loop-strided) region of a memory space. */
 struct Operand
@@ -204,6 +216,159 @@ struct Flags
     bool operator==(const Flags &) const = default;
 };
 
+/** Flag bits of the binary instruction record (docs/ISA.md). */
+enum FlagBit : std::uint32_t
+{
+    kRowDot = 1u << 0,
+    kAccumulate = 1u << 1,
+    kWithNorms = 1u << 2,
+    kReduceMax = 1u << 3,
+    kReuseB = 1u << 4,
+    kSkewed = 1u << 5,
+    kDstResident = 1u << 6,
+};
+
+/** One instruction flag: its mnemonic suffix, record bit and member. */
+struct FlagInfo
+{
+    const char *suffix;      ///< ".suffix" when set
+    const char *clearSuffix; ///< ".suffix" printed when clear, or null
+    std::uint32_t bit;
+    bool Flags::*member;     ///< null: reduceOp == ReduceOp::Max
+};
+
+/** Every flag, in the order the disassembler prints the suffixes. */
+inline constexpr FlagInfo kFlagTable[] = {
+    {"rowdot", nullptr, kRowDot, &Flags::rowDot},
+    {"norms", nullptr, kWithNorms, &Flags::withNorms},
+    {"acc", nullptr, kAccumulate, &Flags::accumulate},
+    {"reuse", nullptr, kReuseB, &Flags::reuseB},
+    {"skew", nullptr, kSkewed, &Flags::skewed},
+    {"res", nullptr, kDstResident, &Flags::dstResident},
+    {"max", "sum", kReduceMax, nullptr},
+};
+
+/** Flags as record bits, and back (bits outside kFlagTable ignored). */
+std::uint32_t flagBits(const Flags &flags);
+Flags flagsFromBits(std::uint32_t bits);
+
+/** What executes an opcode; the Class column of docs/ISA.md. */
+enum class OpClass : std::uint8_t
+{
+    Control,     ///< nop, halt, loop, endloop (the tile's sequencer)
+    MatrixDma,   ///< 2-D buffer <-> scratchpad transfers (DMA/DMAT)
+    VectorDma,   ///< 1-D vector transfers
+    Vmm,         ///< vector-matrix multiply on the eMAC array
+    Elementwise, ///< element-wise ops on the eMAC array
+    Sfu,         ///< serial special-function unit
+    Comm,        ///< reduce / broadcast across tiles (also fences)
+    NumClasses,
+};
+
+/** Operands an opcode reads (OpInfo::reads bits). Vmm also reads
+ * its destination when it carries `.acc`. */
+enum OperandRead : std::uint8_t
+{
+    kSrcA = 1,
+    kSrcB = 2,
+    kDst = 4,
+};
+
+/** Per-element SFU initiation interval an opcode pays
+ * (arch::MannaConfig::sfu*Cycles). */
+enum class SfuCost : std::uint8_t
+{
+    NotSfu,
+    Exp,
+    Pow,
+    Div,
+    Sqrt,
+    Acc, ///< scalar reduction of srcA into dst[0]
+};
+
+/** What the `count` field means, and its assembly spelling. */
+enum class CountRole : std::uint8_t
+{
+    Unused,
+    LoopTrip,    ///< `loop N`
+    Rows,        ///< `rows=` (and srcB.base is `pitch=`)
+    NormsOffset, ///< `off=`, with `.norms` only
+    Tag,         ///< `tag=`, a compiler-internal comm tag
+};
+
+/** Everything the ISA tooling and the tile need to know about one
+ * opcode, apart from its semantics. */
+struct OpInfo
+{
+    const char *mnemonic;
+    OpClass cls;
+    std::uint8_t reads; ///< OperandRead bits
+    SfuCost sfuCost;
+    CountRole count;
+    std::uint32_t flags; ///< FlagBits the opcode may carry
+};
+
+namespace detail
+{
+using enum OpClass;
+using enum SfuCost;
+using enum CountRole;
+
+constexpr std::uint32_t kVmmFlags =
+    kRowDot | kAccumulate | kWithNorms | kReuseB | kSkewed | kDstResident;
+
+/** One row per Opcode, in enumerator order (docs/ISA.md "Opcode
+ * table"). */
+inline constexpr OpInfo kOpTable[] = {
+    // mnemonic      class        reads                 SFU     count, flags
+    {"nop",          Control,     0,                    NotSfu, Unused, 0},
+    {"halt",         Control,     0,                    NotSfu, Unused, 0},
+    {"loop",         Control,     0,                    NotSfu, LoopTrip, 0},
+    {"endloop",      Control,     0,                    NotSfu, Unused, 0},
+    {"dma.load.m",   MatrixDma,   kSrcA,                NotSfu, Rows, 0},
+    {"dmat.load.m",  MatrixDma,   kSrcA,                NotSfu, Rows, 0},
+    {"dma.store.m",  MatrixDma,   kSrcA,                NotSfu, Rows, 0},
+    {"dma.load.v",   VectorDma,   kSrcA,                NotSfu, Unused, 0},
+    {"dma.store.v",  VectorDma,   kSrcA,                NotSfu, Unused, 0},
+    {"vmm",          Vmm,         kSrcA | kSrcB,        NotSfu, NormsOffset,
+     kVmmFlags},
+    {"ew.add",       Elementwise, kSrcA | kSrcB,        NotSfu, Unused, 0},
+    {"ew.sub",       Elementwise, kSrcA | kSrcB,        NotSfu, Unused, 0},
+    {"ew.mul",       Elementwise, kSrcA | kSrcB,        NotSfu, Unused, 0},
+    {"ew.mac",       Elementwise, kSrcA | kSrcB | kDst, NotSfu, Unused, 0},
+    {"ew.addi",      Elementwise, kSrcA,                NotSfu, Unused, 0},
+    {"ew.muli",      Elementwise, kSrcA,                NotSfu, Unused, 0},
+    {"ew.rsubi",     Elementwise, kSrcA,                NotSfu, Unused, 0},
+    {"fill",         Elementwise, 0,                    NotSfu, Unused, 0},
+    {"sfu.exp",      Sfu,         kSrcA,                Exp,    Unused, 0},
+    {"sfu.pow",      Sfu,         kSrcA | kSrcB,        Pow,    Unused, 0},
+    {"sfu.recip",    Sfu,         kSrcA,                Div,    Unused, 0},
+    {"sfu.sqrt",     Sfu,         kSrcA,                Sqrt,   Unused, 0},
+    {"sfu.sigmoid",  Sfu,         kSrcA,                Exp,    Unused, 0},
+    {"sfu.tanh",     Sfu,         kSrcA,                Exp,    Unused, 0},
+    {"sfu.softplus", Sfu,         kSrcA,                Exp,    Unused, 0},
+    {"sfu.accsum",   Sfu,         kSrcA,                Acc,    Unused, 0},
+    {"sfu.accmax",   Sfu,         kSrcA,                Acc,    Unused, 0},
+    {"reduce",       Comm,        kSrcA,                NotSfu, Tag,
+     kReduceMax},
+    {"broadcast",    Comm,        0,                    NotSfu, Tag, 0},
+};
+static_assert(std::size(kOpTable) == kNumOpcodes,
+              "one descriptor row per Opcode");
+} // namespace detail
+
+constexpr const OpInfo &
+opInfo(Opcode op)
+{
+    return detail::kOpTable[static_cast<std::size_t>(op)];
+}
+
+inline const char *
+toString(Opcode op)
+{
+    return opInfo(op).mnemonic;
+}
+
 /**
  * One Manna instruction.
  *
@@ -234,7 +399,8 @@ void encode(const Instruction &inst, std::string &out);
 
 /**
  * Decode one instruction from @p data at @p offset. Returns false on
- * truncated input or malformed fields.
+ * truncated input or malformed fields, including flag bits outside
+ * the opcode's row and non-zero padding, so encode(decode(b)) == b.
  */
 bool decode(const std::string &data, std::size_t offset,
             Instruction &inst);

@@ -29,6 +29,10 @@ Program::validate() const
     std::size_t depth = 0;
     for (std::size_t i = 0; i < insts_.size(); ++i) {
         const Instruction &inst = insts_[i];
+        // The record decoder rejects such flags (isa::decode).
+        if (flagBits(inst.flags) & ~opInfo(inst.op).flags)
+            return strformat("instruction %zu: flag not valid for %s", i,
+                             toString(inst.op));
         switch (inst.op) {
           case Opcode::Loop:
             if (inst.count == 0)

@@ -44,7 +44,8 @@ class Program
 
     /**
      * Structural validation: loops balanced, nesting within
-     * kMaxLoopDepth, loop counts nonzero, Halt (if present) last.
+     * kMaxLoopDepth, loop counts nonzero, Halt (if present) last,
+     * flags only those of each opcode's descriptor row.
      * Returns an empty string when valid, else a diagnostic.
      */
     std::string validate() const;

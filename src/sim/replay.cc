@@ -459,8 +459,7 @@ ReplayTape::elideStaging()
             if (op.b != nullptr)
                 fn(op.b, std::size_t(1));
             // The accumulating SFU forms reduce to a scalar dst.
-            fn(op.d, op.op == Opcode::SfuAccSum ||
-                             op.op == Opcode::SfuAccMax
+            fn(op.d, isa::opInfo(op.op).sfuCost == isa::SfuCost::Acc
                          ? std::size_t(1)
                          : std::size_t(op.n));
             break;

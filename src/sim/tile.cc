@@ -59,6 +59,18 @@ constexpr std::int64_t kDead = std::numeric_limits<std::int64_t>::min();
 constexpr std::size_t kMaxLoggedOps = std::size_t{1} << 15;
 constexpr std::size_t kMaxLoggedCharges = std::size_t{1} << 17;
 
+/** MannaConfig's per-element SFU cycles, indexed by isa::SfuCost. */
+constexpr std::size_t arch::MannaConfig::*kSfuCycles[] = {
+    nullptr,
+    &arch::MannaConfig::sfuExpCycles,
+    &arch::MannaConfig::sfuPowCycles,
+    &arch::MannaConfig::sfuDivCycles,
+    &arch::MannaConfig::sfuSqrtCycles,
+    &arch::MannaConfig::sfuAccCycles,
+};
+static_assert(std::size(kSfuCycles) ==
+              static_cast<std::size_t>(isa::SfuCost::Acc) + 1);
+
 std::uintptr_t
 wordOf(const void *p)
 {
@@ -93,17 +105,11 @@ stepped(T *p, std::uintptr_t step)
 TileCounter
 busyCounter(TraceLane lane)
 {
-    switch (lane) {
-      case TraceLane::Compute:
-        return TileCounter::EmacBusyCycles;
-      case TraceLane::Sfu:
-        return TileCounter::SfuBusyCycles;
-      case TraceLane::MatDma:
-        return TileCounter::MatDmaBusyCycles;
-      case TraceLane::VecDma:
-        return TileCounter::VecDmaBusyCycles;
-    }
-    panic("bad trace lane");
+    static constexpr TileCounter kBusy[] = {
+        TileCounter::EmacBusyCycles, TileCounter::SfuBusyCycles,
+        TileCounter::MatDmaBusyCycles, TileCounter::VecDmaBusyCycles};
+    static_assert(std::size(kBusy) == kNumLanes);
+    return kBusy[static_cast<std::size_t>(lane)];
 }
 
 const char *
@@ -708,38 +714,20 @@ DiffMemTile::execute(const Instruction &inst)
     const Cycle issuedAt = now_;
     lastOpBusy_ = 0.0;
     lastOpWords_ = 0.0;
-    switch (inst.op) {
-      case Opcode::DmaLoadM:
-      case Opcode::DmatLoadM:
-      case Opcode::DmaStoreM:
+    switch (isa::opInfo(inst.op).cls) {
+      case isa::OpClass::MatrixDma:
         execDmaMatrix(inst);
         break;
-      case Opcode::DmaLoadV:
-      case Opcode::DmaStoreV:
+      case isa::OpClass::VectorDma:
         execDmaVector(inst);
         break;
-      case Opcode::Vmm:
+      case isa::OpClass::Vmm:
         execVmm(inst);
         break;
-      case Opcode::EwAdd:
-      case Opcode::EwSub:
-      case Opcode::EwMul:
-      case Opcode::EwMac:
-      case Opcode::EwAddImm:
-      case Opcode::EwMulImm:
-      case Opcode::EwRsubImm:
-      case Opcode::Fill:
+      case isa::OpClass::Elementwise:
         execElementwise(inst);
         break;
-      case Opcode::SfuExp:
-      case Opcode::SfuPow:
-      case Opcode::SfuRecip:
-      case Opcode::SfuSqrt:
-      case Opcode::SfuSigmoid:
-      case Opcode::SfuTanh:
-      case Opcode::SfuSoftplus:
-      case Opcode::SfuAccSum:
-      case Opcode::SfuAccMax:
+      case isa::OpClass::Sfu:
         execSfu(inst);
         break;
       default:
@@ -1059,11 +1047,10 @@ DiffMemTile::execElementwise(const Instruction &inst)
     const std::uint32_t len = dst.len;
     MANNA_ASSERT(len > 0, "elementwise op with empty dst");
 
-    const bool needsA = inst.op != Opcode::Fill;
-    const bool needsB = inst.op == Opcode::EwAdd ||
-                        inst.op == Opcode::EwSub ||
-                        inst.op == Opcode::EwMul ||
-                        inst.op == Opcode::EwMac;
+    const std::uint8_t reads = isa::opInfo(inst.op).reads;
+    const bool needsA = reads & isa::kSrcA;
+    const bool needsB = reads & isa::kSrcB;
+    const bool isMac = reads & isa::kDst; // ew.mac: d += a * b
     if (needsA)
         MANNA_ASSERT(a.len == len || a.len == 1,
                      "%s srcA len %u incompatible with dst %u",
@@ -1095,12 +1082,11 @@ DiffMemTile::execElementwise(const Instruction &inst)
     if (needsB)
         readDependency(b, p);
     writeDependency(dst, p);
-    if (inst.op == Opcode::EwMac)
+    if (isMac)
         readDependency(dst, p);
     const Cycle start = p.at;
     attributeStall(TraceLane::Compute, p);
 
-    const bool isMac = inst.op == Opcode::EwMac;
     std::size_t penalty = 1;
     if (!cfg_.hasEmac && !isMac)
         penalty = cfg_.elwisePenaltyNoEmac;
@@ -1124,7 +1110,7 @@ DiffMemTile::execElementwise(const Instruction &inst)
     if (isMac) {
         charge(arch::EnergyEvent::EmacMac, len);
         count(TileCounter::EmacMacOps, len);
-    } else if (inst.op != Opcode::Fill) {
+    } else if (needsA) { // fill does no arithmetic
         charge(arch::EnergyEvent::EmacElwise,
                static_cast<double>(len) * penalty);
         count(TileCounter::EmacElwiseOps, len);
@@ -1142,8 +1128,9 @@ DiffMemTile::execSfu(const Instruction &inst)
 {
     const Operand dst = resolveOperand(inst.dst);
     const Operand a = resolveOperand(inst.srcA);
-    const bool isAcc = inst.op == Opcode::SfuAccSum ||
-                       inst.op == Opcode::SfuAccMax;
+    const isa::OpInfo &info = isa::opInfo(inst.op);
+    const bool isAcc = info.sfuCost == isa::SfuCost::Acc;
+    const bool needsB = info.reads & isa::kSrcB; // sfu.pow's exponent
     const std::uint32_t len = a.len;
     MANNA_ASSERT(len > 0, "SFU op with empty source");
     if (isAcc)
@@ -1152,9 +1139,9 @@ DiffMemTile::execSfu(const Instruction &inst)
         MANNA_ASSERT(dst.len == len, "SFU dst len %u != src %u", dst.len,
                      len);
 
-    Operand expOperand; // SfuPow scalar exponent
+    Operand expOperand;
     const float *pexp = nullptr;
-    if (inst.op == Opcode::SfuPow) {
+    if (needsB) {
         expOperand = resolveOperand(inst.srcB);
         MANNA_ASSERT(expOperand.len == 1,
                      "sfu.pow exponent must be scalar");
@@ -1175,35 +1162,13 @@ DiffMemTile::execSfu(const Instruction &inst)
     if (!timed())
         return;
 
-    std::size_t perElem;
-    switch (inst.op) {
-      case Opcode::SfuExp:
-      case Opcode::SfuSigmoid:
-      case Opcode::SfuTanh:
-      case Opcode::SfuSoftplus:
-        perElem = cfg_.sfuExpCycles;
-        break;
-      case Opcode::SfuPow:
-        perElem = cfg_.sfuPowCycles;
-        break;
-      case Opcode::SfuRecip:
-        perElem = cfg_.sfuDivCycles;
-        break;
-      case Opcode::SfuSqrt:
-        perElem = cfg_.sfuSqrtCycles;
-        break;
-      case Opcode::SfuAccSum:
-      case Opcode::SfuAccMax:
-        perElem = cfg_.sfuAccCycles;
-        break;
-      default:
-        panic("bad SFU opcode");
-    }
+    const std::size_t perElem =
+        cfg_.*kSfuCycles[static_cast<std::size_t>(info.sfuCost)];
 
     StallPicker p(freeTime(TraceLane::Sfu));
     p.consider(now_, StallReason::Issue);
     readDependency(a, p);
-    if (inst.op == Opcode::SfuPow)
+    if (needsB)
         readDependency(expOperand, p);
     writeDependency(dst, p);
     const Cycle start = p.at;

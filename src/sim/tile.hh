@@ -107,8 +107,7 @@ TileCounter busyCounter(TraceLane lane);
 /** Registry key of a tile counter ("emac.busy_cycles", ...). */
 const char *counterName(TileCounter c);
 
-constexpr std::size_t kNumOpcodes =
-    static_cast<std::size_t>(isa::Opcode::NumOpcodes);
+using isa::kNumOpcodes;
 
 /**
  * A tile's accounting: event counters, per-opcode profile and

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/json.hh"
-#include "common/logging.hh"
 #include "common/strutil.hh"
 
 namespace manna::sim
@@ -12,85 +11,45 @@ namespace manna::sim
 TraceLane
 laneOf(isa::Opcode op)
 {
-    using isa::Opcode;
-    switch (op) {
-      case Opcode::DmaLoadM:
-      case Opcode::DmatLoadM:
-      case Opcode::DmaStoreM:
-        return TraceLane::MatDma;
-      case Opcode::DmaLoadV:
-      case Opcode::DmaStoreV:
-        return TraceLane::VecDma;
-      case Opcode::SfuExp:
-      case Opcode::SfuPow:
-      case Opcode::SfuRecip:
-      case Opcode::SfuSqrt:
-      case Opcode::SfuSigmoid:
-      case Opcode::SfuTanh:
-      case Opcode::SfuSoftplus:
-      case Opcode::SfuAccSum:
-      case Opcode::SfuAccMax:
-        return TraceLane::Sfu;
-      default:
-        return TraceLane::Compute;
-    }
+    // Indexed by isa::OpClass; control and comm ops occupy no engine.
+    static constexpr TraceLane kClassLane[] = {
+        TraceLane::Compute, TraceLane::MatDma,  TraceLane::VecDma,
+        TraceLane::Compute, TraceLane::Compute, TraceLane::Sfu,
+        TraceLane::Compute,
+    };
+    static_assert(std::size(kClassLane) ==
+                  static_cast<std::size_t>(isa::OpClass::NumClasses));
+    return kClassLane[static_cast<std::size_t>(isa::opInfo(op).cls)];
 }
 
 const char *
 toString(TraceLane lane)
 {
-    switch (lane) {
-      case TraceLane::Compute:
-        return "compute";
-      case TraceLane::Sfu:
-        return "sfu";
-      case TraceLane::MatDma:
-        return "mat_dma";
-      case TraceLane::VecDma:
-        return "vec_dma";
-    }
-    panic("bad trace lane");
+    static constexpr const char *kNames[] = {"compute", "sfu", "mat_dma",
+                                             "vec_dma"};
+    static_assert(std::size(kNames) == kNumLanes);
+    return kNames[static_cast<std::size_t>(lane)];
 }
 
 const char *
 toString(StallReason reason)
 {
-    switch (reason) {
-      case StallReason::Issue:
-        return "issue";
-      case StallReason::Ctrl:
-        return "ctrl";
-      case StallReason::Fence:
-        return "fence";
-      case StallReason::Drain:
-        return "drain";
-      case StallReason::Dma:
-        return "dma";
-      case StallReason::Compute:
-        return "compute";
-      case StallReason::SfuSerial:
-        return "sfu_serial";
-      case StallReason::BankConflict:
-        return "bank_conflict";
-      case StallReason::NumReasons:
-        break;
-    }
-    panic("bad stall reason");
+    static constexpr const char *kNames[] = {
+        "issue", "ctrl",    "fence",      "drain",
+        "dma",   "compute", "sfu_serial", "bank_conflict",
+    };
+    static_assert(std::size(kNames) == kNumStallReasons);
+    return kNames[static_cast<std::size_t>(reason)];
 }
 
 StallReason
 producerStall(TraceLane lane)
 {
-    switch (lane) {
-      case TraceLane::Compute:
-        return StallReason::Compute;
-      case TraceLane::Sfu:
-        return StallReason::SfuSerial;
-      case TraceLane::MatDma:
-      case TraceLane::VecDma:
-        return StallReason::Dma;
-    }
-    panic("bad trace lane");
+    static constexpr StallReason kProducer[] = {
+        StallReason::Compute, StallReason::SfuSerial, StallReason::Dma,
+        StallReason::Dma};
+    static_assert(std::size(kProducer) == kNumLanes);
+    return kProducer[static_cast<std::size_t>(lane)];
 }
 
 TraceLogger::TraceLogger(std::size_t maxEntries)

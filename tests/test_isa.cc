@@ -10,6 +10,7 @@
 #include "isa/assembler.hh"
 #include "isa/isa.hh"
 #include "isa/program.hh"
+#include "sim/trace.hh"
 
 namespace manna::isa
 {
@@ -192,6 +193,20 @@ TEST(Program, HaltMustBeLast)
     EXPECT_NE(p.validate(), "");
 }
 
+TEST(Program, FlagsOutsideTheOpcodeRowRejected)
+{
+    Program p;
+    Instruction add;
+    add.op = Opcode::EwAdd;
+    add.flags.rowDot = true;
+    p.append(add);
+    EXPECT_EQ(p.validate(), "instruction 0: flag not valid for ew.add");
+    p.instructions()[0].op = Opcode::Vmm;
+    EXPECT_EQ(p.validate(), "");
+    p.instructions()[0].flags.reduceOp = ReduceOp::Max;
+    EXPECT_EQ(p.validate(), "instruction 0: flag not valid for vmm");
+}
+
 TEST(Program, DynamicLengthExpandsLoops)
 {
     Program p;
@@ -309,12 +324,168 @@ TEST(Assembler, ReportsStructuralErrors)
     EXPECT_FALSE(result.ok());
 }
 
+/** The error assembling @p line, or "" when it assembles. */
+std::string
+assembleError(const std::string &line)
+{
+    std::string error;
+    return parseInstruction(line, error) ? "" : error;
+}
+
+TEST(Assembler, RejectsSuffixesTheOpcodeDoesNotCarry)
+{
+    EXPECT_EQ(assembleError("ew.add.rowdot d=vbuf[0:4] a=vbuf[0:4]"),
+              "unknown suffix '.rowdot' for ew.add");
+    EXPECT_EQ(assembleError("reduce.acc a=vbuf[0:4]"),
+              "unknown suffix '.acc' for reduce");
+    EXPECT_EQ(assembleError("vmm.max d=vbuf[0:4] a=vspad[0:4]"),
+              "unknown suffix '.max' for vmm");
+    EXPECT_EQ(assembleError("vmm.rowdot.norms.acc.reuse.skew.res"), "");
+    EXPECT_EQ(assembleError("reduce.max a=vbuf[0:4]"), "");
+}
+
+TEST(Assembler, RejectsFieldsTheOpcodeDoesNotCarry)
+{
+    EXPECT_EQ(assembleError("ew.add rows=7 d=vbuf[0:4] a=vbuf[0:4]"),
+              "field 'rows=' not valid for ew.add");
+    EXPECT_EQ(assembleError("vmm off=3 d=vbuf[0:4] a=vspad[0:4]"),
+              "field 'off=' not valid for vmm");
+    EXPECT_EQ(assembleError("ew.mul pitch=8 d=vbuf[0:4]"),
+              "field 'pitch=' not valid for ew.mul");
+    EXPECT_EQ(assembleError("vmm.rowdot tag=2 d=vbuf[0:4]"),
+              "field 'tag=' not valid for vmm.rowdot");
+    EXPECT_EQ(assembleError("dma.load.m rows=1 b=vbuf[0:4]"),
+              "field 'b=' not valid for dma.load.m");
+    EXPECT_EQ(assembleError("vmm.rowdot.norms off=3 d=vbuf[0:2]"), "");
+    EXPECT_EQ(assembleError("broadcast tag=2 d=vbuf[0:4]"), "");
+}
+
+/** A field at the edge of its range, and one past it. */
+struct RangeCase
+{
+    const char *field;
+    const char *fits;
+    const char *overflows;
+    const char *error;
+};
+
+class AssemblerRange : public ::testing::TestWithParam<RangeCase>
+{
+};
+
+TEST_P(AssemblerRange, RejectsValuesThatDoNotFit)
+{
+    const RangeCase &c = GetParam();
+    EXPECT_EQ(assembleError(c.fits), "") << c.fits;
+    EXPECT_EQ(assembleError(c.overflows), c.error) << c.overflows;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, AssemblerRange,
+    ::testing::Values(
+        RangeCase{"count", "loop 4294967295", "loop 4294967297",
+                  "loop count '4294967297' out of range"},
+        RangeCase{"base", "fill d=vspad[4294967295:8]",
+                  "fill d=vspad[4294967296:8]",
+                  "operand 'vspad[4294967296:8]': base '4294967296' "
+                  "out of range"},
+        RangeCase{"len", "fill d=vbuf[0:4294967295]",
+                  "fill d=vbuf[0:-1]",
+                  "operand 'vbuf[0:-1]': len '-1' out of range"},
+        RangeCase{"rows", "dma.load.m rows=4294967295",
+                  "dma.load.m rows=4294967296",
+                  "rows '4294967296' out of range"},
+        RangeCase{"pitch", "dma.store.m pitch=4294967295",
+                  "dma.store.m pitch=4294967296",
+                  "pitch '4294967296' out of range"},
+        RangeCase{"off", "vmm.norms off=4294967295",
+                  "vmm.norms off=8589934592",
+                  "off '8589934592' out of range"},
+        RangeCase{"tag", "reduce tag=4294967295", "reduce tag=-2",
+                  "tag '-2' out of range"},
+        RangeCase{"stride", "fill d=vbuf[0:1,-2147483648,2147483647]",
+                  "fill d=vbuf[0:1,3000000000]",
+                  "operand 'vbuf[0:1,3000000000]': stride '3000000000' "
+                  "out of range"}),
+    [](const ::testing::TestParamInfo<RangeCase> &info) {
+        return std::string(info.param.field);
+    });
+
 TEST(Assembler, IgnoresCommentsAndBlankLines)
 {
     const AssembleResult result =
         assemble("\n; semicolon comment\n# hash comment\n\nnop\n");
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result.program.size(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Per-opcode facts: mnemonic (and that it parses back), profile key,
+// and the engine lane of every executable opcode.
+// ---------------------------------------------------------------------
+
+TEST(OpcodeFacts, PinnedForEveryOpcode)
+{
+    using sim::TraceLane;
+    constexpr int kNoLane = -1; // control and communication
+    constexpr int C = static_cast<int>(TraceLane::Compute);
+    constexpr int S = static_cast<int>(TraceLane::Sfu);
+    constexpr int M = static_cast<int>(TraceLane::MatDma);
+    constexpr int V = static_cast<int>(TraceLane::VecDma);
+    struct Pin
+    {
+        Opcode op;
+        const char *mnemonic;
+        const char *profileKey;
+        int lane;
+    };
+    const Pin pins[] = {
+        {Opcode::Nop, "nop", "nop", kNoLane},
+        {Opcode::Halt, "halt", "halt", kNoLane},
+        {Opcode::Loop, "loop", "loop", kNoLane},
+        {Opcode::EndLoop, "endloop", "endloop", kNoLane},
+        {Opcode::DmaLoadM, "dma.load.m", "dma_load_m", M},
+        {Opcode::DmatLoadM, "dmat.load.m", "dmat_load_m", M},
+        {Opcode::DmaStoreM, "dma.store.m", "dma_store_m", M},
+        {Opcode::DmaLoadV, "dma.load.v", "dma_load_v", V},
+        {Opcode::DmaStoreV, "dma.store.v", "dma_store_v", V},
+        {Opcode::Vmm, "vmm", "vmm", C},
+        {Opcode::EwAdd, "ew.add", "ew_add", C},
+        {Opcode::EwSub, "ew.sub", "ew_sub", C},
+        {Opcode::EwMul, "ew.mul", "ew_mul", C},
+        {Opcode::EwMac, "ew.mac", "ew_mac", C},
+        {Opcode::EwAddImm, "ew.addi", "ew_addi", C},
+        {Opcode::EwMulImm, "ew.muli", "ew_muli", C},
+        {Opcode::EwRsubImm, "ew.rsubi", "ew_rsubi", C},
+        {Opcode::Fill, "fill", "fill", C},
+        {Opcode::SfuExp, "sfu.exp", "sfu_exp", S},
+        {Opcode::SfuPow, "sfu.pow", "sfu_pow", S},
+        {Opcode::SfuRecip, "sfu.recip", "sfu_recip", S},
+        {Opcode::SfuSqrt, "sfu.sqrt", "sfu_sqrt", S},
+        {Opcode::SfuSigmoid, "sfu.sigmoid", "sfu_sigmoid", S},
+        {Opcode::SfuTanh, "sfu.tanh", "sfu_tanh", S},
+        {Opcode::SfuSoftplus, "sfu.softplus", "sfu_softplus", S},
+        {Opcode::SfuAccSum, "sfu.accsum", "sfu_accsum", S},
+        {Opcode::SfuAccMax, "sfu.accmax", "sfu_accmax", S},
+        {Opcode::Reduce, "reduce", "reduce", kNoLane},
+        {Opcode::Broadcast, "broadcast", "broadcast", kNoLane},
+    };
+    ASSERT_EQ(std::size(pins),
+              static_cast<std::size_t>(Opcode::NumOpcodes));
+    for (std::size_t i = 0; i < std::size(pins); ++i) {
+        const Pin &pin = pins[i];
+        EXPECT_EQ(static_cast<std::size_t>(pin.op), i);
+        EXPECT_STREQ(toString(pin.op), pin.mnemonic);
+        EXPECT_EQ(profileKey(pin.op), pin.profileKey);
+        std::string error;
+        const auto parsed = parseInstruction(pin.mnemonic, error);
+        ASSERT_TRUE(parsed.has_value()) << pin.mnemonic << ": " << error;
+        EXPECT_EQ(parsed->op, pin.op) << pin.mnemonic;
+        if (pin.lane != kNoLane) {
+            EXPECT_EQ(static_cast<int>(sim::laneOf(pin.op)), pin.lane)
+                << pin.mnemonic;
+        }
+    }
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hh"
 #include "compiler/compiler.hh"
 #include "compiler/dnc_codegen.hh"
 #include "isa/assembler.hh"
@@ -303,6 +304,87 @@ TEST(IsaBinary, AppendedBytesAreRejected)
     const std::string blob = isa::encodeProgram(Program());
     Program out;
     EXPECT_FALSE(isa::decodeProgram(blob + '\0', out, nullptr));
+}
+
+// ---------------------------------------------------------------------
+// Reserved record bits: flag bits the opcode does not carry and the
+// padding bytes. The payload checksum is recomputed after each edit,
+// so the record decoder itself must reject them.
+// ---------------------------------------------------------------------
+
+/** A one-instruction container whose record has @p edit applied,
+ * with a matching payload checksum. */
+template <typename Edit>
+std::string
+editedContainer(const Instruction &inst, Edit edit)
+{
+    Program p;
+    p.append(inst);
+    std::string blob = isa::encodeProgram(p);
+    edit(blob, isa::kProgramHeaderBytes);
+    std::uint64_t sum =
+        Fnv1a()
+            .bytes(blob.data() + isa::kProgramHeaderBytes,
+                   blob.size() - isa::kProgramHeaderBytes)
+            .value();
+    for (std::size_t i = 0; i < 8; ++i, sum >>= 8)
+        blob[32 + i] = static_cast<char>(sum & 0xff);
+    return blob;
+}
+
+/** Set the record's 32-bit little-endian flag word to @p bits. */
+auto
+withFlagBits(std::uint32_t bits)
+{
+    return [bits](std::string &blob, std::size_t record) {
+        for (std::size_t i = 0; i < 4; ++i)
+            blob[record + 4 + i] =
+                static_cast<char>((bits >> (8 * i)) & 0xff);
+    };
+}
+
+TEST(IsaBinary, FlagBitsOutsideTheOpcodeRowAreRejected)
+{
+    for (std::size_t i = 0; i < isa::kNumOpcodes; ++i) {
+        Instruction inst;
+        inst.op = static_cast<Opcode>(i);
+        if (inst.op == Opcode::Loop || inst.op == Opcode::EndLoop)
+            continue; // a lone bracket is structurally invalid
+        const std::uint32_t allowed = isa::opInfo(inst.op).flags;
+        for (int bit = 0; bit < 32; ++bit) {
+            const std::uint32_t bits = 1u << bit;
+            const std::string blob =
+                editedContainer(inst, withFlagBits(bits));
+            Program out;
+            std::string error;
+            const bool ok = isa::decodeProgram(blob, out, &error);
+            EXPECT_EQ(ok, (bits & allowed) != 0)
+                << isa::toString(inst.op) << " bit " << bit;
+            if (ok) // what is accepted re-encodes to the same bytes
+                EXPECT_EQ(isa::encodeProgram(out), blob);
+            else
+                EXPECT_EQ(error, "malformed instruction record 0");
+        }
+    }
+}
+
+TEST(IsaBinary, NonZeroPaddingIsRejected)
+{
+    Instruction inst;
+    inst.op = Opcode::Fill;
+    inst.dst = makeOperand(Space::VecBuf, 0, 4);
+    inst.imm = 1.0f;
+    for (std::size_t byte = 88; byte < isa::kEncodedBytes; ++byte) {
+        const std::string blob = editedContainer(
+            inst, [byte](std::string &b, std::size_t record) {
+                b[record + byte] = '\x01';
+            });
+        Program out;
+        std::string error;
+        EXPECT_FALSE(isa::decodeProgram(blob, out, &error))
+            << "accepted padding byte " << byte;
+        EXPECT_EQ(error, "malformed instruction record 0");
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <cstring>
 
 #include "arch/energy_model.hh"
+#include "common/rng.hh"
 #include "isa/assembler.hh"
 #include "sim/tile.hh"
 
@@ -820,6 +821,299 @@ TEST(TileFastForward, LoopReachingReduceIsNeverSkipped)
     EXPECT_EQ(fast.comms, 6u);
     EXPECT_EQ(fast.skips, 6u); // the inner loop, once per outer trip
 }
+
+// ---------------------------------------------------------------------
+// Loop fast-forward fuzz: random static loop nests (depth 1-3, trip
+// counts 1-64) over all five executable classes, each checked by
+// expectFastForwardExact. The generator follows InterpreterFuzz's
+// (test_harness.cc) and adds matrix loads of both parities per
+// iteration, scratchpad-resident operands, and loops whose last op is
+// a one-cycle DMA that the next iteration's first op reads, so the
+// dependency ends exactly at the loop boundary.
+// ---------------------------------------------------------------------
+
+class LoopNestFuzzer
+{
+  public:
+    LoopNestFuzzer(std::uint64_t seed, const TileFixture &f)
+        : rng_(seed),
+          words_{0, 1u << 16,
+                 static_cast<std::uint32_t>(f.cfg.matrixScratchpadBytes / 4),
+                 1u << 14,
+                 static_cast<std::uint32_t>(f.cfg.vectorScratchpadBytes / 4)}
+    {
+    }
+
+    /** A top-level sequence of 1-4 items, at least one of them a loop;
+     * at most ~2048 iterations of the innermost body. */
+    isa::Program program()
+    {
+        prog_ = isa::Program();
+        depth_ = 0;
+        iterations_ = 1;
+        const std::size_t items = 1 + rng_.below(4);
+        const std::size_t loopAt = rng_.below(items);
+        for (std::size_t i = 0; i < items; ++i) {
+            if (i == loopAt || rng_.below(3) == 0)
+                loop();
+            else
+                op();
+        }
+        return prog_;
+    }
+
+  private:
+    std::uint32_t pick(std::uint32_t lo, std::uint32_t hi)
+    {
+        return lo + static_cast<std::uint32_t>(rng_.below(hi - lo + 1));
+    }
+
+    void loop()
+    {
+        const std::uint32_t cap = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(64, 2048 / iterations_));
+        // Mostly long enough to fast-forward, sometimes 1 or 2.
+        const std::uint32_t trips =
+            rng_.below(6) == 0 ? pick(1, 2) : pick(std::min(3u, cap), cap);
+        trips_[depth_++] = trips;
+        iterations_ *= trips;
+        prog_.beginLoop(trips);
+        const bool boundaryDep = rng_.below(3) == 0;
+        std::uint32_t word = 0;
+        if (boundaryDep) {
+            // First op of the body reads the word the body's last op
+            // (a one-word vector DMA) wrote one iteration earlier.
+            word = static_cast<std::uint32_t>(rng_.below(words_[4]));
+            Instruction use;
+            use.op = rng_.below(2) ? Opcode::EwMulImm : Opcode::SfuExp;
+            use.srcA = isa::makeOperand(Space::VecSpad, word, 1);
+            use.dst = place(Space::VecBuf, 1, 1);
+            use.imm = 2.0f;
+            prog_.append(use);
+        }
+        // Zero, one or two matrix loads per iteration: both parities.
+        const std::size_t loads = rng_.below(3);
+        for (std::size_t i = 0; i < loads; ++i)
+            prog_.append(matrixDma(true));
+        const std::size_t items = 1 + rng_.below(3);
+        for (std::size_t i = 0; i < items; ++i) {
+            if (depth_ < isa::kMaxLoopDepth && rng_.below(4) == 0)
+                loop();
+            else
+                op();
+        }
+        if (boundaryDep) {
+            Instruction dma;
+            dma.op = Opcode::DmaLoadV;
+            dma.dst = isa::makeOperand(Space::VecSpad, word, 1);
+            dma.srcA = place(Space::VecBuf, 1, 1);
+            prog_.append(dma);
+        }
+        prog_.endLoop();
+        iterations_ /= trips;
+        --depth_;
+    }
+
+    void op()
+    {
+        switch (rng_.below(6)) {
+          case 0:
+            prog_.append(matrixDma(rng_.below(3) != 0));
+            break;
+          case 1:
+            prog_.append(vectorDma());
+            break;
+          case 2:
+            prog_.append(vmm());
+            break;
+          case 3:
+            prog_.append(elementwise());
+            break;
+          case 4:
+            prog_.append(sfu());
+            break;
+          default:
+            if (rng_.below(4) == 0) {
+                Instruction red;
+                red.op = Opcode::Reduce;
+                red.srcA = place(Space::VecBuf, 4, 4);
+                prog_.append(red);
+            } else {
+                prog_.append(elementwise());
+            }
+            break;
+        }
+    }
+
+    Space anySpace()
+    {
+        return static_cast<Space>(1 + rng_.below(4));
+    }
+
+    /** An operand of @p len words whose accesses reach @p reach words
+     * past its base, strided over the open loops where that fits. */
+    Operand place(Space space, std::uint32_t len, std::uint32_t reach)
+    {
+        Operand op = isa::makeOperand(space, 0, len);
+        std::uint64_t extent = reach;
+        for (std::size_t l = 0; l < depth_; ++l) {
+            const std::uint32_t kind =
+                static_cast<std::uint32_t>(rng_.below(3));
+            op.stride[l] = static_cast<std::int32_t>(
+                kind == 0 ? 0 : kind == 1 ? reach : pick(1, 16));
+            extent += static_cast<std::uint64_t>(trips_[l] - 1) *
+                      static_cast<std::uint64_t>(op.stride[l]);
+        }
+        const std::uint32_t words = words_[static_cast<std::size_t>(space)];
+        if (extent > words) {
+            std::fill(std::begin(op.stride), std::end(op.stride), 0);
+            extent = reach;
+        }
+        op.base = static_cast<std::uint32_t>(rng_.below(words - extent + 1));
+        return op;
+    }
+
+    Instruction matrixDma(bool load)
+    {
+        Instruction i;
+        const bool dmat = load && rng_.below(2) != 0;
+        i.op = !load ? Opcode::DmaStoreM
+                     : dmat ? Opcode::DmatLoadM : Opcode::DmaLoadM;
+        const std::uint32_t rows = pick(1, 8);
+        const std::uint32_t rowWords = pick(1, 32);
+        const std::uint32_t pitch =
+            rng_.below(2) ? 0 : rowWords + pick(0, 8);
+        const std::uint32_t bufReach =
+            (rows - 1) * (pitch != 0 ? pitch : rowWords) + rowWords;
+        const std::uint32_t spadLen = rows * (rowWords + (dmat ? 1 : 0));
+        const Space buf = rng_.below(4) == 0 ? Space::VecBuf : Space::MatBuf;
+        const Operand bufSide = place(buf, rows * rowWords, bufReach);
+        const Operand spadSide = place(Space::MatSpad, spadLen, spadLen);
+        i.srcA = load ? bufSide : spadSide;
+        i.dst = load ? spadSide : bufSide;
+        i.srcB.base = pitch;
+        i.count = rows;
+        return i;
+    }
+
+    Instruction vectorDma()
+    {
+        Instruction i;
+        const std::uint32_t len = pick(1, 48);
+        const bool load = rng_.below(2) != 0;
+        i.op = load ? Opcode::DmaLoadV : Opcode::DmaStoreV;
+        const Space buf = rng_.below(4) == 0 ? Space::MatBuf : Space::VecBuf;
+        const Operand bufSide = place(buf, len, len);
+        const Operand spadSide = place(Space::VecSpad, len, len);
+        i.srcA = load ? bufSide : spadSide;
+        i.dst = load ? spadSide : bufSide;
+        return i;
+    }
+
+    Instruction vmm()
+    {
+        Instruction i;
+        i.op = Opcode::Vmm;
+        i.flags.rowDot = rng_.below(2) != 0;
+        i.flags.accumulate = rng_.below(2) != 0;
+        i.flags.reuseB = rng_.below(3) == 0;
+        i.flags.dstResident = rng_.below(3) == 0;
+        const std::uint32_t rows = pick(1, 16);
+        const std::uint32_t cols = pick(1, 16);
+        const Space dstSpace =
+            rng_.below(2) ? Space::VecBuf : Space::VecSpad;
+        if (i.flags.rowDot) {
+            i.flags.skewed = rng_.below(2) != 0;
+            i.flags.withNorms = rng_.below(3) == 0;
+            const std::uint32_t pitch = cols + (i.flags.skewed ? 1 : 0);
+            i.count = i.flags.withNorms ? rows + pick(0, 4) : 0;
+            i.srcA = place(Space::VecSpad, cols, cols);
+            i.srcB = place(Space::MatSpad, rows * pitch, rows * pitch);
+            i.dst = place(dstSpace, rows,
+                          i.flags.withNorms ? i.count + rows : rows);
+        } else {
+            i.srcA = place(Space::VecSpad, rows, rows);
+            i.srcB = place(Space::MatSpad, rows * cols, rows * cols);
+            i.dst = place(dstSpace, cols, cols);
+        }
+        return i;
+    }
+
+    Instruction elementwise()
+    {
+        static const Opcode pool[] = {
+            Opcode::EwAdd,    Opcode::EwSub,    Opcode::EwMul,
+            Opcode::EwMac,    Opcode::EwAddImm, Opcode::EwMulImm,
+            Opcode::EwRsubImm, Opcode::Fill,
+        };
+        Instruction i;
+        i.op = pool[rng_.below(std::size(pool))];
+        const std::uint32_t len = pick(1, 64);
+        i.dst = place(anySpace(), len, len);
+        const auto source = [&] {
+            const std::uint32_t l = rng_.below(4) == 0 ? 1 : len;
+            return place(anySpace(), l, l);
+        };
+        if (i.op != Opcode::Fill)
+            i.srcA = source();
+        if (i.op == Opcode::EwAdd || i.op == Opcode::EwSub ||
+            i.op == Opcode::EwMul || i.op == Opcode::EwMac)
+            i.srcB = source();
+        i.imm = 0.5f;
+        return i;
+    }
+
+    Instruction sfu()
+    {
+        static const Opcode pool[] = {
+            Opcode::SfuExp,     Opcode::SfuPow,     Opcode::SfuRecip,
+            Opcode::SfuSqrt,    Opcode::SfuSigmoid, Opcode::SfuTanh,
+            Opcode::SfuSoftplus, Opcode::SfuAccSum, Opcode::SfuAccMax,
+        };
+        Instruction i;
+        i.op = pool[rng_.below(std::size(pool))];
+        const std::uint32_t len = pick(1, 24);
+        const bool acc =
+            i.op == Opcode::SfuAccSum || i.op == Opcode::SfuAccMax;
+        i.srcA = place(anySpace(), len, len);
+        i.dst = place(anySpace(), acc ? 1 : len, acc ? 1 : len);
+        if (i.op == Opcode::SfuPow)
+            i.srcB = place(anySpace(), 1, 1);
+        return i;
+    }
+
+    Rng rng_;
+    std::uint32_t words_[5]; ///< words per Space
+    isa::Program prog_;
+    std::size_t depth_ = 0;
+    std::uint32_t trips_[isa::kMaxLoopDepth] = {};
+    std::uint64_t iterations_ = 1;
+};
+
+class TileFastForwardFuzz : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(TileFastForwardFuzz, MatchesLiteralInterpretation)
+{
+    std::size_t skipped = 0;
+    for (int n = 0; n < 100; ++n) {
+        TileFixture f;
+        LoopNestFuzzer gen(GetParam() * 1000 + n, f);
+        f.program = gen.program();
+        ASSERT_EQ(f.program.validate(), "");
+        SCOPED_TRACE(f.program.disassemble());
+        const LoopRun fast = expectFastForwardExact(f);
+        skipped += fast.skips != 0;
+        if (HasFailure())
+            return;
+    }
+    // The corpus must exercise the skip, not only literal runs.
+    EXPECT_GE(skipped, 25u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TileFastForwardFuzz,
+                         ::testing::Range<std::uint64_t>(1, 9));
 
 } // namespace
 } // namespace manna::sim
