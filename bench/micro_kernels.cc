@@ -28,7 +28,9 @@
  * cycle-mode chip step (timing, tape check and replay) of a Table-2
  * benchmark. The literal rows attach a zero-capacity TraceLogger, which
  * makes the tile interpreter time every instruction instead of
- * fast-forwarding steady-state loops (docs/PERF.md).
+ * fast-forwarding steady-state loops (docs/PERF.md). The
+ * RecordStep/<bench>/<tiles> rows time reset() plus the first step of
+ * a fast chip: timing, tape recording, the tape passes and the replay.
  */
 
 #include <chrono>
@@ -200,8 +202,8 @@ addKernelMicros(std::vector<Micro> &micros)
     }
 }
 
-/** A cycle-mode chip (every step timed) and its input, built on the
- * first call of its micro's body. */
+/** A chip and its input, built on the first call of its micro's
+ * body. */
 struct TimedChip
 {
     compiler::CompiledModel model;
@@ -218,26 +220,41 @@ addTimedStepMicros(std::vector<Micro> &micros)
         const char *bench;
         std::size_t tiles;
     } points[] = {{"copy", 1}, {"sort", 16}};
+    enum class Mode
+    {
+        Literal,     // cycle mode, every instruction timed
+        FastForward, // cycle mode, steady loops fast-forwarded
+        Record,      // reset() and the recording step of a fast chip
+    };
     for (const auto &point : points) {
-        for (const bool literal : {true, false}) {
+        for (const Mode mode :
+             {Mode::Literal, Mode::FastForward, Mode::Record}) {
             auto tc = std::make_shared<TimedChip>();
             const std::string bench = point.bench;
             const std::size_t tiles = point.tiles;
             micros.push_back(
-                {strformat("TimedStep/%s/%zu/%s", point.bench, tiles,
-                           literal ? "literal" : "fastforward"),
-                 0, 0, 0, [tc, bench, tiles, literal] {
+                {mode == Mode::Record
+                     ? strformat("RecordStep/%s/%zu", point.bench, tiles)
+                     : strformat("TimedStep/%s/%zu/%s", point.bench,
+                                 tiles,
+                                 mode == Mode::Literal ? "literal"
+                                                       : "fastforward"),
+                 0, 0, 0, [tc, bench, tiles, mode] {
                      if (!tc->chip) {
                          const auto &cfg =
                              workloads::benchmarkByName(bench).config;
                          tc->model = compiler::compile(
                              cfg, arch::MannaConfig::withTiles(tiles));
                          tc->chip = std::make_unique<sim::Chip>(
-                             tc->model, 1, sim::Fidelity::Cycle);
-                         if (literal)
+                             tc->model, 1,
+                             mode == Mode::Record ? sim::Fidelity::Fast
+                                                  : sim::Fidelity::Cycle);
+                         if (mode == Mode::Literal)
                              tc->chip->attachTrace(&tc->literal);
                          tc->x = tensor::FVec(cfg.inputDim, 0.1f);
                      }
+                     if (mode == Mode::Record)
+                         tc->chip->reset();
                      doNotOptimize(tc->chip->step(tc->x));
                  }});
         }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -232,6 +233,32 @@ overlaps(const float *a, std::size_t an, const float *b, std::size_t bn)
     return a < b + bn && b < a + an;
 }
 
+/** A byte range [lo, hi). */
+struct Span
+{
+    std::uintptr_t lo;
+    std::uintptr_t hi;
+};
+
+/** Every byte that @p n words at @p p cover over a run whose
+ * iterations advance @p p by @p step, @p last iterations after the
+ * first (a single span when @p last is 0). */
+Span
+hull(const float *p, std::uintptr_t step, std::uint64_t last,
+     std::size_t n)
+{
+    const auto first = reinterpret_cast<std::uintptr_t>(p);
+    const std::uintptr_t final = first + last * step;
+    return {std::min(first, final),
+            std::max(first, final) + n * sizeof(float)};
+}
+
+bool
+overlaps(Span x, Span y)
+{
+    return x.lo < y.hi && y.lo < x.hi;
+}
+
 bool
 isEw(const ReplayOp &op, Opcode code, std::uint32_t n)
 {
@@ -243,20 +270,29 @@ isEw(const ReplayOp &op, Opcode code, std::uint32_t n)
  * The fused kernels write row[] and stage[] interleaved instead of
  * pass-by-pass, so every source span must be disjoint from both
  * written spans (they are in the compiler's layout — distinct memory
- * spaces — but the tape only sees raw pointers, so verify).
+ * spaces — but the tape only sees raw pointers, so verify). Over a run
+ * (@p last > 0) each span is its hull over the run's iterations.
  */
 bool
-fusedAliasFree(const float *row, const float *stage, const float *src,
-               const float *add, const float *w, std::uint32_t n)
+fusedAliasFree(const ReplayOp &rop, const ReplayStep &step,
+               const float *add, std::uintptr_t addStep,
+               std::uint64_t last)
 {
-    return !overlaps(row, n, stage, n) && !overlaps(src, n, stage, n) &&
-           !overlaps(src, n, row, n) && !overlaps(add, n, stage, n) &&
-           !overlaps(add, n, row, n) && !overlaps(w, 1, stage, n) &&
-           !overlaps(w, 1, row, n);
+    const std::size_t n = rop.n;
+    const Span row = hull(rop.d, step[2], last, n);
+    const Span stage = hull(rop.dn, step[3], last, n);
+    const Span src = hull(rop.a, step[0], last, n);
+    const Span addv = hull(add, addStep, last, n);
+    const Span w = hull(rop.b, step[1], last, 1);
+    return !overlaps(row, stage) && !overlaps(src, stage) &&
+           !overlaps(src, row) && !overlaps(addv, stage) &&
+           !overlaps(addv, row) && !overlaps(w, stage) &&
+           !overlaps(w, row);
 }
 
-/** Match the soft-write quad at @p o; fills @p rop (pitchA is left
- * for the caller) and the add-vector row. */
+/** Match the soft-write quad's shape and operand links at @p o
+ * (aliasing is the caller's fusedAliasFree()); fills @p rop (pitchA
+ * is left for the caller) and the add-vector row. */
 bool
 matchRowQuad(const ReplayOp *o, ReplayOp &rop, const float *&add)
 {
@@ -271,8 +307,7 @@ matchRowQuad(const ReplayOp *o, ReplayOp &rop, const float *&add)
         o[2].pitchD == n && o[2].a == o[2].d && o[2].b == o[0].d &&
         isEw(o[3], Opcode::EwMac, n) && o[3].pitchA == n &&
         o[3].pitchD == 1 && o[3].d == o[2].d && o[3].b == o[0].b;
-    if (!shape ||
-        !fusedAliasFree(o[2].d, o[0].d, o[0].a, o[3].a, o[0].b, n))
+    if (!shape)
         return false;
     rop = ReplayOp{};
     rop.kind = ReplayKind::FusedRowUpdate;
@@ -300,8 +335,7 @@ matchLinkTriple(const ReplayOp *o, ReplayOp &rop, const float *&add)
         o[1].b == o[0].d && isEw(o[2], Opcode::EwMac, n) &&
         o[2].pitchA == n && o[2].pitchD == 1 && o[2].d == o[1].d &&
         o[2].b == o[0].b;
-    if (!shape ||
-        !fusedAliasFree(o[1].d, o[0].d, o[0].a, o[2].a, o[0].b, n))
+    if (!shape)
         return false;
     rop = ReplayOp{};
     rop.kind = ReplayKind::FusedLinkUpdate;
@@ -314,6 +348,23 @@ matchLinkTriple(const ReplayOp *o, ReplayOp &rop, const float *&add)
     add = o[2].a;    // precedence row
     return true;
 }
+
+/** The two idioms record() fuses, in the order it tries them: their
+ * opcodes (each ends in EwMac) and matchers. A fused op's a, b and
+ * dn come from the idiom's first op (a, b, d), its d from the
+ * next-to-last op's d, and its add vector from the last op's a. */
+struct Idiom
+{
+    std::size_t len;
+    Opcode ops[4];
+    bool (*match)(const ReplayOp *, ReplayOp &, const float *&);
+};
+constexpr Idiom kIdioms[] = {
+    {4,
+     {Opcode::EwMul, Opcode::EwRsubImm, Opcode::EwMul, Opcode::EwMac},
+     matchRowQuad},
+    {3, {Opcode::EwSub, Opcode::EwMul, Opcode::EwMac}, matchLinkTriple},
+};
 
 double
 msSince(std::chrono::steady_clock::time_point t0)
@@ -374,8 +425,11 @@ ReplayTape::finishRecording()
     recordedDigest_ = digest_;
     recordedOps_ = appended_;
     if (std::getenv("MANNA_REPLAY_DEBUG") != nullptr)
-        std::fprintf(stderr, "replay: %zu ops -> %zu after fusion\n",
-                     appended_, ops_.size());
+        std::fprintf(stderr,
+                     "replay: %zu ops (%zu of them in %zu runs, %zu "
+                     "runs recorded op by op) -> %zu recorded\n",
+                     appended_, runOps_, runs_, runFallbacks_,
+                     ops_.size());
     elideStaging();
     state_ = State::Ready;
 }
@@ -383,26 +437,233 @@ ReplayTape::finishRecording()
 void
 ReplayTape::record(const ReplayOp &op)
 {
-    ops_.push_back(op);
+    keep(op, nullptr);
     // Both idioms end in an EwMac; a fused op never matches again.
     if (op.kind != ReplayKind::Elementwise || op.op != Opcode::EwMac)
         return;
     const std::size_t size = ops_.size();
-    ReplayOp rop;
-    const float *add = nullptr;
-    std::size_t used = 0;
-    if (size >= 4 && matchRowQuad(&ops_[size - 4], rop, add))
-        used = 4;
-    else if (size >= 3 && matchLinkTriple(&ops_[size - 3], rop, add))
-        used = 3;
-    if (used == 0)
+    for (const Idiom &idiom : kIdioms) {
+        ReplayOp rop;
+        const float *add = nullptr;
+        if (size < idiom.len ||
+            !idiom.match(&ops_[size - idiom.len], rop, add) ||
+            !fusedAliasFree(rop, {}, add, 0, 0))
+            continue;
+        ops_.resize(size - idiom.len);
+        keep(rop, add);
         return;
-    // A block's rows share one add vector: reuse its pool slot.
-    if (srcPool_.empty() || srcPool_.back() != add)
-        srcPool_.push_back(add);
-    rop.pitchA = static_cast<std::uint32_t>(srcPool_.size() - 1);
-    ops_.resize(size - used);
-    ops_.push_back(rop);
+    }
+}
+
+void
+ReplayTape::keep(ReplayOp op, const float *add)
+{
+    if (isFusedUpdate(op)) {
+        if (!ops_.empty() && isFusedUpdate(ops_.back())) {
+            RunOp block{ops_.back(), {}, srcPool_[ops_.back().pitchA]};
+            if (absorb(block, RunOp{op, {}, add}, lastCopy_, 1)) {
+                ops_.back() = block.op;
+                return;
+            }
+        }
+        // A block's rows share one add vector: reuse its pool slot.
+        if (srcPool_.empty() || srcPool_.back() != add)
+            srcPool_.push_back(add);
+        op.pitchA = static_cast<std::uint32_t>(srcPool_.size() - 1);
+    }
+    if (op.kind == ReplayKind::Copy2d)
+        lastCopy_.op = op;
+    ops_.push_back(op);
+}
+
+bool
+ReplayTape::absorb(RunOp &block, const RunOp &next, const RunOp &copy,
+                   std::uint64_t iterations)
+{
+    const ReplayOp &p = block.op;
+    const ReplayOp &q = next.op;
+    const ReplayStep &ps = block.step;
+    const ReplayStep &qs = next.step;
+    if (!isFusedUpdate(p) || q.kind != p.kind || q.n != p.n ||
+        q.imm != p.imm)
+        return false;
+    // Two pointers that move linearly over a run agree at every
+    // iteration if they agree at the first and step alike.
+    if (q.a != p.a || qs[0] != ps[0] || q.dn != p.dn || qs[3] != ps[3] ||
+        next.add != block.add || next.addStep != block.addStep ||
+        q.b != p.b + p.rows || qs[1] != ps[1] || qs[2] != ps[2])
+        return false;
+    const std::uintptr_t gap = wordOf(q.d) - wordOf(p.d);
+    const std::uint64_t pitch = p.rows > 1 ? p.pitchD : gap / sizeof(float);
+    if (pitch < p.n || pitch > std::numeric_limits<std::uint32_t>::max() ||
+        gap != p.rows * pitch * sizeof(float) ||
+        (q.rows > 1 && q.pitchD != pitch))
+        return false;
+    const std::uint64_t last = iterations - 1;
+    const std::uint32_t rows = p.rows + q.rows;
+    const Span w = hull(p.b, ps[1], last, rows);
+    const ReplayOp &ld = copy.op;
+    if (overlaps(w, hull(p.d, ps[2], last,
+                         std::size_t(rows - 1) * pitch + p.n)) ||
+        (ld.rows > 0 &&
+         overlaps(w, hull(ld.a, copy.step[0], last,
+                          std::size_t(ld.rows - 1) * ld.pitchA + ld.n))))
+        return false;
+    block.op.rows = rows;
+    block.op.pitchD = static_cast<std::uint32_t>(pitch);
+    return true;
+}
+
+void
+ReplayTape::appendRun(const std::vector<ReplayOp> &body,
+                      const std::vector<ReplayStep> &steps,
+                      std::uint64_t iterations)
+{
+    MANNA_ASSERT(body.size() == steps.size(),
+                 "a run needs one step per body op");
+    if (iterations == 0 || body.empty())
+        return;
+    if (recording()) {
+        ++runs_;
+        runOps_ += iterations * body.size();
+        runFallbacks_ += iterations == 1 ? 1 : 0;
+    }
+    // Folding and compiling a run each cost about two iterations op
+    // by op.
+    if (iterations == 1) {
+        for (std::size_t i = 0; i < body.size(); ++i)
+            append(advanced(body[i], steps[i], 1));
+        return;
+    }
+    foldRun(body, steps, iterations);
+    if (!recording())
+        return;
+    if (!compileRun(body, steps, iterations)) {
+        ++runFallbacks_;
+        for (std::uint64_t k = 1; k <= iterations; ++k)
+            for (std::size_t i = 0; i < body.size(); ++i)
+                record(advanced(body[i], steps[i], k));
+        return;
+    }
+    if (run_.size() == 1) {
+        // A body of one block that each iteration continues is one
+        // block for the whole run: iterations k and k+1 together, over
+        // the first iterations - 1 values of k, span every row and w.
+        RunOp block = run_[0];
+        RunOp next = block;
+        next.op = advanced(next.op, next.step, 1);
+        next.add = advanced(next.add, next.addStep, 1);
+        if (absorb(block, next, lastCopy_, iterations - 1)) {
+            block.op.rows = run_[0].op.rows *
+                            static_cast<std::uint32_t>(iterations);
+            keep(block.op, block.add);
+            return;
+        }
+    }
+    for (std::uint64_t k = 0; k < iterations; ++k)
+        for (const RunOp &c : run_)
+            keep(advanced(c.op, c.step, k),
+                 advanced(c.add, c.addStep, k));
+}
+
+void
+ReplayTape::foldRun(const std::vector<ReplayOp> &body,
+                    const std::vector<ReplayStep> &steps,
+                    std::uint64_t iterations)
+{
+    // opHash() xors independent field terms, and a pointer's term is
+    // its address times an odd constant: one step further adds the
+    // step times that constant (mod 2^64). So each implied op's hash
+    // comes from four additions, and no op is built.
+    runHash_.resize(body.size());
+    for (std::size_t i = 0; i < body.size(); ++i) {
+        RunHash &h = runHash_[i];
+        const ReplayOp &op = body[i];
+        h.fields = fieldHash(op);
+        const void *ptrs[4] = {op.a, op.b, op.d, op.dn};
+        for (std::size_t j = 0; j < 4; ++j) {
+            h.ptr[j] = wordOf(ptrs[j]) * kPtrMul[j];
+            h.step[j] = steps[i][j] * kPtrMul[j];
+        }
+    }
+    std::uint64_t digest = digest_;
+    for (std::uint64_t k = 0; k < iterations; ++k) {
+        for (RunHash &h : runHash_) {
+            for (std::size_t j = 0; j < 4; ++j)
+                h.ptr[j] += h.step[j];
+            digest = folded(digest, h.fields ^ h.ptr[0] ^ h.ptr[1] ^
+                                        h.ptr[2] ^ h.ptr[3]);
+        }
+    }
+    digest_ = digest;
+    appended_ += iterations * body.size();
+}
+
+bool
+ReplayTape::compileRun(const std::vector<ReplayOp> &body,
+                       const std::vector<ReplayStep> &steps,
+                       std::uint64_t iterations)
+{
+    const std::uint64_t last = iterations - 1;
+    run_.clear();
+    // The last copy before each op: the body's, once it has had one;
+    // before that the tape's, unless a later body copy precedes it
+    // from the second iteration on.
+    const bool bodyCopies =
+        std::any_of(body.begin(), body.end(), [](const ReplayOp &op) {
+            return op.kind == ReplayKind::Copy2d;
+        });
+    constexpr std::size_t kNone = ~std::size_t{0};
+    std::size_t copyAt = kNone;
+    for (std::size_t i = 0; i < body.size(); ++i) {
+        if (body[i].kind == ReplayKind::Copy2d)
+            copyAt = run_.size();
+        run_.push_back({advanced(body[i], steps[i], 1), steps[i]});
+        if (body[i].kind != ReplayKind::Elementwise ||
+            body[i].op != Opcode::EwMac)
+            continue;
+        for (const Idiom &idiom : kIdioms) {
+            // The body's ops that would end this idiom here.
+            const std::size_t have = std::min(idiom.len, run_.size());
+            RunOp *w = run_.data() + run_.size() - have;
+            bool opcodes = true;
+            for (std::size_t j = 0; j < have; ++j)
+                opcodes = opcodes &&
+                          w[j].op.kind == ReplayKind::Elementwise &&
+                          w[j].op.op == idiom.ops[idiom.len - have + j];
+            if (!opcodes)
+                continue;
+            // The idiom would begin before the iteration.
+            if (have < idiom.len)
+                return false;
+            ReplayOp first[4], final[4];
+            for (std::size_t j = 0; j < have; ++j) {
+                first[j] = w[j].op;
+                final[j] = advanced(w[j].op, w[j].step, last);
+            }
+            RunOp fused;
+            ReplayOp finalRop;
+            const float *finalAdd = nullptr;
+            if (!idiom.match(first, fused.op, fused.add) ||
+                !idiom.match(final, finalRop, finalAdd))
+                return false;
+            fused.step = {w[0].step[0], w[0].step[1],
+                          w[have - 2].step[2], w[0].step[2]};
+            fused.addStep = w[have - 1].step[0];
+            if (!fusedAliasFree(fused.op, fused.step, fused.add,
+                                fused.addStep, last))
+                return false;
+            run_.resize(run_.size() - have);
+            // Rows left apart here still join when stamped, as do
+            // rows continuing the previous iteration's block.
+            const RunOp &copy = copyAt != kNone ? run_[copyAt] : lastCopy_;
+            if (run_.empty() || (copyAt == kNone && bodyCopies) ||
+                !absorb(run_.back(), fused, copy, iterations))
+                run_.push_back(fused);
+            break;
+        }
+    }
+    return true;
 }
 
 void
@@ -412,11 +673,10 @@ ReplayTape::elideStaging()
     const bool debug = std::getenv("MANNA_REPLAY_DEBUG") != nullptr;
     const std::size_t before = ops_.size();
 
-    // One matched blocked-sweep group, as indices into the compacted
-    // tape. ops_[begin] is the load, which copies the block's home
-    // rows (in the matrix buffer) to its staged copy (in the
-    // scratchpad); for row-update groups ops_[end - 1] is the mirror
-    // store back home.
+    // One matched blocked-sweep group, as indices into the tape.
+    // ops_[begin] is the load, which copies the block's home rows (in
+    // the matrix buffer) to its staged copy (in the scratchpad); for
+    // row-update groups ops_[end - 1] is the mirror store back home.
     struct Group
     {
         std::size_t begin = 0;
@@ -494,24 +754,19 @@ ReplayTape::elideStaging()
         return hit;
     };
 
-    // Pass 1: match the groups and compact the tape in place (the
-    // write index never passes the read index, and matching only
-    // reads ahead of it). A row-update group whose R row ops share
-    // every operand but a w that steps by one word becomes [load]
-    // [one op with rows = R over the staged rows][store] here, so the
-    // later passes visit one op where there were R.
+    // Pass 1: match the groups. The Vmm ops, by the block they read
+    // and their index, bound the read-group scans.
+    std::vector<std::pair<const float *, std::size_t>> vmmReads;
+    for (std::size_t k = 0; k < ops_.size(); ++k)
+        if (ops_[k].kind == ReplayKind::Vmm)
+            vmmReads.emplace_back(ops_[k].b, k);
+    std::sort(vmmReads.begin(), vmmReads.end());
     std::vector<Group> groups;
-    std::vector<int> groupOf; // per compacted op: its group, or -1
-    groupOf.reserve(ops_.size());
-    std::size_t out = 0;
-    auto emit = [&](const ReplayOp &op, int group) {
-        ops_[out++] = op;
-        groupOf.push_back(group);
-    };
+    std::vector<int> groupOf(ops_.size(), -1); // per op: its group
     std::vector<std::size_t> members; // block Vmms of a read group
     std::size_t i = 0;
     while (i < ops_.size()) {
-        const ReplayOp ld = ops_[i];
+        const ReplayOp &ld = ops_[i];
         const std::uint32_t R = ld.rows;
         const std::uint32_t n = ld.n;
         const std::uint32_t hp = ld.pitchA;
@@ -522,7 +777,6 @@ ReplayTape::elideStaging()
         const std::size_t homeLen = std::size_t(R - 1) * hp + n;
         if (ld.kind != ReplayKind::Copy2d || R == 0 || sp < n ||
             hp < n || overlaps(home, homeLen, staged, stagedLen)) {
-            emit(ld, -1);
             ++i;
             continue;
         }
@@ -533,6 +787,7 @@ ReplayTape::elideStaging()
         };
 
         Group g;
+        g.begin = i;
         g.staged = staged;
         g.stagedLen = stagedLen;
         g.stagedPitch = sp;
@@ -541,60 +796,41 @@ ReplayTape::elideStaging()
         g.homePitch = hp;
         const int id = static_cast<int>(groups.size());
 
-        // Row-update shape: R fused row updates on the staged rows,
-        // then the mirror store. Every non-block operand must be
-        // disjoint from both regions, and home rows must not overlap
-        // each other (hp >= n above), or the in-place update would
-        // read its own earlier writes.
-        bool rowGroup = i + R + 1 < ops_.size();
-        bool shared = true;
-        const ReplayOp *rows = rowGroup ? &ops_[i + 1] : nullptr;
-        for (std::uint32_t k = 0; rowGroup && k < R; ++k) {
-            const ReplayOp &f = rows[k];
-            rowGroup = isFusedUpdate(f) && f.rows == 1 && f.n == n &&
-                       f.d == staged + std::size_t(k) * sp;
-            shared = shared && rowGroup && f.kind == rows[0].kind &&
-                     f.a == rows[0].a && f.dn == rows[0].dn &&
-                     f.imm == rows[0].imm && f.b == rows[0].b + k &&
-                     srcPool_[f.pitchA] == srcPool_[rows[0].pitchA];
+        // Row-update shape: fused ops covering the R staged rows in
+        // order (one block op once keep() has joined them), then the
+        // mirror store. Every non-block operand must be disjoint from
+        // both regions, and home rows must not overlap each other
+        // (hp >= n above), or the in-place update would read its own
+        // earlier writes.
+        std::size_t j = i + 1;
+        std::uint32_t covered = 0;
+        bool rowGroup = true;
+        for (; rowGroup && covered < R && j < ops_.size(); ++j) {
+            const ReplayOp &f = ops_[j];
+            rowGroup = isFusedUpdate(f) && f.n == n &&
+                       f.d == staged + std::size_t(covered) * sp &&
+                       (f.rows == 1 || f.pitchD == sp) &&
+                       clear(f.a, n) && clear(srcPool_[f.pitchA], n) &&
+                       clear(f.b, f.rows) && clear(f.dn, n);
+            covered += f.rows;
         }
-        if (rowGroup) {
-            const ReplayOp &st = ops_[i + 1 + R];
+        if (rowGroup && covered == R && j < ops_.size()) {
+            const ReplayOp &st = ops_[j];
             rowGroup = st.kind == ReplayKind::Copy2d &&
                        st.a == staged && st.d == home && st.n == n &&
                        st.rows == R && st.pitchA == sp &&
                        st.pitchD == hp;
-        }
-        if (rowGroup && shared) {
-            const ReplayOp &f = rows[0];
-            rowGroup = clear(f.a, n) && clear(srcPool_[f.pitchA], n) &&
-                       clear(f.b, R) && clear(f.dn, n);
         } else {
-            for (std::uint32_t k = 0; rowGroup && k < R; ++k) {
-                const ReplayOp &f = rows[k];
-                rowGroup = clear(f.a, n) &&
-                           clear(srcPool_[f.pitchA], n) &&
-                           clear(f.b, 1) && clear(f.dn, n);
-            }
+            rowGroup = false;
         }
         if (rowGroup) {
-            g.begin = out;
-            g.homeMut = ops_[i + 1 + R].d;
-            const ReplayOp store = ops_[i + 1 + R];
-            emit(ld, id);
-            if (shared) {
-                ReplayOp block = rows[0];
-                block.rows = R;
-                block.pitchD = sp;
-                emit(block, id);
-            } else {
-                for (std::uint32_t k = 0; k < R; ++k)
-                    emit(ops_[i + 1 + k], id);
-            }
-            emit(store, id);
-            g.end = out;
+            g.homeMut = ops_[j].d;
+            g.end = j + 1;
+            std::fill(groupOf.begin() + static_cast<std::ptrdiff_t>(i),
+                      groupOf.begin() + static_cast<std::ptrdiff_t>(j + 1),
+                      id);
             groups.push_back(g);
-            i += R + 2;
+            i = j + 1;
             continue;
         }
 
@@ -602,10 +838,17 @@ ReplayTape::elideStaging()
         // interleaved with ops that never touch either region (the
         // codegen loads each head's key vector between Vmms). The
         // group ends at the last such Vmm; a cap bounds the scan.
+        // The scan stops at the last Vmm that reads the staged block.
         members.clear();
         const std::size_t scanLimit = std::min(ops_.size(), i + 1 + 256);
-        for (std::size_t j = i + 1; j < scanLimit; ++j) {
-            const ReplayOp &f = ops_[j];
+        const auto first = std::upper_bound(
+            vmmReads.begin(), vmmReads.end(), std::make_pair(staged, i));
+        const auto last = std::lower_bound(
+            first, vmmReads.end(), std::make_pair(staged, scanLimit));
+        const std::size_t scanEnd =
+            first == last ? i + 1 : std::prev(last)->second + 1;
+        for (std::size_t k = i + 1; k < scanEnd; ++k) {
+            const ReplayOp &f = ops_[k];
             const bool blockVmm = f.kind == ReplayKind::Vmm &&
                                   f.b == staged && f.pitchA == sp &&
                                   f.rows == R && f.n == n;
@@ -615,32 +858,25 @@ ReplayTape::elideStaging()
                     !clear(f.d, rowDot ? R : n) ||
                     (f.dn != nullptr && !clear(f.dn, R)))
                     break;
-                members.push_back(j);
+                members.push_back(k);
             } else if (touchesRegion(f, staged, stagedLen) ||
                        touchesRegion(f, home, homeLen)) {
                 break;
             }
         }
         if (members.empty()) {
-            emit(ld, -1);
             ++i;
             continue;
         }
         // Interleaved ops stay outside the group (-1), so the validity
         // check below still sees them as foreign to every cluster.
-        g.begin = out;
-        emit(ld, id);
-        std::size_t m = 0;
-        for (std::size_t j = i + 1; j <= members.back(); ++j) {
-            const bool member = members[m] == j;
-            m += member ? 1 : 0;
-            emit(ops_[j], member ? id : -1);
-        }
-        g.end = out;
+        groupOf[i] = id;
+        for (const std::size_t k : members)
+            groupOf[k] = id;
+        g.end = members.back() + 1;
         groups.push_back(g);
-        i = members.back() + 1;
+        i = g.end;
     }
-    ops_.resize(out);
 
     if (groups.empty()) {
         if (debug)
@@ -714,10 +950,9 @@ ReplayTape::elideStaging()
         });
     }
 
-    // Pass 3, in place again: in elidable clusters, drop the dead
-    // copies and retarget the compute ops at the home rows.
-    const std::size_t compacted = ops_.size();
-    out = 0;
+    // Pass 3, in place: in elidable clusters, drop the dead copies and
+    // retarget the compute ops at the home rows.
+    std::size_t out = 0;
     std::size_t elided = 0;
     std::size_t idx = 0;
     for (const Group &g : groups) {
@@ -731,13 +966,14 @@ ReplayTape::elideStaging()
         const bool rowGroup = g.homeMut != nullptr;
         elided += rowGroup ? 2 : 1;
         const std::size_t last = rowGroup ? g.end - 1 : g.end;
+        std::size_t row = 0; // staged row the next row op starts at
         for (std::size_t k = g.begin + 1; k < last; ++k) {
             ReplayOp op = ops_[k];
             if (rowGroup) {
-                // Row op k-1 starts at staged row k-1 (a block op at
-                // row 0); move it and its pitch to the home rows.
-                op.d = g.homeMut + (k - g.begin - 1) * g.homePitch;
+                // Move the op and its pitch to the home rows.
+                op.d = g.homeMut + row * g.homePitch;
                 op.pitchD = g.homePitch;
+                row += op.rows;
             } else if (groupOf[k] >= 0) {
                 op.b = g.home;
                 op.pitchA = g.homePitch;
@@ -752,10 +988,9 @@ ReplayTape::elideStaging()
     if (debug)
         std::fprintf(stderr,
                      "replay: staging elision: %zu groups, "
-                     "%zu copies dropped, %zu ops -> %zu -> %zu "
-                     "(%.2f ms)\n",
-                     groups.size(), elided, before, compacted,
-                     ops_.size(), msSince(t0));
+                     "%zu copies dropped, %zu ops -> %zu (%.2f ms)\n",
+                     groups.size(), elided, before, ops_.size(),
+                     msSince(t0));
 }
 
 void

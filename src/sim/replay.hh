@@ -19,6 +19,14 @@
  * the one of the raw, pre-pass recording, so a stale tape fails
  * loudly instead of computing the wrong step.
  *
+ * A loop the tile fast-forwards reaches the tape as a run
+ * (appendRun()): one iteration's ops, each pointer's per-iteration
+ * step and an iteration count. The digest folds a run's implied ops
+ * exactly as if each had been appended, without building them, and
+ * a recording compiles the iteration once (fusion and row blocking)
+ * and stamps it per iteration. The tape thus holds whole row blocks
+ * before its passes run.
+ *
  * The recorded pointers stay valid because tile memories and the
  * chip-level staging vectors are allocated once per reset(); the tape
  * is cleared on reset() along with everything else.
@@ -27,6 +35,7 @@
 #ifndef MANNA_SIM_REPLAY_HH
 #define MANNA_SIM_REPLAY_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -110,6 +119,30 @@ struct ReplayOp
     float *dn = nullptr;
 };
 
+/** Per-iteration byte steps of a ReplayOp's a, b, d and dn pointers
+ * (a pointer that does not move, or is null, steps by 0). */
+using ReplayStep = std::array<std::uintptr_t, 4>;
+
+/** @p p advanced by @p k steps of @p step bytes. */
+template <typename T>
+T *
+advanced(T *p, std::uintptr_t step, std::uint64_t k)
+{
+    return reinterpret_cast<T *>(reinterpret_cast<std::uintptr_t>(p) +
+                                 k * step);
+}
+
+/** @p op with every pointer advanced by @p k times its step. */
+inline ReplayOp
+advanced(ReplayOp op, const ReplayStep &step, std::uint64_t k)
+{
+    op.a = advanced(op.a, step[0], k);
+    op.b = advanced(op.b, step[1], k);
+    op.d = advanced(op.d, step[2], k);
+    op.dn = advanced(op.dn, step[3], k);
+    return op;
+}
+
 /**
  * The recorded operation list plus pointer pools for the comm ops
  * (whose operand count — one span per tile — doesn't fit a fixed
@@ -131,7 +164,8 @@ public:
     }
 
     /** Seal the tape, remember the digest of the raw recording, and
-     * run the staging-elision pass (fusion ran while recording). */
+     * run the staging-elision pass (fusion and row blocking ran while
+     * recording). */
     void finishRecording();
 
     /** Start folding a timed step's ops into a fresh digest. */
@@ -155,6 +189,8 @@ public:
         startCheck();
         recordedDigest_ = 0;
         recordedOps_ = 0;
+        runs_ = runOps_ = runFallbacks_ = 0;
+        lastCopy_ = RunOp{};
         state_ = State::Idle;
     }
 
@@ -165,6 +201,17 @@ public:
         if (recording())
             record(op);
     }
+
+    /**
+     * Append @p iterations more iterations of a loop body: iteration
+     * k (from 1) is @p body with every pointer advanced by k times its
+     * step in @p steps. Equivalent to append()ing each of those ops in
+     * order: the same digest and op count, and while recording the
+     * same computation.
+     */
+    void appendRun(const std::vector<ReplayOp> &body,
+                   const std::vector<ReplayStep> &steps,
+                   std::uint64_t iterations);
 
     /** Append a Reduce whose per-tile source spans are @p srcs: they
      * go to the src-pointer pool, and op.pitchA to their offset. */
@@ -202,10 +249,24 @@ private:
      * identical per-element operation sequence (every op is an
      * element-independent map), including the final stage values, so
      * replay stays bit-exact; they exist to cut per-op dispatch
-     * overhead on the dominant tape patterns. Fusing as ops arrive
-     * keeps the recording a third of its raw size.
+     * overhead on the dominant tape patterns. A fused row that
+     * continues the tape's last fused op joins it (see keep()), so
+     * the R rows of a blocked sweep are one op with rows = R by the
+     * time the passes run.
      */
     void record(const ReplayOp &op);
+
+    /**
+     * Push @p op (compiled: fused or blocked already) onto the tape,
+     * or, for a fused op that continues the last one as more rows of
+     * one block, grow that op instead. A block holds rows of one kind
+     * sharing a, dn, imm and the add vector @p add, one w per row
+     * stepping by one word, at a fixed pitch of at least n, with
+     * every w outside the rows and outside the source of the tape's
+     * last copy (staging elision may move the block there). Rows run
+     * in tape order, so a block computes exactly its rows.
+     */
+    void keep(ReplayOp op, const float *add);
 
     /**
      * Staging-elision pass: the compiler's blocked sweeps stage every
@@ -213,18 +274,48 @@ private:
      * scratchpad copy (DmaLoadM -> compute -> DmaStoreM), which on the
      * big workloads is about half of the replayed memory traffic. This
      * pass detects the two block shapes the codegen emits —
-     * [load][fused row update x rows][store] (either fused kind) and
+     * [load][fused row updates covering the rows][store] (either
+     * fused kind; one block op once keep() has joined the rows) and
      * [load][Vmm reads...] — retargets the compute ops at the home
      * rows directly (same values, same FP ops, just no round-trip
      * through the scratchpad) and drops the dead copies. A staging
      * region is only elided when every tape op touching it belongs to
      * one of its matched groups, so any unexpected consumer of staged
-     * data keeps the copies intact. The R row ops of a [load][rows]
-     * [store] group become one op with rows = R (over the staged rows
-     * if the copies stay) when they share every operand but a per-row
-     * w that steps by one word and lies outside the updated rows.
+     * data keeps the copies intact.
      */
     void elideStaging();
+
+    /** One op of a compiled run body, at the run's first iteration,
+     * with its pointer steps (a fused op's add vector too). */
+    struct RunOp
+    {
+        ReplayOp op;
+        ReplayStep step{};
+        const float *add = nullptr;
+        std::uintptr_t addStep = 0;
+    };
+
+    /** Fold a run's implied ops into the step digest. */
+    void foldRun(const std::vector<ReplayOp> &body,
+                 const std::vector<ReplayStep> &steps,
+                 std::uint64_t iterations);
+
+    /**
+     * Compile one iteration of a run into run_: fuse its idioms and
+     * join its fused rows into blocks, each only where the rule holds
+     * at every one of the @p iterations. False where an idiom is not
+     * proven to match at every iteration or at none (one whose first
+     * ops would precede the iteration, say), and the run is then
+     * recorded op by op.
+     */
+    bool compileRun(const std::vector<ReplayOp> &body,
+                    const std::vector<ReplayStep> &steps,
+                    std::uint64_t iterations);
+
+    /** Grow @p block by @p next where keep() would at each of
+     * @p iterations; @p copy is the last copy before @p next. */
+    static bool absorb(RunOp &block, const RunOp &next,
+                       const RunOp &copy, std::uint64_t iterations);
 
     enum class State : std::uint8_t
     {
@@ -248,6 +339,19 @@ private:
      */
     static std::uint64_t opHash(const ReplayOp &op)
     {
+        return fieldHash(op) ^ wordOf(op.a) * kPtrMul[0] ^
+               wordOf(op.b) * kPtrMul[1] ^ wordOf(op.d) * kPtrMul[2] ^
+               wordOf(op.dn) * kPtrMul[3];
+    }
+
+    /** opHash()'s multipliers of the a, b, d and dn words. */
+    static constexpr std::uint64_t kPtrMul[4] = {
+        0xd6e8feb86659fd93ull, 0xff51afd7ed558ccdull,
+        0xc4ceb9fe1a85ec53ull, 0x94d049bb133111ebull};
+
+    /** opHash() of every field but the pointers. */
+    static std::uint64_t fieldHash(const ReplayOp &op)
+    {
         std::uint32_t imm;
         std::memcpy(&imm, &op.imm, sizeof imm);
         const std::uint64_t head =
@@ -261,20 +365,17 @@ private:
             op.pitchD | static_cast<std::uint64_t>(imm) << 32;
         return head * 0x9e3779b97f4a7c15ull ^
                shape * 0xc2b2ae3d27d4eb4full ^
-               tail * 0x165667b19e3779f9ull ^
-               wordOf(op.a) * 0xd6e8feb86659fd93ull ^
-               wordOf(op.b) * 0xff51afd7ed558ccdull ^
-               wordOf(op.d) * 0xc4ceb9fe1a85ec53ull ^
-               wordOf(op.dn) * 0x94d049bb133111ebull;
+               tail * 0x165667b19e3779f9ull;
     }
 
-    /** Chain one value into the digest: a bijection of the running
+    /** Chain one value into a digest: a bijection of the running
      * digest for every @p h, so one differing op cannot cancel out. */
-    void fold(std::uint64_t h)
+    static std::uint64_t folded(std::uint64_t digest, std::uint64_t h)
     {
-        digest_ = ((digest_ << 23 | digest_ >> 41) ^ h) *
-                  0xbf58476d1ce4e5b9ull;
+        return ((digest << 23 | digest >> 41) ^ h) * 0xbf58476d1ce4e5b9ull;
     }
+
+    void fold(std::uint64_t h) { digest_ = folded(digest_, h); }
 
     void note(const ReplayOp &op)
     {
@@ -306,6 +407,23 @@ private:
     std::size_t appended_ = 0;
     std::uint64_t recordedDigest_ = 0;
     std::size_t recordedOps_ = 0;
+    // The recording's runs, the raw ops they stood for, and the runs
+    // recorded op by op (MANNA_REPLAY_DEBUG).
+    std::size_t runs_ = 0;
+    std::size_t runOps_ = 0;
+    std::size_t runFallbacks_ = 0;
+    // Scratch of appendRun(): per body op, its field hash and its
+    // pointer terms and their steps; the compiled body.
+    struct RunHash
+    {
+        std::uint64_t fields;
+        std::uint64_t ptr[4];
+        std::uint64_t step[4];
+    };
+    std::vector<RunHash> runHash_;
+    std::vector<RunOp> run_;
+    // The last Copy2d recorded (0 rows before the first).
+    RunOp lastCopy_;
 };
 
 /**

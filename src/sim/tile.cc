@@ -93,13 +93,6 @@ sameShape(const ReplayOp &x, const ReplayOp &y)
            (x.dn == nullptr) == (y.dn == nullptr);
 }
 
-template <typename T>
-T *
-stepped(T *p, std::uintptr_t step)
-{
-    return reinterpret_cast<T *>(wordOf(p) + step);
-}
-
 } // namespace
 
 TileCounter
@@ -274,7 +267,7 @@ DiffMemTile::loopShape() const
     s.touched = touched_;
     s.loaded = dmaLoadCount_ != 0;
     const auto dep = [this](Cycle t) {
-        return t >= now_ ? static_cast<std::int64_t>(t - now_) : kDead;
+        return t > now_ ? static_cast<std::int64_t>(t - now_) : kDead;
     };
     for (std::size_t l = 0; l < kNumLanes; ++l)
         if (touched_ & touchBit(static_cast<TraceLane>(l)))
@@ -377,20 +370,20 @@ DiffMemTile::skipLoop(LoopFrame &frame, Cycle iterMax)
 
     // Addressing is affine in the iteration index: iterations
     // iter .. count-2 emit the last one's ops with every pointer
-    // stepped. The final iteration runs untimed through the
-    // interpreter, so its operands get the first one's bounds checks
-    // (in bounds at both ends means in bounds throughout).
-    for (std::uint64_t k = 1; k < r && (tape_ != nullptr || recording_);
-         ++k) {
-        for (std::size_t i = 0; i < numOps; ++i) {
-            ReplayOp &op = rec.stepped[i];
-            const auto &step = rec.steps[i];
-            op.a = stepped(op.a, step[0]);
-            op.b = stepped(op.b, step[1]);
-            op.d = stepped(op.d, step[2]);
-            op.dn = stepped(op.dn, step[3]);
-            emit(op);
-        }
+    // stepped, and the tape takes them as one run. The final iteration
+    // runs untimed through the interpreter, so its operands get the
+    // first one's bounds checks (in bounds at both ends means in
+    // bounds throughout).
+    if (tape_ != nullptr)
+        tape_->appendRun(rec.stepped, rec.steps, r - 1);
+    // An enclosing loop that still records logs them op by op.
+    for (std::uint64_t k = 1; k < r && recording_; ++k) {
+        for (std::size_t i = 0; i < numOps; ++i)
+            rec.stepped[i] = advanced(rec.stepped[i], rec.steps[i], 1);
+        rec.ops.insert(rec.ops.end(), rec.stepped.begin(),
+                       rec.stepped.end());
+        if (rec.ops.size() > kMaxLoggedOps)
+            stopRecording();
     }
     frame.iter = frame.count - 1;
 }

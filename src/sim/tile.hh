@@ -36,7 +36,6 @@
 #ifndef MANNA_SIM_TILE_HH
 #define MANNA_SIM_TILE_HH
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -160,11 +159,11 @@ struct LoopRecords
     std::vector<ReplayOp> ops;
     std::vector<Energy> charges;
     TileCounters iterStart[isa::kMaxLoopDepth];
-    // A skip's working copies: the last iteration's ops (stepped once
-    // per emitted iteration), their per-iteration pointer steps, and
-    // its charges.
+    // A skip's working copies: the last iteration's ops (the tape's
+    // run body, stepped once per iteration an enclosing loop logs),
+    // their per-iteration pointer steps, and its charges.
     std::vector<ReplayOp> stepped;
-    std::vector<std::array<std::uintptr_t, 4>> steps;
+    std::vector<ReplayStep> steps;
     std::vector<Energy> replay;
 };
 
@@ -379,7 +378,9 @@ class DiffMemTile
      * and per-space dependency times the body touches, with their
      * stall tags. A dependency time before now_ can never win a
      * start-time election (each first considers now_), so it is
-     * "dead", whatever its value.
+     * "dead", whatever its value. One equal to now_ is dead too: only
+     * the last op on a lane can leave it, and then it equals that
+     * lane's free time, which the shape keeps raw.
      */
     struct LoopShape
     {

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tape-pass tests on synthetic ReplayTapes: the row-update fusion
- * (soft-write quad, DNC link triple), staging elision and block ops.
+ * (soft-write quad, DNC link triple), staging elision, block ops and
+ * strided runs (appendRun()).
  * Every case builds the same op list over two copies of one arena,
  * replays the optimised tape on one copy and the unfused ops on the
  * other, and requires the two to agree bit for bit everywhere but the
@@ -14,6 +15,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/error.hh"
 #include "common/rng.hh"
 #include "sim/replay.hh"
 
@@ -287,6 +289,344 @@ TEST(ReplayTape, ReadGroupRetargetsVmmAtTheHomeRows)
     ASSERT_EQ(tape.ops().size(), 1u);
     EXPECT_EQ(tape.ops()[0].kind, ReplayKind::Vmm);
     EXPECT_EQ(tape.ops()[0].pitchA, kHomePitch);
+}
+
+// ---------------------------------------------------------------------
+// Runs. appendRun() stands for the per-op append() loop over a loop's
+// iterations: it must give the same digest and op count in record and
+// in check mode, and a sealed tape that computes the same bits.
+
+/** The loop bodies the run tests draw. */
+enum class Body
+{
+    RowQuads,     ///< 1-3 in-place soft-write quads per iteration
+    LinkTriples,  ///< 1-3 in-place link triples per iteration
+    StageAliases, ///< quads whose stage is their add vector
+    SparseW,      ///< w steps by two words
+    WInsideRows,  ///< every w lies in the gap after the first row
+    PerRowAdd,    ///< each row has its own add vector
+    Rotated,      ///< each iteration starts inside a quad
+    StagedBlock,  ///< [load][R quads on the staged rows][store]
+    Count,
+};
+
+/** One drawn run: ops before the loop body, the body at iteration 0
+ * and its pointer steps, the run's iterations, and the words elision
+ * may leave unwritten. */
+struct RunCase
+{
+    Ops prologue;
+    Ops body;
+    std::vector<ReplayStep> steps;
+    std::uint64_t iterations = 0;
+    std::size_t extras = 0; ///< body ops outside every idiom
+    std::size_t scratchBegin = 0;
+    std::size_t scratchEnd = 0;
+};
+
+constexpr std::size_t kRunArena = std::size_t{1} << 16;
+
+std::uintptr_t
+bytes(std::size_t words)
+{
+    return words * sizeof(float);
+}
+
+/**
+ * Draw case @p seed of @p shape over the arena at @p m: the same
+ * draws, hence the same ops relative to @p m, on every call. The loop
+ * runs iterations 0 .. iterations+1: the first and the last literally,
+ * the rest as the run.
+ */
+RunCase
+makeRunCase(Body shape, std::uint64_t seed, float *m)
+{
+    Rng rng(seed);
+    RunCase rc;
+    rc.iterations = 1 + rng.below(70);
+    const std::size_t spans = rc.iterations + 2;
+    const auto n = static_cast<std::uint32_t>(rng.range(4, 12));
+    std::size_t used = 0;
+    auto alloc = [&](std::size_t words) {
+        float *at = m + used;
+        used += words;
+        return at;
+    };
+    auto op = [&](Opcode code, float *d, const float *a,
+                  std::uint32_t aLen, const float *b, std::uint32_t bLen,
+                  float imm, ReplayStep step) {
+        ReplayOp o;
+        o.kind = ReplayKind::Elementwise;
+        o.op = code;
+        o.n = n;
+        o.a = a;
+        o.pitchA = aLen;
+        o.b = b;
+        o.pitchD = bLen;
+        o.d = d;
+        o.imm = imm;
+        rc.body.push_back(o);
+        rc.steps.push_back(step);
+    };
+    // One row update: src, w, add and the row step by the given words
+    // per iteration; the stage stays.
+    auto idiom = [&](bool link, float *row, const float *w,
+                     const float *src, const float *add, float *stage,
+                     std::size_t rowStep, std::size_t wStep,
+                     std::size_t srcStep, std::size_t addStep) {
+        const std::uintptr_t rs = bytes(rowStep), ws = bytes(wStep);
+        const std::uintptr_t ss = bytes(srcStep), as = bytes(addStep);
+        if (link) {
+            op(Opcode::EwSub, stage, src, n, w, 1, 0.0f, {ss, ws, 0, 0});
+        } else {
+            op(Opcode::EwMul, stage, src, n, w, 1, 0.0f, {ss, ws, 0, 0});
+            op(Opcode::EwRsubImm, stage, stage, n, nullptr, 0, 1.0f, {});
+        }
+        op(Opcode::EwMul, row, row, n, stage, n, 0.0f, {rs, 0, rs, 0});
+        op(Opcode::EwMac, row, add, n, w, 1, 0.0f, {as, ws, rs, 0});
+    };
+
+    if (shape == Body::StagedBlock) {
+        // Column block k of R home rows, staged through scratch rows.
+        const auto R = static_cast<std::uint32_t>(rng.range(2, 4));
+        const std::size_t hp = n * spans;
+        float *home = alloc(R * hp);
+        float *staged = alloc(R * n);
+        rc.scratchBegin = static_cast<std::size_t>(staged - m);
+        rc.scratchEnd = rc.scratchBegin + R * n;
+        float *w = alloc(R);
+        float *src = alloc(n * spans);
+        float *add = alloc(n * spans);
+        float *stage = alloc(n);
+        ReplayOp load;
+        load.kind = ReplayKind::Copy2d;
+        load.n = n;
+        load.rows = R;
+        load.a = home;
+        load.pitchA = static_cast<std::uint32_t>(hp);
+        load.d = staged;
+        load.pitchD = n;
+        rc.body.push_back(load);
+        rc.steps.push_back({bytes(n), 0, 0, 0});
+        for (std::uint32_t j = 0; j < R; ++j)
+            idiom(false, staged + j * n, w + j, src, add, stage, 0, 0, n,
+                  n);
+        ReplayOp store = load;
+        store.a = staged;
+        store.pitchA = n;
+        store.d = home;
+        store.pitchD = static_cast<std::uint32_t>(hp);
+        rc.body.push_back(store);
+        rc.steps.push_back({0, 0, bytes(n), 0});
+    } else {
+        const auto perIter = static_cast<std::size_t>(rng.range(1, 3));
+        const std::size_t rows = perIter * (spans + 1);
+        const std::size_t wStride = shape == Body::SparseW ? 2 : 1;
+        const std::size_t gap = shape == Body::WInsideRows
+                                    ? rows
+                                    : static_cast<std::size_t>(
+                                          rng.range(0, 3));
+        const std::size_t pitch = n + gap;
+        float *base = alloc(rows * pitch);
+        float *w = shape == Body::WInsideRows ? base + n
+                                              : alloc(rows * wStride);
+        float *src = alloc(n);
+        const bool perRowAdd = shape == Body::PerRowAdd;
+        float *add = alloc(perRowAdd ? rows * n : n);
+        float *stage = shape == Body::StageAliases ? add : alloc(n);
+        for (std::size_t j = 0; j < perIter; ++j)
+            idiom(shape == Body::LinkTriples, base + j * pitch,
+                  w + j * wStride, src, add + (perRowAdd ? j * n : 0),
+                  stage, perIter * pitch, perIter * wStride, 0,
+                  perRowAdd ? perIter * n : 0);
+        if (shape == Body::Rotated) {
+            // The body's first op belongs to the next iteration's
+            // quad; the loop's first quad starts before the body.
+            rc.prologue.push_back(rc.body.front());
+            rc.body.push_back(advanced(rc.body.front(), rc.steps[0], 1));
+            rc.steps.push_back(rc.steps[0]);
+            rc.body.erase(rc.body.begin());
+            rc.steps.erase(rc.steps.begin());
+        }
+    }
+
+    // Ops with their own spans, null operands and mixed steps, at
+    // random places in the body (inside an idiom they keep it apart).
+    rc.extras = rng.below(3);
+    for (std::size_t e = 0; e < rc.extras; ++e) {
+        float *from = alloc(2 * n * spans);
+        float *to = from + n * spans;
+        const std::uintptr_t as = rng.below(2) != 0 ? bytes(n) : 0;
+        const std::uintptr_t ds = rng.below(2) != 0 ? bytes(n) : 0;
+        ReplayOp x;
+        x.kind = ReplayKind::Elementwise;
+        x.n = n;
+        x.d = to;
+        ReplayStep step = {0, 0, ds, 0};
+        switch (rng.below(4)) {
+          case 0:
+            x.op = Opcode::EwAddImm;
+            x.a = from;
+            x.pitchA = n;
+            x.imm = 0.5f;
+            step[0] = as;
+            break;
+          case 1:
+            x.op = Opcode::Fill;
+            x.imm = 2.0f;
+            break;
+          case 2:
+            x.op = Opcode::EwAdd;
+            x.a = x.b = from;
+            x.pitchA = x.pitchD = n;
+            step[0] = step[1] = as;
+            break;
+          default:
+            x.kind = ReplayKind::Copy2d;
+            x.rows = 1;
+            x.a = from;
+            step[0] = as;
+            break;
+        }
+        const auto at = static_cast<std::ptrdiff_t>(
+            rng.below(rc.body.size() + 1));
+        rc.body.insert(rc.body.begin() + at, x);
+        rc.steps.insert(rc.steps.begin() + at, step);
+    }
+    EXPECT_LE(used, kRunArena);
+    return rc;
+}
+
+/** Record @p rc's loop on @p tape, the middle iterations as one run
+ * when @p asRun, else op by op; or, on a Ready tape, check them. */
+void
+appendLoop(ReplayTape &tape, const RunCase &rc, bool asRun,
+           std::uint64_t runIterations)
+{
+    for (const ReplayOp &op : rc.prologue)
+        tape.append(op);
+    for (const ReplayOp &op : rc.body)
+        tape.append(op);
+    if (asRun) {
+        tape.appendRun(rc.body, rc.steps, runIterations);
+    } else {
+        for (std::uint64_t k = 1; k <= runIterations; ++k)
+            for (std::size_t i = 0; i < rc.body.size(); ++i)
+                tape.append(advanced(rc.body[i], rc.steps[i], k));
+    }
+    for (std::size_t i = 0; i < rc.body.size(); ++i)
+        tape.append(
+            advanced(rc.body[i], rc.steps[i], rc.iterations + 1));
+}
+
+/** Every block op keeps each w outside its rows, at a pitch >= n. */
+void
+expectBlocksKeepW(const ReplayTape &tape)
+{
+    for (const ReplayOp &op : tape.ops()) {
+        if (op.kind != ReplayKind::FusedRowUpdate &&
+            op.kind != ReplayKind::FusedLinkUpdate)
+            continue;
+        if (op.rows < 2)
+            continue;
+        EXPECT_GE(op.pitchD, op.n);
+        const float *rowsEnd =
+            op.d + std::size_t(op.rows - 1) * op.pitchD + op.n;
+        EXPECT_FALSE(op.b < rowsEnd && op.d < op.b + op.rows)
+            << "a block's w lies in its rows";
+    }
+}
+
+void
+expectSameBits(const std::vector<float> &x, const std::vector<float> &y,
+               const RunCase &rc)
+{
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        if (i >= rc.scratchBegin && i < rc.scratchEnd)
+            continue;
+        std::uint32_t bx = 0;
+        std::uint32_t by = 0;
+        std::memcpy(&bx, &x[i], 4);
+        std::memcpy(&by, &y[i], 4);
+        ASSERT_EQ(bx, by) << "arena word " << i;
+    }
+}
+
+TEST(ReplayTapeRun, EqualsTheOpByOpLoop)
+{
+    std::vector<float> init(kRunArena);
+    Rng fill(23);
+    for (auto &v : init)
+        v = static_cast<float>(fill.uniform(-1.0, 1.0));
+    for (int s = 0; s < static_cast<int>(Body::Count); ++s) {
+        const auto shape = static_cast<Body>(s);
+        for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+            SCOPED_TRACE(testing::Message()
+                         << "body " << s << " seed " << seed);
+            std::vector<float> runArena = init;
+            std::vector<float> opArena = init;
+            std::vector<float> plain = init;
+            const RunCase rc = makeRunCase(shape, seed, runArena.data());
+            const RunCase ro = makeRunCase(shape, seed, opArena.data());
+            const RunCase rp = makeRunCase(shape, seed, plain.data());
+
+            ReplayTape run;
+            run.startRecording();
+            appendLoop(run, rc, true, rc.iterations);
+            run.finishRecording();
+            ReplayTape byOp;
+            byOp.startRecording();
+            appendLoop(byOp, ro, false, ro.iterations);
+            byOp.finishRecording();
+
+            // Either way of appending checks against either recording,
+            // and a run one iteration short fails the check.
+            run.startCheck();
+            appendLoop(run, rc, false, rc.iterations);
+            EXPECT_NO_THROW(run.checkStep(2));
+            byOp.startCheck();
+            appendLoop(byOp, ro, true, ro.iterations);
+            EXPECT_NO_THROW(byOp.checkStep(2));
+            byOp.startCheck();
+            appendLoop(byOp, ro, true, ro.iterations - 1);
+            EXPECT_THROW(byOp.checkStep(2), SimError);
+
+            // The same tape, computing the same bits as the plain ops.
+            ASSERT_EQ(run.ops().size(), byOp.ops().size());
+            for (int step = 0; step < 2; ++step) {
+                for (const ReplayOp &op : run.ops())
+                    execTileOp(op, &run);
+                for (const ReplayOp &op : byOp.ops())
+                    execTileOp(op, &byOp);
+                for (const ReplayOp &op : rp.prologue)
+                    execTileOp(op);
+                for (std::uint64_t k = 0; k <= rp.iterations + 1; ++k)
+                    for (std::size_t i = 0; i < rp.body.size(); ++i)
+                        execTileOp(
+                            advanced(rp.body[i], rp.steps[i], k));
+            }
+            expectSameBits(runArena, plain, rc);
+            expectSameBits(opArena, plain, rc);
+            expectBlocksKeepW(run);
+
+            std::size_t fused = 0;
+            std::size_t blocks = 0;
+            for (const ReplayOp &op : run.ops()) {
+                const bool f = op.kind == ReplayKind::FusedRowUpdate ||
+                               op.kind == ReplayKind::FusedLinkUpdate;
+                fused += f ? 1 : 0;
+                blocks += f && op.rows > 1 ? 1 : 0;
+            }
+            if (shape == Body::StageAliases) {
+                EXPECT_EQ(fused, 0u);
+            } else if (shape == Body::SparseW) {
+                EXPECT_EQ(blocks, 0u);
+            } else if (rc.extras == 0 && (shape == Body::RowQuads ||
+                                          shape == Body::StagedBlock)) {
+                EXPECT_GT(blocks, 0u);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -388,6 +388,51 @@ TEST(ChipTiming, StaleTapeFailsTheNextTimedStep)
     }
 }
 
+TEST(ChipTiming, StaleTapeFailsInsideAFastForwardedLoop)
+{
+    const MannConfig mc = makeConfig(64, 16, 1, 1);
+    for (const Fidelity fidelity : {Fidelity::Cycle, Fidelity::Fast}) {
+        compiler::CompiledModel model =
+            compiler::compile(mc, arch::MannaConfig::withTiles(4));
+        Chip chip(model, 3, fidelity);
+        const FVec x(mc.inputDim, 0.5f);
+        chip.step(x); // records the tape
+
+        // The soft write's row loop (its body holds the EwRsubImm) is
+        // long enough to be fast-forwarded, so the tape takes most of
+        // its ops as one run. Move a source of one of them a word down.
+        isa::Instruction *edited = nullptr;
+        for (auto &segment : model.stepSegments) {
+            if (segment.name != "soft-write")
+                continue;
+            auto &insts = segment.tilePrograms[0].instructions();
+            std::size_t loop = 0;
+            for (std::size_t i = 0; i < insts.size(); ++i) {
+                if (insts[i].op == isa::Opcode::Loop)
+                    loop = i;
+                if (insts[i].op == isa::Opcode::EwRsubImm)
+                    break;
+            }
+            ASSERT_GE(insts[loop].count, 3u);
+            for (std::size_t j = loop + 1; !edited; ++j)
+                if (insts[j].srcA.valid() && insts[j].srcA.base > 0)
+                    edited = &insts[j];
+        }
+        ASSERT_NE(edited, nullptr);
+        ASSERT_EQ(edited->op, isa::Opcode::EwMul);
+        edited->srcA.base -= 1;
+
+        try {
+            chip.step(x);
+            FAIL() << "step 2 ran on a stale tape";
+        } catch (const SimError &e) {
+            EXPECT_NE(std::string(e.what()).find("step 2"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Loop fast-forward oracle. A chip with a zero-capacity TraceLogger
 // attached interprets every instruction (a trace lists each one); the
