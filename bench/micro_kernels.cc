@@ -31,6 +31,9 @@
  * fast-forwarding steady-state loops (docs/PERF.md). The
  * RecordStep/<bench>/<tiles> rows time reset() plus the first step of
  * a fast chip: timing, tape recording, the tape passes and the replay.
+ * The ReplayStep/<shape>/16 rows time one step of a fast chip past
+ * its calibration steps, which only replays the sealed tape: shrdlu
+ * and copy from Table 2, and dnc1024, perfbench's 1024-row DNC.
  */
 
 #include <chrono>
@@ -42,11 +45,13 @@
 #include "common/strutil.hh"
 #include "common/table.hh"
 #include "compiler/compiler.hh"
+#include "compiler/dnc_codegen.hh"
 #include "harness/observe.hh"
 #include "harness/report.hh"
 #include "harness/sweep.hh"
 #include "mann/ntm.hh"
 #include "sim/chip.hh"
+#include "sim/dnc_chip.hh"
 #include "tensor/dispatch.hh"
 #include "tensor/matrix.hh"
 #include "tensor/vector_ops.hh"
@@ -178,6 +183,13 @@ addKernelMicros(std::vector<Micro> &micros)
                               doNotOptimize(
                                   k->dot(a->data(), b->data(), n));
                           }});
+        micros.push_back({name("dotBlocks"), n, 2 * n * sizeof(float),
+                          2 * n, [k, a, b] {
+                              float d = 0.0f;
+                              k->dotBlocks(a->data(), b->data(), n, 32,
+                                           &d, nullptr);
+                              doNotOptimize(d);
+                          }});
         micros.push_back({name("dotNorm"), n, 2 * n * sizeof(float),
                           4 * n, [k, a, b] {
                               float d = 0.0f, nrm = 0.0f;
@@ -258,6 +270,64 @@ addTimedStepMicros(std::vector<Micro> &micros)
                      doNotOptimize(tc->chip->step(tc->x));
                  }});
         }
+    }
+}
+
+/** A chip past its calibration steps (an NTM's or a DNC's), built on
+ * the first call of its micro's body. */
+struct ReplayChip
+{
+    compiler::CompiledModel model;
+    compiler::CompiledDnc dncModel;
+    std::unique_ptr<sim::Chip> chip;
+    std::unique_ptr<sim::DncChip> dnc;
+    tensor::FVec x;
+};
+
+void
+addReplayStepMicros(std::vector<Micro> &micros)
+{
+    for (const char *shape : {"shrdlu", "dnc1024", "copy"}) {
+        auto rc = std::make_shared<ReplayChip>();
+        const std::string name = shape;
+        micros.push_back(
+            {strformat("ReplayStep/%s/16", shape), 0, 0, 0, [rc, name] {
+                 const auto ac = arch::MannaConfig::baseline16();
+                 const auto step = [&rc] {
+                     return rc->dnc ? rc->dnc->step(rc->x)
+                                    : rc->chip->step(rc->x);
+                 };
+                 if (!rc->chip && !rc->dnc) {
+                     if (name == "dnc1024") {
+                         // perfbench's DNC: the graph-traversal task's
+                         // widths, 64-word rows, 2 read heads.
+                         const auto &travers =
+                             workloads::benchmarkByName("travers").config;
+                         mann::DncConfig cfg;
+                         cfg.memN = 1024;
+                         cfg.memM = 64;
+                         cfg.numReadHeads = 2;
+                         cfg.controllerWidth = 128;
+                         cfg.inputDim = travers.inputDim;
+                         cfg.outputDim = travers.outputDim;
+                         rc->dncModel = compiler::compileDnc(cfg, ac);
+                         rc->dnc = std::make_unique<sim::DncChip>(
+                             rc->dncModel, 1, sim::Fidelity::Fast);
+                         rc->x = tensor::FVec(cfg.inputDim, 0.1f);
+                     } else {
+                         const auto &cfg =
+                             workloads::benchmarkByName(name).config;
+                         rc->model = compiler::compile(cfg, ac);
+                         rc->chip = std::make_unique<sim::Chip>(
+                             rc->model, 1, sim::Fidelity::Fast);
+                         rc->x = tensor::FVec(cfg.inputDim, 0.1f);
+                     }
+                     // The calibration steps time, record and check.
+                     for (int s = 0; s < 2; ++s)
+                         step();
+                 }
+                 doNotOptimize(step());
+             }});
     }
 }
 
@@ -359,6 +429,7 @@ buildMicros()
          }});
 
     addTimedStepMicros(micros);
+    addReplayStepMicros(micros);
     return micros;
 }
 

@@ -1,11 +1,14 @@
 #include "replay.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <unordered_map>
+#include <utility>
 
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -209,13 +212,48 @@ void
 execFusedUpdate(const ReplayOp &op, const ReplayTape &tape)
 {
     const float *add = tape.srcPtrs(op.pitchA)[0];
+    float *stage = op.block == 0 ? op.dn : tape.stageScratch();
     const auto &k = tensor::simd::kernels();
     for (std::uint32_t r = 0; r < op.rows; ++r) {
         float *row = op.d + std::size_t(r) * op.pitchD;
         if (op.kind == ReplayKind::FusedRowUpdate)
-            k.rowUpdate(op.a, add, op.b[r], op.imm, row, op.dn, op.n);
+            k.rowUpdate(op.a, add, op.b[r], op.imm, row, stage, op.n);
         else
-            k.linkUpdate(op.a, add, op.b[r], row, op.dn, op.n);
+            k.linkUpdate(op.a, add, op.b[r], row, stage, op.n);
+    }
+    // A merged sweep's per-block ops each left their block of the
+    // last row in the stage, in block order.
+    for (std::uint32_t c = 0; op.block != 0 && c < op.n; c += op.block)
+        std::copy(stage + c, stage + std::min(c + op.block, op.n), op.dn);
+}
+
+/** A merged row-dot sweep: per row, each vector's blocked dot (the
+ * per-block Vmm dots, added to the destination in block order). */
+void
+execRowDotSweep(const ReplayOp &op, const ReplayTape &tape)
+{
+    const SweepPair *pairs = tape.sweepPairs(op.pitchD);
+    const bool norms = (op.flags & kReplayWithNorms) != 0;
+    const auto &k = tensor::simd::kernels();
+    for (std::uint32_t r = 0; r < op.rows; ++r) {
+        const float *row = op.b + std::size_t(r) * op.pitchA;
+        for (std::uint32_t v = 0; v < op.vecs; ++v)
+            k.dotBlocks(row, pairs[v].v, op.n, op.block, pairs[v].d + r,
+                        norms && v == 0 ? op.dn + r : nullptr);
+    }
+}
+
+/** A merged column sweep: per row, one axpy per vector over the whole
+ * row (element-wise, so exactly the per-block axpys). */
+void
+execColumnSweep(const ReplayOp &op, const ReplayTape &tape)
+{
+    const SweepPair *pairs = tape.sweepPairs(op.pitchD);
+    const auto &k = tensor::simd::kernels();
+    for (std::uint32_t r = 0; r < op.rows; ++r) {
+        const float *row = op.b + std::size_t(r) * op.pitchA;
+        for (std::uint32_t v = 0; v < op.vecs; ++v)
+            k.axpy(pairs[v].v[r], row, pairs[v].d, op.n);
     }
 }
 
@@ -251,6 +289,14 @@ hull(const float *p, std::uintptr_t step, std::uint64_t last,
     const std::uintptr_t final = first + last * step;
     return {std::min(first, final),
             std::max(first, final) + n * sizeof(float)};
+}
+
+/** The bytes of @p words words at @p p. */
+Span
+spanOf(const void *p, std::size_t words)
+{
+    const auto lo = reinterpret_cast<std::uintptr_t>(p);
+    return {lo, lo + words * sizeof(float)};
 }
 
 bool
@@ -366,6 +412,125 @@ constexpr Idiom kIdioms[] = {
     {3, {Opcode::EwSub, Opcode::EwMul, Opcode::EwMac}, matchLinkTriple},
 };
 
+/** A byte range the validity walk watches, and its id. */
+struct WatchedSpan
+{
+    Span span;
+    std::size_t id;
+};
+
+void
+sortSpans(std::vector<WatchedSpan> &spans)
+{
+    std::sort(spans.begin(), spans.end(),
+              [](const WatchedSpan &x, const WatchedSpan &y) {
+                  return x.span.lo < y.span.lo;
+              });
+}
+
+/** Sort @p spans and merge the ones that overlap or touch. */
+void
+mergeSpans(std::vector<WatchedSpan> &spans)
+{
+    sortSpans(spans);
+    std::size_t merged = 0;
+    for (const WatchedSpan &s : spans) {
+        if (merged > 0 && s.span.lo <= spans[merged - 1].span.hi)
+            spans[merged - 1].span.hi =
+                std::max(spans[merged - 1].span.hi, s.span.hi);
+        else
+            spans[merged++] = s;
+    }
+    spans.resize(merged);
+}
+
+/**
+ * Disjoint watched ranges, sorted, behind a one-bit-per-line filter: a
+ * span none of whose 256-byte lines holds a watched byte overlaps no
+ * range and skips the search. Built once per seal; most of the spans
+ * a tape walk meets miss every range.
+ */
+class WatchIndex
+{
+  public:
+    explicit WatchIndex(std::vector<WatchedSpan> spans)
+        : spans_(std::move(spans))
+    {
+        sortSpans(spans_);
+        for (const WatchedSpan &s : spans_) {
+            const std::uintptr_t lo = s.span.lo >> kLineBits;
+            const std::uintptr_t hi = (s.span.hi - 1) >> kLineBits;
+            if (hi - lo >= kFilterBits)
+                filter_.fill(~std::uint64_t{0});
+            for (std::uintptr_t line = lo;
+                 line <= hi && line - lo < kFilterBits; ++line)
+                filter_[bit(line) / 64] |= std::uint64_t{1}
+                                           << (bit(line) % 64);
+        }
+    }
+
+    /** Index of the first range ending after byte @p p (branch-free:
+     * the probes are data-dependent, so a branchy search mispredicts
+     * on most spans). */
+    std::size_t first(std::uintptr_t p) const
+    {
+        if (spans_.empty())
+            return 0;
+        const WatchedSpan *base = spans_.data();
+        std::size_t len = spans_.size();
+        while (len > 1) {
+            const std::size_t half = len / 2;
+            base = base[half - 1].span.hi <= p ? base + half : base;
+            len -= half;
+        }
+        return static_cast<std::size_t>(base - spans_.data()) +
+               (base->span.hi <= p ? 1 : 0);
+    }
+
+    /** Call fn(id) for each range @p s overlaps, in address order. */
+    template <typename Fn>
+    void forEachHit(Span s, Fn &&fn) const
+    {
+        if (!mayHit(s))
+            return;
+        for (std::size_t i = first(s.lo);
+             i < spans_.size() && spans_[i].span.lo < s.hi; ++i)
+            fn(spans_[i].id);
+    }
+
+  private:
+    static constexpr unsigned kLineBits = 8;
+    static constexpr unsigned kFilterLog = 14;
+    static constexpr std::uintptr_t kFilterBits = std::uintptr_t{1}
+                                                  << kFilterLog;
+    /** Spans over more lines than this skip the filter. */
+    static constexpr std::uintptr_t kMaxProbes = 16;
+
+    static std::size_t bit(std::uintptr_t line)
+    {
+        return static_cast<std::size_t>(
+            (static_cast<std::uint64_t>(line) * 0x9e3779b97f4a7c15ull) >>
+            (64 - kFilterLog));
+    }
+
+    bool mayHit(Span s) const
+    {
+        if (s.lo >= s.hi)
+            return false;
+        const std::uintptr_t lo = s.lo >> kLineBits;
+        const std::uintptr_t hi = (s.hi - 1) >> kLineBits;
+        if (hi - lo >= kMaxProbes)
+            return true;
+        for (std::uintptr_t line = lo; line <= hi; ++line)
+            if ((filter_[bit(line) / 64] >> (bit(line) % 64) & 1) != 0)
+                return true;
+        return false;
+    }
+
+    std::vector<WatchedSpan> spans_;
+    std::array<std::uint64_t, kFilterBits / 64> filter_{};
+};
+
 double
 msSince(std::chrono::steady_clock::time_point t0)
 {
@@ -398,9 +563,16 @@ execTileOp(const ReplayOp &op, const ReplayTape *tape)
         break;
       case ReplayKind::FusedRowUpdate:
       case ReplayKind::FusedLinkUpdate:
+      case ReplayKind::RowDotSweep:
+      case ReplayKind::ColumnSweep:
         MANNA_ASSERT(tape != nullptr,
-                     "fused row updates need the owning tape");
-        execFusedUpdate(op, *tape);
+                     "the tape's merged ops need the owning tape");
+        if (isFusedUpdate(op))
+            execFusedUpdate(op, *tape);
+        else if (op.kind == ReplayKind::RowDotSweep)
+            execRowDotSweep(op, *tape);
+        else
+            execColumnSweep(op, *tape);
         break;
       default:
         panic("execTileOp on a chip-level replay op");
@@ -666,6 +838,361 @@ ReplayTape::compileRun(const std::vector<ReplayOp> &body,
     return true;
 }
 
+/** One matched blocked-sweep group, as indices into the tape.
+ * ops_[begin] is the load, which copies the block's home rows (in the
+ * matrix buffer) to its staged copy (in the scratchpad); for
+ * row-update groups ops_[end - 1] is the mirror store back home. */
+struct ReplayTape::Group
+{
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    const float *staged = nullptr;
+    std::size_t stagedLen = 0;
+    float *homeMut = nullptr; // non-null only for row updates
+    const float *home = nullptr;
+    std::uint32_t homePitch = 0;
+    std::uint32_t rows = 0;  // the block's rows
+    std::uint32_t width = 0; // and words per row
+    std::size_t cluster = 0;
+};
+
+/** A chain of groups, [first, last), and the op that replaces it. */
+struct ReplayTape::Sweep
+{
+    std::size_t first = 0;
+    std::size_t last = 0;
+    ReplayOp op;                      // its pool offset set when kept
+    const float *add = nullptr;       // row updates: the add vector
+    std::vector<SweepPair> pairs;     // Vmm sweeps: vectors, dsts
+    std::vector<std::size_t> foreign; // window ops outside the groups
+    // Vmm sweeps: the words its dropped copies wrote, the words its
+    // window surely rewrites before reading any (all of them when every
+    // copy starts at one word, else the first copy's), and the watched
+    // stage interval that holds them.
+    Span stage{};
+    Span rewrite{};
+    std::size_t watch = 0;
+};
+
+template <typename Fn>
+void
+ReplayTape::forEachSpan(const ReplayOp &op, Fn &&fn) const
+{
+    switch (op.kind) {
+      case ReplayKind::Copy2d:
+        fn(op.a, std::size_t(op.rows - 1) * op.pitchA + op.n, false);
+        fn(op.d, std::size_t(op.rows - 1) * op.pitchD + op.n, true);
+        break;
+      case ReplayKind::Vmm: {
+        const bool rowDot = (op.flags & kReplayRowDot) != 0;
+        fn(op.b, std::size_t(op.rows - 1) * op.pitchA + op.n, false);
+        fn(op.a, std::size_t(rowDot ? op.n : op.rows), false);
+        fn(op.d, std::size_t(rowDot ? op.rows : op.n), true);
+        if (op.dn != nullptr)
+            fn(op.dn, std::size_t(op.rows), true);
+        break;
+      }
+      case ReplayKind::Elementwise:
+        if (op.a != nullptr)
+            fn(op.a, std::size_t(op.pitchA), false);
+        if (op.b != nullptr)
+            fn(op.b, std::size_t(op.pitchD), false);
+        fn(op.d, std::size_t(op.n), true);
+        break;
+      case ReplayKind::Sfu:
+        fn(op.a, std::size_t(op.n), false);
+        if (op.b != nullptr)
+            fn(op.b, std::size_t(1), false);
+        // The accumulating SFU forms reduce to a scalar dst.
+        fn(op.d,
+           isa::opInfo(op.op).sfuCost == isa::SfuCost::Acc
+               ? std::size_t(1)
+               : std::size_t(op.n),
+           true);
+        break;
+      case ReplayKind::FusedRowUpdate:
+      case ReplayKind::FusedLinkUpdate:
+        fn(op.a, std::size_t(op.n), false);
+        fn(op.b, std::size_t(op.rows), false);
+        fn(op.d, std::size_t(op.rows - 1) * op.pitchD + op.n, true);
+        fn(op.dn, std::size_t(op.block == 0 ? op.n : op.block), true);
+        fn(srcPool_[op.pitchA], std::size_t(op.n), false);
+        break;
+      case ReplayKind::RowDotSweep:
+      case ReplayKind::ColumnSweep: {
+        const bool rowDot = op.kind == ReplayKind::RowDotSweep;
+        fn(op.b, std::size_t(op.rows - 1) * op.pitchA + op.n, false);
+        const SweepPair *pairs = sweepPairs(op.pitchD);
+        for (std::uint32_t v = 0; v < op.vecs; ++v) {
+            fn(pairs[v].v, std::size_t(rowDot ? op.n : op.rows), false);
+            fn(pairs[v].d, std::size_t(rowDot ? op.rows : op.n), true);
+        }
+        if ((op.flags & kReplayWithNorms) != 0)
+            fn(op.dn, std::size_t(op.rows), true);
+        break;
+      }
+      case ReplayKind::Reduce:
+        for (std::uint32_t t = 0; t < op.rows; ++t)
+            fn(srcPool_[op.pitchA + t], std::size_t(op.n), false);
+        break;
+      case ReplayKind::Broadcast:
+        for (std::uint32_t t = 0; t < op.rows; ++t)
+            fn(dstPool_[op.pitchA + t], std::size_t(op.n), true);
+        break;
+      case ReplayKind::ReadVectorOut:
+      case ReplayKind::UsageToAlloc:
+        break;
+    }
+}
+
+std::size_t
+ReplayTape::chainSweep(const std::vector<Group> &groups,
+                       const std::vector<int> &groupOf, std::size_t first,
+                       Sweep &sw) const
+{
+    const Group &g0 = groups[first];
+    const bool rowUpdate = g0.homeMut != nullptr;
+    // A read group's Vmms, each right after the copy that stages its
+    // vector.
+    std::vector<std::size_t> vmms;
+    auto vmmsOf = [&](std::size_t gi) {
+        const Group &g = groups[gi];
+        vmms.clear();
+        for (std::size_t k = g.begin + 1; k < g.end; ++k) {
+            if (groupOf[k] != static_cast<int>(gi))
+                continue;
+            const ReplayOp &c = ops_[k - 1];
+            if (k - 1 == g.begin || c.kind != ReplayKind::Copy2d ||
+                c.rows != 1 || c.d != ops_[k].a)
+                return false;
+            vmms.push_back(k);
+        }
+        return !vmms.empty() &&
+               vmms.size() <= std::numeric_limits<std::uint8_t>::max();
+    };
+
+    // The merged op as far as the first group sets it.
+    ReplayOp &op = sw.op;
+    op = ReplayOp{};
+    sw.pairs.clear();
+    sw.foreign.clear();
+    std::uint8_t flags = 0; // the first vector's Vmm flags
+    if (rowUpdate) {
+        if (g0.end - g0.begin != 3)
+            return 0;
+        op = ops_[g0.begin + 1];
+        sw.add = srcPool_[op.pitchA];
+    } else {
+        if (!vmmsOf(first))
+            return 0;
+        const ReplayOp &m0 = ops_[vmms[0]];
+        flags = m0.flags;
+        if ((flags & kReplayAccumulate) == 0)
+            return 0;
+        op.kind = (flags & kReplayRowDot) != 0 ? ReplayKind::RowDotSweep
+                                               : ReplayKind::ColumnSweep;
+        op.flags = flags & kReplayWithNorms;
+        op.dn = m0.dn;
+        for (const std::size_t k : vmms)
+            sw.pairs.push_back({ops_[k - 1].a, ops_[k].d});
+    }
+    const bool rowDot = op.kind == ReplayKind::RowDotSweep;
+    const std::uint32_t hp = g0.homePitch;
+    auto at = [](const void *p, const void *base, std::size_t words) {
+        return wordOf(p) == wordOf(base) + words * sizeof(float);
+    };
+    // Group gi is the block at row rho and column col of the sweep.
+    auto fitsAt = [&](std::size_t gi, std::size_t rho, std::size_t col) {
+        const Group &g = groups[gi];
+        if ((g.homeMut != nullptr) != rowUpdate || g.homePitch != hp ||
+            !at(g.home, g0.home, rho * hp + col))
+            return false;
+        if (rowUpdate) {
+            const ReplayOp &f = ops_[g.begin + 1];
+            return g.end - g.begin == 3 && f.kind == op.kind &&
+                   f.imm == op.imm && f.dn == op.dn && at(f.a, op.a, col) &&
+                   at(f.b, op.b, rho) &&
+                   at(srcPool_[f.pitchA], sw.add, col);
+        }
+        if (!vmmsOf(gi) || vmms.size() != sw.pairs.size())
+            return false;
+        for (std::size_t v = 0; v < vmms.size(); ++v) {
+            const ReplayOp &c = ops_[vmms[v] - 1];
+            const ReplayOp &m = ops_[vmms[v]];
+            // Row norms ride on the first vector only.
+            const auto want = static_cast<std::uint8_t>(
+                v == 0 ? flags : flags & ~kReplayWithNorms);
+            if (m.flags != want || c.n != (rowDot ? g.width : g.rows) ||
+                !at(c.a, sw.pairs[v].v, rowDot ? col : rho) ||
+                !at(m.d, sw.pairs[v].d, rowDot ? rho : col))
+                return false;
+        }
+        const ReplayOp &m0 = ops_[vmms[0]];
+        return op.dn == nullptr ? m0.dn == nullptr : at(m0.dn, op.dn, rho);
+    };
+    if (!fitsAt(first, 0, 0))
+        return 0;
+
+    // Outer blocks of inner blocks: row blocks of column blocks, or,
+    // when the second group starts the first column's next row block,
+    // the other way round. The first outer block sets how many inner
+    // blocks each holds and their sizes; every column block is as wide
+    // as the first but the last, which may be narrower.
+    const bool rowMajor =
+        first + 1 >= groups.size() || groups[first + 1].width != g0.width ||
+        !fitsAt(first + 1, g0.rows, 0);
+    std::vector<std::uint32_t> outer{rowMajor ? g0.rows : g0.width};
+    std::vector<std::uint32_t> inner{rowMajor ? g0.width : g0.rows};
+    auto widthFits = [](const std::vector<std::uint32_t> &widths,
+                        std::uint32_t next) {
+        return widths.back() == widths[0] && next <= widths[0];
+    };
+    std::size_t perOuter = 0; // inner blocks per outer block, once known
+    std::size_t oOff = 0;     // the current outer block's offset
+    std::size_t iOff = inner[0];
+    std::size_t ii = 1; // its inner blocks so far
+    std::size_t count = 1;
+    std::size_t outerDone = 1; // outer blocks complete at count
+    std::size_t complete = 1;
+    for (std::size_t t = first + 1; t < groups.size(); ++t) {
+        const Group &g = groups[t];
+        const std::uint32_t os = rowMajor ? g.rows : g.width;
+        const std::uint32_t is = rowMajor ? g.width : g.rows;
+        auto fits = [&](std::size_t o, std::size_t i) {
+            return rowMajor ? fitsAt(t, o, i) : fitsAt(t, i, o);
+        };
+        if ((perOuter == 0 || ii < perOuter) && os == outer.back() &&
+            (perOuter != 0 ? is == inner[ii]
+                           : !rowMajor || widthFits(inner, is)) &&
+            fits(oOff, iOff)) {
+            if (perOuter == 0)
+                inner.push_back(is);
+            iOff += is;
+            ++ii;
+        } else if ((perOuter == 0 || ii == perOuter) && is == inner[0] &&
+                   (rowMajor || widthFits(outer, os)) &&
+                   fits(oOff + outer.back(), 0)) {
+            if (perOuter == 0)
+                perOuter = ii;
+            oOff += outer.back();
+            outer.push_back(os);
+            iOff = is;
+            ii = 1;
+        } else {
+            break;
+        }
+        ++count;
+        if (perOuter == 0 || ii == perOuter) {
+            complete = count;
+            outerDone = outer.size();
+        }
+    }
+    outer.resize(outerDone);
+    if (perOuter == 0)
+        perOuter = inner.size();
+    inner.resize(perOuter);
+    auto total = [](const std::vector<std::uint32_t> &sizes) {
+        std::uint64_t sum = 0;
+        for (const std::uint32_t x : sizes)
+            sum += x;
+        return sum;
+    };
+    const std::vector<std::uint32_t> &heights = rowMajor ? outer : inner;
+    const std::vector<std::uint32_t> &widths = rowMajor ? inner : outer;
+    const std::uint64_t rows = total(heights);
+    const std::uint64_t cols = total(widths);
+    // A row update's stage ends as its row-major per-block ops left it.
+    if (rows > std::numeric_limits<std::uint32_t>::max() / 2 ||
+        cols > std::numeric_limits<std::uint32_t>::max() / 2 ||
+        (rowUpdate && (!rowMajor || widths.size() < 2)))
+        return 0;
+    sw.first = first;
+    sw.last = first + complete;
+    op.rows = static_cast<std::uint32_t>(rows);
+    op.n = static_cast<std::uint32_t>(cols);
+    op.block = widths[0];
+    const std::size_t span = (rows - 1) * hp + cols;
+
+    // Legality: what the merged op reads (sources) and writes.
+    std::vector<Span> reads;
+    std::vector<Span> writes;
+    if (rowUpdate) {
+        op.d = g0.homeMut;
+        op.pitchD = hp;
+        reads = {spanOf(op.a, cols), spanOf(sw.add, cols),
+                 spanOf(op.b, rows)};
+        writes = {spanOf(op.d, span), spanOf(op.dn, op.block)};
+    } else {
+        op.b = g0.home;
+        op.pitchA = hp;
+        op.vecs = static_cast<std::uint8_t>(sw.pairs.size());
+        reads.push_back(spanOf(op.b, span));
+        for (const SweepPair &p : sw.pairs) {
+            reads.push_back(spanOf(p.v, rowDot ? cols : rows));
+            writes.push_back(spanOf(p.d, rowDot ? rows : cols));
+        }
+        if (op.dn != nullptr)
+            writes.push_back(spanOf(op.dn, rows));
+    }
+    for (std::size_t i = 0; i < writes.size(); ++i) {
+        for (std::size_t j = i + 1; j < writes.size(); ++j)
+            if (overlaps(writes[i], writes[j]))
+                return 0;
+        for (const Span &r : reads)
+            if (overlaps(writes[i], r))
+                return 0;
+    }
+    // The window's ops outside the groups; the stage words that the
+    // dropped copies wrote.
+    const std::size_t begin = g0.begin;
+    const std::size_t end = groups[sw.last - 1].end;
+    sw.stage = sw.rewrite = {};
+    bool oneStart = true;
+    for (std::size_t k = begin; k < end; ++k) {
+        if (groupOf[k] >= 0)
+            continue;
+        const ReplayOp &c = ops_[k];
+        if (!rowUpdate && k + 1 < end && groupOf[k + 1] >= 0 &&
+            ops_[k + 1].kind == ReplayKind::Vmm) {
+            const Span s = spanOf(c.d, c.n);
+            if (sw.stage.lo == sw.stage.hi)
+                sw.stage = sw.rewrite = s;
+            oneStart = oneStart && s.lo == sw.rewrite.lo;
+            sw.stage = {std::min(sw.stage.lo, s.lo),
+                        std::max(sw.stage.hi, s.hi)};
+        } else {
+            sw.foreign.push_back(k);
+        }
+    }
+    if (oneStart)
+        sw.rewrite = sw.stage;
+    if (!rowUpdate) {
+        for (const Span &s : reads)
+            if (overlaps(sw.stage, s))
+                return 0;
+        for (const Span &s : writes)
+            if (overlaps(sw.stage, s))
+                return 0;
+        writes.push_back(sw.stage);
+    }
+    for (const std::size_t k : sw.foreign) {
+        bool clash = false;
+        forEachSpan(ops_[k], [&](const float *p, std::size_t len,
+                                 bool written) {
+            if (p == nullptr || len == 0)
+                return;
+            const Span s = spanOf(p, len);
+            for (const Span &w : writes)
+                clash = clash || overlaps(s, w);
+            for (const Span &r : reads)
+                clash = clash || (written && overlaps(s, r));
+        });
+        if (clash)
+            return 0;
+    }
+    return complete;
+}
+
 void
 ReplayTape::elideStaging()
 {
@@ -673,94 +1200,32 @@ ReplayTape::elideStaging()
     const bool debug = std::getenv("MANNA_REPLAY_DEBUG") != nullptr;
     const std::size_t before = ops_.size();
 
-    // One matched blocked-sweep group, as indices into the tape.
-    // ops_[begin] is the load, which copies the block's home rows (in
-    // the matrix buffer) to its staged copy (in the scratchpad); for
-    // row-update groups ops_[end - 1] is the mirror store back home.
-    struct Group
-    {
-        std::size_t begin = 0;
-        std::size_t end = 0;
-        const float *staged = nullptr;
-        std::size_t stagedLen = 0;
-        std::uint32_t stagedPitch = 0;
-        float *homeMut = nullptr; // non-null only for row updates
-        const float *home = nullptr;
-        std::size_t homeLen = 0;
-        std::uint32_t homePitch = 0;
-        std::size_t cluster = 0;
-    };
-
-    // Enumerate every memory span an op reads or writes.
-    auto forEachSpan = [&](const ReplayOp &op, auto &&fn) {
-        switch (op.kind) {
-          case ReplayKind::Copy2d:
-            fn(op.a, std::size_t(op.rows - 1) * op.pitchA + op.n);
-            fn(op.d, std::size_t(op.rows - 1) * op.pitchD + op.n);
-            break;
-          case ReplayKind::Vmm: {
-            const bool rowDot = (op.flags & kReplayRowDot) != 0;
-            fn(op.b, std::size_t(op.rows - 1) * op.pitchA + op.n);
-            fn(op.a, std::size_t(rowDot ? op.n : op.rows));
-            fn(op.d, std::size_t(rowDot ? op.rows : op.n));
-            if (op.dn != nullptr)
-                fn(op.dn, std::size_t(op.rows));
-            break;
-          }
-          case ReplayKind::Elementwise:
-            if (op.a != nullptr)
-                fn(op.a, std::size_t(op.pitchA));
-            if (op.b != nullptr)
-                fn(op.b, std::size_t(op.pitchD));
-            fn(op.d, std::size_t(op.n));
-            break;
-          case ReplayKind::Sfu:
-            fn(op.a, std::size_t(op.n));
-            if (op.b != nullptr)
-                fn(op.b, std::size_t(1));
-            // The accumulating SFU forms reduce to a scalar dst.
-            fn(op.d, isa::opInfo(op.op).sfuCost == isa::SfuCost::Acc
-                         ? std::size_t(1)
-                         : std::size_t(op.n));
-            break;
-          case ReplayKind::FusedRowUpdate:
-          case ReplayKind::FusedLinkUpdate:
-            fn(op.a, std::size_t(op.n));
-            fn(op.b, std::size_t(op.rows));
-            fn(op.d, std::size_t(op.rows - 1) * op.pitchD + op.n);
-            fn(op.dn, std::size_t(op.n));
-            fn(srcPool_[op.pitchA], std::size_t(op.n));
-            break;
-          case ReplayKind::Reduce:
-            for (std::uint32_t t = 0; t < op.rows; ++t)
-                fn(srcPool_[op.pitchA + t], std::size_t(op.n));
-            break;
-          case ReplayKind::Broadcast:
-            for (std::uint32_t t = 0; t < op.rows; ++t)
-                fn(dstPool_[op.pitchA + t], std::size_t(op.n));
-            break;
-          case ReplayKind::ReadVectorOut:
-          case ReplayKind::UsageToAlloc:
-            break;
-        }
-    };
     auto touchesRegion = [&](const ReplayOp &op, const float *lo,
                              std::size_t len) {
         bool hit = false;
-        forEachSpan(op, [&](const float *p, std::size_t sl) {
+        forEachSpan(op, [&](const float *p, std::size_t sl, bool) {
             if (p != nullptr && overlaps(p, sl, lo, len))
                 hit = true;
         });
         return hit;
     };
 
-    // Pass 1: match the groups. The Vmm ops, by the block they read
-    // and their index, bound the read-group scans.
-    std::vector<std::pair<const float *, std::size_t>> vmmReads;
+    // Pass 1: match the groups. The Vmm ops by the block they read,
+    // each block's in tape order, bound the read-group scans; runs of
+    // ops on one block share a lookup.
+    std::unordered_map<const float *, std::vector<std::size_t>> vmmReads;
+    const float *runBlock = nullptr;
+    std::vector<std::size_t> *run = nullptr;
+    auto readersOf = [&](const float *block) {
+        if (run == nullptr || block != runBlock) {
+            runBlock = block;
+            run = &vmmReads[block];
+        }
+        return run;
+    };
     for (std::size_t k = 0; k < ops_.size(); ++k)
         if (ops_[k].kind == ReplayKind::Vmm)
-            vmmReads.emplace_back(ops_[k].b, k);
-    std::sort(vmmReads.begin(), vmmReads.end());
+            readersOf(ops_[k].b)->push_back(k);
     std::vector<Group> groups;
     std::vector<int> groupOf(ops_.size(), -1); // per op: its group
     std::vector<std::size_t> members; // block Vmms of a read group
@@ -790,10 +1255,10 @@ ReplayTape::elideStaging()
         g.begin = i;
         g.staged = staged;
         g.stagedLen = stagedLen;
-        g.stagedPitch = sp;
         g.home = home;
-        g.homeLen = homeLen;
         g.homePitch = hp;
+        g.rows = R;
+        g.width = n;
         const int id = static_cast<int>(groups.size());
 
         // Row-update shape: fused ops covering the R staged rows in
@@ -841,12 +1306,11 @@ ReplayTape::elideStaging()
         // The scan stops at the last Vmm that reads the staged block.
         members.clear();
         const std::size_t scanLimit = std::min(ops_.size(), i + 1 + 256);
-        const auto first = std::upper_bound(
-            vmmReads.begin(), vmmReads.end(), std::make_pair(staged, i));
-        const auto last = std::lower_bound(
-            first, vmmReads.end(), std::make_pair(staged, scanLimit));
-        const std::size_t scanEnd =
-            first == last ? i + 1 : std::prev(last)->second + 1;
+        const std::vector<std::size_t> &readers = *readersOf(staged);
+        const auto first =
+            std::upper_bound(readers.begin(), readers.end(), i);
+        const auto last = std::lower_bound(first, readers.end(), scanLimit);
+        const std::size_t scanEnd = first == last ? i + 1 : *std::prev(last) + 1;
         for (std::size_t k = i + 1; k < scanEnd; ++k) {
             const ReplayOp &f = ops_[k];
             const bool blockVmm = f.kind == ReplayKind::Vmm &&
@@ -886,78 +1350,219 @@ ReplayTape::elideStaging()
         return;
     }
 
-    // Pass 2: cluster the staged regions into merged address
-    // intervals. The result is sorted and disjoint, so lookups
-    // binary-search it.
-    struct Interval
-    {
-        const float *lo;
-        const float *hi;
-    };
-    std::vector<Interval> clusters;
-    clusters.reserve(groups.size());
-    for (const auto &g : groups)
-        clusters.push_back({g.staged, g.staged + g.stagedLen});
-    std::sort(clusters.begin(), clusters.end(),
-              [](const Interval &x, const Interval &y) {
-                  return x.lo < y.lo;
-              });
-    std::size_t merged = 0;
-    for (const auto &iv : clusters) {
-        if (merged > 0 && iv.lo <= clusters[merged - 1].hi)
-            clusters[merged - 1].hi =
-                std::max(clusters[merged - 1].hi, iv.hi);
-        else
-            clusters[merged++] = iv;
-    }
-    clusters.resize(merged);
-    // First cluster ending after @p p (branch-free: the probes are
-    // data-dependent, so a branchy search mispredicts on most spans).
-    auto firstClusterAfter = [&](const float *p) {
-        const Interval *base = clusters.data();
-        std::size_t len = clusters.size();
-        while (len > 1) {
-            const std::size_t half = len / 2;
-            base = base[half - 1].hi <= p ? base + half : base;
-            len -= half;
+    // Pass 2: chain the groups into sweeps.
+    std::vector<Sweep> sweeps;
+    for (std::size_t gi = 0; gi < groups.size();) {
+        Sweep sw;
+        const std::size_t count = chainSweep(groups, groupOf, gi, sw);
+        if (count == 0) {
+            ++gi;
+            continue;
         }
-        return static_cast<std::size_t>(base - clusters.data()) +
-               (base->hi <= p ? 1 : 0);
-    };
-    for (auto &g : groups)
-        g.cluster = firstClusterAfter(g.staged);
+        sweeps.push_back(std::move(sw));
+        gi += count;
+    }
 
-    // A cluster stays elidable only if every span touching it belongs
-    // to one of its own groups.
+    // Pass 3: cluster the staged regions into merged address
+    // intervals, and the stage words of the Vmm sweeps likewise; one
+    // walk over every span then keeps each cluster elidable only if
+    // every span touching it belongs to one of its own groups, and
+    // lists the ops that touch each stage interval.
+    std::vector<WatchedSpan> clusters;
+    clusters.reserve(groups.size());
+    for (const Group &g : groups)
+        clusters.push_back({spanOf(g.staged, g.stagedLen), 0});
+    mergeSpans(clusters);
+    const WatchIndex clusterIndex(clusters);
+    for (Group &g : groups)
+        g.cluster = clusterIndex.first(wordOf(g.staged));
+    std::vector<WatchedSpan> stages;
+    for (Sweep &sw : sweeps) {
+        if (sw.stage.lo >= sw.stage.hi)
+            continue;
+        // Stage words inside a cluster would make the two overlap.
+        bool inCluster = false;
+        clusterIndex.forEachHit(sw.stage,
+                                [&](std::size_t) { inCluster = true; });
+        if (inCluster)
+            sw.stage = {};
+        else
+            stages.push_back({sw.stage, 0});
+    }
+    mergeSpans(stages);
+    for (Sweep &sw : sweeps) {
+        if (sw.stage.lo >= sw.stage.hi)
+            continue;
+        const auto at = std::upper_bound(
+            stages.begin(), stages.end(), sw.stage.lo,
+            [](std::uintptr_t p, const WatchedSpan &w) {
+                return p < w.span.lo;
+            });
+        sw.watch = static_cast<std::size_t>(at - stages.begin()) - 1;
+    }
+    std::vector<WatchedSpan> watched = clusters;
+    watched.insert(watched.end(), stages.begin(), stages.end());
+    for (std::size_t w = 0; w < watched.size(); ++w)
+        watched[w].id = w;
+    const WatchIndex index(std::move(watched));
+
+    // Each stage interval's touching spans, in tape order; rewrite
+    // marks the ones a single-row copy writes.
+    struct Touch
+    {
+        std::size_t op;
+        Span span;
+        bool rewrite;
+    };
+    std::vector<std::vector<Touch>> touches(stages.size());
     std::vector<char> invalid(clusters.size(), 0);
+    // The group ops of a Vmm sweep's window touch its stage words only
+    // as a copy and then the Vmm reading it (chainSweep() checks it),
+    // so they stand as one rewrite at the window's start.
+    std::size_t sweepAt = 0;
+    std::size_t foreignAt = 0;
     for (std::size_t idx = 0; idx < ops_.size(); ++idx) {
+        const ReplayOp &op = ops_[idx];
         const int g = groupOf[idx];
-        forEachSpan(ops_[idx], [&](const float *p, std::size_t len) {
+        while (sweepAt < sweeps.size() &&
+               groups[sweeps[sweepAt].last - 1].end <= idx) {
+            ++sweepAt;
+            foreignAt = 0;
+        }
+        const Sweep *sw = sweepAt < sweeps.size() &&
+                                  groups[sweeps[sweepAt].first].begin <= idx &&
+                                  sweeps[sweepAt].stage.lo <
+                                      sweeps[sweepAt].stage.hi
+                              ? &sweeps[sweepAt]
+                              : nullptr;
+        if (sw != nullptr && idx == groups[sw->first].begin)
+            touches[sw->watch].push_back({idx, sw->rewrite, true});
+        bool foreign = false;
+        if (sw != nullptr && foreignAt < sw->foreign.size() &&
+            sw->foreign[foreignAt] == idx) {
+            foreign = true;
+            ++foreignAt;
+        }
+        const Span staged =
+            g >= 0 ? spanOf(groups[g].staged, groups[g].stagedLen)
+                   : Span{};
+        forEachSpan(op, [&](const float *p, std::size_t len,
+                            bool written) {
             if (p == nullptr || len == 0)
                 return;
-            for (std::size_t c = firstClusterAfter(p);
-                 c < clusters.size() && clusters[c].lo < p + len; ++c) {
+            const Span s = spanOf(p, len);
+            // A group's own staged rows lie in its own cluster alone, as
+            // a window's stage words lie in their interval alone.
+            auto within = [&s](Span x) {
+                return s.lo >= x.lo && s.hi <= x.hi;
+            };
+            if (within(staged) ||
+                (sw != nullptr && !foreign && within(sw->stage)))
+                return;
+            index.forEachHit(s, [&](std::size_t c) {
+                if (c >= clusters.size()) {
+                    touches[c - clusters.size()].push_back(
+                        {idx, s,
+                         written && op.kind == ReplayKind::Copy2d &&
+                             op.rows == 1});
+                    return;
+                }
                 if (invalid[c] || (g >= 0 && groups[g].cluster == c))
-                    continue;
+                    return;
                 invalid[c] = 1;
                 if (debug)
                     std::fprintf(stderr,
                                  "replay: staging cluster %zu kept "
                                  "(touched by op %zu kind=%d)\n",
-                                 c, idx,
-                                 static_cast<int>(ops_[idx].kind));
-            }
+                                 c, idx, static_cast<int>(op.kind));
+            });
         });
     }
 
-    // Pass 3, in place: in elidable clusters, drop the dead copies and
-    // retarget the compute ops at the home rows.
+    // True if no op after @p sw's window, around the tape (every step
+    // replays it), reads a stage word the sweep's dropped copies wrote
+    // before a single-row copy writes that word again.
+    auto stageDead = [&](const Sweep &sw) {
+        const std::vector<Touch> &t = touches[sw.watch];
+        const std::size_t begin = groups[sw.first].begin;
+        const std::size_t end = groups[sw.last - 1].end;
+        Span live = sw.stage;
+        auto next = std::lower_bound(
+            t.begin(), t.end(), end,
+            [](const Touch &x, std::size_t k) { return x.op < k; });
+        for (std::size_t seen = 0; seen < t.size(); ++seen, ++next) {
+            if (next == t.end())
+                next = t.begin();
+            if (next->op >= begin && next->op < end)
+                break; // round to the window: nothing else reads them
+            const Span w = next->span;
+            if (!overlaps(w, live))
+                continue;
+            if (!next->rewrite)
+                return false;
+            if (w.lo <= live.lo && w.hi >= live.hi)
+                return true;
+            if (w.lo <= live.lo)
+                live.lo = w.hi;
+            else if (w.hi >= live.hi)
+                live.hi = w.lo;
+        }
+        return true;
+    };
+    // A sweep merges if every group's cluster is elided, and a Vmm
+    // sweep, which drops its staging copies, if its stage words are
+    // dead after it.
+    std::vector<char> merges(sweeps.size(), 0);
+    for (std::size_t s = 0; s < sweeps.size(); ++s) {
+        const Sweep &sw = sweeps[s];
+        bool ok = true;
+        for (std::size_t gi = sw.first; ok && gi < sw.last; ++gi)
+            ok = invalid[groups[gi].cluster] == 0;
+        if (ok && !isFusedUpdate(sw.op))
+            ok = sw.stage.lo < sw.stage.hi && stageDead(sw);
+        merges[s] = ok ? 1 : 0;
+    }
+
+    // Pass 4, in place: in elidable clusters, drop the dead copies and
+    // retarget the compute ops at the home rows; a merged sweep
+    // becomes its op, then its window's other ops.
     std::size_t out = 0;
     std::size_t elided = 0;
+    std::size_t mergedGroups = 0;
+    std::size_t sweepOps = 0;
     std::size_t idx = 0;
-    for (const Group &g : groups) {
+    std::size_t next = 0; // the first sweep not yet passed
+    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+        const Group &g = groups[gi];
         while (idx < g.begin)
             ops_[out++] = ops_[idx++];
+        while (next < sweeps.size() && sweeps[next].first < gi)
+            ++next;
+        if (next < sweeps.size() && sweeps[next].first == gi &&
+            merges[next] != 0) {
+            const Sweep &sw = sweeps[next];
+            ReplayOp op = sw.op;
+            if (isFusedUpdate(op)) {
+                op.pitchA = static_cast<std::uint32_t>(srcPool_.size());
+                srcPool_.push_back(sw.add);
+                stageScratch_.resize(
+                    std::max<std::size_t>(stageScratch_.size(), op.n));
+                elided += 2 * (sw.last - sw.first);
+            } else {
+                op.pitchD = static_cast<std::uint32_t>(sweepPool_.size());
+                sweepPool_.insert(sweepPool_.end(), sw.pairs.begin(),
+                                  sw.pairs.end());
+                elided += (1 + sw.pairs.size()) * (sw.last - sw.first);
+            }
+            ops_[out++] = op;
+            for (const std::size_t k : sw.foreign)
+                ops_[out++] = ops_[k];
+            mergedGroups += sw.last - sw.first;
+            ++sweepOps;
+            idx = groups[sw.last - 1].end;
+            gi = sw.last - 1;
+            continue;
+        }
         if (invalid[g.cluster] != 0) {
             while (idx < g.end)
                 ops_[out++] = ops_[idx++];
@@ -987,10 +1592,11 @@ ReplayTape::elideStaging()
     ops_.resize(out);
     if (debug)
         std::fprintf(stderr,
-                     "replay: staging elision: %zu groups, "
-                     "%zu copies dropped, %zu ops -> %zu (%.2f ms)\n",
-                     groups.size(), elided, before, ops_.size(),
-                     msSince(t0));
+                     "replay: staging elision: %zu groups, %zu copies "
+                     "dropped, %zu groups merged into %zu sweep ops, "
+                     "%zu ops -> %zu (%.2f ms)\n",
+                     groups.size(), elided, mergedGroups, sweepOps,
+                     before, ops_.size(), msSince(t0));
 }
 
 void

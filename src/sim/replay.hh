@@ -65,6 +65,10 @@ enum class ReplayKind : std::uint8_t
     // in place, one scalar w per row.
     FusedRowUpdate,  ///< soft-write quad: row = row*(c - e*w) + a*w
     FusedLinkUpdate, ///< DNC link triple: row = row*(o - w) + p*w
+    // A column-blocked Vmm sweep merged into one op that walks whole
+    // rows and serves all of its vectors in one pass over each row.
+    RowDotSweep, ///< per row and vector: d[r] += blocked row dot
+    ColumnSweep, ///< per row and vector: d[0..n) += v[r] * row
 };
 
 /** ReplayOp::flags bits. */
@@ -102,21 +106,44 @@ inline constexpr std::uint8_t kReplayHiddenIn = 16;  ///< Broadcast src
  *                row, dn=stage, n=len, pitchA=offset of the
  *                precedence row p in the src-pointer pool, rows and
  *                pitchD as for FusedRowUpdate.
+ *                Either fused kind with block > 0 is a merged sweep
+ *                whose rows span column blocks of that many words:
+ *                the rows stage through the tape's scratch, and stage
+ *                ends holding what the per-block ops left in it (the
+ *                last row's values, block by block).
+ *  RowDotSweep:  b=first matrix row, pitchA=row pitch, rows, n=row
+ *                words, block=column block words, pitchD=offset of
+ *                its vecs (vector, destination) pairs in the sweep
+ *                pool, flags (kReplayWithNorms: pair 0 also adds each
+ *                row's a·a to dn[r]). Row r adds the blocked dot of
+ *                the row and each vector to that pair's d[r].
+ *  ColumnSweep:  b, pitchA, rows, n, pitchD and vecs as RowDotSweep;
+ *                row r adds v[r] * row to each pair's d[0..n).
  */
 struct ReplayOp
 {
     ReplayKind kind = ReplayKind::Copy2d;
     isa::Opcode op = isa::Opcode::Nop;
     std::uint8_t flags = 0;
+    std::uint8_t vecs = 0;
     std::uint32_t n = 0;
     std::uint32_t rows = 0;
     std::uint32_t pitchA = 0;
     std::uint32_t pitchD = 0;
     float imm = 0.0f;
+    std::uint32_t block = 0;
     const float *a = nullptr;
     const float *b = nullptr;
     float *d = nullptr;
     float *dn = nullptr;
+};
+
+/** One vector of a merged sweep and the destination it accumulates
+ * into (ReplayOp kinds RowDotSweep and ColumnSweep). */
+struct SweepPair
+{
+    const float *v = nullptr;
+    float *d = nullptr;
 };
 
 /** Per-iteration byte steps of a ReplayOp's a, b, d and dn pointers
@@ -186,6 +213,8 @@ public:
         ops_.clear();
         srcPool_.clear();
         dstPool_.clear();
+        sweepPool_.clear();
+        stageScratch_.clear();
         startCheck();
         recordedDigest_ = 0;
         recordedOps_ = 0;
@@ -236,6 +265,14 @@ public:
         return dstPool_.data() + ofs;
     }
 
+    const SweepPair *sweepPairs(std::uint32_t ofs) const
+    {
+        return sweepPool_.data() + ofs;
+    }
+
+    /** The rows of a merged row-update sweep stage through this. */
+    float *stageScratch() const { return stageScratch_.data(); }
+
     const std::vector<ReplayOp> &ops() const { return ops_; }
 
 private:
@@ -282,8 +319,45 @@ private:
      * region is only elided when every tape op touching it belongs to
      * one of its matched groups, so any unexpected consumer of staged
      * data keeps the copies intact.
+     *
+     * The same walk merges the compiler's column-blocked sweeps: a
+     * chain of groups over one matrix — every column block of every
+     * row block, in either loop order — with their vector staging
+     * copies becomes one RowDotSweep, ColumnSweep or full-width fused
+     * op over the home rows (see chainSweep()). Per destination word
+     * the merged op adds the same terms in the same order, so replay
+     * stays bit for bit.
      */
     void elideStaging();
+
+    /** A staged block group elideStaging() matched (its pass 1). */
+    struct Group;
+
+    /** A chain of groups chainSweep() merges into one op. */
+    struct Sweep;
+
+    /** Call fn(p, words, written) on every memory span @p op reads
+     * or writes. */
+    template <typename Fn>
+    void forEachSpan(const ReplayOp &op, Fn &&fn) const;
+
+    /**
+     * Chain the groups from @p first that form one column-blocked
+     * sweep into @p sweep and return how many there are (0 when
+     * groups[first] starts none). The chain covers whole row blocks
+     * (or whole columns) of one matrix: every block's width but the
+     * last is the first block's, each group holds the same vectors
+     * at the offsets of its block, and their staging copies come
+     * right before each Vmm. It merges only where legal: its
+     * destinations are disjoint from each other and from everything
+     * it reads, and no other op in its window writes what it reads or
+     * touches what it writes. The caller still checks that its
+     * clusters are elided and that no later op reads the stage words
+     * its dropped copies wrote.
+     */
+    std::size_t chainSweep(const std::vector<Group> &groups,
+                           const std::vector<int> &groupOf,
+                           std::size_t first, Sweep &sweep) const;
 
     /** One op of a compiled run body, at the run's first iteration,
      * with its pointer steps (a fused op's add vector too). */
@@ -401,6 +475,8 @@ private:
     std::vector<ReplayOp> ops_;
     std::vector<const float *> srcPool_;
     std::vector<float *> dstPool_;
+    std::vector<SweepPair> sweepPool_;
+    mutable std::vector<float> stageScratch_;
     // The running digest of the current step and its op count, and
     // the raw recording's digest and op count.
     std::uint64_t digest_ = 0;
@@ -430,7 +506,8 @@ private:
  * Execute one tile-local op (Copy2d/Vmm/Elementwise/Sfu and the fused
  * kinds). This is the single functional implementation of a tile
  * instruction: the interpreter only records the resolved op.
- * @p tape is required only for the fused kinds (src-pointer pool).
+ * @p tape is required only for the kinds the tape's passes make
+ * (fused updates and merged sweeps: their pointer pools and scratch).
  */
 void execTileOp(const ReplayOp &op, const ReplayTape *tape = nullptr);
 

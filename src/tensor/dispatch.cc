@@ -1,5 +1,6 @@
 #include "dispatch.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <limits>
@@ -197,12 +198,35 @@ linkUpdateScalar(const float *o, const float *p, float w, float *row,
     }
 }
 
+void
+dotBlocksScalar(const float *a, const float *b, std::size_t n,
+                std::size_t block, float *dotAcc, float *nrmAcc)
+{
+    float d = *dotAcc;
+    float nrm = nrmAcc != nullptr ? *nrmAcc : 0.0f;
+    for (std::size_t i = 0; i < n; i += block) {
+        const std::size_t len = std::min(block, n - i);
+        if (nrmAcc == nullptr) {
+            d += dotScalar(a + i, b + i, len);
+            continue;
+        }
+        float bd = 0.0f;
+        float bn = 0.0f;
+        dotNormScalar(a + i, b + i, len, &bd, &bn);
+        d += bd;
+        nrm += bn;
+    }
+    *dotAcc = d;
+    if (nrmAcc != nullptr)
+        *nrmAcc = nrm;
+}
+
 const KernelTable kScalarTable = {
     "scalar",    addScalar,      subScalar, mulScalar,
     scaleScalar, axpyScalar,     macScalar, sumScalar,
     dotScalar,   dotNormScalar,  scaleMaxScalar,
     circularConvolveScalar,      rowUpdateScalar,
-    linkUpdateScalar,
+    linkUpdateScalar,            dotBlocksScalar,
 };
 
 struct Selection

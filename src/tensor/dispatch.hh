@@ -129,6 +129,17 @@ struct KernelTable
      */
     void (*linkUpdate)(const float *o, const float *p, float w,
                        float *row, float *stage, std::size_t n);
+
+    /**
+     * Blocked row dot: a[0..n) and b[0..n) in blocks of @p block
+     * words, the last one ragged. Each block's dot, reduced exactly as
+     * dot() reduces that block alone, is added to *dotAcc in block
+     * order; with @p nrmAcc non-null each block's a·a, reduced as
+     * dotNorm() reduces it, is added to *nrmAcc the same way. So one
+     * call per row replays a column-blocked row-dot sweep bit for bit.
+     */
+    void (*dotBlocks)(const float *a, const float *b, std::size_t n,
+                      std::size_t block, float *dotAcc, float *nrmAcc);
 };
 
 /** The scalar reference table (canonical semantics). */

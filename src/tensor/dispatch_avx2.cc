@@ -1,5 +1,6 @@
 #include "dispatch.hh"
 
+#include <algorithm>
 #include <cstddef>
 #include <immintrin.h>
 #include <limits>
@@ -257,12 +258,116 @@ linkUpdateAvx2(const float *o, const float *p, float w, float *row,
     }
 }
 
+/** Lane k of the result is reduceAddSequential(v[k], 0.0f): the eight
+ * vectors transposed, then added lane by lane in the same order. */
+[[gnu::always_inline]] inline __m256
+laneSums(const __m256 v[kStripe])
+{
+    const __m256 t0 = _mm256_unpacklo_ps(v[0], v[1]);
+    const __m256 t1 = _mm256_unpackhi_ps(v[0], v[1]);
+    const __m256 t2 = _mm256_unpacklo_ps(v[2], v[3]);
+    const __m256 t3 = _mm256_unpackhi_ps(v[2], v[3]);
+    const __m256 t4 = _mm256_unpacklo_ps(v[4], v[5]);
+    const __m256 t5 = _mm256_unpackhi_ps(v[4], v[5]);
+    const __m256 t6 = _mm256_unpacklo_ps(v[6], v[7]);
+    const __m256 t7 = _mm256_unpackhi_ps(v[6], v[7]);
+    const __m256 u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+    // Row k of the transpose holds lane k of every vector.
+    const __m256 lane[kStripe] = {
+        _mm256_permute2f128_ps(u0, u4, 0x20),
+        _mm256_permute2f128_ps(u1, u5, 0x20),
+        _mm256_permute2f128_ps(u2, u6, 0x20),
+        _mm256_permute2f128_ps(u3, u7, 0x20),
+        _mm256_permute2f128_ps(u0, u4, 0x31),
+        _mm256_permute2f128_ps(u1, u5, 0x31),
+        _mm256_permute2f128_ps(u2, u6, 0x31),
+        _mm256_permute2f128_ps(u3, u7, 0x31),
+    };
+    __m256 sum = _mm256_setzero_ps();
+    for (std::size_t k = 0; k < kStripe; ++k)
+        sum = _mm256_add_ps(sum, lane[k]);
+    return sum;
+}
+
+/** Add the dots (and, with kNorms, the a·a) of the eight blocks of
+ * @p block words at @p a and @p b to @p d (and @p nrm) in block order.
+ * Each block's lanes accumulate as in dotAvx2(); laneSums() reduces the
+ * eight blocks together, keeping their lane-combine chains apart. */
+template <bool kNorms>
+[[gnu::always_inline]] inline void
+dotBlockGroup(const float *a, const float *b, std::size_t block, float &d,
+              float &nrm)
+{
+    __m256 dacc[kStripe];
+    __m256 nacc[kStripe];
+    for (std::size_t j = 0; j < kStripe; ++j)
+        dacc[j] = nacc[j] = _mm256_setzero_ps();
+    for (std::size_t o = 0; o < block; o += kStripe) {
+#pragma GCC unroll 8
+        for (std::size_t j = 0; j < kStripe; ++j) {
+            const __m256 va = _mm256_loadu_ps(a + j * block + o);
+            dacc[j] = _mm256_add_ps(
+                dacc[j], _mm256_mul_ps(va, _mm256_loadu_ps(b + j * block + o)));
+            if constexpr (kNorms)
+                nacc[j] = _mm256_add_ps(nacc[j], _mm256_mul_ps(va, va));
+        }
+    }
+    alignas(32) float sums[kStripe];
+    _mm256_store_ps(sums, laneSums(dacc));
+    for (std::size_t j = 0; j < kStripe; ++j)
+        d += sums[j];
+    if constexpr (kNorms) {
+        _mm256_store_ps(sums, laneSums(nacc));
+        for (std::size_t j = 0; j < kStripe; ++j)
+            nrm += sums[j];
+    }
+}
+
+void
+dotBlocksAvx2(const float *a, const float *b, std::size_t n,
+              std::size_t block, float *dotAcc, float *nrmAcc)
+{
+    float d = *dotAcc;
+    float nrm = nrmAcc != nullptr ? *nrmAcc : 0.0f;
+    std::size_t i = 0;
+    // Blocks of whole stripes go eight at a time.
+    const std::size_t group = kStripe * block;
+    for (; block % kStripe == 0 && i + group <= n; i += group) {
+        if (nrmAcc != nullptr)
+            dotBlockGroup<true>(a + i, b + i, block, d, nrm);
+        else
+            dotBlockGroup<false>(a + i, b + i, block, d, nrm);
+    }
+    for (; i < n; i += block) {
+        const std::size_t len = std::min(block, n - i);
+        if (nrmAcc == nullptr) {
+            d += dotAvx2(a + i, b + i, len);
+            continue;
+        }
+        float bd = 0.0f;
+        float bn = 0.0f;
+        dotNormAvx2(a + i, b + i, len, &bd, &bn);
+        d += bd;
+        nrm += bn;
+    }
+    *dotAcc = d;
+    if (nrmAcc != nullptr)
+        *nrmAcc = nrm;
+}
+
 const KernelTable kAvx2Table = {
     "avx2",    addAvx2,      subAvx2, mulAvx2,
     scaleAvx2, axpyAvx2,     macAvx2, sumAvx2,
     dotAvx2,   dotNormAvx2,  scaleMaxAvx2,
     circularConvolveAvx2,    rowUpdateAvx2,
-    linkUpdateAvx2,
+    linkUpdateAvx2,          dotBlocksAvx2,
 };
 
 } // namespace

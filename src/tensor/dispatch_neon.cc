@@ -5,10 +5,11 @@
 
 // NEON kernel stubs for aarch64 builds. The elementwise entries and
 // the fused link update are real 4-wide NEON; the striped reductions
-// and the soft-write row update currently delegate to the
-// scalar reference (which is already the canonical order, so results
-// stay bit-identical) until a tuned implementation lands. Compiled
-// with -ffp-contract=off like every kernel TU.
+// (the blocked row dot among them) and the soft-write row update
+// currently delegate to the scalar reference (which is already the
+// canonical order, so results stay bit-identical) until a tuned
+// implementation lands. Compiled with -ffp-contract=off like every
+// kernel TU.
 
 namespace manna::tensor::simd
 {

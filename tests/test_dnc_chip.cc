@@ -444,6 +444,47 @@ TEST(ChipEngine, PinnedCountersBothDrivers)
     }
 }
 
+// A row width that is not a multiple of the 32-word Matrix-Buffer
+// width: every memory sweep ends in a 4-word column block. The digests
+// were recorded before the replay tape merged column-blocked sweeps,
+// so they hold those merged ops to the per-block arithmetic.
+TEST(ChipEngine, PinnedTensorDigestRaggedColumns)
+{
+    mann::MannConfig mc;
+    mc.memN = 64;
+    mc.memM = 100;
+    mc.numReadHeads = 2;
+    mc.controllerWidth = 32;
+    mc.inputDim = 6;
+    mc.outputDim = 5;
+    const DncConfig dc = makeConfig(64, 100, 2);
+    const auto ac = arch::MannaConfig::withTiles(4);
+    const struct
+    {
+        bool dnc;
+        Fidelity fidelity;
+        std::uint64_t tensorDigest;
+    } expected[] = {
+        {false, Fidelity::Cycle, 0x6f925a8bca2c8205ull},
+        {false, Fidelity::Fast, 0x6f925a8bca2c8205ull},
+        {true, Fidelity::Cycle, 0x71929b69d8cd4c00ull},
+        {true, Fidelity::Fast, 0x71929b69d8cd4c00ull},
+    };
+    for (const auto &want : expected) {
+        SCOPED_TRACE(std::string(want.dnc ? "dnc " : "ntm ") +
+                     toString(want.fidelity));
+        std::uint64_t tensorDigest = 0;
+        if (want.dnc)
+            runPinned<DncChip>(compiler::compileDnc(dc, ac), dc.inputDim,
+                               want.fidelity, &tensorDigest);
+        else
+            runPinned<Chip>(compiler::compile(mc, ac), mc.inputDim,
+                            want.fidelity, &tensorDigest);
+        EXPECT_EQ(tensorDigest, want.tensorDigest) << std::hex
+                                                   << tensorDigest;
+    }
+}
+
 TEST(DncChipValidation, CompileRejectsTooManyTiles)
 {
     try {

@@ -292,6 +292,281 @@ TEST(ReplayTape, ReadGroupRetargetsVmmAtTheHomeRows)
 }
 
 // ---------------------------------------------------------------------
+// Column-blocked sweeps. The compiler blocks a memory sweep at the
+// 32-word Matrix-Buffer width: per block a load, then per vector a copy
+// staging its slice and a Vmm (or a row update of the staged rows and
+// a store). The sealed tape merges a chain of such blocks into one op
+// that walks whole rows, and must compute what the per-block ops do.
+
+// Sweep arena (words): a 6 x 101 matrix at pitch 104, swept in row
+// blocks of 4 and 2 rows and column blocks of 32, 32, 32 and 5 words;
+// two vectors (keys of 101 words, or column weights of 6); their
+// destinations; the row norms; a soft write's erase and add vectors and
+// w; the stage row; an output row; and last the staged block.
+constexpr std::uint32_t kSweepRows = 6;
+constexpr std::uint32_t kSweepCols = 101;
+constexpr std::uint32_t kSweepPitch = 104;
+constexpr std::uint32_t kBlockCols = 32;
+constexpr std::size_t kSwMat = 0;
+constexpr std::size_t kSwVec = kSwMat + kSweepRows * kSweepPitch;
+constexpr std::size_t kSwDst = kSwVec + 2 * kSweepCols;
+constexpr std::size_t kSwNorms = kSwDst + 2 * kSweepCols;
+constexpr std::size_t kSwErase = kSwNorms + kSweepRows;
+constexpr std::size_t kSwAdd = kSwErase + kSweepCols;
+constexpr std::size_t kSwW = kSwAdd + kSweepCols;
+constexpr std::size_t kSwStage = kSwW + kSweepRows;
+constexpr std::size_t kSwOut = kSwStage + kBlockCols;
+constexpr std::size_t kSwStaged = kSwOut + kBlockCols;
+constexpr std::size_t kSwArena = kSwStaged + 4 * kBlockCols;
+
+enum class Sweep
+{
+    RowDot,          ///< two keys, norms on the first
+    ColumnRowsOuter, ///< two column weightings, row blocks outside
+    ColumnColsOuter, ///< the same, column blocks outside
+    RowUpdate,       ///< a soft write
+};
+
+/** Appends ops to a sweep's tape at @p m. */
+using Extra = std::function<void(Ops &, float *)>;
+
+/** The ops of @p kind's sweep over the arena at @p m; @p inside goes
+ * right after the first Vmm, @p after after the sweep. */
+Ops
+sweepOps(float *m, Sweep kind, const Extra &inside = {},
+         const Extra &after = {})
+{
+    const std::pair<std::uint32_t, std::uint32_t> rowBlocks[] = {{0, 4},
+                                                                 {4, 2}};
+    const std::pair<std::uint32_t, std::uint32_t> colBlocks[] = {
+        {0, 32}, {32, 32}, {64, 32}, {96, 5}};
+    const bool rowDot = kind == Sweep::RowDot;
+    Ops ops;
+    bool first = true;
+    auto block = [&](std::uint32_t r0, std::uint32_t rows, std::uint32_t c0,
+                     std::uint32_t w) {
+        float *home = m + kSwMat + r0 * kSweepPitch + c0;
+        float *staged = m + kSwStaged;
+        ReplayOp load;
+        load.kind = ReplayKind::Copy2d;
+        load.n = w;
+        load.rows = rows;
+        load.a = home;
+        load.pitchA = kSweepPitch;
+        load.d = staged;
+        load.pitchD = w;
+        ops.push_back(load);
+        if (kind == Sweep::RowUpdate) {
+            float *stage = m + kSwStage;
+            for (std::uint32_t r = 0; r < rows; ++r) {
+                float *row = staged + r * w;
+                const float *wr = m + kSwW + r0 + r;
+                ReplayOp e = ew(Opcode::EwMul, stage, m + kSwErase + c0, w,
+                                wr, 1);
+                ReplayOp c = ew(Opcode::EwRsubImm, stage, stage, w,
+                                nullptr, 0, 1.0f);
+                ReplayOp x = ew(Opcode::EwMul, row, row, w, stage, w);
+                ReplayOp a = ew(Opcode::EwMac, row, m + kSwAdd + c0, w,
+                                wr, 1);
+                for (ReplayOp *op : {&e, &c, &x, &a}) {
+                    op->n = w;
+                    ops.push_back(*op);
+                }
+            }
+            ReplayOp store = load;
+            store.a = staged;
+            store.pitchA = w;
+            store.d = home;
+            store.pitchD = kSweepPitch;
+            ops.push_back(store);
+            return;
+        }
+        for (std::uint32_t k = 0; k < 2; ++k) {
+            ReplayOp copy;
+            copy.kind = ReplayKind::Copy2d;
+            copy.rows = 1;
+            copy.n = rowDot ? w : rows;
+            copy.a = m + kSwVec + k * kSweepCols + (rowDot ? c0 : r0);
+            copy.d = m + kSwStage;
+            ops.push_back(copy);
+            ReplayOp vmm;
+            vmm.kind = ReplayKind::Vmm;
+            vmm.flags = kReplayAccumulate;
+            if (rowDot)
+                vmm.flags |= kReplayRowDot | (k == 0 ? kReplayWithNorms : 0);
+            vmm.n = w;
+            vmm.rows = rows;
+            vmm.pitchA = w;
+            vmm.a = m + kSwStage;
+            vmm.b = staged;
+            vmm.d = m + kSwDst + k * kSweepCols + (rowDot ? r0 : c0);
+            vmm.dn = rowDot && k == 0 ? m + kSwNorms + r0 : nullptr;
+            ops.push_back(vmm);
+            if (first && inside)
+                inside(ops, m);
+            first = false;
+        }
+    };
+    if (kind == Sweep::ColumnColsOuter) {
+        for (const auto &[c0, w] : colBlocks)
+            for (const auto &[r0, rows] : rowBlocks)
+                block(r0, rows, c0, w);
+    } else {
+        for (const auto &[r0, rows] : rowBlocks)
+            for (const auto &[c0, w] : colBlocks)
+                block(r0, rows, c0, w);
+    }
+    if (after)
+        after(ops, m);
+    return ops;
+}
+
+/**
+ * Record @p kind's sweep on @p tape, run the sealed tape on one arena
+ * copy and the raw ops one by one on another, two steps each, and
+ * compare every word but the staged block and, unless @p withStage,
+ * the stage row (whose copies a merged sweep drops).
+ */
+void
+expectSweepLikeRawOps(ReplayTape &tape, Sweep kind, bool withStage,
+                      const Extra &inside = {}, const Extra &after = {})
+{
+    std::vector<float> init(kSwArena);
+    Rng rng(29);
+    for (auto &v : init)
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    std::vector<float> sealed = init;
+    std::vector<float> raw = init;
+    tape.startRecording();
+    for (const ReplayOp &op : sweepOps(sealed.data(), kind, inside, after))
+        tape.append(op);
+    tape.finishRecording();
+    const Ops reference = sweepOps(raw.data(), kind, inside, after);
+    for (int step = 0; step < 2; ++step) {
+        for (const ReplayOp &op : tape.ops())
+            execTileOp(op, &tape);
+        for (const ReplayOp &op : reference)
+            execTileOp(op);
+    }
+    for (std::size_t i = 0; i < kSwStaged; ++i) {
+        if (!withStage && i >= kSwStage && i < kSwStage + kBlockCols)
+            continue;
+        std::uint32_t bs = 0;
+        std::uint32_t br = 0;
+        std::memcpy(&bs, &sealed[i], 4);
+        std::memcpy(&br, &raw[i], 4);
+        ASSERT_EQ(bs, br) << "arena word " << i;
+    }
+}
+
+/** The tape is one merged op of @p kind over the whole matrix. */
+void
+expectOneSweepOp(const ReplayTape &tape, ReplayKind kind)
+{
+    ASSERT_EQ(tape.ops().size(), 1u);
+    const ReplayOp &op = tape.ops()[0];
+    EXPECT_EQ(op.kind, kind);
+    EXPECT_EQ(op.rows, kSweepRows);
+    EXPECT_EQ(op.n, kSweepCols);
+    EXPECT_EQ(op.block, kBlockCols);
+}
+
+TEST(ReplaySweep, RowDotWithNormsMergesToOneOp)
+{
+    ReplayTape tape;
+    expectSweepLikeRawOps(tape, Sweep::RowDot, false);
+    expectOneSweepOp(tape, ReplayKind::RowDotSweep);
+    EXPECT_EQ(tape.ops()[0].vecs, 2u);
+    EXPECT_EQ(tape.ops()[0].flags, kReplayWithNorms);
+}
+
+TEST(ReplaySweep, ColumnSumMergesInEitherLoopOrder)
+{
+    for (const Sweep kind :
+         {Sweep::ColumnRowsOuter, Sweep::ColumnColsOuter}) {
+        SCOPED_TRACE(static_cast<int>(kind));
+        ReplayTape tape;
+        expectSweepLikeRawOps(tape, kind, false);
+        expectOneSweepOp(tape, ReplayKind::ColumnSweep);
+        EXPECT_EQ(tape.ops()[0].vecs, 2u);
+    }
+}
+
+TEST(ReplaySweep, RowUpdateMergesAndLeavesTheStageAsTheBlocksDid)
+{
+    ReplayTape tape;
+    expectSweepLikeRawOps(tape, Sweep::RowUpdate, true);
+    expectOneSweepOp(tape, ReplayKind::FusedRowUpdate);
+}
+
+TEST(ReplaySweep, WindowOpWritingASourceKeepsItsGroup)
+{
+    ReplayTape tape;
+    // Rewrites words of the second key between the first group's Vmms.
+    expectSweepLikeRawOps(tape, Sweep::RowDot, false,
+                          [](Ops &ops, float *m) {
+                              ops.push_back(ew(Opcode::EwAddImm,
+                                               m + kSwVec + kSweepCols + 8,
+                                               m + kSwOut, kN, nullptr, 0,
+                                               0.5f));
+                          });
+    // The first group keeps its Vmms; no merged op spans the matrix.
+    EXPECT_EQ(countKind(tape, ReplayKind::Vmm), 2u);
+    for (const ReplayOp &op : tape.ops())
+        EXPECT_FALSE(op.kind == ReplayKind::RowDotSweep &&
+                     op.rows == kSweepRows && op.n == kSweepCols);
+}
+
+TEST(ReplaySweep, WindowOpReadingADestinationKeepsItsGroup)
+{
+    ReplayTape tape;
+    expectSweepLikeRawOps(tape, Sweep::RowDot, false,
+                          [](Ops &ops, float *m) {
+                              ReplayOp op = ew(Opcode::EwAddImm, m + kSwOut,
+                                               m + kSwDst, 4, nullptr, 0,
+                                               0.5f);
+                              op.n = 4;
+                              ops.push_back(op);
+                          });
+    EXPECT_EQ(countKind(tape, ReplayKind::Vmm), 2u);
+    for (const ReplayOp &op : tape.ops())
+        EXPECT_FALSE(op.kind == ReplayKind::RowDotSweep &&
+                     op.rows == kSweepRows && op.n == kSweepCols);
+}
+
+TEST(ReplaySweep, DestinationInsideASourceKeepsTheSweep)
+{
+    ReplayTape tape;
+    // The second key's dots land in words of the first key that a
+    // later column block reads.
+    expectSweepLikeRawOps(tape, Sweep::RowDot, false, {},
+                          [](Ops &ops, float *m) {
+                              for (ReplayOp &op : ops)
+                                  if (op.kind == ReplayKind::Vmm &&
+                                      op.d >= m + kSwDst + kSweepCols)
+                                      op.d += kSwVec + 70 -
+                                              (kSwDst + kSweepCols);
+                          });
+    for (const ReplayOp &op : tape.ops())
+        EXPECT_FALSE(op.kind == ReplayKind::RowDotSweep &&
+                     op.rows == kSweepRows && op.n == kSweepCols);
+}
+
+TEST(ReplaySweep, LaterReadOfTheStageKeepsTheCopies)
+{
+    ReplayTape tape;
+    // Reads the stage row after the sweep: its copies must stay.
+    expectSweepLikeRawOps(tape, Sweep::RowDot, true, {},
+                          [](Ops &ops, float *m) {
+                              ops.push_back(ew(Opcode::EwAddImm, m + kSwOut,
+                                               m + kSwStage, kN, nullptr, 0,
+                                               0.5f));
+                          });
+    EXPECT_EQ(countKind(tape, ReplayKind::RowDotSweep), 0u);
+    EXPECT_EQ(countKind(tape, ReplayKind::Vmm), 16u);
+}
+
+// ---------------------------------------------------------------------
 // Runs. appendRun() stands for the per-op append() loop over a loop's
 // iterations: it must give the same digest and op count in record and
 // in check mode, and a sealed tape that computes the same bits.

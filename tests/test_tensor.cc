@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "common/rng.hh"
 #include "tensor/dispatch.hh"
@@ -639,6 +641,55 @@ TEST_P(SimdTwinProperty, LinkUpdateBitIdenticalAndMatchesUnfused)
     ref.mac(p.data(), wv.data(), rowU.data(), n);
     expectBitEqual(rowA, rowU, "linkUpdate vs unfused sequence");
     expectBitEqual(stgA, stage, "linkUpdate stage vs unfused");
+}
+
+// The blocked row dot replays a column-blocked row-dot sweep: each
+// block's dot (and with norms its a·a), reduced exactly as dot() and
+// dotNorm() reduce that block alone, added in block order. Each table
+// must equal that composition of its own dot()/dotNorm() bit for bit.
+TEST(SimdDispatch, DotBlocksEqualsPerBlockComposition)
+{
+    std::vector<const simd::KernelTable *> tables = {
+        &simd::scalarKernels()};
+#if MANNA_HAVE_AVX2
+    if (simd::levelSupported(simd::Level::Avx2))
+        tables.push_back(&simd::avx2Kernels());
+#endif
+    for (const std::size_t n : {1, 5, 8, 31, 32, 33, 101, 1400, 4000}) {
+        Rng rng(n + 9600);
+        const FVec a = randomVec(n, rng);
+        const FVec b = randomVec(n, rng);
+        for (const simd::KernelTable *t : tables) {
+            for (const std::size_t block : {32, 8, 5}) {
+                for (const bool norms : {false, true}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << t->name << " n=" << n << " block="
+                                 << block << " norms=" << norms);
+                    float dRef = 0.25f;
+                    float nRef = -1.5f;
+                    for (std::size_t i = 0; i < n; i += block) {
+                        const std::size_t len = std::min(block, n - i);
+                        if (!norms) {
+                            dRef += t->dot(a.data() + i, b.data() + i, len);
+                            continue;
+                        }
+                        float bd = 0.0f;
+                        float bn = 0.0f;
+                        t->dotNorm(a.data() + i, b.data() + i, len, &bd,
+                                   &bn);
+                        dRef += bd;
+                        nRef += bn;
+                    }
+                    float d = 0.25f;
+                    float nrm = -1.5f;
+                    t->dotBlocks(a.data(), b.data(), n, block, &d,
+                                 norms ? &nrm : nullptr);
+                    expectBitEqual(d, dRef, "dotBlocks dot");
+                    expectBitEqual(nrm, nRef, "dotBlocks norm");
+                }
+            }
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SimdTwinProperty,
