@@ -32,8 +32,9 @@
  * RecordStep/<bench>/<tiles> rows time reset() plus the first step of
  * a fast chip: timing, tape recording, the tape passes and the replay.
  * The ReplayStep/<shape>/16 rows time one step of a fast chip past
- * its calibration steps, which only replays the sealed tape: shrdlu
- * and copy from Table 2, and dnc1024, perfbench's 1024-row DNC.
+ * its calibration steps, which only replays the sealed tape: shrdlu,
+ * short (six keys per similarity sweep), bAbI and copy from Table 2,
+ * and dnc1024, perfbench's 1024-row DNC.
  */
 
 #include <chrono>
@@ -111,12 +112,58 @@ secondsPerOp(const std::function<void()> &body, double minSeconds)
     }
 }
 
+/** shrdlu's per-tile similarity sweep: 80 rows of 4,000 words, four
+ * keys plus the row norms, served as the replay's RowDotSweep serves
+ * them (pairs row by row, kDotPairs per dotPairs() call). */
+constexpr std::size_t kSweepRows = 80;
+constexpr std::size_t kSweepCols = 4000;
+constexpr std::size_t kSweepKeys = 4;
+constexpr std::size_t kSweepWords =
+    kSweepRows * kSweepCols * (kSweepKeys + 1);
+
+struct SimilaritySweep
+{
+    tensor::FVec mem;
+    tensor::FVec keys;
+    tensor::FVec dots = tensor::FVec(kSweepRows * (kSweepKeys + 1));
+
+    explicit SimilaritySweep(Rng &rng)
+        : mem(randomVec(kSweepRows * kSweepCols, rng)),
+          keys(randomVec(kSweepKeys * kSweepCols, rng))
+    {}
+
+    void run(const tensor::simd::KernelTable &k)
+    {
+        constexpr std::size_t kLanes = tensor::simd::kDotPairs;
+        const float *a[kLanes];
+        const float *b[kLanes];
+        float *d[kLanes];
+        std::size_t lanes = 0;
+        for (std::size_t r = 0; r < kSweepRows; ++r) {
+            const float *row = mem.data() + r * kSweepCols;
+            for (std::size_t v = 0; v <= kSweepKeys; ++v) {
+                a[lanes] = row;
+                b[lanes] = v < kSweepKeys ? keys.data() + v * kSweepCols
+                                          : row;
+                d[lanes] = dots.data() + v * kSweepRows + r;
+                if (++lanes == kLanes) {
+                    k.dotPairs(a, b, d, kSweepCols, 32);
+                    lanes = 0;
+                }
+            }
+        }
+        doNotOptimize(dots[0]);
+    }
+};
+
 /**
  * Kernel/<op>/{scalar,dispatch} micros: every entry of the SIMD
  * kernel table timed through the scalar reference and the dispatched
  * path on identical inputs. bytesPerOp counts streamed floats * 4
  * (reads + writes, read-modify-write destinations twice); flopsPerOp
  * counts arithmetic ops, with compares counted for the max pass.
+ * dotPairs times a whole similarity sweep (SimilaritySweep); axpyRows
+ * adds kAxpyRows rows into one destination.
  */
 void
 addKernelMicros(std::vector<Micro> &micros)
@@ -129,6 +176,9 @@ addKernelMicros(std::vector<Micro> &micros)
     auto b = std::make_shared<tensor::FVec>(randomVec(n, rng));
     auto shift = std::make_shared<tensor::FVec>(randomVec(taps, rng));
     auto out = std::make_shared<tensor::FVec>(n, 0.0f);
+    auto rows = std::make_shared<tensor::FVec>(
+        randomVec(tensor::simd::kAxpyRows * n, rng));
+    auto sweep = std::make_shared<SimilaritySweep>(rng);
 
     const struct
     {
@@ -183,12 +233,18 @@ addKernelMicros(std::vector<Micro> &micros)
                               doNotOptimize(
                                   k->dot(a->data(), b->data(), n));
                           }});
-        micros.push_back({name("dotBlocks"), n, 2 * n * sizeof(float),
-                          2 * n, [k, a, b] {
-                              float d = 0.0f;
-                              k->dotBlocks(a->data(), b->data(), n, 32,
-                                           &d, nullptr);
-                              doNotOptimize(d);
+        micros.push_back({name("dotPairs"), kSweepWords,
+                          (kSweepRows + kSweepKeys) * kSweepCols *
+                              sizeof(float),
+                          2 * kSweepWords, [k, sweep] { sweep->run(*k); }});
+        micros.push_back({name("axpyRows"), tensor::simd::kAxpyRows * n,
+                          (tensor::simd::kAxpyRows + 2) * n *
+                              sizeof(float),
+                          2 * tensor::simd::kAxpyRows * n, [k, rows, out] {
+                              k->axpyRows(rows->data(), rows->data(), n,
+                                          tensor::simd::kAxpyRows,
+                                          out->data(), n);
+                              doNotOptimize((*out)[0]);
                           }});
         micros.push_back({name("dotNorm"), n, 2 * n * sizeof(float),
                           4 * n, [k, a, b] {
@@ -287,7 +343,8 @@ struct ReplayChip
 void
 addReplayStepMicros(std::vector<Micro> &micros)
 {
-    for (const char *shape : {"shrdlu", "dnc1024", "copy"}) {
+    for (const char *shape :
+         {"shrdlu", "short", "bAbI", "dnc1024", "copy"}) {
         auto rc = std::make_shared<ReplayChip>();
         const std::string name = shape;
         micros.push_back(

@@ -204,10 +204,12 @@ execSfu(const ReplayOp &op)
 }
 
 /** Both fused row-update kinds: per row, the exact same per-element
- * operation sequence as the unfused ops, including the final stage
- * values (the kernel TUs are compiled with -ffp-contract=off, so no
- * FMA contraction can make the fused chain round differently). Rows
- * run in tape order, so rows = 1 is exactly one recorded row. */
+ * operation sequence as the unfused ops (the kernel TUs are compiled
+ * with -ffp-contract=off, so no FMA contraction can make the fused
+ * chain round differently). Rows run in tape order, so rows = 1 is
+ * exactly one recorded row. Every row but the last leaves no stage:
+ * fusedAliasFree() proved that no source reads it, and the last row
+ * overwrites every word of it. */
 void
 execFusedUpdate(const ReplayOp &op, const ReplayTape &tape)
 {
@@ -216,10 +218,11 @@ execFusedUpdate(const ReplayOp &op, const ReplayTape &tape)
     const auto &k = tensor::simd::kernels();
     for (std::uint32_t r = 0; r < op.rows; ++r) {
         float *row = op.d + std::size_t(r) * op.pitchD;
+        float *rowStage = r + 1 == op.rows ? stage : nullptr;
         if (op.kind == ReplayKind::FusedRowUpdate)
-            k.rowUpdate(op.a, add, op.b[r], op.imm, row, stage, op.n);
+            k.rowUpdate(op.a, add, op.b[r], op.imm, row, rowStage, op.n);
         else
-            k.linkUpdate(op.a, add, op.b[r], row, stage, op.n);
+            k.linkUpdate(op.a, add, op.b[r], row, rowStage, op.n);
     }
     // A merged sweep's per-block ops each left their block of the
     // last row in the stage, in block order.
@@ -227,33 +230,59 @@ execFusedUpdate(const ReplayOp &op, const ReplayTape &tape)
         std::copy(stage + c, stage + std::min(c + op.block, op.n), op.dn);
 }
 
-/** A merged row-dot sweep: per row, each vector's blocked dot (the
- * per-block Vmm dots, added to the destination in block order). */
+/** A merged row-dot sweep: the (row, vector, destination) pairs, row
+ * by row, each row's vectors and then, with norms, its (row, row) pair
+ * into dn[r]; dotPairs() serves them kDotPairs at a time, each pair's
+ * destination getting its per-block Vmm dots in block order. Unused
+ * lanes of the last call write a local spare. */
 void
 execRowDotSweep(const ReplayOp &op, const ReplayTape &tape)
 {
+    using tensor::simd::kDotPairs;
     const SweepPair *pairs = tape.sweepPairs(op.pitchD);
     const bool norms = (op.flags & kReplayWithNorms) != 0;
     const auto &k = tensor::simd::kernels();
+    const float *a[kDotPairs];
+    const float *b[kDotPairs];
+    float *d[kDotPairs];
+    std::size_t lanes = 0;
+    auto push = [&](const float *row, const float *v, float *dst) {
+        a[lanes] = row;
+        b[lanes] = v;
+        d[lanes] = dst;
+        if (++lanes == kDotPairs) {
+            k.dotPairs(a, b, d, op.n, op.block);
+            lanes = 0;
+        }
+    };
     for (std::uint32_t r = 0; r < op.rows; ++r) {
         const float *row = op.b + std::size_t(r) * op.pitchA;
         for (std::uint32_t v = 0; v < op.vecs; ++v)
-            k.dotBlocks(row, pairs[v].v, op.n, op.block, pairs[v].d + r,
-                        norms && v == 0 ? op.dn + r : nullptr);
+            push(row, pairs[v].v, pairs[v].d + r);
+        if (norms)
+            push(row, row, op.dn + r);
     }
+    float spare = 0.0f;
+    while (lanes != 0)
+        push(a[0], b[0], &spare);
 }
 
-/** A merged column sweep: per row, one axpy per vector over the whole
- * row (element-wise, so exactly the per-block axpys). */
+/** A merged column sweep: per vector, its rows kAxpyRows at a time
+ * through axpyRows() (per element, the rows' products in row order, so
+ * exactly the per-block axpys; the vectors' destinations are disjoint
+ * from each other and from every source). */
 void
 execColumnSweep(const ReplayOp &op, const ReplayTape &tape)
 {
+    using tensor::simd::kAxpyRows;
     const SweepPair *pairs = tape.sweepPairs(op.pitchD);
     const auto &k = tensor::simd::kernels();
-    for (std::uint32_t r = 0; r < op.rows; ++r) {
+    for (std::uint32_t r = 0; r < op.rows; r += kAxpyRows) {
         const float *row = op.b + std::size_t(r) * op.pitchA;
+        const std::size_t rows = std::min<std::size_t>(kAxpyRows, op.rows - r);
         for (std::uint32_t v = 0; v < op.vecs; ++v)
-            k.axpy(pairs[v].v[r], row, pairs[v].d, op.n);
+            k.axpyRows(pairs[v].v + r, row, op.pitchA, rows, pairs[v].d,
+                       op.n);
     }
 }
 

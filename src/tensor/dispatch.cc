@@ -182,7 +182,8 @@ rowUpdateScalar(const float *e, const float *add, float w, float c,
         s = c - s;
         const float r = row[i] * s;
         row[i] = r + add[i] * w;
-        stage[i] = s;
+        if (stage != nullptr)
+            stage[i] = s;
     }
 }
 
@@ -192,33 +193,31 @@ linkUpdateScalar(const float *o, const float *p, float w, float *row,
 {
     for (std::size_t i = 0; i < n; ++i) {
         const float s = o[i] - w;
-        stage[i] = s;
+        if (stage != nullptr)
+            stage[i] = s;
         const float r = row[i] * s;
         row[i] = r + p[i] * w;
     }
 }
 
 void
-dotBlocksScalar(const float *a, const float *b, std::size_t n,
-                std::size_t block, float *dotAcc, float *nrmAcc)
+dotPairsScalar(const float *const *a, const float *const *b,
+               float *const *dst, std::size_t n, std::size_t block)
 {
-    float d = *dotAcc;
-    float nrm = nrmAcc != nullptr ? *nrmAcc : 0.0f;
-    for (std::size_t i = 0; i < n; i += block) {
-        const std::size_t len = std::min(block, n - i);
-        if (nrmAcc == nullptr) {
-            d += dotScalar(a + i, b + i, len);
-            continue;
-        }
-        float bd = 0.0f;
-        float bn = 0.0f;
-        dotNormScalar(a + i, b + i, len, &bd, &bn);
-        d += bd;
-        nrm += bn;
+    for (std::size_t k = 0; k < kDotPairs; ++k) {
+        float d = *dst[k];
+        for (std::size_t i = 0; i < n; i += block)
+            d += dotScalar(a[k] + i, b[k] + i, std::min(block, n - i));
+        *dst[k] = d;
     }
-    *dotAcc = d;
-    if (nrmAcc != nullptr)
-        *nrmAcc = nrm;
+}
+
+void
+axpyRowsScalar(const float *alpha, const float *x, std::size_t pitch,
+               std::size_t rows, float *y, std::size_t n)
+{
+    for (std::size_t r = 0; r < rows; ++r)
+        axpyScalar(alpha[r], x + r * pitch, y, n);
 }
 
 const KernelTable kScalarTable = {
@@ -226,7 +225,8 @@ const KernelTable kScalarTable = {
     scaleScalar, axpyScalar,     macScalar, sumScalar,
     dotScalar,   dotNormScalar,  scaleMaxScalar,
     circularConvolveScalar,      rowUpdateScalar,
-    linkUpdateScalar,            dotBlocksScalar,
+    linkUpdateScalar,            dotPairsScalar,
+    axpyRowsScalar,
 };
 
 struct Selection

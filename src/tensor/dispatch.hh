@@ -16,7 +16,9 @@
  * the exact same order, and the kernel TUs are compiled with
  * -ffp-contract=off, so scalar and AVX2 paths produce bit-identical
  * results within a build. Elementwise kernels have no cross-element
- * accumulation and are exact by construction.
+ * accumulation and are exact by construction. The batched kernels
+ * (dotPairs, axpyRows) only spread independent reductions or row
+ * updates over the lanes, never reorder one, so they keep the contract.
  */
 
 #ifndef MANNA_TENSOR_DISPATCH_HH
@@ -39,6 +41,12 @@ enum class Level
 
 /** Lane width of the canonical striped accumulation order. */
 inline constexpr std::size_t kStripe = 8;
+
+/** Pairs per KernelTable::dotPairs call: one per stripe lane. */
+inline constexpr std::size_t kDotPairs = kStripe;
+
+/** Most rows per KernelTable::axpyRows call. */
+inline constexpr std::size_t kAxpyRows = 4;
 
 /**
  * The kernel table. All pointers are raw and length-explicit so the
@@ -114,8 +122,10 @@ struct KernelTable
      * Fused soft-write row update (the fast-mode replay workhorse):
      * per element, s = c - e[i]*w; row[i] = row[i]*s + add[i]*w;
      * stage[i] = s. Element-independent with every multiply/add
-     * explicit (never contracted), so all paths are exact. No operand
-     * may alias row or stage.
+     * explicit (never contracted), so all paths are exact. A null
+     * @p stage skips the stage store and leaves row[] bit-equal to the
+     * staged call (a multi-row update stages its last row only). No
+     * operand may alias row or stage.
      */
     void (*rowUpdate)(const float *e, const float *add, float w,
                       float c, float *row, float *stage,
@@ -125,21 +135,36 @@ struct KernelTable
      * Fused DNC link-row update: per element, s = o[i] - w;
      * stage[i] = s; row[i] = row[i]*s; row[i] += p[i]*w. The exact
      * rounding of the unfused sub / mul / mac sequence, on every path.
-     * No operand may alias row or stage.
+     * A null @p stage skips the stage store, as for rowUpdate. No
+     * operand may alias row or stage.
      */
     void (*linkUpdate)(const float *o, const float *p, float w,
                        float *row, float *stage, std::size_t n);
 
     /**
-     * Blocked row dot: a[0..n) and b[0..n) in blocks of @p block
-     * words, the last one ragged. Each block's dot, reduced exactly as
-     * dot() reduces that block alone, is added to *dotAcc in block
-     * order; with @p nrmAcc non-null each block's a·a, reduced as
-     * dotNorm() reduces it, is added to *nrmAcc the same way. So one
-     * call per row replays a column-blocked row-dot sweep bit for bit.
+     * kDotPairs blocked row dots at once: for each pair k, a[k][0..n)
+     * and b[k][0..n) in blocks of @p block words, the last one ragged;
+     * each block's dot, reduced exactly as dot() reduces that block
+     * alone, is added to *dst[k] in block order. So a row's a·a (the
+     * pair (row, row)) equals dotNorm()'s norm, and a column-blocked
+     * row-dot sweep replays bit for bit, kDotPairs (row, vector) pairs
+     * per call. Every lane is live: a caller with fewer pairs points
+     * the rest at a spare destination. No dst[k] may alias any a or b;
+     * lanes may share a or b.
      */
-    void (*dotBlocks)(const float *a, const float *b, std::size_t n,
-                      std::size_t block, float *dotAcc, float *nrmAcc);
+    void (*dotPairs)(const float *const *a, const float *const *b,
+                     float *const *dst, std::size_t n,
+                     std::size_t block);
+
+    /**
+     * Multi-row axpy: y[i] += alpha[r] * x[r*pitch + i] for r = 0 ..
+     * rows-1 in that order, each product rounded before its add, so
+     * one call equals @p rows sequential axpy() calls bit for bit.
+     * 1 <= rows <= kAxpyRows; y may not alias any x row.
+     */
+    void (*axpyRows)(const float *alpha, const float *x,
+                     std::size_t pitch, std::size_t rows, float *y,
+                     std::size_t n);
 };
 
 /** The scalar reference table (canonical semantics). */

@@ -226,14 +226,16 @@ rowUpdateAvx2(const float *e, const float *add, float w, float c,
         const __m256 r = _mm256_mul_ps(_mm256_loadu_ps(row + i), s);
         const __m256 av = _mm256_mul_ps(_mm256_loadu_ps(add + i), vw);
         _mm256_storeu_ps(row + i, _mm256_add_ps(r, av));
-        _mm256_storeu_ps(stage + i, s);
+        if (stage != nullptr)
+            _mm256_storeu_ps(stage + i, s);
     }
     for (std::size_t i = main; i < n; ++i) {
         float s = e[i] * w;
         s = c - s;
         const float r = row[i] * s;
         row[i] = r + add[i] * w;
-        stage[i] = s;
+        if (stage != nullptr)
+            stage[i] = s;
     }
 }
 
@@ -245,14 +247,16 @@ linkUpdateAvx2(const float *o, const float *p, float w, float *row,
     const std::size_t main = n & ~(kStripe - 1);
     for (std::size_t i = 0; i < main; i += kStripe) {
         const __m256 s = _mm256_sub_ps(_mm256_loadu_ps(o + i), vw);
-        _mm256_storeu_ps(stage + i, s);
+        if (stage != nullptr)
+            _mm256_storeu_ps(stage + i, s);
         const __m256 r = _mm256_mul_ps(_mm256_loadu_ps(row + i), s);
         const __m256 pw = _mm256_mul_ps(_mm256_loadu_ps(p + i), vw);
         _mm256_storeu_ps(row + i, _mm256_add_ps(r, pw));
     }
     for (std::size_t i = main; i < n; ++i) {
         const float s = o[i] - w;
-        stage[i] = s;
+        if (stage != nullptr)
+            stage[i] = s;
         const float r = row[i] * s;
         row[i] = r + p[i] * w;
     }
@@ -296,70 +300,118 @@ laneSums(const __m256 v[kStripe])
     return sum;
 }
 
-/** Add the dots (and, with kNorms, the a·a) of the eight blocks of
- * @p block words at @p a and @p b to @p d (and @p nrm) in block order.
- * Each block's lanes accumulate as in dotAvx2(); laneSums() reduces the
- * eight blocks together, keeping their lane-combine chains apart. */
-template <bool kNorms>
-[[gnu::always_inline]] inline void
-dotBlockGroup(const float *a, const float *b, std::size_t block, float &d,
-              float &nrm)
+/** The memory sweeps' column block: the chip's 32-word Matrix Buffer
+ * row. */
+constexpr std::size_t kChipBlock = 32;
+
+/** Lane k: the dot of the @p len words at a[k] + i and b[k] + i,
+ * reduced exactly as dotAvx2() reduces them alone (stripes, sequential
+ * lane combine, scalar tail). A stripe accumulator starts at its first
+ * product rather than at +0: the two differ only in the sign of a zero,
+ * which the combine's +0 start erases. */
+[[gnu::always_inline]] inline __m256
+blockDots(const float *const *a, const float *const *b, std::size_t i,
+          std::size_t len)
 {
-    __m256 dacc[kStripe];
-    __m256 nacc[kStripe];
-    for (std::size_t j = 0; j < kStripe; ++j)
-        dacc[j] = nacc[j] = _mm256_setzero_ps();
-    for (std::size_t o = 0; o < block; o += kStripe) {
+    const std::size_t main = len & ~(kStripe - 1);
+    // Without a whole stripe every lane combine is +0.
+    __m256 sums = _mm256_setzero_ps();
+    if (main != 0) {
+        __m256 acc[kStripe];
 #pragma GCC unroll 8
-        for (std::size_t j = 0; j < kStripe; ++j) {
-            const __m256 va = _mm256_loadu_ps(a + j * block + o);
-            dacc[j] = _mm256_add_ps(
-                dacc[j], _mm256_mul_ps(va, _mm256_loadu_ps(b + j * block + o)));
-            if constexpr (kNorms)
-                nacc[j] = _mm256_add_ps(nacc[j], _mm256_mul_ps(va, va));
+        for (std::size_t k = 0; k < kStripe; ++k) {
+            const float *pa = a[k] + i;
+            const float *pb = b[k] + i;
+            acc[k] =
+                _mm256_mul_ps(_mm256_loadu_ps(pa), _mm256_loadu_ps(pb));
+            for (std::size_t o = kStripe; o < main; o += kStripe)
+                acc[k] = _mm256_add_ps(
+                    acc[k], _mm256_mul_ps(_mm256_loadu_ps(pa + o),
+                                          _mm256_loadu_ps(pb + o)));
         }
+        sums = laneSums(acc);
     }
-    alignas(32) float sums[kStripe];
-    _mm256_store_ps(sums, laneSums(dacc));
-    for (std::size_t j = 0; j < kStripe; ++j)
-        d += sums[j];
-    if constexpr (kNorms) {
-        _mm256_store_ps(sums, laneSums(nacc));
-        for (std::size_t j = 0; j < kStripe; ++j)
-            nrm += sums[j];
+    if (main == len)
+        return sums;
+    alignas(32) float r[kStripe];
+    _mm256_store_ps(r, sums);
+    for (std::size_t k = 0; k < kStripe; ++k)
+        for (std::size_t j = i + main; j < i + len; ++j)
+            r[k] += a[k][j] * b[k][j];
+    return _mm256_load_ps(r);
+}
+
+/** Eight pairs in the eight lanes: blockDots() reduces a block of every
+ * pair at once, and one vector add accumulates all eight destinations,
+ * in block order. The chip's block width is a compile-time constant, so
+ * its loop keeps the stripe accumulators in registers. */
+void
+dotPairsAvx2(const float *const *a, const float *const *b,
+             float *const *dst, std::size_t n, std::size_t block)
+{
+    alignas(32) float d[kDotPairs];
+    for (std::size_t k = 0; k < kDotPairs; ++k)
+        d[k] = *dst[k];
+    __m256 acc = _mm256_load_ps(d);
+    std::size_t i = 0;
+    if (block == kChipBlock)
+        for (; i + kChipBlock <= n; i += kChipBlock)
+            acc = _mm256_add_ps(acc, blockDots(a, b, i, kChipBlock));
+    for (; i < n; i += block)
+        acc = _mm256_add_ps(acc,
+                            blockDots(a, b, i, std::min(block, n - i)));
+    _mm256_store_ps(d, acc);
+    for (std::size_t k = 0; k < kDotPairs; ++k)
+        *dst[k] = d[k];
+}
+
+/** kRows rows per pass over y: each stripe of y is loaded once, takes
+ * its rows' products in row order, and is stored once. */
+template <std::size_t kRows>
+void
+axpyRowsFixed(const float *alpha, const float *x, std::size_t pitch,
+              float *y, std::size_t n)
+{
+    __m256 va[kRows];
+    for (std::size_t r = 0; r < kRows; ++r)
+        va[r] = _mm256_set1_ps(alpha[r]);
+    const std::size_t main = n & ~(kStripe - 1);
+    for (std::size_t i = 0; i < main; i += kStripe) {
+        __m256 acc = _mm256_loadu_ps(y + i);
+#pragma GCC unroll 4
+        for (std::size_t r = 0; r < kRows; ++r)
+            acc = _mm256_add_ps(
+                acc,
+                _mm256_mul_ps(va[r], _mm256_loadu_ps(x + r * pitch + i)));
+        _mm256_storeu_ps(y + i, acc);
+    }
+    for (std::size_t i = main; i < n; ++i) {
+        float acc = y[i];
+        for (std::size_t r = 0; r < kRows; ++r)
+            acc += alpha[r] * x[r * pitch + i];
+        y[i] = acc;
     }
 }
 
 void
-dotBlocksAvx2(const float *a, const float *b, std::size_t n,
-              std::size_t block, float *dotAcc, float *nrmAcc)
+axpyRowsAvx2(const float *alpha, const float *x, std::size_t pitch,
+             std::size_t rows, float *y, std::size_t n)
 {
-    float d = *dotAcc;
-    float nrm = nrmAcc != nullptr ? *nrmAcc : 0.0f;
-    std::size_t i = 0;
-    // Blocks of whole stripes go eight at a time.
-    const std::size_t group = kStripe * block;
-    for (; block % kStripe == 0 && i + group <= n; i += group) {
-        if (nrmAcc != nullptr)
-            dotBlockGroup<true>(a + i, b + i, block, d, nrm);
-        else
-            dotBlockGroup<false>(a + i, b + i, block, d, nrm);
+    static_assert(kAxpyRows == 4);
+    switch (rows) {
+      case 1:
+        axpyRowsFixed<1>(alpha, x, pitch, y, n);
+        break;
+      case 2:
+        axpyRowsFixed<2>(alpha, x, pitch, y, n);
+        break;
+      case 3:
+        axpyRowsFixed<3>(alpha, x, pitch, y, n);
+        break;
+      default:
+        axpyRowsFixed<4>(alpha, x, pitch, y, n);
+        break;
     }
-    for (; i < n; i += block) {
-        const std::size_t len = std::min(block, n - i);
-        if (nrmAcc == nullptr) {
-            d += dotAvx2(a + i, b + i, len);
-            continue;
-        }
-        float bd = 0.0f;
-        float bn = 0.0f;
-        dotNormAvx2(a + i, b + i, len, &bd, &bn);
-        d += bd;
-        nrm += bn;
-    }
-    *dotAcc = d;
-    if (nrmAcc != nullptr)
-        *nrmAcc = nrm;
 }
 
 const KernelTable kAvx2Table = {
@@ -367,7 +419,8 @@ const KernelTable kAvx2Table = {
     scaleAvx2, axpyAvx2,     macAvx2, sumAvx2,
     dotAvx2,   dotNormAvx2,  scaleMaxAvx2,
     circularConvolveAvx2,    rowUpdateAvx2,
-    linkUpdateAvx2,          dotBlocksAvx2,
+    linkUpdateAvx2,          dotPairsAvx2,
+    axpyRowsAvx2,
 };
 
 } // namespace

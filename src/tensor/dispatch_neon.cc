@@ -5,8 +5,8 @@
 
 // NEON kernel stubs for aarch64 builds. The elementwise entries and
 // the fused link update are real 4-wide NEON; the striped reductions
-// (the blocked row dot among them) and the soft-write row update
-// currently delegate to the scalar reference (which is already the
+// (the batched row dot among them), the multi-row axpy and the
+// soft-write row update currently delegate to the scalar reference (which is already the
 // canonical order, so results stay bit-identical) until a tuned
 // implementation lands. Compiled with -ffp-contract=off like every
 // kernel TU.
@@ -97,14 +97,16 @@ linkUpdateNeon(const float *o, const float *p, float w, float *row,
     const std::size_t main = n & ~std::size_t(3);
     for (std::size_t i = 0; i < main; i += 4) {
         const float32x4_t s = vsubq_f32(vld1q_f32(o + i), vw);
-        vst1q_f32(stage + i, s);
+        if (stage != nullptr)
+            vst1q_f32(stage + i, s);
         const float32x4_t r = vmulq_f32(vld1q_f32(row + i), s);
         const float32x4_t pw = vmulq_f32(vld1q_f32(p + i), vw);
         vst1q_f32(row + i, vaddq_f32(r, pw));
     }
     for (std::size_t i = main; i < n; ++i) {
         const float s = o[i] - w;
-        stage[i] = s;
+        if (stage != nullptr)
+            stage[i] = s;
         const float r = row[i] * s;
         row[i] = r + p[i] * w;
     }

@@ -485,6 +485,30 @@ TEST(ChipEngine, PinnedTensorDigestRaggedColumns)
     }
 }
 
+// The widest similarity sweep: five read heads and the write head give
+// six keys, plus the row norms, so seven (row, vector) pairs per row;
+// a batch of eight pairs straddles rows. The digest was recorded with
+// the per-pair row-dot kernel, so it pins that batching changed no bit.
+TEST(ChipEngine, PinnedTensorDigestSevenPairSweep)
+{
+    mann::MannConfig mc;
+    mc.memN = 64;
+    mc.memM = 1400;
+    mc.numReadHeads = 5;
+    mc.controllerWidth = 32;
+    mc.inputDim = 6;
+    mc.outputDim = 5;
+    const auto model =
+        compiler::compile(mc, arch::MannaConfig::withTiles(4));
+    for (const Fidelity fidelity : {Fidelity::Cycle, Fidelity::Fast}) {
+        SCOPED_TRACE(toString(fidelity));
+        std::uint64_t tensorDigest = 0;
+        runPinned<Chip>(model, mc.inputDim, fidelity, &tensorDigest);
+        EXPECT_EQ(tensorDigest, 0x37fa3681fcbab4e8ull)
+            << std::hex << tensorDigest;
+    }
+}
+
 TEST(DncChipValidation, CompileRejectsTooManyTiles)
 {
     try {

@@ -298,49 +298,76 @@ TEST(ReplayTape, ReadGroupRetargetsVmmAtTheHomeRows)
 // a store). The sealed tape merges a chain of such blocks into one op
 // that walks whole rows, and must compute what the per-block ops do.
 
-// Sweep arena (words): a 6 x 101 matrix at pitch 104, swept in row
-// blocks of 4 and 2 rows and column blocks of 32, 32, 32 and 5 words;
-// two vectors (keys of 101 words, or column weights of 6); their
-// destinations; the row norms; a soft write's erase and add vectors and
-// w; the stage row; an output row; and last the staged block.
-constexpr std::uint32_t kSweepRows = 6;
+// Sweep arena (words): a matrix of up to 8 rows of 101 words at pitch
+// 104, by default 6 rows swept in row blocks of 4 and 2 rows and
+// column blocks of 32, 32, 32 and 5 words; up to six vectors (keys of
+// 101 words, or column weights, one per row); their destinations; the
+// row norms; a row update's source vectors and w; the stage row; an
+// output row; and last the staged block.
 constexpr std::uint32_t kSweepCols = 101;
 constexpr std::uint32_t kSweepPitch = 104;
 constexpr std::uint32_t kBlockCols = 32;
+constexpr std::uint32_t kMaxSweepRows = 8;
+constexpr std::uint32_t kMaxSweepVecs = 6;
 constexpr std::size_t kSwMat = 0;
-constexpr std::size_t kSwVec = kSwMat + kSweepRows * kSweepPitch;
-constexpr std::size_t kSwDst = kSwVec + 2 * kSweepCols;
-constexpr std::size_t kSwNorms = kSwDst + 2 * kSweepCols;
-constexpr std::size_t kSwErase = kSwNorms + kSweepRows;
+constexpr std::size_t kSwVec = kSwMat + kMaxSweepRows * kSweepPitch;
+constexpr std::size_t kSwDst = kSwVec + kMaxSweepVecs * kSweepCols;
+constexpr std::size_t kSwNorms = kSwDst + kMaxSweepVecs * kSweepCols;
+constexpr std::size_t kSwErase = kSwNorms + kMaxSweepRows;
 constexpr std::size_t kSwAdd = kSwErase + kSweepCols;
 constexpr std::size_t kSwW = kSwAdd + kSweepCols;
-constexpr std::size_t kSwStage = kSwW + kSweepRows;
-constexpr std::size_t kSwOut = kSwStage + kBlockCols;
+constexpr std::size_t kSwStage = kSwW + kMaxSweepRows;
+constexpr std::size_t kSwOut = kSwStage + kSweepCols;
 constexpr std::size_t kSwStaged = kSwOut + kBlockCols;
-constexpr std::size_t kSwArena = kSwStaged + 4 * kBlockCols;
+constexpr std::size_t kSwArena = kSwStaged + kMaxSweepRows * kSweepCols;
 
 enum class Sweep
 {
-    RowDot,          ///< two keys, norms on the first
-    ColumnRowsOuter, ///< two column weightings, row blocks outside
+    RowDot,          ///< keys, norms on the first
+    ColumnRowsOuter, ///< column weightings, row blocks outside
     ColumnColsOuter, ///< the same, column blocks outside
     RowUpdate,       ///< a soft write
+    LinkUpdate,      ///< a DNC link update
+};
+
+/** How a sweep blocks its matrix, and how many vectors it serves. */
+struct SweepShape
+{
+    std::vector<std::uint32_t> rowBlocks{4, 2};
+    std::vector<std::uint32_t> colBlocks{32, 32, 32, 5};
+    std::uint32_t vecs = 2;
+
+    std::uint32_t rows() const
+    {
+        std::uint32_t sum = 0;
+        for (const std::uint32_t h : rowBlocks)
+            sum += h;
+        return sum;
+    }
 };
 
 /** Appends ops to a sweep's tape at @p m. */
 using Extra = std::function<void(Ops &, float *)>;
 
-/** The ops of @p kind's sweep over the arena at @p m; @p inside goes
- * right after the first Vmm, @p after after the sweep. */
+/** The ops of @p kind's sweep of @p shape over the arena at @p m;
+ * @p inside goes right after the first Vmm, @p after after the
+ * sweep. */
 Ops
 sweepOps(float *m, Sweep kind, const Extra &inside = {},
-         const Extra &after = {})
+         const Extra &after = {}, const SweepShape &shape = {})
 {
-    const std::pair<std::uint32_t, std::uint32_t> rowBlocks[] = {{0, 4},
-                                                                 {4, 2}};
-    const std::pair<std::uint32_t, std::uint32_t> colBlocks[] = {
-        {0, 32}, {32, 32}, {64, 32}, {96, 5}};
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> rowBlocks;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> colBlocks;
+    for (std::uint32_t r0 = 0; const std::uint32_t h : shape.rowBlocks) {
+        rowBlocks.push_back({r0, h});
+        r0 += h;
+    }
+    for (std::uint32_t c0 = 0; const std::uint32_t w : shape.colBlocks) {
+        colBlocks.push_back({c0, w});
+        c0 += w;
+    }
     const bool rowDot = kind == Sweep::RowDot;
+    const bool update = kind == Sweep::RowUpdate || kind == Sweep::LinkUpdate;
     Ops ops;
     bool first = true;
     auto block = [&](std::uint32_t r0, std::uint32_t rows, std::uint32_t c0,
@@ -356,21 +383,30 @@ sweepOps(float *m, Sweep kind, const Extra &inside = {},
         load.d = staged;
         load.pitchD = w;
         ops.push_back(load);
-        if (kind == Sweep::RowUpdate) {
+        if (update) {
             float *stage = m + kSwStage;
             for (std::uint32_t r = 0; r < rows; ++r) {
                 float *row = staged + r * w;
                 const float *wr = m + kSwW + r0 + r;
-                ReplayOp e = ew(Opcode::EwMul, stage, m + kSwErase + c0, w,
-                                wr, 1);
-                ReplayOp c = ew(Opcode::EwRsubImm, stage, stage, w,
-                                nullptr, 0, 1.0f);
-                ReplayOp x = ew(Opcode::EwMul, row, row, w, stage, w);
-                ReplayOp a = ew(Opcode::EwMac, row, m + kSwAdd + c0, w,
-                                wr, 1);
-                for (ReplayOp *op : {&e, &c, &x, &a}) {
-                    op->n = w;
-                    ops.push_back(*op);
+                Ops rowOps;
+                if (kind == Sweep::RowUpdate) {
+                    rowOps = {ew(Opcode::EwMul, stage, m + kSwErase + c0, w,
+                                 wr, 1),
+                              ew(Opcode::EwRsubImm, stage, stage, w,
+                                 nullptr, 0, 1.0f),
+                              ew(Opcode::EwMul, row, row, w, stage, w),
+                              ew(Opcode::EwMac, row, m + kSwAdd + c0, w, wr,
+                                 1)};
+                } else {
+                    rowOps = {ew(Opcode::EwSub, stage, m + kSwErase + c0, w,
+                                 wr, 1),
+                              ew(Opcode::EwMul, row, row, w, stage, w),
+                              ew(Opcode::EwMac, row, m + kSwAdd + c0, w, wr,
+                                 1)};
+                }
+                for (ReplayOp &op : rowOps) {
+                    op.n = w;
+                    ops.push_back(op);
                 }
             }
             ReplayOp store = load;
@@ -381,7 +417,7 @@ sweepOps(float *m, Sweep kind, const Extra &inside = {},
             ops.push_back(store);
             return;
         }
-        for (std::uint32_t k = 0; k < 2; ++k) {
+        for (std::uint32_t k = 0; k < shape.vecs; ++k) {
             ReplayOp copy;
             copy.kind = ReplayKind::Copy2d;
             copy.rows = 1;
@@ -429,7 +465,8 @@ sweepOps(float *m, Sweep kind, const Extra &inside = {},
  */
 void
 expectSweepLikeRawOps(ReplayTape &tape, Sweep kind, bool withStage,
-                      const Extra &inside = {}, const Extra &after = {})
+                      const Extra &inside = {}, const Extra &after = {},
+                      const SweepShape &shape = {})
 {
     std::vector<float> init(kSwArena);
     Rng rng(29);
@@ -438,10 +475,11 @@ expectSweepLikeRawOps(ReplayTape &tape, Sweep kind, bool withStage,
     std::vector<float> sealed = init;
     std::vector<float> raw = init;
     tape.startRecording();
-    for (const ReplayOp &op : sweepOps(sealed.data(), kind, inside, after))
+    for (const ReplayOp &op :
+         sweepOps(sealed.data(), kind, inside, after, shape))
         tape.append(op);
     tape.finishRecording();
-    const Ops reference = sweepOps(raw.data(), kind, inside, after);
+    const Ops reference = sweepOps(raw.data(), kind, inside, after, shape);
     for (int step = 0; step < 2; ++step) {
         for (const ReplayOp &op : tape.ops())
             execTileOp(op, &tape);
@@ -449,7 +487,7 @@ expectSweepLikeRawOps(ReplayTape &tape, Sweep kind, bool withStage,
             execTileOp(op);
     }
     for (std::size_t i = 0; i < kSwStaged; ++i) {
-        if (!withStage && i >= kSwStage && i < kSwStage + kBlockCols)
+        if (!withStage && i >= kSwStage && i < kSwStage + kSweepCols)
             continue;
         std::uint32_t bs = 0;
         std::uint32_t br = 0;
@@ -459,16 +497,19 @@ expectSweepLikeRawOps(ReplayTape &tape, Sweep kind, bool withStage,
     }
 }
 
-/** The tape is one merged op of @p kind over the whole matrix. */
+/** The tape is one merged op of @p kind over the whole matrix of
+ * @p shape. */
 void
-expectOneSweepOp(const ReplayTape &tape, ReplayKind kind)
+expectOneSweepOp(const ReplayTape &tape, ReplayKind kind,
+                 const SweepShape &shape = {})
 {
     ASSERT_EQ(tape.ops().size(), 1u);
     const ReplayOp &op = tape.ops()[0];
     EXPECT_EQ(op.kind, kind);
-    EXPECT_EQ(op.rows, kSweepRows);
+    EXPECT_EQ(op.rows, shape.rows());
     EXPECT_EQ(op.n, kSweepCols);
-    EXPECT_EQ(op.block, kBlockCols);
+    EXPECT_EQ(op.block,
+              shape.colBlocks.size() > 1 ? shape.colBlocks[0] : 0u);
 }
 
 TEST(ReplaySweep, RowDotWithNormsMergesToOneOp)
@@ -499,6 +540,63 @@ TEST(ReplaySweep, RowUpdateMergesAndLeavesTheStageAsTheBlocksDid)
     expectOneSweepOp(tape, ReplayKind::FusedRowUpdate);
 }
 
+// Six keys plus the norms make seven (row, vector) pairs per row, so
+// the batched row dot's eight-pair calls straddle rows.
+TEST(ReplaySweep, SevenPairRowDotMergesAndMatchesTheRawOps)
+{
+    SweepShape shape;
+    shape.rowBlocks = {4, 1};
+    shape.vecs = 6;
+    ReplayTape tape;
+    expectSweepLikeRawOps(tape, Sweep::RowDot, false, {}, {}, shape);
+    expectOneSweepOp(tape, ReplayKind::RowDotSweep, shape);
+    EXPECT_EQ(tape.ops()[0].vecs, 6u);
+    EXPECT_EQ(tape.ops()[0].flags, kReplayWithNorms);
+}
+
+// Seven rows: one four-row pass, then three rows.
+TEST(ReplaySweep, FiveVectorColumnSumOverSevenRowsMatchesTheRawOps)
+{
+    SweepShape shape;
+    shape.rowBlocks = {4, 3};
+    shape.vecs = 5;
+    for (const Sweep kind :
+         {Sweep::ColumnRowsOuter, Sweep::ColumnColsOuter}) {
+        SCOPED_TRACE(static_cast<int>(kind));
+        ReplayTape tape;
+        expectSweepLikeRawOps(tape, kind, false, {}, {}, shape);
+        expectOneSweepOp(tape, ReplayKind::ColumnSweep, shape);
+        EXPECT_EQ(tape.ops()[0].vecs, 5u);
+    }
+}
+
+// Only a merged update's last row writes the stage; it must still end
+// as the raw ops left it, for one row and for five, as one block op
+// (block 0) and as a merged column-blocked sweep (block set).
+TEST(ReplaySweep, MergedUpdatesLeaveTheLastRowsStage)
+{
+    for (const Sweep kind : {Sweep::RowUpdate, Sweep::LinkUpdate}) {
+        for (const std::uint32_t rows : {1u, 5u}) {
+            for (const bool blocked : {false, true}) {
+                SCOPED_TRACE(testing::Message()
+                             << "link=" << (kind == Sweep::LinkUpdate)
+                             << " rows=" << rows << " blocked=" << blocked);
+                SweepShape shape;
+                shape.rowBlocks = {rows};
+                if (!blocked)
+                    shape.colBlocks = {kSweepCols};
+                ReplayTape tape;
+                expectSweepLikeRawOps(tape, kind, true, {}, {}, shape);
+                expectOneSweepOp(tape,
+                                 kind == Sweep::RowUpdate
+                                     ? ReplayKind::FusedRowUpdate
+                                     : ReplayKind::FusedLinkUpdate,
+                                 shape);
+            }
+        }
+    }
+}
+
 TEST(ReplaySweep, WindowOpWritingASourceKeepsItsGroup)
 {
     ReplayTape tape;
@@ -514,7 +612,7 @@ TEST(ReplaySweep, WindowOpWritingASourceKeepsItsGroup)
     EXPECT_EQ(countKind(tape, ReplayKind::Vmm), 2u);
     for (const ReplayOp &op : tape.ops())
         EXPECT_FALSE(op.kind == ReplayKind::RowDotSweep &&
-                     op.rows == kSweepRows && op.n == kSweepCols);
+                     op.rows == SweepShape{}.rows() && op.n == kSweepCols);
 }
 
 TEST(ReplaySweep, WindowOpReadingADestinationKeepsItsGroup)
@@ -531,7 +629,7 @@ TEST(ReplaySweep, WindowOpReadingADestinationKeepsItsGroup)
     EXPECT_EQ(countKind(tape, ReplayKind::Vmm), 2u);
     for (const ReplayOp &op : tape.ops())
         EXPECT_FALSE(op.kind == ReplayKind::RowDotSweep &&
-                     op.rows == kSweepRows && op.n == kSweepCols);
+                     op.rows == SweepShape{}.rows() && op.n == kSweepCols);
 }
 
 TEST(ReplaySweep, DestinationInsideASourceKeepsTheSweep)
@@ -549,7 +647,7 @@ TEST(ReplaySweep, DestinationInsideASourceKeepsTheSweep)
                           });
     for (const ReplayOp &op : tape.ops())
         EXPECT_FALSE(op.kind == ReplayKind::RowDotSweep &&
-                     op.rows == kSweepRows && op.n == kSweepCols);
+                     op.rows == SweepShape{}.rows() && op.n == kSweepCols);
 }
 
 TEST(ReplaySweep, LaterReadOfTheStageKeepsTheCopies)

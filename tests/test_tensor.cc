@@ -536,6 +536,9 @@ TEST_P(SimdTwinProperty, ReductionKernelsBitIdentical)
     ref.dotNorm(a.data(), b.data(), n, &dR, &nR);
     expectBitEqual(dA, dR, "dotNorm dot");
     expectBitEqual(nA, nR, "dotNorm norm");
+    // A row norm is the pair (row, row) of the batched row dot.
+    expectBitEqual(nA, act.dot(a.data(), a.data(), n), "norm vs dot(a, a)");
+    expectBitEqual(nR, ref.dot(a.data(), a.data(), n), "norm vs dot(a, a)");
 }
 
 TEST_P(SimdTwinProperty, ScaleMaxBitIdenticalOnHostileInput)
@@ -594,6 +597,12 @@ TEST_P(SimdTwinProperty, RowUpdateBitIdenticalAndMatchesUnfused)
                   stgR.data(), n);
     expectBitEqual(rowA, rowR, "rowUpdate row");
     expectBitEqual(stgA, stgR, "rowUpdate stage");
+    // Without a stage only the stage store goes.
+    for (const simd::KernelTable *t : {&act, &ref}) {
+        FVec row = row0;
+        t->rowUpdate(e.data(), add.data(), w, c, row.data(), nullptr, n);
+        expectBitEqual(row, rowA, "rowUpdate row without stage");
+    }
 
     // The fused kernel must round exactly like the unfused op
     // sequence it replaces (mul, rsub-imm, mul, mac).
@@ -630,6 +639,11 @@ TEST_P(SimdTwinProperty, LinkUpdateBitIdenticalAndMatchesUnfused)
     ref.linkUpdate(o.data(), p.data(), w, rowR.data(), stgR.data(), n);
     expectBitEqual(rowA, rowR, "linkUpdate row");
     expectBitEqual(stgA, stgR, "linkUpdate stage");
+    for (const simd::KernelTable *t : {&act, &ref}) {
+        FVec row = row0;
+        t->linkUpdate(o.data(), p.data(), w, row.data(), nullptr, n);
+        expectBitEqual(row, rowA, "linkUpdate row without stage");
+    }
 
     // The fused kernel must round exactly like the unfused op
     // sequence it replaces (sub w, mul stage, mac p*w).
@@ -643,11 +657,9 @@ TEST_P(SimdTwinProperty, LinkUpdateBitIdenticalAndMatchesUnfused)
     expectBitEqual(stgA, stage, "linkUpdate stage vs unfused");
 }
 
-// The blocked row dot replays a column-blocked row-dot sweep: each
-// block's dot (and with norms its a·a), reduced exactly as dot() and
-// dotNorm() reduce that block alone, added in block order. Each table
-// must equal that composition of its own dot()/dotNorm() bit for bit.
-TEST(SimdDispatch, DotBlocksEqualsPerBlockComposition)
+// Every table this build and CPU can run, the scalar reference first.
+std::vector<const simd::KernelTable *>
+runnableTables()
 {
     std::vector<const simd::KernelTable *> tables = {
         &simd::scalarKernels()};
@@ -655,38 +667,100 @@ TEST(SimdDispatch, DotBlocksEqualsPerBlockComposition)
     if (simd::levelSupported(simd::Level::Avx2))
         tables.push_back(&simd::avx2Kernels());
 #endif
-    for (const std::size_t n : {1, 5, 8, 31, 32, 33, 101, 1400, 4000}) {
+#if MANNA_HAVE_NEON
+    tables.push_back(&simd::neonKernels());
+#endif
+    return tables;
+}
+
+// The batched row dot replays a column-blocked row-dot sweep: for each
+// live pair, each block's dot (or, for a (row, row) pair, its norm),
+// reduced exactly as dot() and dotNorm() reduce that block alone, added
+// to the destination in block order. Each table must equal that
+// composition of its own dot()/dotNorm() bit for bit, whichever lanes
+// are live, with lanes sharing a row and lanes whose b is their a.
+TEST(SimdDispatch, DotPairsEqualsPerPairBlockComposition)
+{
+    constexpr std::size_t kLanes = simd::kDotPairs;
+    for (const std::size_t n :
+         {1, 5, 8, 31, 32, 33, 101, 257, 1000, 1024, 1400, 4000}) {
         Rng rng(n + 9600);
-        const FVec a = randomVec(n, rng);
-        const FVec b = randomVec(n, rng);
-        for (const simd::KernelTable *t : tables) {
+        // Lanes 0-3 read row 0, lanes 4-7 row 1; lanes 3 and 7 are
+        // their row's norm, the rest take keys 0-2.
+        const FVec rows[] = {randomVec(n, rng), randomVec(n, rng)};
+        const FVec keys[] = {randomVec(n, rng), randomVec(n, rng),
+                             randomVec(n, rng)};
+        const float *a[kLanes];
+        const float *b[kLanes];
+        for (std::size_t k = 0; k < kLanes; ++k) {
+            a[k] = rows[k / 4].data();
+            b[k] = k % 4 == 3 ? a[k] : keys[k % 4].data();
+        }
+        for (const simd::KernelTable *t : runnableTables()) {
             for (const std::size_t block : {32, 8, 5}) {
-                for (const bool norms : {false, true}) {
+                for (std::size_t live = 1; live <= kLanes; ++live) {
                     SCOPED_TRACE(testing::Message()
                                  << t->name << " n=" << n << " block="
-                                 << block << " norms=" << norms);
-                    float dRef = 0.25f;
-                    float nRef = -1.5f;
-                    for (std::size_t i = 0; i < n; i += block) {
-                        const std::size_t len = std::min(block, n - i);
-                        if (!norms) {
-                            dRef += t->dot(a.data() + i, b.data() + i, len);
-                            continue;
+                                 << block << " live=" << live);
+                    const auto init = [](std::size_t k) {
+                        return 0.25f * static_cast<float>(k) - 1.0f;
+                    };
+                    FVec want(kLanes);
+                    for (std::size_t k = 0; k < kLanes; ++k) {
+                        float d = init(k);
+                        for (std::size_t i = 0; k < live && i < n;
+                             i += block) {
+                            const std::size_t len = std::min(block, n - i);
+                            float bd = 0.0f;
+                            float bn = 0.0f;
+                            t->dotNorm(a[k] + i, a[k] + i, len, &bd, &bn);
+                            d += b[k] == a[k]
+                                     ? bn
+                                     : t->dot(a[k] + i, b[k] + i, len);
                         }
-                        float bd = 0.0f;
-                        float bn = 0.0f;
-                        t->dotNorm(a.data() + i, b.data() + i, len, &bd,
-                                   &bn);
-                        dRef += bd;
-                        nRef += bn;
+                        want[k] = d;
                     }
-                    float d = 0.25f;
-                    float nrm = -1.5f;
-                    t->dotBlocks(a.data(), b.data(), n, block, &d,
-                                 norms ? &nrm : nullptr);
-                    expectBitEqual(d, dRef, "dotBlocks dot");
-                    expectBitEqual(nrm, nRef, "dotBlocks norm");
+                    // Dead lanes repeat pair 0 into a spare.
+                    FVec got(kLanes);
+                    float spare = 0.0f;
+                    const float *la[kLanes];
+                    const float *lb[kLanes];
+                    float *ld[kLanes];
+                    for (std::size_t k = 0; k < kLanes; ++k) {
+                        const bool on = k < live;
+                        got[k] = init(k);
+                        la[k] = on ? a[k] : a[0];
+                        lb[k] = on ? b[k] : b[0];
+                        ld[k] = on ? &got[k] : &spare;
+                    }
+                    t->dotPairs(la, lb, ld, n, block);
+                    expectBitEqual(got, want, "dotPairs");
                 }
+            }
+        }
+    }
+}
+
+// axpyRows() for R rows is R sequential axpy() calls, bit for bit.
+TEST(SimdDispatch, AxpyRowsEqualsSequentialAxpy)
+{
+    for (const std::size_t n : {1, 5, 8, 31, 32, 33, 101, 1400}) {
+        Rng rng(n + 9800);
+        const std::size_t pitch = n + 3;
+        const FVec x = hostileVec(simd::kAxpyRows * pitch, rng);
+        const FVec w = randomVec(simd::kAxpyRows, rng);
+        const FVec y0 = randomVec(n, rng);
+        for (const simd::KernelTable *t : runnableTables()) {
+            for (std::size_t rows = 1; rows <= simd::kAxpyRows; ++rows) {
+                SCOPED_TRACE(testing::Message() << t->name << " n=" << n
+                                                << " rows=" << rows);
+                FVec want = y0;
+                for (std::size_t r = 0; r < rows; ++r)
+                    t->axpy(w[r], x.data() + r * pitch, want.data(), n);
+                FVec got = y0;
+                t->axpyRows(w.data(), x.data(), pitch, rows, got.data(),
+                            n);
+                expectBitEqual(got, want, "axpyRows");
             }
         }
     }
