@@ -174,6 +174,8 @@ class ChipEngine
     DiffMemTile &tile(std::size_t t) { return *tiles_[t]; }
     const DiffMemTile &tile(std::size_t t) const { return *tiles_[t]; }
     std::size_t numTiles() const { return tiles_.size(); }
+    /** The replay tape: sealed by the first step. */
+    const ReplayTape &tape() const { return tape_; }
 
     /** Write @p source's rows into their MatBuf slices. */
     void loadPartition(const compiler::RowPartition &part,
@@ -301,6 +303,7 @@ class Chip
     const mann::MannConfig &mannConfig() const { return model_.mannCfg; }
     const compiler::CompiledModel &model() const { return model_; }
     Fidelity fidelity() const { return engine_.fidelity(); }
+    const ChipEngine &engine() const { return engine_; }
 
     /** See ChipEngine::attachTrace(). */
     void attachTrace(TraceLogger *logger) { engine_.attachTrace(logger); }

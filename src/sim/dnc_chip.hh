@@ -62,6 +62,7 @@ class DncChip
 
     const compiler::CompiledDnc &model() const { return model_; }
     Fidelity fidelity() const { return engine_.fidelity(); }
+    const ChipEngine &engine() const { return engine_; }
 
     /** See ChipEngine::attachTrace(). */
     void attachTrace(TraceLogger *logger) { engine_.attachTrace(logger); }

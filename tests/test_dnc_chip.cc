@@ -444,6 +444,119 @@ TEST(ChipEngine, PinnedCountersBothDrivers)
     }
 }
 
+/**
+ * FNV-1a over every op of @p engine's sealed tape: its fields, each
+ * pointer as (tile, space, word offset) and each pool offset as the
+ * pool entries it names, so neither host addresses nor the pools'
+ * layout enter the digest.
+ */
+std::uint64_t
+sealedTapeDigest(const ChipEngine &engine)
+{
+    using isa::Space;
+    Fnv1a h;
+    auto ptr = [&](const float *p) {
+        const auto at = reinterpret_cast<std::uintptr_t>(p);
+        for (std::size_t t = 0; p != nullptr && t < engine.numTiles(); ++t)
+            for (const Space space : {Space::MatBuf, Space::MatSpad,
+                                      Space::VecBuf, Space::VecSpad}) {
+                const TileMemory &mem = engine.tile(t).memory();
+                const auto base =
+                    reinterpret_cast<std::uintptr_t>(mem.span(space, 0, 0));
+                if (at >= base &&
+                    at < base + mem.words(space) * sizeof(float)) {
+                    h.u64(t).u64(static_cast<std::uint64_t>(space))
+                        .u64((at - base) / sizeof(float));
+                    return;
+                }
+            }
+        EXPECT_EQ(p, nullptr) << "a tape pointer outside every tile";
+        h.u64(~std::uint64_t{0});
+    };
+    const ReplayTape &tape = engine.tape();
+    for (const ReplayOp &op : tape.ops()) {
+        float imm = op.imm;
+        std::uint32_t immBits = 0;
+        std::memcpy(&immBits, &imm, sizeof immBits);
+        const bool fused = op.kind == ReplayKind::FusedRowUpdate ||
+                           op.kind == ReplayKind::FusedLinkUpdate;
+        const bool sweep = op.kind == ReplayKind::RowDotSweep ||
+                           op.kind == ReplayKind::ColumnSweep;
+        const bool poolA = fused || op.kind == ReplayKind::Reduce ||
+                           op.kind == ReplayKind::Broadcast;
+        h.u64(static_cast<std::uint64_t>(op.kind))
+            .u64(static_cast<std::uint64_t>(op.op))
+            .u64(op.flags)
+            .u64(op.vecs)
+            .u64(op.n)
+            .u64(op.rows)
+            .u64(poolA ? 0 : op.pitchA)
+            .u64(sweep ? 0 : op.pitchD)
+            .u64(immBits)
+            .u64(op.block);
+        for (const float *p : {op.a, op.b, static_cast<const float *>(op.d),
+                               static_cast<const float *>(op.dn)})
+            ptr(p);
+        if (fused)
+            ptr(tape.srcPtrs(op.pitchA)[0]);
+        for (std::uint32_t t = 0; op.kind == ReplayKind::Reduce && t < op.rows;
+             ++t)
+            ptr(tape.srcPtrs(op.pitchA)[t]);
+        for (std::uint32_t t = 0;
+             op.kind == ReplayKind::Broadcast && t < op.rows; ++t)
+            ptr(tape.dstPtrs(op.pitchA)[t]);
+        for (std::uint32_t v = 0; sweep && v < op.vecs; ++v) {
+            ptr(tape.sweepPairs(op.pitchD)[v].v);
+            ptr(tape.sweepPairs(op.pitchD)[v].d);
+        }
+    }
+    return h.u64(tape.ops().size()).value();
+}
+
+// The tape every step replays, pinned op by op after step 1: the ten
+// Table-2 shapes at 4 tiles and the 512-row DNC at 16. The digests
+// were recorded while the tape still searched the recorded ops for the
+// compiler's sweeps; they hold the sweeps the compiler names to the
+// same sealed ops.
+TEST(ChipEngine, SealedTapeDigestsPinned)
+{
+    const std::pair<const char *, std::uint64_t> expected[] = {
+        {"copy", 0x9d00b8b4e4ce4d84ull},
+        {"rptcopy", 0x0ff2a5983cbcd23dull},
+        {"recall", 0x2595083d22d5a073ull},
+        {"ngrams", 0x65ce0df42012baa8ull},
+        {"sort", 0xfafed0aca8dcbf16ull},
+        {"bAbI", 0x075ba706ed4ffd3full},
+        {"short", 0x0b51223bee75068dull},
+        {"travers", 0x902863d574759abbull},
+        {"inf", 0xb6fc629b7fced750ull},
+        {"shrdlu", 0xfec9aecff9a6a975ull},
+        {"dnc512", 0x69b61a49a74d6281ull},
+    };
+    for (const auto &[name, digest] : expected) {
+        SCOPED_TRACE(name);
+        std::uint64_t got = 0;
+        if (std::string(name) == "dnc512") {
+            DncConfig dc = makeConfig(512, 64, 2);
+            dc.controllerWidth = 128;
+            const auto model = compiler::compileDnc(
+                dc, arch::MannaConfig::withTiles(16));
+            DncChip chip(model, 5, Fidelity::Fast);
+            chip.step(FVec(dc.inputDim, 0.5f));
+            got = sealedTapeDigest(chip.engine());
+        } else {
+            const mann::MannConfig &mc =
+                workloads::benchmarkByName(name).config;
+            const auto model =
+                compiler::compile(mc, arch::MannaConfig::withTiles(4));
+            Chip chip(model, 5, Fidelity::Fast);
+            chip.step(FVec(mc.inputDim, 0.5f));
+            got = sealedTapeDigest(chip.engine());
+        }
+        EXPECT_EQ(got, digest) << std::hex << got;
+    }
+}
+
 // A row width that is not a multiple of the 32-word Matrix-Buffer
 // width: every memory sweep ends in a 4-word column block. The digests
 // were recorded before the replay tape merged column-blocked sweeps,
