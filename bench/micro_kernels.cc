@@ -6,8 +6,9 @@
  * simulator itself, not the modeled accelerator.
  *
  * Self-timed (no external benchmark framework): each micro-bench
- * doubles its iteration count until the timed region exceeds
- * min_time= seconds (default 0.2), then reports ns/op. Execution goes
+ * doubles its iteration count until one timed batch takes a fifth of
+ * min_time= seconds (default 0.2), then reports the median ns/op of
+ * five batches of that size. Execution goes
  * through the fault-isolated sweep harness, so bench=<name> filters,
  * jobs= (default 1 — concurrent timing perturbs results), and the
  * retries=/timeout=/stats=/bench_json= knobs all apply; a crashed or
@@ -37,9 +38,11 @@
  * and dnc1024, perfbench's 1024-row DNC.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <vector>
 
 #include "common/config.hh"
 #include "common/hash.hh"
@@ -91,25 +94,36 @@ struct Micro
 };
 
 /**
- * Time @p body with geometric ramp-up: double the batch size until
- * one timed batch exceeds @p minSeconds, then report seconds per
- * operation from the final batch.
+ * Time @p body: double the batch size until one timed batch takes a
+ * fifth of @p minSeconds, then time five batches of that size and
+ * report the median seconds per operation, so one slow window of a
+ * shared host does not set the number.
  */
 double
 secondsPerOp(const std::function<void()> &body, double minSeconds)
 {
     using Clock = std::chrono::steady_clock;
-    body(); // warm-up (page-in, caches, lazy init)
-    for (std::size_t batch = 1;; batch *= 2) {
+    constexpr std::size_t kBatches = 5;
+    auto timeBatch = [&body](std::size_t batch) {
         const auto start = Clock::now();
         for (std::size_t i = 0; i < batch; ++i)
             body();
-        const double elapsed =
-            std::chrono::duration<double>(Clock::now() - start)
-                .count();
-        if (elapsed >= minSeconds || batch >= (1u << 30))
-            return elapsed / static_cast<double>(batch);
-    }
+        return std::chrono::duration<double>(Clock::now() - start)
+                   .count() /
+               static_cast<double>(batch);
+    };
+    body(); // warm-up (page-in, caches, lazy init)
+    std::size_t batch = 1;
+    while (timeBatch(batch) * static_cast<double>(batch) <
+               minSeconds / kBatches &&
+           batch < (1u << 30))
+        batch *= 2;
+    std::vector<double> perOp;
+    for (std::size_t b = 0; b < kBatches; ++b)
+        perOp.push_back(timeBatch(batch));
+    std::nth_element(perOp.begin(), perOp.begin() + kBatches / 2,
+                     perOp.end());
+    return perOp[kBatches / 2];
 }
 
 /** shrdlu's per-tile similarity sweep: 80 rows of 4,000 words, four
