@@ -269,8 +269,10 @@ KernelRoutines::emitRowDotSweep(Program &prog, std::uint32_t matBase,
                                 bool withNorms) const
 {
     const bool skew = ac.hasDmat;
-    emitBlockedSweep(
-        prog, rows, cols, blockN, blockM, /*outerRows=*/true,
+    emitSweep(
+        prog,
+        {{SweepKind::RowDot, rows, cols, cols, blockN, blockM, true},
+         matBase, vecs, withNorms, simNorms, stageVec},
         [&](Program &p, SweepCtx &c, std::uint32_t rowsB,
             std::uint32_t colsB) {
             const Operand block = isa::makeOperand(
@@ -313,8 +315,10 @@ KernelRoutines::emitColumnSweep(Program &prog, std::uint32_t matBase,
                                 std::uint32_t blockM, bool outerRows,
                                 const std::vector<SweepVec> &vecs) const
 {
-    emitBlockedSweep(
-        prog, rows, cols, blockN, blockM, outerRows,
+    emitSweep(
+        prog,
+        {{SweepKind::Column, rows, cols, cols, blockN, blockM, outerRows},
+         matBase, vecs, false, 0, stageVec},
         [&](Program &p, SweepCtx &c, std::uint32_t rowsB,
             std::uint32_t colsB) {
             const Operand block =
@@ -351,8 +355,10 @@ KernelRoutines::emitRowUpdateSweep(Program &prog, std::uint32_t matBase,
                                    std::uint32_t blockM,
                                    const RowUpdate &update) const
 {
-    emitBlockedSweep(
-        prog, rows, cols, blockN, blockM, /*outerRows=*/true,
+    emitSweep(
+        prog,
+        {{SweepKind::RowUpdate, rows, cols, cols, blockN, blockM, true},
+         matBase, {}, false, 0, stageRow},
         [&](Program &p, SweepCtx &c, std::uint32_t rowsB,
             std::uint32_t colsB) {
             const Operand block =
@@ -373,6 +379,18 @@ KernelRoutines::emitRowUpdateSweep(Program &prog, std::uint32_t matBase,
             p.append(blockDma(Opcode::DmaStoreM, rowsInBuf, block, cols,
                               rowsB));
         });
+}
+
+void
+KernelRoutines::emitSweep(Program &prog, SweepDesc desc,
+                          const SweepBody &body) const
+{
+    desc.begin = prog.size();
+    emitBlockedSweep(prog, desc.rows, desc.cols, desc.blockN, desc.blockM,
+                     desc.outerRows, body);
+    desc.end = prog.size();
+    if (sweeps != nullptr)
+        sweeps->push_back(std::move(desc));
 }
 
 void
@@ -592,7 +610,16 @@ KernelRoutines::addSegment(
     CompiledSegment seg;
     seg.group = group;
     seg.name = name;
+    // The routines describe their sweeps only while a program is
+    // emitted here.
+    struct Undescribe
+    {
+        const KernelRoutines &k;
+        ~Undescribe() { k.sweeps = nullptr; }
+    } undescribe{*this};
     for (std::size_t t = 0; t < tiles; ++t) {
+        std::vector<SweepDesc> described;
+        sweeps = &described;
         Program p = emit(t);
         const std::string err = p.validate();
         if (!err.empty())
@@ -601,6 +628,7 @@ KernelRoutines::addSegment(
                           err.c_str()),
                 ErrorContext{ac.fingerprint(), ""});
         seg.tilePrograms.push_back(std::move(p));
+        seg.tileSweeps.push_back(std::move(described));
     }
     model.stepSegments.push_back(std::move(seg));
 }

@@ -91,16 +91,6 @@ isa::Instruction makeInst(isa::Opcode op, isa::Operand dst,
 isa::Operand vecOp(std::uint32_t base, std::uint32_t len);
 isa::Operand scalarOp(std::uint32_t addr);
 
-/** One vector a matrix sweep multiplies (`src`) and the vector its
- * products accumulate into (`dst`). */
-struct SweepVec
-{
-    isa::Space srcSpace;
-    std::uint32_t src;
-    isa::Space dstSpace;
-    std::uint32_t dst;
-};
-
 /**
  * The memory row partition, the scratch regions every generated step
  * has, and the kernel routines that use them. A generator derives
@@ -140,6 +130,10 @@ struct KernelRoutines
     std::uint32_t stageVec = 0; ///< vector chunks for vmm srcA
     std::uint32_t stageRow = 0; ///< row-update temporary
     std::uint32_t vecSpadWords = 0;
+
+    /** While addSegment() emits a tile program: where the emit*Sweep
+     * routines describe the sweeps they emit. */
+    mutable std::vector<SweepDesc> *sweeps = nullptr;
 
     std::uint32_t nLocal(std::size_t tile) const { return memRows[tile]; }
 
@@ -184,6 +178,12 @@ struct KernelRoutines
                             std::uint32_t rows, std::uint32_t cols,
                             std::uint32_t blockN, std::uint32_t blockM,
                             const RowUpdate &update) const;
+
+    /** Emit the blocked loop nest over @p desc's grid, @p body per
+     * block, and describe it in `sweeps` (its begin and end set
+     * here). */
+    void emitSweep(isa::Program &prog, SweepDesc desc,
+                   const SweepBody &body) const;
 
     /**
      * Hidden-state projection: this tile's @p rowsT rows (from global

@@ -47,6 +47,60 @@ std::uint32_t packCommTag(CommTag tag, std::uint32_t index = 0);
 CommTag commTagOf(std::uint32_t count);
 std::uint32_t commIndexOf(std::uint32_t count);
 
+/** One vector a matrix sweep multiplies (`src`) and the vector its
+ * products accumulate into (`dst`). */
+struct SweepVec
+{
+    isa::Space srcSpace;
+    std::uint32_t src;
+    isa::Space dstSpace;
+    std::uint32_t dst;
+};
+
+/** What a blocked memory sweep does with each row of its matrix. */
+enum class SweepKind : std::uint8_t
+{
+    RowDot,    ///< each vector's dst[r] += dot(row r, src)
+    Column,    ///< each vector's dst[0..cols) += src[r] * row r
+    RowUpdate, ///< the row is updated in place
+};
+
+/** How a blocked sweep walks its rows x cols matrix (rows `pitch`
+ * words apart): blocks of blockN rows and blockM columns, the last
+ * row and column block narrower when they do not divide, row blocks
+ * outside column blocks (outerRows) or the other way round. */
+struct SweepGrid
+{
+    SweepKind kind = SweepKind::RowDot;
+    std::uint32_t rows = 0;
+    std::uint32_t cols = 0;
+    std::uint32_t pitch = 0;
+    std::uint32_t blockN = 0;
+    std::uint32_t blockM = 0;
+    bool outerRows = true;
+};
+
+/**
+ * One blocked memory sweep of a tile program, as the KernelRoutines
+ * routine that emitted it knows it: each block is loaded from the
+ * matrix into the Matrix-Scratchpad, then served (per vector, a copy
+ * of its slice into the stage words and a Vmm; or a row update of
+ * every staged row through the stage words, then a store back). It
+ * lives in memory only (program bytes, MNPR and .masm do not carry
+ * it), and the replay tape merges exactly the sweeps it names
+ * (sim/replay.hh).
+ */
+struct SweepDesc : SweepGrid
+{
+    std::uint32_t matBase = 0;  ///< MatBuf address of the matrix
+    std::vector<SweepVec> vecs; ///< RowDot and Column
+    bool withNorms = false;     ///< RowDot: row norms into `norms`,
+    std::uint32_t norms = 0;    ///< in the first vector's dst space
+    std::uint32_t stage = 0;    ///< VecSpad address of the stage words
+    std::size_t begin = 0;      ///< its loop nest's instructions,
+    std::size_t end = 0;        ///< [begin, end) of the tile program
+};
+
 /**
  * One bulk-synchronous program segment: all tiles run their program,
  * synchronizing at the embedded Reduce/Broadcast instructions. Each
@@ -57,6 +111,8 @@ struct CompiledSegment
     mann::KernelGroup group;
     std::string name;
     std::vector<isa::Program> tilePrograms; ///< one per DiffMem tile
+    /** Per tile program, its memory sweeps in program order. */
+    std::vector<std::vector<SweepDesc>> tileSweeps;
 };
 
 /** Placement of a row-partitioned matrix across the tiles. */

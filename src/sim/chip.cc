@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -396,7 +395,7 @@ ChipEngine::timeStep()
         return;
     }
     tape_.finishRecording();
-    if (std::getenv("MANNA_REPLAY_DEBUG") != nullptr) {
+    if (replayDebug()) {
         double total = 0.0, forwarded = 0.0;
         std::size_t skips = 0;
         for (const auto &tile : tiles_) {
@@ -453,7 +452,8 @@ ChipEngine::runSegment(const compiler::CompiledSegment &segment)
     for (auto &tile : tiles_)
         tile->alignTo(std::max(tile->quiesceTime(), segStart));
     for (std::size_t t = 0; t < tiles_.size(); ++t)
-        tiles_[t]->setProgram(&segment.tilePrograms[t]);
+        tiles_[t]->setProgram(&segment.tilePrograms[t],
+                              &segment.tileSweeps[t]);
     while (true) {
         checkCancelled();
         bool allDone = true;

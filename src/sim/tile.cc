@@ -152,11 +152,15 @@ TileCounters::exportOpProfile(StatRegistry &reg,
 }
 
 void
-DiffMemTile::setProgram(const isa::Program *program)
+DiffMemTile::setProgram(const isa::Program *program,
+                        const std::vector<compiler::SweepDesc> *sweeps)
 {
     MANNA_ASSERT(program != nullptr, "null program");
     program_ = program;
     pc_ = 0;
+    sweeps_ = sweeps;
+    nextSweep_ = 0;
+    sweepOpen_ = false;
     stopRecording();
     loopStack_.clear();
     std::fill(std::begin(iters_), std::end(iters_), 0);
@@ -175,7 +179,13 @@ DiffMemTile::runUntilComm()
         records_ = ownRecords_.get();
     }
     const auto &insts = program_->instructions();
+    std::size_t mark = sweepMark();
     while (pc_ < insts.size()) {
+        if (pc_ == mark) {
+            markSweep();
+            mark = sweepMark();
+            continue;
+        }
         const Instruction &inst = insts[pc_];
         switch (inst.op) {
           case Opcode::Loop:
@@ -203,8 +213,46 @@ DiffMemTile::runUntilComm()
             break;
         }
     }
+    if (pc_ == mark)
+        markSweep();
     stopRecording();
     return RunStatus::Done;
+}
+
+std::size_t
+DiffMemTile::sweepMark() const
+{
+    if (sweeps_ == nullptr || nextSweep_ == sweeps_->size() ||
+        tape_ == nullptr || !tape_->recording())
+        return ~std::size_t{0};
+    const compiler::SweepDesc &s = (*sweeps_)[nextSweep_];
+    return sweepOpen_ ? s.end : s.begin;
+}
+
+void
+DiffMemTile::markSweep()
+{
+    sweepOpen_ = !sweepOpen_;
+    if (!sweepOpen_) {
+        tape_->closeSweep();
+        ++nextSweep_;
+        return;
+    }
+    // The sweep's operands, resolved as its instructions resolve them.
+    const compiler::SweepDesc &s = (*sweeps_)[nextSweep_];
+    const bool rowDot = s.kind == compiler::SweepKind::RowDot;
+    SweepWindow w;
+    static_cast<compiler::SweepGrid &>(w) = s;
+    w.home = mem_.span(Space::MatBuf, s.matBase,
+                       (s.rows - 1) * s.pitch + s.cols);
+    for (const compiler::SweepVec &v : s.vecs)
+        w.pairs.push_back(
+            {mem_.span(v.srcSpace, v.src, rowDot ? s.cols : s.rows),
+             mem_.span(v.dstSpace, v.dst, rowDot ? s.rows : s.cols)});
+    if (s.withNorms)
+        w.norms = mem_.span(s.vecs[0].dstSpace, s.norms, s.rows);
+    w.stage = mem_.span(Space::VecSpad, s.stage, 1);
+    tape_->openSweep(std::move(w));
 }
 
 void
@@ -585,6 +633,7 @@ DiffMemTile::reset()
     tape_ = nullptr;
     program_ = nullptr;
     pc_ = 0;
+    sweeps_ = nullptr;
     stopRecording();
     loopStack_.clear();
     std::fill(std::begin(iters_), std::end(iters_), 0);

@@ -187,8 +187,12 @@ class DiffMemTile
                 const TileLayoutSizes &sizes);
 
     /** Install a program and reset the program counter / loop state
-     * (timing state is preserved across programs). */
-    void setProgram(const isa::Program *program);
+     * (timing state is preserved across programs). While the attached
+     * tape records, the ops of each of @p sweeps' loop nests are
+     * marked on it as that sweep's window. */
+    void setProgram(const isa::Program *program,
+                    const std::vector<compiler::SweepDesc> *sweeps =
+                        nullptr);
 
     /**
      * Run until the program ends or a communication instruction. A
@@ -284,6 +288,12 @@ class DiffMemTile
         if (recording_)
             recordOp(op);
     }
+
+    /** The pc at which the next sweep window opens or closes on a
+     * recording tape, or none. */
+    std::size_t sweepMark() const;
+    /** Open or close that window. */
+    void markSweep();
 
     /** False during the final iteration of a fast-forwarded loop,
      * which only resolves, checks and emits its ops. */
@@ -437,6 +447,9 @@ class DiffMemTile
     // --- program state ---------------------------------------------------
     const isa::Program *program_ = nullptr;
     std::size_t pc_ = 0;
+    const std::vector<compiler::SweepDesc> *sweeps_ = nullptr;
+    std::size_t nextSweep_ = 0; ///< the next sweep to open or close
+    bool sweepOpen_ = false;
     struct LoopFrame
     {
         std::size_t bodyPc = 0;  ///< pc of the first body instruction
