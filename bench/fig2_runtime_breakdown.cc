@@ -65,7 +65,7 @@ printBreakdown(const char *platformName, const char *platformKey,
 int
 main(int argc, char **argv)
 {
-    const Config cfg = Config::fromArgs(argc, argv);
+    const Config cfg = Config::fromCommandLine(argc, argv);
     harness::printBanner("Figure 2",
                          "Runtime breakdown of different NTM kernels");
     StatRegistry dump;

@@ -509,7 +509,7 @@ buildMicros()
 int
 main(int argc, char **argv)
 {
-    const Config cfg = Config::fromArgs(argc, argv);
+    const Config cfg = Config::fromCommandLine(argc, argv);
     // Timing micro-benches perturb each other when run concurrently,
     // so jobs= defaults to 1 here (unlike the simulation sweeps).
     const std::size_t jobs =

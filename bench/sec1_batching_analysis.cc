@@ -44,7 +44,7 @@ secondsPerSample(const baselines::PlatformStepCost &cost,
 int
 main(int argc, char **argv)
 {
-    const Config cfg = Config::fromArgs(argc, argv);
+    const Config cfg = Config::fromCommandLine(argc, argv);
     const std::size_t steps =
         harness::stepsFromConfig(cfg, harness::defaultSteps());
     const std::size_t jobs =

@@ -57,7 +57,7 @@ utilizationFor(const workloads::Benchmark &bench,
 int
 main(int argc, char **argv)
 {
-    const Config cfg = Config::fromArgs(argc, argv);
+    const Config cfg = Config::fromCommandLine(argc, argv);
     const std::size_t steps =
         harness::stepsFromConfig(cfg, harness::defaultSteps());
     const harness::TraceOptions traceOpts =

@@ -29,7 +29,7 @@ using namespace manna;
 int
 main(int argc, char **argv)
 {
-    const Config cfg = Config::fromArgs(argc, argv);
+    const Config cfg = Config::fromCommandLine(argc, argv);
     const std::size_t steps =
         harness::stepsFromConfig(cfg, 1);
     const std::size_t jobs =

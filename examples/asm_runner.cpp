@@ -62,7 +62,7 @@ halt
 int
 main(int argc, char **argv)
 {
-    const Config cfg = Config::fromArgs(argc, argv);
+    const Config cfg = Config::fromCommandLine(argc, argv);
     std::string text = kDemo;
     const std::string path = cfg.getString("file");
     if (!path.empty()) {

@@ -20,7 +20,7 @@ using namespace manna;
 int
 main(int argc, char **argv)
 {
-    const Config cfg = Config::fromArgs(argc, argv);
+    const Config cfg = Config::fromCommandLine(argc, argv);
     const std::string benchName = cfg.getString("benchmark", "tiny");
     const std::size_t tiles =
         static_cast<std::size_t>(cfg.getInt("tiles", 4));

@@ -39,7 +39,7 @@ sweepRow(Table &table, const std::string &label,
 int
 main(int argc, char **argv)
 {
-    const Config cfg = Config::fromArgs(argc, argv);
+    const Config cfg = Config::fromCommandLine(argc, argv);
     const workloads::Benchmark bench = workloads::benchmarkByName(
         cfg.getString("benchmark", "copy"));
     const std::size_t steps =

@@ -23,7 +23,10 @@
 #  9. every backticked C++ name in docs/PORTING.md (an identifier,
 #     optionally ::-qualified, optionally followed by "()") exists in
 #     src/, so the porting guide cannot name helpers the code renamed
-#     or deleted.
+#     or deleted;
+# 10. the command-line knob list (kKnobs, src/common/config.cc)
+#     matches, in both directions, the keys the sources pass to the
+#     Config getters.
 #
 # Pure grep/sed; no dependencies beyond POSIX tools + bash.
 set -u
@@ -262,6 +265,35 @@ for ident in $idents; do
             complain "docs/PORTING.md names '$ident' but '$part' is" \
                      "not in src/"
     done
+done
+
+# --- 10. the command-line knob list vs the Config getters ----------
+# Config::fromCommandLine() rejects a key outside the kKnobs array of
+# src/common/config.cc. It must list exactly the keys the sources pass
+# as literals to a Config getter, so neither a knob a binary reads can
+# be rejected nor a key no binary reads be accepted.
+knobs_list=$(sed -n '/kKnobs\[\] = {/,/^};/p' src/common/config.cc |
+             grep -oE '"[a-z_0-9]+"' | tr -d '"' | sort -u)
+knobs_read=$(grep -rhoE \
+                 '\.(getString|getInt|getDouble|getBool|has)\("[a-z_0-9]+"' \
+                 --include='*.cc' --include='*.hh' --include='*.cpp' \
+                 src bench tools examples |
+             sed -E 's/.*\("//; s/"$//' | sort -u)
+[ -n "$knobs_list" ] || complain "no knob list found in src/common/config.cc"
+for knob in $knobs_read; do
+    printf '%s\n' "$knobs_list" | grep -qxF "$knob" ||
+        complain "knob '$knob=' is read but missing from kKnobs" \
+                 "(src/common/config.cc)"
+done
+for knob in $knobs_list; do
+    printf '%s\n' "$knobs_read" | grep -qxF "$knob" ||
+        complain "knob '$knob=' is in kKnobs but no Config getter" \
+                 "reads it"
+done
+# Every knob of README.md's table must be accepted.
+for knob in $(grep -oE '^\| `[a-z_]+=' README.md | sed -E 's/^\| `//; s/=$//'); do
+    printf '%s\n' "$knobs_list" | grep -qxF "$knob" ||
+        complain "README.md knob '$knob=' is not in kKnobs"
 done
 
 if [ "$errors" -gt 0 ]; then

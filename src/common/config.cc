@@ -1,10 +1,42 @@
 #include "config.hh"
 
+#include <algorithm>
+#include <iterator>
+
 #include "logging.hh"
 #include "strutil.hh"
 
 namespace manna
 {
+
+namespace
+{
+
+/** Every key a binary reads (scripts/check_docs.sh matches this list
+ * against the keys the sources pass to the getters). */
+const char *const kKnobs[] = {
+    "bench", "bench_json", "benchmark", "cache_entries", "clients",
+    "dump_stats", "emit", "events", "events_limit", "fault_seed",
+    "faults", "fidelity", "file", "harness_trace", "hex", "hist",
+    "jobs", "journal", "list", "metrics", "metrics_interval",
+    "min_time", "out", "pool", "profile", "profile_top", "progress",
+    "queue_depth", "resume", "retries", "server", "stats", "steps",
+    "tile", "tiles", "timeout", "trace", "trace_limit",
+};
+
+} // namespace
+
+Config
+Config::fromCommandLine(int argc, const char *const *argv)
+{
+    Config cfg = fromArgs(argc, argv);
+    for (const auto &[key, value] : cfg.values_)
+        if (std::find_if(std::begin(kKnobs), std::end(kKnobs),
+                         [&key](const char *k) { return key == k; }) ==
+            std::end(kKnobs))
+            fatal("unknown option '%s=%s'", key.c_str(), value.c_str());
+    return cfg;
+}
 
 Config
 Config::fromArgs(int argc, const char *const *argv, int firstArg)

@@ -32,6 +32,12 @@ class Config
     static Config fromArgs(int argc, const char *const *argv,
                            int firstArg = 1);
 
+    /** fromArgs() over a binary's command line, which also fails
+     * (fatal()) on a key that no binary reads, so a mistyped knob is
+     * not silently ignored. A knob this binary ignores is accepted:
+     * scripts pass the common knobs to every binary. */
+    static Config fromCommandLine(int argc, const char *const *argv);
+
     /** Set or overwrite a key. */
     void set(const std::string &key, const std::string &value);
 

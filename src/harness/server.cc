@@ -60,16 +60,21 @@ serverOptionsFromConfig(const Config &cfg)
     const char *envServer = std::getenv("MANNA_SERVER");
     opts.address =
         cfg.getString("server", envServer ? envServer : "");
-    const auto count = [&cfg](const char *key, const char *env,
-                              std::size_t def, std::size_t min) {
-        return static_cast<std::size_t>(std::max<std::int64_t>(
-            static_cast<std::int64_t>(min),
-            cfg.getInt(key, static_cast<std::int64_t>(
-                                envCount(env, def, min)))));
+    // A count knob defaults to its environment variable and is never
+    // below min.
+    const auto env = [](const char *name, std::size_t def,
+                        std::size_t min) {
+        return static_cast<std::int64_t>(envCount(name, def, min));
     };
-    opts.pool = count("pool", "MANNA_POOL", 0, 0);
-    opts.queueDepth = count("queue_depth", "MANNA_QUEUE_DEPTH", 64, 1);
-    opts.maxClients = count("clients", "MANNA_CLIENTS", 16, 1);
+    const auto count = [](std::int64_t value, std::size_t min) {
+        return static_cast<std::size_t>(
+            std::max(static_cast<std::int64_t>(min), value));
+    };
+    opts.pool = count(cfg.getInt("pool", env("MANNA_POOL", 0, 0)), 0);
+    opts.queueDepth = count(
+        cfg.getInt("queue_depth", env("MANNA_QUEUE_DEPTH", 64, 1)), 1);
+    opts.maxClients =
+        count(cfg.getInt("clients", env("MANNA_CLIENTS", 16, 1)), 1);
     opts.journalPath = cfg.getString("journal", "");
     opts.resumeFrom = cfg.getString("resume", "");
     if (opts.journalPath.empty() && !opts.resumeFrom.empty() &&
@@ -84,7 +89,8 @@ serverOptionsFromConfig(const Config &cfg)
         opts.metricsIntervalSeconds = 1.0;
     }
     opts.eventsPath = cfg.getString("events", "");
-    opts.cacheEntries = count("cache_entries", "MANNA_CACHE_ENTRIES", 0, 0);
+    opts.cacheEntries = count(
+        cfg.getInt("cache_entries", env("MANNA_CACHE_ENTRIES", 0, 0)), 0);
     // Same process-wide side effects as sweepOptionsFromConfig: the
     // daemon is a sweep executor, so it gets the fault-injection
     // and tracing knobs with identical semantics.

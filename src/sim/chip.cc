@@ -261,6 +261,11 @@ ChipEngine::ChipEngine(const arch::MannaConfig &arch,
             std::make_unique<DiffMemTile>(arch_, energy_, t, sizes));
         tiles_.back()->shareLoopRecords(&loopRecords_);
     }
+    for (const compiler::CompiledSegment &segment : segments_)
+        for (std::size_t t = 0; t < arch_.numTiles; ++t)
+            programs_.push_back(decodeProgram(segment.tilePrograms[t],
+                                              arch_,
+                                              &segment.tileSweeps[t]));
 }
 
 void
@@ -388,8 +393,8 @@ ChipEngine::timeStep()
         tape_.startCheck();
     for (auto &tile : tiles_)
         tile->setReplayTape(&tape_);
-    for (const auto &segment : segments_)
-        runSegment(segment);
+    for (std::size_t s = 0; s < segments_.size(); ++s)
+        runSegment(s);
     if (!record) {
         tape_.checkStep(steps_ + 1);
         return;
@@ -441,8 +446,9 @@ ChipEngine::runTape()
 }
 
 void
-ChipEngine::runSegment(const compiler::CompiledSegment &segment)
+ChipEngine::runSegment(std::size_t s)
 {
+    const compiler::CompiledSegment &segment = segments_[s];
     const Cycle segStart = chipTime_;
     tileEnergyBefore_.clear();
     for (auto &tile : tiles_)
@@ -452,8 +458,7 @@ ChipEngine::runSegment(const compiler::CompiledSegment &segment)
     for (auto &tile : tiles_)
         tile->alignTo(std::max(tile->quiesceTime(), segStart));
     for (std::size_t t = 0; t < tiles_.size(); ++t)
-        tiles_[t]->setProgram(&segment.tilePrograms[t],
-                              &segment.tileSweeps[t]);
+        tiles_[t]->setProgram(&programs_[s * tiles_.size() + t]);
     while (true) {
         checkCancelled();
         bool allDone = true;
@@ -559,7 +564,7 @@ ChipEngine::handleComm(const Instruction &inst)
                      words, nocWords_);
         commDstPtrs_.clear();
         for (auto &tile : tiles_)
-            commDstPtrs_.push_back(tile->operandSpanMut(inst.dst));
+            commDstPtrs_.push_back(tile->operandSpan(inst.dst));
         rop.kind = ReplayKind::Broadcast;
         rop.n = static_cast<std::uint32_t>(words);
         tape_.append(rop, commDstPtrs_);

@@ -197,7 +197,8 @@ class ChipEngine
     void setCancelToken(const CancelToken *token) { cancel_ = token; }
 
   private:
-    void runSegment(const compiler::CompiledSegment &segment);
+    /** Time segment @p s on every tile. */
+    void runSegment(std::size_t s);
     void handleComm(const isa::Instruction &inst);
     void checkCancelled() const;
     /** The live counters and totals: what report() builds from in
@@ -217,6 +218,8 @@ class ChipEngine
     ControllerTileModel ctrlModel_;
 
     std::vector<std::unique_ptr<DiffMemTile>> tiles_;
+    /** Every (segment, tile) program, decoded once, segment-major. */
+    std::vector<DecodedProgram> programs_;
     /** The tiles' shared loop fast-forward scratch. */
     LoopRecords loopRecords_;
 

@@ -24,7 +24,7 @@ namespace
 {
 
 void
-execVmm(const ReplayOp &op)
+computeVmm(const ReplayOp &op)
 {
     const float *v = op.a;
     const float *block = op.b;
@@ -69,7 +69,7 @@ execVmm(const ReplayOp &op)
 }
 
 void
-execElementwise(const ReplayOp &op)
+computeElementwise(const ReplayOp &op)
 {
     const float *pa = op.a;
     const float *pb = op.b;
@@ -144,7 +144,7 @@ execElementwise(const ReplayOp &op)
 }
 
 void
-execSfu(const ReplayOp &op)
+computeSfu(const ReplayOp &op)
 {
     const float *pa = op.a;
     float *pd = op.d;
@@ -209,7 +209,7 @@ execSfu(const ReplayOp &op)
  * fusedAliasFree() proved that no source reads it, and the last row
  * overwrites every word of it. */
 void
-execFusedUpdate(const ReplayOp &op, const ReplayTape &tape)
+computeFusedUpdate(const ReplayOp &op, const ReplayTape &tape)
 {
     const float *add = tape.srcPtrs(op.pitchA)[0];
     float *stage = op.block == 0 ? op.dn : tape.stageScratch();
@@ -234,7 +234,7 @@ execFusedUpdate(const ReplayOp &op, const ReplayTape &tape)
  * destination getting its per-block Vmm dots in block order. Unused
  * lanes of the last call write a local spare. */
 void
-execRowDotSweep(const ReplayOp &op, const ReplayTape &tape)
+computeRowDotSweep(const ReplayOp &op, const ReplayTape &tape)
 {
     using tensor::simd::kDotPairs;
     const SweepPair *pairs = tape.sweepPairs(op.pitchD);
@@ -270,7 +270,7 @@ execRowDotSweep(const ReplayOp &op, const ReplayTape &tape)
  * exactly the per-block axpys; the vectors' destinations are disjoint
  * from each other and from every source). */
 void
-execColumnSweep(const ReplayOp &op, const ReplayTape &tape)
+computeColumnSweep(const ReplayOp &op, const ReplayTape &tape)
 {
     using tensor::simd::kAxpyRows;
     const SweepPair *pairs = tape.sweepPairs(op.pitchD);
@@ -508,13 +508,13 @@ execTileOp(const ReplayOp &op, const ReplayTape *tape)
         }
         break;
       case ReplayKind::Vmm:
-        execVmm(op);
+        computeVmm(op);
         break;
       case ReplayKind::Elementwise:
-        execElementwise(op);
+        computeElementwise(op);
         break;
       case ReplayKind::Sfu:
-        execSfu(op);
+        computeSfu(op);
         break;
       case ReplayKind::FusedRowUpdate:
       case ReplayKind::FusedLinkUpdate:
@@ -523,11 +523,11 @@ execTileOp(const ReplayOp &op, const ReplayTape *tape)
         MANNA_ASSERT(tape != nullptr,
                      "the tape's merged ops need the owning tape");
         if (isFusedUpdate(op))
-            execFusedUpdate(op, *tape);
+            computeFusedUpdate(op, *tape);
         else if (op.kind == ReplayKind::RowDotSweep)
-            execRowDotSweep(op, *tape);
+            computeRowDotSweep(op, *tape);
         else
-            execColumnSweep(op, *tape);
+            computeColumnSweep(op, *tape);
         break;
       default:
         panic("execTileOp on a chip-level replay op");

@@ -1,14 +1,10 @@
 #include "tile.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 #include <iterator>
 #include <limits>
 
 #include "common/logging.hh"
-#include "tensor/dispatch.hh"
-#include "tensor/vector_ops.hh"
 
 namespace manna::sim
 {
@@ -77,23 +73,322 @@ wordOf(const void *p)
     return reinterpret_cast<std::uintptr_t>(p);
 }
 
-/** Every field of two ops but their pointers' values agrees. */
-bool
-sameShape(const ReplayOp &x, const ReplayOp &y)
+/** The isa::Instruction operand of each DecodedInst operand index. */
+constexpr Operand Instruction::*kOperands[] = {
+    &Instruction::srcA, &Instruction::srcB, &Instruction::dst};
+
+/** Energy event for accessing a space. */
+arch::EnergyEvent
+accessEvent(Space space)
 {
-    std::uint32_t xi, yi;
-    std::memcpy(&xi, &x.imm, sizeof xi);
-    std::memcpy(&yi, &y.imm, sizeof yi);
-    return x.kind == y.kind && x.op == y.op && x.flags == y.flags &&
-           x.n == y.n && x.rows == y.rows && x.pitchA == y.pitchA &&
-           x.pitchD == y.pitchD && xi == yi &&
-           (x.a == nullptr) == (y.a == nullptr) &&
-           (x.b == nullptr) == (y.b == nullptr) &&
-           (x.d == nullptr) == (y.d == nullptr) &&
-           (x.dn == nullptr) == (y.dn == nullptr);
+    static constexpr arch::EnergyEvent kEvents[] = {
+        arch::EnergyEvent::MatrixBufferAccess,
+        arch::EnergyEvent::MatrixScratchpadAccess,
+        arch::EnergyEvent::VectorBufferAccess,
+        arch::EnergyEvent::VectorScratchpadAccess};
+    MANNA_ASSERT(space != Space::None, "accessEvent on invalid space");
+    return kEvents[static_cast<std::size_t>(space) - 1];
+}
+
+DecodedInst
+decodeInst(const Instruction &inst, const arch::MannaConfig &cfg)
+{
+    DecodedInst di;
+    di.inst = &inst;
+    const isa::OpInfo &info = isa::opInfo(inst.op);
+    if (info.cls == isa::OpClass::Control || info.cls == isa::OpClass::Comm)
+        return di;
+    const Operand &a = inst.srcA, &b = inst.srcB, &dst = inst.dst;
+    enum : std::uint8_t { kA, kB, kD };
+    const auto span = [&di](std::size_t k, std::uint8_t operand,
+                            std::uint32_t len, std::uint32_t offset = 0) {
+        di.spans[k] = {operand, offset, len};
+    };
+    di.lane = laneOf(inst.op);
+    di.producer = producerStall(di.lane);
+    di.reads = info.reads;
+    di.noted = info.reads & (isa::kSrcA | isa::kSrcB);
+    di.count(TileCounter::Instructions);
+    di.charge(arch::EnergyEvent::InstructionIssue, 1.0);
+    Cycle dur = 0;
+    double conflictExtra = 0.0;
+    switch (info.cls) {
+      case isa::OpClass::MatrixDma: {
+        const std::uint32_t rows = inst.count;
+        MANNA_ASSERT(rows > 0, "matrix DMA with zero rows");
+        const bool isStore = inst.op == Opcode::DmaStoreM;
+        const bool isDmat = inst.op == Opcode::DmatLoadM;
+        // Row geometry: the non-scratchpad side determines the row
+        // width; DMAT pads the scratchpad side by one word per row.
+        const Operand &bufSide = isStore ? dst : a;
+        const Operand &spadSide = isStore ? a : dst;
+        MANNA_ASSERT(bufSide.space == Space::MatBuf ||
+                         bufSide.space == Space::VecBuf,
+                     "matrix DMA buffer side must be a buffer, got %s",
+                     toString(bufSide.space));
+        MANNA_ASSERT(spadSide.space == Space::MatSpad,
+                     "matrix DMA scratchpad side must be MatSpad, got %s",
+                     toString(spadSide.space));
+        MANNA_ASSERT(bufSide.len % rows == 0,
+                     "matrix DMA: len %u not divisible by rows %u",
+                     bufSide.len, rows);
+        const std::uint32_t rowWords = bufSide.len / rows;
+        const std::uint32_t spadPitch = rowWords + (isDmat ? 1 : 0);
+        MANNA_ASSERT(spadSide.len == rows * spadPitch,
+                     "matrix DMA: scratchpad len %u != %u rows x pitch %u",
+                     spadSide.len, rows, spadPitch);
+        const std::uint32_t bufPitch = b.base != 0 ? b.base : rowWords;
+        MANNA_ASSERT(bufPitch >= rowWords,
+                     "matrix DMA: buffer pitch %u < row width %u",
+                     bufPitch, rowWords);
+        // A 2-D copy with pitches: the buffer side's base addresses the
+        // first row, and each span runs from the first row's start to
+        // the last row's end.
+        di.op.kind = ReplayKind::Copy2d;
+        di.op.n = rowWords;
+        di.op.rows = rows;
+        di.op.pitchA = isStore ? spadPitch : bufPitch;
+        di.op.pitchD = isStore ? bufPitch : spadPitch;
+        span(0, kA, (rows - 1) * di.op.pitchA + rowWords);
+        span(2, kD, (rows - 1) * di.op.pitchD + rowWords);
+        // Loads rotate the double-buffer halves; a load may only
+        // overwrite a half once the compute that consumed it has
+        // drained (WAR through the half's read end).
+        di.rotates = !isStore;
+        dur = static_cast<Cycle>(rows) *
+              ceilDiv(rowWords, cfg.matrixBufferWidthWords);
+        if (isDmat) {
+            dur += 1; // pipelined skew-pad insertion
+            di.count(TileCounter::DmatLoads);
+            di.count(TileCounter::DmatTransferCycles,
+                     static_cast<double>(dur));
+        }
+        // Energy: every word moves buffer<->scratchpad once.
+        di.words = static_cast<double>(rows) * rowWords;
+        di.charge(accessEvent(bufSide.space), di.words);
+        di.charge(arch::EnergyEvent::MatrixScratchpadAccess, di.words);
+        di.count(TileCounter::MatDmaWords, di.words);
+        break;
+      }
+      case isa::OpClass::VectorDma:
+        MANNA_ASSERT(a.len == dst.len, "vector DMA len %u != %u", a.len,
+                     dst.len);
+        di.op.kind = ReplayKind::Copy2d;
+        di.op.n = a.len;
+        di.op.rows = 1;
+        span(0, kA, a.len);
+        span(2, kD, dst.len);
+        dur = ceilDiv(a.len, cfg.vectorDmaWidthWords);
+        di.charge(accessEvent(a.space), a.len);
+        di.charge(accessEvent(dst.space), dst.len);
+        di.count(TileCounter::VecDmaWords, a.len);
+        di.words = a.len;
+        break;
+      case isa::OpClass::Vmm: {
+        const bool rowDot = inst.flags.rowDot;
+        const bool withNorms = inst.flags.withNorms;
+        const bool accumulate = inst.flags.accumulate;
+        std::uint32_t numRows; // K: matrix rows in the block
+        std::uint32_t numCols; // N: matrix columns in the block
+        std::uint32_t pitch;
+        if (rowDot) {
+            numCols = a.len;
+            pitch = numCols + (inst.flags.skewed ? 1 : 0);
+            numRows = dst.len;
+            // With norms, a second accumulator array lives `count`
+            // words past the dot-product destination.
+            MANNA_ASSERT(!withNorms || inst.count >= numRows,
+                         "vmm.norms offset %u overlaps dots of %u rows",
+                         inst.count, numRows);
+        } else {
+            MANNA_ASSERT(!withNorms, "vmm.norms requires rowdot mode");
+            numRows = a.len;
+            numCols = dst.len;
+            pitch = numCols;
+        }
+        MANNA_ASSERT(b.len == numRows * pitch,
+                     "vmm block len %u != %u rows x pitch %u", b.len,
+                     numRows, pitch);
+        MANNA_ASSERT(numRows > 0 && numCols > 0, "vmm with empty block");
+        di.op.kind = ReplayKind::Vmm;
+        di.op.n = numCols;
+        di.op.rows = numRows;
+        di.op.pitchA = pitch;
+        di.op.flags = static_cast<std::uint8_t>(
+            (rowDot ? kReplayRowDot : 0) |
+            (withNorms ? kReplayWithNorms : 0) |
+            (accumulate ? kReplayAccumulate : 0));
+        span(0, kA, a.len);
+        span(1, kB, b.len);
+        span(2, kD, dst.len);
+        if (withNorms)
+            span(3, kD, numRows, inst.count);
+        if (accumulate)
+            di.reads |= isa::kDst;
+
+        const std::size_t lanes = cfg.emacsPerTile;
+        if (rowDot) {
+            // Each lane owns a row and walks the columns.
+            dur = static_cast<Cycle>(numCols) * ceilDiv(numRows, lanes);
+            if (withNorms)
+                dur *= 2;
+            // Column-direction scratchpad traffic: skew-padded (DMAT)
+            // blocks read one word per bank per cycle, unskewed blocks
+            // serialize on bank conflicts (Section 4.4 / Figure 14).
+            di.count(inst.flags.skewed ? TileCounter::SpadConflictFreeWords
+                                       : TileCounter::SpadConflictWords,
+                     static_cast<double>(numRows) * numCols);
+            if (inst.flags.skewed) {
+                // Realignment shift of the finished partials,
+                // pipelined with the next block (Section 4.4, step 5).
+                dur += ceilDiv(numRows, lanes);
+            } else {
+                // Unskewed block: banked access in the transposed
+                // direction partially serializes on conflicts (this is
+                // the no-DMAT path of the Figure 14 ablation). The
+                // array occupies the whole interval but only the
+                // pre-factor base is useful work; the serialization
+                // overhead is accounted as stall.bank_conflict, not
+                // busy time.
+                const Cycle base = dur;
+                dur *= cfg.noDmatConflictFactor;
+                conflictExtra = static_cast<double>(dur - base);
+            }
+        } else {
+            // Each lane owns a column; rows stream one per cycle
+            // group.
+            dur = static_cast<Cycle>(numRows) * ceilDiv(numCols, lanes);
+        }
+        if (conflictExtra > 0.0)
+            di.count(stallCounter(TraceLane::Compute,
+                                  StallReason::BankConflict),
+                     conflictExtra);
+
+        const double macs = static_cast<double>(numRows) * numCols *
+                            (withNorms ? 2.0 : 1.0);
+        di.charge(arch::EnergyEvent::EmacMac, macs);
+        di.charge(arch::EnergyEvent::RegisterFileAccess, 2.0 * macs);
+        if (!inst.flags.reuseB)
+            di.charge(accessEvent(b.space),
+                      static_cast<double>(numRows) * numCols);
+        di.charge(accessEvent(a.space), a.len);
+        if (!inst.flags.dstResident)
+            di.charge(accessEvent(dst.space),
+                      static_cast<double>(dst.len) *
+                          (accumulate ? 2.0 : 1.0));
+        if (inst.flags.skewed)
+            di.charge(arch::EnergyEvent::EmacLateralShift,
+                      static_cast<double>(numCols) *
+                          ceilDiv(numRows, lanes) * lanes);
+        di.count(TileCounter::EmacMacOps, macs);
+        di.words = static_cast<double>(numRows) * numCols;
+        break;
+      }
+      case isa::OpClass::Elementwise: {
+        const std::uint32_t len = dst.len;
+        MANNA_ASSERT(len > 0, "elementwise op with empty dst");
+        const bool needsA = info.reads & isa::kSrcA;
+        const bool needsB = info.reads & isa::kSrcB;
+        const bool isMac = info.reads & isa::kDst; // ew.mac: d += a * b
+        if (needsA)
+            MANNA_ASSERT(a.len == len || a.len == 1,
+                         "%s srcA len %u incompatible with dst %u",
+                         toString(inst.op), a.len, len);
+        if (needsB)
+            MANNA_ASSERT(b.len == len || b.len == 1,
+                         "%s srcB len %u incompatible with dst %u",
+                         toString(inst.op), b.len, len);
+        di.op.kind = ReplayKind::Elementwise;
+        di.op.op = inst.op;
+        di.op.n = len;
+        di.op.pitchA = needsA ? a.len : 0;
+        di.op.pitchD = needsB ? b.len : 0;
+        di.op.imm = inst.imm;
+        if (needsA)
+            span(0, kA, a.len);
+        if (needsB)
+            span(1, kB, b.len);
+        span(2, kD, len);
+
+        std::size_t penalty = 1;
+        if (!cfg.hasEmac && !isMac)
+            penalty = cfg.elwisePenaltyNoEmac;
+        dur = ceilDiv(len, cfg.emacsPerTile) * penalty;
+        if (isMac) {
+            di.charge(arch::EnergyEvent::EmacMac, len);
+            di.count(TileCounter::EmacMacOps, len);
+        } else if (needsA) { // fill does no arithmetic
+            di.charge(arch::EnergyEvent::EmacElwise,
+                      static_cast<double>(len) * penalty);
+            di.count(TileCounter::EmacElwiseOps, len);
+        }
+        if (needsA)
+            di.charge(accessEvent(a.space), a.len == 1 ? 1.0 : len);
+        if (needsB)
+            di.charge(accessEvent(b.space), b.len == 1 ? 1.0 : len);
+        di.charge(accessEvent(dst.space),
+                  static_cast<double>(len) * (isMac ? 2.0 : 1.0));
+        di.words = len;
+        break;
+      }
+      case isa::OpClass::Sfu: {
+        const bool isAcc = info.sfuCost == isa::SfuCost::Acc;
+        const bool needsB = info.reads & isa::kSrcB; // sfu.pow's exponent
+        const std::uint32_t len = a.len;
+        MANNA_ASSERT(len > 0, "SFU op with empty source");
+        if (isAcc)
+            MANNA_ASSERT(dst.len == 1, "SFU accumulate dst must be scalar");
+        else
+            MANNA_ASSERT(dst.len == len, "SFU dst len %u != src %u",
+                         dst.len, len);
+        if (needsB)
+            MANNA_ASSERT(b.len == 1, "sfu.pow exponent must be scalar");
+        // The SfuPow exponent pointer is recorded, not its value: the
+        // tape re-reads it each step because tile code can update it.
+        di.op.kind = ReplayKind::Sfu;
+        di.op.op = inst.op;
+        di.op.n = len;
+        span(0, kA, len);
+        if (needsB)
+            span(1, kB, 1);
+        span(2, kD, dst.len);
+        // Only the source's read end is noted, not the exponent's.
+        di.noted = isa::kSrcA;
+        // The SFU path is serial within a tile (Section 7.3's scaling
+        // limiter): len elements at perElem cycles each, shared across
+        // the tile's sfusPerTile units.
+        const std::size_t perElem =
+            cfg.*kSfuCycles[static_cast<std::size_t>(info.sfuCost)];
+        dur = ceilDiv(static_cast<std::uint64_t>(len) * perElem,
+                      cfg.sfusPerTile);
+        di.charge(arch::EnergyEvent::SfuOp, len);
+        di.charge(accessEvent(a.space), len);
+        di.charge(accessEvent(dst.space), dst.len);
+        di.count(TileCounter::SfuOps, len);
+        di.words = len;
+        break;
+      }
+      default:
+        panic("unexpected opcode %s in decodeInst", toString(inst.op));
+    }
+    di.duration = std::max<Cycle>(dur, 1);
+    di.busy = static_cast<double>(di.duration) - conflictExtra;
+    di.count(busyCounter(di.lane), di.busy);
+    return di;
 }
 
 } // namespace
+
+DecodedProgram
+decodeProgram(const isa::Program &program, const arch::MannaConfig &cfg,
+              const std::vector<compiler::SweepDesc> *sweeps)
+{
+    DecodedProgram decoded{&program, sweeps, {}};
+    decoded.insts.reserve(program.size());
+    for (const Instruction &inst : program.instructions())
+        decoded.insts.push_back(decodeInst(inst, cfg));
+    return decoded;
+}
 
 TileCounter
 busyCounter(TraceLane lane)
@@ -156,9 +451,15 @@ DiffMemTile::setProgram(const isa::Program *program,
                         const std::vector<compiler::SweepDesc> *sweeps)
 {
     MANNA_ASSERT(program != nullptr, "null program");
+    ownProgram_ = {program, sweeps, {}};
+    setProgram(&ownProgram_);
+}
+
+void
+DiffMemTile::setProgram(const DecodedProgram *program)
+{
     program_ = program;
     pc_ = 0;
-    sweeps_ = sweeps;
     nextSweep_ = 0;
     sweepOpen_ = false;
     stopRecording();
@@ -178,7 +479,11 @@ DiffMemTile::runUntilComm()
         ownRecords_ = std::make_unique<LoopRecords>();
         records_ = ownRecords_.get();
     }
-    const auto &insts = program_->instructions();
+    // Only a raw program can still lack its entries.
+    const auto &insts = program_->program->instructions();
+    if (program_->insts.size() != insts.size())
+        ownProgram_ = decodeProgram(*ownProgram_.program, cfg_,
+                                    ownProgram_.sweeps);
     std::size_t mark = sweepMark();
     while (pc_ < insts.size()) {
         if (pc_ == mark) {
@@ -208,7 +513,7 @@ DiffMemTile::runUntilComm()
             ++pc_;
             break;
           default:
-            execute(inst);
+            execute(program_->insts[pc_]);
             ++pc_;
             break;
         }
@@ -222,10 +527,11 @@ DiffMemTile::runUntilComm()
 std::size_t
 DiffMemTile::sweepMark() const
 {
-    if (sweeps_ == nullptr || nextSweep_ == sweeps_->size() ||
+    const std::vector<compiler::SweepDesc> *sweeps = program_->sweeps;
+    if (sweeps == nullptr || nextSweep_ == sweeps->size() ||
         tape_ == nullptr || !tape_->recording())
         return ~std::size_t{0};
-    const compiler::SweepDesc &s = (*sweeps_)[nextSweep_];
+    const compiler::SweepDesc &s = (*sweeps)[nextSweep_];
     return sweepOpen_ ? s.end : s.begin;
 }
 
@@ -239,7 +545,7 @@ DiffMemTile::markSweep()
         return;
     }
     // The sweep's operands, resolved as its instructions resolve them.
-    const compiler::SweepDesc &s = (*sweeps_)[nextSweep_];
+    const compiler::SweepDesc &s = (*program_->sweeps)[nextSweep_];
     const bool rowDot = s.kind == compiler::SweepKind::RowDot;
     SweepWindow w;
     static_cast<compiler::SweepGrid &>(w) = s;
@@ -345,12 +651,12 @@ DiffMemTile::loopBoundary(LoopFrame &frame, Cycle iterMax)
     // Iterations 0 .. iter-1 have run. If the timing state after the
     // last one equals (relative to now_) the state after the one
     // before, every remaining iteration repeats the last one shifted
-    // in time. Untimed, inside a skipped loop's final iteration, only
-    // the ops have to repeat.
+    // in time. Every iteration emits the ops of the same decoded
+    // instructions, so they repeat but for their pointers; untimed,
+    // inside a skipped loop's final iteration, only those have to.
     const bool timing = timed();
     const LoopShape shape = timing ? loopShape() : LoopShape{};
-    if (frame.iter >= 2 && shape == frame.prevShape &&
-        sameOpShapes(frame)) {
+    if (frame.iter >= 2 && shape == frame.prevShape) {
         skipLoop(frame, iterMax);
         return;
     }
@@ -367,19 +673,6 @@ DiffMemTile::loopBoundary(LoopFrame &frame, Cycle iterMax)
     frame.chargesAt[1] = rec.charges.size();
 }
 
-bool
-DiffMemTile::sameOpShapes(const LoopFrame &frame) const
-{
-    const std::vector<ReplayOp> &ops = records_->ops;
-    const std::size_t prev = frame.opsAt[0], cur = frame.opsAt[1];
-    if (cur - prev != ops.size() - cur)
-        return false;
-    for (std::size_t i = 0; prev + i < cur; ++i)
-        if (!sameShape(ops[prev + i], ops[cur + i]))
-            return false;
-    return true;
-}
-
 void
 DiffMemTile::skipLoop(LoopFrame &frame, Cycle iterMax)
 {
@@ -393,6 +686,9 @@ DiffMemTile::skipLoop(LoopFrame &frame, Cycle iterMax)
     // Take the last iteration's ops and charges out of the logs: this
     // loop records no more, and an enclosing one logs what follows.
     const std::size_t numOps = rec.ops.size() - frame.opsAt[1];
+    MANNA_ASSERT(frame.opsAt[1] - frame.opsAt[0] == numOps,
+                 "loop iterations at pc %zu emitted %zu and %zu ops",
+                 frame.bodyPc, frame.opsAt[1] - frame.opsAt[0], numOps);
     rec.stepped.assign(rec.ops.begin() +
                            static_cast<std::ptrdiff_t>(frame.opsAt[1]),
                        rec.ops.end());
@@ -462,7 +758,6 @@ DiffMemTile::skipTime(LoopFrame &frame, Cycle iterMax, std::uint64_t r)
     // Every time the body touches moves by r·Δ (a dead one stays
     // dead); what it never touches stays as it is.
     now_ += shift;
-    lastEnd_ += shift;
     maxEnd_ = std::max(maxEnd_, iterMax + shift);
     frame.loopMax = std::max(frame.loopMax, iterMax + shift);
     for (std::size_t l = 0; l < kNumLanes; ++l)
@@ -542,22 +837,13 @@ DiffMemTile::stopRecording()
 const Instruction &
 DiffMemTile::commInstruction() const
 {
-    MANNA_ASSERT(program_ && pc_ < program_->size(),
+    MANNA_ASSERT(program_ && pc_ < program_->insts.size(),
                  "no blocking instruction");
-    const Instruction &inst = program_->instructions()[pc_];
+    const Instruction &inst = *program_->insts[pc_].inst;
     MANNA_ASSERT(inst.op == Opcode::Reduce ||
                      inst.op == Opcode::Broadcast,
                  "pc %zu is not a communication instruction", pc_);
     return inst;
-}
-
-Operand
-DiffMemTile::resolveOperand(const Operand &op) const
-{
-    Operand resolved = op;
-    resolved.base = op.effectiveBase(iters_, loopStack_.size());
-    std::fill(std::begin(resolved.stride), std::end(resolved.stride), 0);
-    return resolved;
 }
 
 void
@@ -625,15 +911,11 @@ DiffMemTile::reset()
     std::fill(std::begin(lastWriteWhy_), std::end(lastWriteWhy_),
               StallReason::Issue);
     maxEnd_ = 0;
-    lastEnd_ = 0;
     dmaLoadCount_ = 0;
     acct_ = TileCounters();
-    lastOpBusy_ = 0.0;
-    lastOpWords_ = 0.0;
     tape_ = nullptr;
     program_ = nullptr;
     pc_ = 0;
-    sweeps_ = nullptr;
     stopRecording();
     loopStack_.clear();
     std::fill(std::begin(iters_), std::end(iters_), 0);
@@ -657,8 +939,6 @@ DiffMemTile::attributeStall(TraceLane lane, const StallPicker &picker)
 inline void
 DiffMemTile::readDependency(const Operand &op, StallPicker &p)
 {
-    if (!op.valid())
-        return;
     touched_ |= touchBit(op.space);
     if (op.space == Space::MatSpad) {
         const std::size_t half = computeHalf();
@@ -667,590 +947,88 @@ DiffMemTile::readDependency(const Operand &op, StallPicker &p)
     }
     const auto s = static_cast<std::size_t>(op.space);
     p.consider(lastWrite_[s], lastWriteWhy_[s]);
-}
-
-inline void
-DiffMemTile::writeDependency(const Operand &op, StallPicker &p)
-{
-    if (!op.valid())
-        return;
-    touched_ |= touchBit(op.space);
-    if (op.space == Space::MatSpad) {
-        // Non-DMA writes (e.g. soft-write updates) modify the half
-        // compute is currently working on. The WAR side is a
-        // double-buffer drain; the WAW side blames the producer.
-        const std::size_t half = computeHalf();
-        p.consider(spadReadEnd_[half], StallReason::Drain);
-        p.consider(spadWriteEnd_[half], spadWriteWhy_[half]);
-        return;
-    }
-    const auto s = static_cast<std::size_t>(op.space);
-    p.consider(lastWrite_[s], lastWriteWhy_[s]);
-}
-
-inline void
-DiffMemTile::noteWrite(const Operand &op, Cycle end,
-                       StallReason producer)
-{
-    if (!op.valid())
-        return;
-    if (op.space == Space::MatSpad) {
-        const std::size_t half = computeHalf();
-        if (end >= spadWriteEnd_[half]) {
-            spadWriteEnd_[half] = end;
-            spadWriteWhy_[half] = producer;
-        }
-        return;
-    }
-    const auto s = static_cast<std::size_t>(op.space);
-    if (end >= lastWrite_[s]) {
-        lastWrite_[s] = end;
-        lastWriteWhy_[s] = producer;
-    }
 }
 
 inline void
 DiffMemTile::noteRead(const Operand &op, Cycle end)
 {
-    if (!op.valid())
-        return;
     if (op.space == Space::MatSpad) {
         const std::size_t half = computeHalf();
         spadReadEnd_[half] = std::max(spadReadEnd_[half], end);
     }
 }
 
-arch::EnergyEvent
-DiffMemTile::accessEvent(Space space) const
-{
-    switch (space) {
-      case Space::MatBuf:
-        return arch::EnergyEvent::MatrixBufferAccess;
-      case Space::MatSpad:
-        return arch::EnergyEvent::MatrixScratchpadAccess;
-      case Space::VecBuf:
-        return arch::EnergyEvent::VectorBufferAccess;
-      case Space::VecSpad:
-        return arch::EnergyEvent::VectorScratchpadAccess;
-      case Space::None:
-        break;
-    }
-    panic("accessEvent on invalid space");
-}
-
 void
-DiffMemTile::finish(Cycle end)
+DiffMemTile::execute(const DecodedInst &di)
 {
+    const Instruction &inst = *di.inst;
+    float *spans[4] = {};
+    for (std::size_t k = 0; k < 4; ++k) {
+        const DecodedInst::Span &s = di.spans[k];
+        if (s.operand != DecodedInst::kNoOperand)
+            spans[k] = span(inst.*kOperands[s.operand], s.offset, s.len);
+    }
+    ReplayOp rop = di.op;
+    rop.a = spans[0];
+    rop.b = spans[1];
+    rop.d = spans[2];
+    rop.dn = spans[3];
+    emit(rop);
+    if (!timed())
+        return;
+
+    // Every operand timed below has a span, so it names a space. The
+    // destination's pending write delays the start (WAW) and, in the
+    // scratchpad, so do its half's pending reads (WAR, a drain). Every
+    // scratchpad access but a matrix load's goes to the half compute
+    // works on (loadHalf(), computeHalf()).
+    const std::size_t half = di.rotates ? loadHalf() : computeHalf();
+    const auto dstSpace = static_cast<std::size_t>(inst.dst.space);
+    const bool spad = inst.dst.space == Space::MatSpad;
+    Cycle &written = spad ? spadWriteEnd_[half] : lastWrite_[dstSpace];
+    StallReason &writer =
+        spad ? spadWriteWhy_[half] : lastWriteWhy_[dstSpace];
+    touched_ |= touchBit(inst.dst.space);
+    const Cycle issuedAt = now_;
+    StallPicker p(freeTime(di.lane));
+    p.consider(now_, StallReason::Issue);
+    if (di.reads & isa::kSrcA)
+        readDependency(inst.srcA, p);
+    if (di.reads & isa::kSrcB)
+        readDependency(inst.srcB, p);
+    if (spad)
+        p.consider(spadReadEnd_[half], StallReason::Drain);
+    p.consider(written, writer);
+    if (di.reads & isa::kDst)
+        readDependency(inst.dst, p);
+    const Cycle start = p.at;
+    attributeStall(di.lane, p);
+    const Cycle end = start + di.duration;
+    freeTime(di.lane) = end;
+    if (di.noted & isa::kSrcA)
+        noteRead(inst.srcA, end);
+    if (di.noted & isa::kSrcB)
+        noteRead(inst.srcB, end);
+    if (end >= written) {
+        written = end;
+        writer = di.producer;
+    }
+    if (di.rotates)
+        ++dmaLoadCount_;
     maxEnd_ = std::max(maxEnd_, end);
     iterMax_ = std::max(iterMax_, end);
-    lastEnd_ = end;
-}
+    now_ = start + 1;
 
-void
-DiffMemTile::execute(const Instruction &inst)
-{
-    if (timed()) {
-        count(TileCounter::Instructions);
-        charge(arch::EnergyEvent::InstructionIssue, 1.0);
-    }
-    const Cycle issuedAt = now_;
-    lastOpBusy_ = 0.0;
-    lastOpWords_ = 0.0;
-    switch (isa::opInfo(inst.op).cls) {
-      case isa::OpClass::MatrixDma:
-        execDmaMatrix(inst);
-        break;
-      case isa::OpClass::VectorDma:
-        execDmaVector(inst);
-        break;
-      case isa::OpClass::Vmm:
-        execVmm(inst);
-        break;
-      case isa::OpClass::Elementwise:
-        execElementwise(inst);
-        break;
-      case isa::OpClass::Sfu:
-        execSfu(inst);
-        break;
-      default:
-        panic("unexpected opcode %s in execute",
-              toString(inst.op));
-    }
-    if (!timed())
-        return;
+    for (std::size_t k = 0; k < di.numCharges; ++k)
+        charge(di.charges[k].event, di.charges[k].occurrences);
+    for (std::size_t k = 0; k < di.numCounts; ++k)
+        count(di.counts[k].counter, di.counts[k].amount);
     const auto opIdx = static_cast<std::size_t>(inst.op);
-    acct_.opCycles[opIdx] += lastOpBusy_;
+    acct_.opCycles[opIdx] += di.busy;
     acct_.opOps[opIdx] += 1.0;
-    acct_.opWords[opIdx] += lastOpWords_;
-    // After dispatch now_ == start + 1, so the op's engine interval is
-    // [now_ - 1, lastEnd_].
+    acct_.opWords[opIdx] += di.words;
     if (trace_ != nullptr)
-        trace_->record(tileIndex_, issuedAt, maxEnd_, now_ - 1,
-                       lastEnd_, inst);
-}
-
-void
-DiffMemTile::execDmaMatrix(const Instruction &inst)
-{
-    const Operand src = resolveOperand(inst.srcA);
-    const Operand dst = resolveOperand(inst.dst);
-    const std::uint32_t rows = inst.count;
-    MANNA_ASSERT(rows > 0, "matrix DMA with zero rows");
-
-    const bool isStore = inst.op == Opcode::DmaStoreM;
-    const bool isDmat = inst.op == Opcode::DmatLoadM;
-
-    // Row geometry: the non-scratchpad side determines the row width;
-    // DMAT pads the scratchpad side by one word per row.
-    const Operand &bufSide = isStore ? dst : src;
-    const Operand &spadSide = isStore ? src : dst;
-    MANNA_ASSERT(bufSide.space == Space::MatBuf ||
-                     bufSide.space == Space::VecBuf,
-                 "matrix DMA buffer side must be a buffer, got %s",
-                 toString(bufSide.space));
-    MANNA_ASSERT(spadSide.space == Space::MatSpad,
-                 "matrix DMA scratchpad side must be MatSpad, got %s",
-                 toString(spadSide.space));
-    MANNA_ASSERT(bufSide.len % rows == 0,
-                 "matrix DMA: len %u not divisible by rows %u",
-                 bufSide.len, rows);
-    const std::uint32_t rowWords = bufSide.len / rows;
-    const std::uint32_t spadPitch = rowWords + (isDmat ? 1 : 0);
-    MANNA_ASSERT(spadSide.len == rows * spadPitch,
-                 "matrix DMA: scratchpad len %u != %u rows x pitch %u",
-                 spadSide.len, rows, spadPitch);
-    const std::uint32_t bufPitch =
-        inst.srcB.base != 0 ? inst.srcB.base : rowWords;
-    MANNA_ASSERT(bufPitch >= rowWords,
-                 "matrix DMA: buffer pitch %u < row width %u", bufPitch,
-                 rowWords);
-
-    // Functional copy with pitches. The effective base of the buffer
-    // side addresses the first row; subsequent rows advance by
-    // bufPitch. The span covers first row start through last row end
-    // (every row is in the buffer, so the full extent is too).
-    ReplayOp rop;
-    rop.kind = ReplayKind::Copy2d;
-    rop.n = rowWords;
-    rop.rows = rows;
-    rop.pitchA = isStore ? spadPitch : bufPitch;
-    rop.pitchD = isStore ? bufPitch : spadPitch;
-    rop.a = mem_.span(src.space, src.base,
-                      (rows - 1) * rop.pitchA + rowWords);
-    rop.d = mem_.span(dst.space, dst.base,
-                      (rows - 1) * rop.pitchD + rowWords);
-    emit(rop);
-    if (!timed())
-        return;
-
-    // Timing. Loads rotate the double-buffer halves; a load may
-    // only overwrite a half once the compute that consumed it has
-    // drained (WAR through spadReadEnd_).
-    touched_ |= touchBit(Space::MatSpad);
-    StallPicker p(freeTime(TraceLane::MatDma));
-    p.consider(now_, StallReason::Issue);
-    Cycle dur = static_cast<Cycle>(rows) *
-                ceilDiv(rowWords, cfg_.matrixBufferWidthWords);
-    if (isDmat)
-        dur += 1; // pipelined skew-pad insertion
-    Cycle start;
-    if (isStore) {
-        const std::size_t half = computeHalf();
-        p.consider(spadWriteEnd_[half],
-                   spadWriteWhy_[half]); // data ready
-        writeDependency(dst, p);
-        start = p.at;
-        attributeStall(TraceLane::MatDma, p);
-        const Cycle end = start + std::max<Cycle>(dur, 1);
-        count(TileCounter::MatDmaBusyCycles,
-              static_cast<double>(end - start));
-        lastOpBusy_ = static_cast<double>(end - start);
-        freeTime(TraceLane::MatDma) = end;
-        spadReadEnd_[half] = std::max(spadReadEnd_[half], end);
-        noteWrite(dst, end, StallReason::Dma);
-        finish(end);
-    } else {
-        const std::size_t half = loadHalf();
-        p.consider(spadReadEnd_[half], StallReason::Drain);
-        p.consider(spadWriteEnd_[half], spadWriteWhy_[half]);
-        readDependency(src, p);
-        start = p.at;
-        attributeStall(TraceLane::MatDma, p);
-        const Cycle end = start + std::max<Cycle>(dur, 1);
-        count(TileCounter::MatDmaBusyCycles,
-              static_cast<double>(end - start));
-        lastOpBusy_ = static_cast<double>(end - start);
-        if (isDmat) {
-            count(TileCounter::DmatLoads);
-            count(TileCounter::DmatTransferCycles,
-                  static_cast<double>(end - start));
-        }
-        freeTime(TraceLane::MatDma) = end;
-        spadWriteEnd_[half] = end;
-        spadWriteWhy_[half] = StallReason::Dma;
-        ++dmaLoadCount_;
-        finish(end);
-    }
-    now_ = start + 1;
-
-    // Energy: every word moves buffer<->scratchpad once.
-    const double words = static_cast<double>(rows) * rowWords;
-    charge(accessEvent(bufSide.space), words);
-    charge(arch::EnergyEvent::MatrixScratchpadAccess, words);
-    count(TileCounter::MatDmaWords, words);
-    lastOpWords_ = words;
-
-}
-
-void
-DiffMemTile::execDmaVector(const Instruction &inst)
-{
-    const Operand src = resolveOperand(inst.srcA);
-    const Operand dst = resolveOperand(inst.dst);
-    MANNA_ASSERT(src.len == dst.len, "vector DMA len %u != %u", src.len,
-                 dst.len);
-
-    ReplayOp rop;
-    rop.kind = ReplayKind::Copy2d;
-    rop.n = src.len;
-    rop.rows = 1;
-    rop.a = mem_.span(src.space, src.base, src.len);
-    rop.d = mem_.span(dst.space, dst.base, dst.len);
-    emit(rop);
-    if (!timed())
-        return;
-
-    StallPicker p(freeTime(TraceLane::VecDma));
-    p.consider(now_, StallReason::Issue);
-    readDependency(src, p);
-    writeDependency(dst, p);
-    const Cycle start = p.at;
-    attributeStall(TraceLane::VecDma, p);
-    const Cycle dur = std::max<Cycle>(
-        ceilDiv(src.len, cfg_.vectorDmaWidthWords), 1);
-    const Cycle end = start + dur;
-    count(TileCounter::VecDmaBusyCycles,
-          static_cast<double>(end - start));
-    lastOpBusy_ = static_cast<double>(end - start);
-    freeTime(TraceLane::VecDma) = end;
-    noteRead(src, end);
-    noteWrite(dst, end, StallReason::Dma);
-    finish(end);
-    now_ = start + 1;
-
-    charge(accessEvent(src.space), src.len);
-    charge(accessEvent(dst.space), dst.len);
-    count(TileCounter::VecDmaWords, src.len);
-    lastOpWords_ = src.len;
-}
-
-void
-DiffMemTile::execVmm(const Instruction &inst)
-{
-    const Operand vec = resolveOperand(inst.srcA);
-    const Operand matBlock = resolveOperand(inst.srcB);
-    const Operand dst = resolveOperand(inst.dst);
-    const bool rowDot = inst.flags.rowDot;
-    const bool withNorms = inst.flags.withNorms;
-    const bool accumulate = inst.flags.accumulate;
-
-    std::uint32_t numRows; // K: matrix rows in the block
-    std::uint32_t numCols; // N: matrix columns in the block
-    std::uint32_t pitch;
-    if (rowDot) {
-        numCols = vec.len;
-        pitch = numCols + (inst.flags.skewed ? 1 : 0);
-        numRows = dst.len;
-        // With norms, a second accumulator array lives `count` words
-        // past the dot-product destination.
-        MANNA_ASSERT(!withNorms || inst.count >= numRows,
-                     "vmm.norms offset %u overlaps dots of %u rows",
-                     inst.count, numRows);
-    } else {
-        MANNA_ASSERT(!withNorms, "vmm.norms requires rowdot mode");
-        numRows = vec.len;
-        numCols = dst.len;
-        pitch = numCols;
-    }
-    MANNA_ASSERT(matBlock.len == numRows * pitch,
-                 "vmm block len %u != %u rows x pitch %u", matBlock.len,
-                 numRows, pitch);
-    MANNA_ASSERT(numRows > 0 && numCols > 0, "vmm with empty block");
-
-    // Functional semantics, computed by the tape (sim/replay.cc).
-    ReplayOp rop;
-    rop.kind = ReplayKind::Vmm;
-    rop.n = numCols;
-    rop.rows = numRows;
-    rop.pitchA = pitch;
-    rop.flags = static_cast<std::uint8_t>(
-        (rowDot ? kReplayRowDot : 0) |
-        (withNorms ? kReplayWithNorms : 0) |
-        (accumulate ? kReplayAccumulate : 0));
-    rop.a = mem_.span(vec.space, vec.base, vec.len);
-    rop.b = mem_.span(matBlock.space, matBlock.base, matBlock.len);
-    rop.d = mem_.span(dst.space, dst.base, dst.len);
-    rop.dn = withNorms ? mem_.span(dst.space, dst.base + inst.count,
-                                   numRows)
-                       : nullptr;
-    emit(rop);
-    if (!timed())
-        return;
-
-    // Timing.
-    StallPicker p(freeTime(TraceLane::Compute));
-    p.consider(now_, StallReason::Issue);
-    readDependency(vec, p);
-    readDependency(matBlock, p);
-    writeDependency(dst, p);
-    if (accumulate)
-        readDependency(dst, p);
-    const Cycle start = p.at;
-    attributeStall(TraceLane::Compute, p);
-
-    Cycle dur;
-    double conflictExtra = 0.0;
-    const std::size_t lanes = cfg_.emacsPerTile;
-    if (rowDot) {
-        // Each lane owns a row and walks the columns.
-        dur = static_cast<Cycle>(numCols) * ceilDiv(numRows, lanes);
-        if (withNorms)
-            dur *= 2;
-        // Column-direction scratchpad traffic: skew-padded (DMAT)
-        // blocks read one word per bank per cycle, unskewed blocks
-        // serialize on bank conflicts (Section 4.4 / Figure 14).
-        count(inst.flags.skewed ? TileCounter::SpadConflictFreeWords
-                                : TileCounter::SpadConflictWords,
-              static_cast<double>(numRows) * numCols);
-        if (inst.flags.skewed) {
-            // Realignment shift of the finished partials,
-            // pipelined with the next block (Section 4.4, step 5).
-            dur += ceilDiv(numRows, lanes);
-        } else {
-            // Unskewed block: banked access in the transposed
-            // direction partially serializes on conflicts (this is
-            // the no-DMAT path of the Figure 14 ablation). The
-            // array occupies the whole interval but only the
-            // pre-factor base is useful work; the serialization
-            // overhead is accounted as stall.bank_conflict, not
-            // busy time.
-            const Cycle base = dur;
-            dur *= cfg_.noDmatConflictFactor;
-            conflictExtra = static_cast<double>(dur - base);
-        }
-    } else {
-        // Each lane owns a column; rows stream one per cycle
-        // group.
-        dur = static_cast<Cycle>(numRows) * ceilDiv(numCols, lanes);
-    }
-    const Cycle end = start + std::max<Cycle>(dur, 1);
-    const double busy =
-        static_cast<double>(end - start) - conflictExtra;
-    count(TileCounter::EmacBusyCycles, busy);
-    if (conflictExtra > 0.0)
-        count(stallCounter(TraceLane::Compute,
-                           StallReason::BankConflict),
-              conflictExtra);
-    lastOpBusy_ = busy;
-    freeTime(TraceLane::Compute) = end;
-    noteRead(vec, end);
-    noteRead(matBlock, end);
-    noteWrite(dst, end, StallReason::Compute);
-    finish(end);
-    now_ = start + 1;
-
-    // Energy.
-    const double macs = static_cast<double>(numRows) * numCols *
-                        (withNorms ? 2.0 : 1.0);
-    charge(arch::EnergyEvent::EmacMac, macs);
-    charge(arch::EnergyEvent::RegisterFileAccess, 2.0 * macs);
-    if (!inst.flags.reuseB)
-        charge(accessEvent(matBlock.space),
-               static_cast<double>(numRows) * numCols);
-    charge(accessEvent(vec.space), vec.len);
-    if (!inst.flags.dstResident)
-        charge(accessEvent(dst.space),
-               static_cast<double>(dst.len) *
-                   (accumulate ? 2.0 : 1.0));
-    if (inst.flags.skewed)
-        charge(arch::EnergyEvent::EmacLateralShift,
-               static_cast<double>(numCols) *
-                   ceilDiv(numRows, lanes) * lanes);
-    count(TileCounter::EmacMacOps, macs);
-    lastOpWords_ = static_cast<double>(numRows) * numCols;
-}
-
-void
-DiffMemTile::execElementwise(const Instruction &inst)
-{
-    const Operand dst = resolveOperand(inst.dst);
-    const Operand a = resolveOperand(inst.srcA);
-    const Operand b = resolveOperand(inst.srcB);
-    const std::uint32_t len = dst.len;
-    MANNA_ASSERT(len > 0, "elementwise op with empty dst");
-
-    const std::uint8_t reads = isa::opInfo(inst.op).reads;
-    const bool needsA = reads & isa::kSrcA;
-    const bool needsB = reads & isa::kSrcB;
-    const bool isMac = reads & isa::kDst; // ew.mac: d += a * b
-    if (needsA)
-        MANNA_ASSERT(a.len == len || a.len == 1,
-                     "%s srcA len %u incompatible with dst %u",
-                     toString(inst.op), a.len, len);
-    if (needsB)
-        MANNA_ASSERT(b.len == len || b.len == 1,
-                     "%s srcB len %u incompatible with dst %u",
-                     toString(inst.op), b.len, len);
-
-    // Functional semantics, computed by the tape (sim/replay.cc).
-    ReplayOp rop;
-    rop.kind = ReplayKind::Elementwise;
-    rop.op = inst.op;
-    rop.n = len;
-    rop.pitchA = needsA ? a.len : 0;
-    rop.pitchD = needsB ? b.len : 0;
-    rop.imm = inst.imm;
-    rop.a = needsA ? mem_.span(a.space, a.base, a.len) : nullptr;
-    rop.b = needsB ? mem_.span(b.space, b.base, b.len) : nullptr;
-    rop.d = mem_.span(dst.space, dst.base, len);
-    emit(rop);
-    if (!timed())
-        return;
-
-    StallPicker p(freeTime(TraceLane::Compute));
-    p.consider(now_, StallReason::Issue);
-    if (needsA)
-        readDependency(a, p);
-    if (needsB)
-        readDependency(b, p);
-    writeDependency(dst, p);
-    if (isMac)
-        readDependency(dst, p);
-    const Cycle start = p.at;
-    attributeStall(TraceLane::Compute, p);
-
-    std::size_t penalty = 1;
-    if (!cfg_.hasEmac && !isMac)
-        penalty = cfg_.elwisePenaltyNoEmac;
-    const Cycle dur = std::max<Cycle>(
-        ceilDiv(len, cfg_.emacsPerTile) * penalty, 1);
-    const Cycle end = start + dur;
-    count(TileCounter::EmacBusyCycles,
-          static_cast<double>(end - start));
-    lastOpBusy_ = static_cast<double>(end - start);
-    lastOpWords_ = len;
-    freeTime(TraceLane::Compute) = end;
-    if (needsA)
-        noteRead(a, end);
-    if (needsB)
-        noteRead(b, end);
-    noteWrite(dst, end, StallReason::Compute);
-    finish(end);
-    now_ = start + 1;
-
-    // Energy.
-    if (isMac) {
-        charge(arch::EnergyEvent::EmacMac, len);
-        count(TileCounter::EmacMacOps, len);
-    } else if (needsA) { // fill does no arithmetic
-        charge(arch::EnergyEvent::EmacElwise,
-               static_cast<double>(len) * penalty);
-        count(TileCounter::EmacElwiseOps, len);
-    }
-    if (needsA)
-        charge(accessEvent(a.space), a.len == 1 ? 1.0 : len);
-    if (needsB)
-        charge(accessEvent(b.space), b.len == 1 ? 1.0 : len);
-    charge(accessEvent(dst.space),
-           static_cast<double>(len) * (isMac ? 2.0 : 1.0));
-}
-
-void
-DiffMemTile::execSfu(const Instruction &inst)
-{
-    const Operand dst = resolveOperand(inst.dst);
-    const Operand a = resolveOperand(inst.srcA);
-    const isa::OpInfo &info = isa::opInfo(inst.op);
-    const bool isAcc = info.sfuCost == isa::SfuCost::Acc;
-    const bool needsB = info.reads & isa::kSrcB; // sfu.pow's exponent
-    const std::uint32_t len = a.len;
-    MANNA_ASSERT(len > 0, "SFU op with empty source");
-    if (isAcc)
-        MANNA_ASSERT(dst.len == 1, "SFU accumulate dst must be scalar");
-    else
-        MANNA_ASSERT(dst.len == len, "SFU dst len %u != src %u", dst.len,
-                     len);
-
-    Operand expOperand;
-    const float *pexp = nullptr;
-    if (needsB) {
-        expOperand = resolveOperand(inst.srcB);
-        MANNA_ASSERT(expOperand.len == 1,
-                     "sfu.pow exponent must be scalar");
-        pexp = mem_.span(expOperand.space, expOperand.base, 1);
-    }
-
-    // Functional semantics, computed by the tape (sim/replay.cc). The
-    // SfuPow exponent pointer is recorded, not its value: the tape
-    // re-reads it each step because tile code can update it.
-    ReplayOp rop;
-    rop.kind = ReplayKind::Sfu;
-    rop.op = inst.op;
-    rop.n = len;
-    rop.a = mem_.span(a.space, a.base, len);
-    rop.b = pexp;
-    rop.d = mem_.span(dst.space, dst.base, dst.len);
-    emit(rop);
-    if (!timed())
-        return;
-
-    const std::size_t perElem =
-        cfg_.*kSfuCycles[static_cast<std::size_t>(info.sfuCost)];
-
-    StallPicker p(freeTime(TraceLane::Sfu));
-    p.consider(now_, StallReason::Issue);
-    readDependency(a, p);
-    if (needsB)
-        readDependency(expOperand, p);
-    writeDependency(dst, p);
-    const Cycle start = p.at;
-    attributeStall(TraceLane::Sfu, p);
-    // The SFU path is serial within a tile (Section 7.3's scaling
-    // limiter): len elements at perElem cycles each, shared across
-    // the tile's sfusPerTile units.
-    const Cycle dur = std::max<Cycle>(
-        ceilDiv(static_cast<std::uint64_t>(len) * perElem,
-                cfg_.sfusPerTile),
-        1);
-    const Cycle end = start + dur;
-    count(TileCounter::SfuBusyCycles,
-          static_cast<double>(end - start));
-    lastOpBusy_ = static_cast<double>(end - start);
-    lastOpWords_ = len;
-    freeTime(TraceLane::Sfu) = end;
-    noteRead(a, end);
-    noteWrite(dst, end, StallReason::SfuSerial);
-    finish(end);
-    now_ = start + 1;
-
-    charge(arch::EnergyEvent::SfuOp, len);
-    charge(accessEvent(a.space), len);
-    charge(accessEvent(dst.space), dst.len);
-    count(TileCounter::SfuOps, len);
-}
-
-const float *
-DiffMemTile::operandSpan(const Operand &op) const
-{
-    const Operand r = resolveOperand(op);
-    return mem_.span(r.space, r.base, r.len);
-}
-
-float *
-DiffMemTile::operandSpanMut(const Operand &op)
-{
-    const Operand r = resolveOperand(op);
-    return mem_.span(r.space, r.base, r.len);
+        trace_->record(tileIndex_, issuedAt, maxEnd_, start, end, inst);
 }
 
 RunStatus

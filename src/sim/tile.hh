@@ -18,25 +18,32 @@
  * tile; the Chip performs the exchange and resumes every tile at the
  * synchronized time (the paper's fence semantics).
  *
- * No instruction's duration depends on data, so the tile computes
- * nothing: it bounds-checks each instruction's operands and hands the
- * resolved functional operation to the attached ReplayTape, whose
- * execTileOp() (sim/replay.hh) is the one place tile math runs.
+ * A tile program has no data-dependent control flow, and only its
+ * operands' bases move with the loop counters: decodeProgram() works
+ * out everything else about each static instruction once per machine
+ * (its op's shape, lane, duration, counter increments and energy
+ * charges), and the chip decodes its programs once, at construction.
+ * At run time one path resolves an instruction's bases, bounds-checks
+ * its spans and hands the resolved functional operation to the
+ * attached ReplayTape, whose execTileOp() (sim/replay.hh) is the one
+ * place tile math runs; a timed run then elects its start time and
+ * applies its decoded accounting.
  *
- * Nor does any duration depend on an address, and every timing rule
- * is invariant under a shift of all times. So once a static loop's
- * timing state, taken relative to the issue pointer, repeats from one
- * iteration to the next, every later iteration repeats the last one
- * shifted in time: runUntilComm() then advances the rest of the loop
- * in closed form (docs/PERF.md, "Checked timing steps"), with every
- * counter, energy and emitted op exactly as literal interpretation
- * gives them.
+ * No duration depends on data or on an address, and every timing
+ * rule is invariant under a shift of all times. So once a static
+ * loop's timing state, taken relative to the issue pointer, repeats
+ * from one iteration to the next, every later iteration repeats the
+ * last one shifted in time: runUntilComm() then advances the rest of
+ * the loop in closed form (docs/PERF.md, "Checked timing steps"), with
+ * every counter, energy and emitted op exactly as literal
+ * interpretation gives them.
  */
 
 #ifndef MANNA_SIM_TILE_HH
 #define MANNA_SIM_TILE_HH
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -147,6 +154,87 @@ struct TileCounters
 };
 
 /**
+ * One static instruction of a tile program, decoded for one machine
+ * (decodeProgram()): everything about executing it but its operands'
+ * bases and its start time.
+ */
+struct DecodedInst
+{
+    /** Operand indices: srcA, srcB, dst (kNoOperand: none). */
+    static constexpr std::uint8_t kNoOperand = 3;
+    /** Where one of the op's pointers points: @p len words from
+     * @p offset past the resolved base of an operand. */
+    struct Span
+    {
+        std::uint8_t operand = kNoOperand;
+        std::uint32_t offset = 0;
+        std::uint32_t len = 0;
+    };
+    struct Charge
+    {
+        arch::EnergyEvent event;
+        double occurrences;
+    };
+    struct Count
+    {
+        TileCounter counter;
+        double amount;
+    };
+
+    /** The instruction, holding the unresolved operands. */
+    const isa::Instruction *inst = nullptr;
+    /** The op it emits, with null pointers. */
+    ReplayOp op;
+    /** The op's a, b, d and dn, in that order. */
+    Span spans[4];
+    /** isa::OperandRead bits of the operands whose pending writes
+     * delay the start (kDst: an accumulating read of the destination,
+     * which every compute instruction also writes), and of those whose
+     * read ends free a scratchpad half. */
+    std::uint8_t reads = 0;
+    std::uint8_t noted = 0;
+    /** A matrix load: it writes the scratchpad half it rotates to. */
+    bool rotates = false;
+    TraceLane lane = TraceLane::Compute;
+    /** The stall reason a reader of the destination reports. */
+    StallReason producer = StallReason::Issue;
+    Cycle duration = 0;
+    double busy = 0.0;  ///< duration less bank-conflict cycles
+    double words = 0.0; ///< the op profile's words
+    /** Energy charges, in order, and counter increments. */
+    std::uint8_t numCharges = 0;
+    std::uint8_t numCounts = 0;
+    Charge charges[7];
+    Count counts[5];
+
+    void charge(arch::EnergyEvent ev, double occurrences)
+    {
+        MANNA_ASSERT(numCharges < std::size(charges), "too many charges");
+        charges[numCharges++] = {ev, occurrences};
+    }
+    void count(TileCounter c, double amount = 1.0)
+    {
+        MANNA_ASSERT(numCounts < std::size(counts), "too many counts");
+        counts[numCounts++] = {c, amount};
+    }
+};
+
+/** A tile program and its memory sweeps, decoded for one machine: one
+ * entry per instruction (control and communication ones stay empty). */
+struct DecodedProgram
+{
+    const isa::Program *program = nullptr;
+    const std::vector<compiler::SweepDesc> *sweeps = nullptr;
+    std::vector<DecodedInst> insts;
+};
+
+/** Decode @p program for @p cfg; a malformed instruction fails here.
+ * The program and sweeps are referenced, not copied. */
+DecodedProgram
+decodeProgram(const isa::Program &program, const arch::MannaConfig &cfg,
+              const std::vector<compiler::SweepDesc> *sweeps = nullptr);
+
+/**
  * Scratch records of the loop fast-forward (DiffMemTile::
  * runUntilComm()): the ops and energy charges of the open skippable
  * loops' last two iterations, and each loop's counters at the start
@@ -177,7 +265,7 @@ struct TileLayoutSizes
 };
 
 /**
- * One DiffMem tile.
+ * One DiffMem tile, running a decoded program (setProgram()).
  */
 class DiffMemTile
 {
@@ -185,11 +273,15 @@ class DiffMemTile
     DiffMemTile(const arch::MannaConfig &cfg,
                 const arch::EnergyModel &energy, std::size_t tileIndex,
                 const TileLayoutSizes &sizes);
+    /** Neither copied nor moved: it may point at its own program. */
+    DiffMemTile(DiffMemTile &&) = delete;
 
-    /** Install a program and reset the program counter / loop state
-     * (timing state is preserved across programs). While the attached
-     * tape records, the ops of each of @p sweeps' loop nests are
-     * marked on it as that sweep's window. */
+    /** Install a decoded program and reset the program counter / loop
+     * state (timing state is preserved across programs). While the
+     * attached tape records, the ops of each of its sweeps' loop nests
+     * are marked on it as that sweep's window. */
+    void setProgram(const DecodedProgram *program);
+    /** Install a raw program: the next runUntilComm() decodes it. */
     void setProgram(const isa::Program *program,
                     const std::vector<compiler::SweepDesc> *sweeps =
                         nullptr);
@@ -205,12 +297,6 @@ class DiffMemTile
 
     /** The communication instruction currently blocking (AtComm). */
     const isa::Instruction &commInstruction() const;
-
-    /**
-     * Resolve an operand against the current loop iteration state
-     * (applies the per-level strides to the base address).
-     */
-    isa::Operand resolveOperand(const isa::Operand &op) const;
 
     /**
      * Advance past the blocking communication instruction and fence
@@ -275,10 +361,23 @@ class DiffMemTile
 
     /** Resolved span of @p op against current loop state (for the
      * chip's comm-op recording). */
-    const float *operandSpan(const isa::Operand &op) const;
-    float *operandSpanMut(const isa::Operand &op);
+    float *operandSpan(const isa::Operand &op)
+    {
+        return span(op, 0, op.len);
+    }
 
   private:
+    /** @p len words from @p offset past @p op's base, resolved against
+     * the loop counters and bounds-checked. */
+    float *span(const isa::Operand &op, std::uint32_t offset,
+                std::uint32_t len)
+    {
+        return mem_.span(op.space,
+                         op.effectiveBase(iters_, loopStack_.size()) +
+                             offset,
+                         len);
+    }
+
     /** Hand @p op to the attached tape, if any; the tile itself never
      * executes it. */
     void emit(const ReplayOp &op)
@@ -299,13 +398,9 @@ class DiffMemTile
      * which only resolves, checks and emits its ops. */
     bool timed() const { return quietDepth_ == 0; }
 
-    // --- execution helpers -------------------------------------------
-    void execute(const isa::Instruction &inst);
-    void execDmaMatrix(const isa::Instruction &inst);
-    void execDmaVector(const isa::Instruction &inst);
-    void execVmm(const isa::Instruction &inst);
-    void execElementwise(const isa::Instruction &inst);
-    void execSfu(const isa::Instruction &inst);
+    /** Emit a compute instruction's op and, when timed, time it and
+     * apply its decoded accounting. */
+    void execute(const DecodedInst &di);
 
     /**
      * Start-time election with stall attribution: starts at the
@@ -335,14 +430,6 @@ class DiffMemTile
 
     /** Data-dependency constraint for reading a resolved operand. */
     void readDependency(const isa::Operand &op, StallPicker &p);
-
-    /** Constraint for writing a resolved operand (WAR/WAW). */
-    void writeDependency(const isa::Operand &op, StallPicker &p);
-
-    /** Record a write's completion for later dependents, tagged with
-     * the stall reason its consumers will report while waiting. */
-    void noteWrite(const isa::Operand &op, Cycle end,
-                   StallReason producer);
 
     /** Record a read's completion (for scratchpad-half reuse). */
     void noteRead(const isa::Operand &op, Cycle end);
@@ -376,11 +463,6 @@ class DiffMemTile
         acct_.ctr[static_cast<std::size_t>(c)] += amount;
     }
 
-    /** Energy event for accessing a space. */
-    arch::EnergyEvent accessEvent(isa::Space space) const;
-
-    void finish(Cycle end);
-
     // --- loop fast-forward ---------------------------------------------
     /**
      * The timing state a loop body sees, relative to now_: the engine
@@ -411,7 +493,6 @@ class DiffMemTile
      * the loop if the last two iterations match, else remember this
      * one. */
     void loopBoundary(LoopFrame &frame, Cycle iterMax);
-    bool sameOpShapes(const LoopFrame &frame) const;
     void skipLoop(LoopFrame &frame, Cycle iterMax);
     /** Advance the timing state, counters and energy by @p r more
      * iterations like the last one. */
@@ -445,9 +526,11 @@ class DiffMemTile
     TileMemory mem_;
 
     // --- program state ---------------------------------------------------
-    const isa::Program *program_ = nullptr;
+    const DecodedProgram *program_ = nullptr;
+    /** A raw program setProgram() installed, decoded by runUntilComm(),
+     * where a malformed instruction fails the run. */
+    DecodedProgram ownProgram_;
     std::size_t pc_ = 0;
-    const std::vector<compiler::SweepDesc> *sweeps_ = nullptr;
     std::size_t nextSweep_ = 0; ///< the next sweep to open or close
     bool sweepOpen_ = false;
     struct LoopFrame
@@ -496,7 +579,6 @@ class DiffMemTile
         StallReason::Issue, StallReason::Issue, StallReason::Issue,
         StallReason::Issue, StallReason::Issue};
     Cycle maxEnd_ = 0;
-    Cycle lastEnd_ = 0; ///< end time of the most recent instruction
     std::uint64_t dmaLoadCount_ = 0; ///< matrix loads issued (parity)
     /** Latest end within the innermost loop's current iteration. */
     Cycle iterMax_ = 0;
@@ -505,9 +587,6 @@ class DiffMemTile
 
     // --- accounting ----------------------------------------------------------
     TileCounters acct_;
-    /** Set by each exec* for execute()'s per-opcode accounting. */
-    double lastOpBusy_ = 0.0;
-    double lastOpWords_ = 0.0;
     TraceLogger *trace_ = nullptr;
     ReplayTape *tape_ = nullptr;
 

@@ -303,6 +303,24 @@ TEST(Config, ParsesArgs)
     EXPECT_TRUE(cfg.getBool("flag", false));
 }
 
+TEST(Config, CommandLineAcceptsEveryKnobAnyBinaryReads)
+{
+    // fig12 ignores file= and min_time=; scripts pass such knobs on.
+    const char *argv[] = {"prog", "steps=2", "--dump-stats",
+                          "fidelity=fast", "file=x.masm", "min_time=1"};
+    const Config cfg = Config::fromCommandLine(6, argv);
+    EXPECT_EQ(cfg.getInt("steps", 0), 2);
+    EXPECT_TRUE(cfg.getBool("dump_stats", false));
+    EXPECT_EQ(cfg.getString("fidelity"), "fast");
+}
+
+TEST(ConfigDeathTest, CommandLineRejectsAMistypedKnob)
+{
+    const char *argv[] = {"prog", "steps=2", "fidelty=fast"};
+    EXPECT_EXIT(Config::fromCommandLine(3, argv),
+                ::testing::ExitedWithCode(1), "unknown option 'fidelty=fast'");
+}
+
 TEST(Config, DefaultsWhenAbsent)
 {
     Config cfg;

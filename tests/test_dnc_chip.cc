@@ -10,6 +10,7 @@
 
 #include <cstring>
 
+#include "baselines/ablation.hh"
 #include "common/error.hh"
 #include "common/hash.hh"
 #include "compiler/compiler.hh"
@@ -439,6 +440,112 @@ TEST(ChipEngine, PinnedCountersBothDrivers)
             << std::hex << statsDigestOf(rep);
         EXPECT_EQ(groupsDigestOf(rep), want.groupsDigest)
             << std::hex << groupsDigestOf(rep);
+        EXPECT_EQ(tensorDigest, want.tensorDigest) << std::hex
+                                                   << tensorDigest;
+    }
+}
+
+// The Figure 14 ablation machines, which take the timing paths the
+// baseline chip never does: unskewed row-dot Vmms serialize on bank
+// conflicts (noDmatConflictFactor) without the DMAT, and element-wise
+// ops pay elwisePenaltyNoEmac without the eMAC.
+TEST(ChipEngine, PinnedAblationCounters)
+{
+    struct Row
+    {
+        const char *machine; ///< a figure14Variants() name
+        const char *model;   ///< "ntm" or "dnc": the memN 40 shapes
+        std::size_t tiles;
+        Fidelity fidelity;
+        Cycle totalCycles;
+        std::uint64_t energyBits;
+        std::uint64_t statsDigest;
+        std::uint64_t tensorDigest;
+    };
+    mann::MannConfig mc;
+    mc.memN = 40;
+    mc.memM = 16;
+    mc.numReadHeads = 2;
+    mc.controllerWidth = 32;
+    mc.inputDim = 6;
+    mc.outputDim = 5;
+    const DncConfig dc = makeConfig(40, 16, 2);
+    const Row expected[] = {
+        {"MemHeavy", "ntm", 1, Fidelity::Cycle, 49158,
+         0x419f6e402a8a946dull, 0x8d009cb0583667faull, 0x99921fc0225aa6f2ull},
+        {"MemHeavy", "ntm", 1, Fidelity::Fast, 49158,
+         0x419f6e402a8a946cull, 0xbb5e2aaca66598c7ull, 0x99921fc0225aa6f2ull},
+        {"MemHeavy", "ntm", 4, Fidelity::Cycle, 23538,
+         0x419f532adb378774ull, 0xa0ed0b40d8795e18ull, 0xc71ff4ece9004a6aull},
+        {"MemHeavy", "ntm", 4, Fidelity::Fast, 23538,
+         0x419f532adb378776ull, 0x00af60cf5a7148eeull, 0xc71ff4ece9004a6aull},
+        {"MemHeavy", "dnc", 1, Fidelity::Cycle, 71508,
+         0x41a6ec1af6569ec2ull, 0xf2be004f72698c1eull, 0x279405590d3acfbaull},
+        {"MemHeavy", "dnc", 1, Fidelity::Fast, 71508,
+         0x41a6ec1af6569ec2ull, 0x9610d9cffd65b2caull, 0x279405590d3acfbaull},
+        {"MemHeavy", "dnc", 4, Fidelity::Cycle, 30594,
+         0x41a47108aca01604ull, 0xe26eb273ba306a5cull, 0xc9e3a24fae1f0442ull},
+        {"MemHeavy", "dnc", 4, Fidelity::Fast, 30594,
+         0x41a47108aca01607ull, 0x585d1b8705cba0cbull, 0xc9e3a24fae1f0442ull},
+        {"MemHeavy-Transpose", "ntm", 1, Fidelity::Cycle, 41484,
+         0x419a907d2b97613aull, 0x7c4b686ba7666887ull, 0x99921fc0225aa6f2ull},
+        {"MemHeavy-Transpose", "ntm", 1, Fidelity::Fast, 41484,
+         0x419a907d2b976137ull, 0x2ec491a9a7018bb4ull, 0x99921fc0225aa6f2ull},
+        {"MemHeavy-Transpose", "ntm", 4, Fidelity::Cycle, 18738,
+         0x4199000688045441ull, 0xbe881f549c553ab2ull, 0xc71ff4ece9004a6aull},
+        {"MemHeavy-Transpose", "ntm", 4, Fidelity::Fast, 18738,
+         0x4199000688045440ull, 0xe10fc1cd2aaf5a21ull, 0xc71ff4ece9004a6aull},
+        {"MemHeavy-Transpose", "dnc", 1, Fidelity::Cycle, 59106,
+         0x41a2fd72a5f69ec2ull, 0x4532f299686e9448ull, 0x279405590d3acfbaull},
+        {"MemHeavy-Transpose", "dnc", 1, Fidelity::Fast, 59106,
+         0x41a2fd72a5f69ec1ull, 0xc0e7378cfc7360ceull, 0x279405590d3acfbaull},
+        {"MemHeavy-Transpose", "dnc", 4, Fidelity::Cycle, 24870,
+         0x41a0ab8db2d34938ull, 0x25a7a43c63643624ull, 0xc9e3a24fae1f0442ull},
+        {"MemHeavy-Transpose", "dnc", 4, Fidelity::Fast, 24870,
+         0x41a0ab8db2d34938ull, 0x9d4261ebdf680fc6ull, 0xc9e3a24fae1f0442ull},
+        {"MemHeavy-eMAC", "ntm", 1, Fidelity::Cycle, 31374,
+         0x4194168ed58a946bull, 0x14584fea57eb74e5ull, 0x99921fc0225aa6f2ull},
+        {"MemHeavy-eMAC", "ntm", 1, Fidelity::Fast, 31374,
+         0x4194168ed58a9469ull, 0xc5125bc27c685432ull, 0x99921fc0225aa6f2ull},
+        {"MemHeavy-eMAC", "ntm", 4, Fidelity::Cycle, 15450,
+         0x4194973957378774ull, 0xc2a24c116c2e6a64ull, 0xc71ff4ece9004a6aull},
+        {"MemHeavy-eMAC", "ntm", 4, Fidelity::Fast, 15450,
+         0x4194973957378776ull, 0xa73b6fcc7ff0e89aull, 0xc71ff4ece9004a6aull},
+        {"MemHeavy-eMAC", "dnc", 1, Fidelity::Cycle, 38040,
+         0x41987c4f3a2d3d86ull, 0xe56481d283430464ull, 0x279405590d3acfbaull},
+        {"MemHeavy-eMAC", "dnc", 1, Fidelity::Fast, 38040,
+         0x41987c4f3a2d3d80ull, 0x349d3db03d685027ull, 0x279405590d3acfbaull},
+        {"MemHeavy-eMAC", "dnc", 4, Fidelity::Cycle, 18372,
+         0x41989ff5f4402c09ull, 0x7b3d9c46482082b3ull, 0xc9e3a24fae1f0442ull},
+        {"MemHeavy-eMAC", "dnc", 4, Fidelity::Fast, 18372,
+         0x41989ff5f4402c0aull, 0x85562d26ea36bfccull, 0xc9e3a24fae1f0442ull},
+    };
+    for (const Row &want : expected) {
+        const std::string machine = want.machine;
+        arch::MannaConfig ac;
+        for (const baselines::AblationVariant &v :
+             baselines::figure14Variants())
+            if (v.name == machine)
+                ac = v.config;
+        ac.numTiles = want.tiles;
+        std::uint64_t tensorDigest = 0;
+        const RunReport rep =
+            std::string(want.model) == "dnc"
+                ? runPinned<DncChip>(compiler::compileDnc(dc, ac),
+                                     dc.inputDim, want.fidelity,
+                                     &tensorDigest)
+                : runPinned<Chip>(compiler::compile(mc, ac), mc.inputDim,
+                                  want.fidelity, &tensorDigest);
+        const double energy = rep.totalEnergyPj();
+        std::uint64_t energyBits = 0;
+        std::memcpy(&energyBits, &energy, sizeof(energyBits));
+        SCOPED_TRACE(machine + " " + want.model + " x" +
+                     std::to_string(want.tiles) + " " +
+                     toString(want.fidelity));
+        EXPECT_EQ(rep.totalCycles, want.totalCycles);
+        EXPECT_EQ(energyBits, want.energyBits) << std::hex << energyBits;
+        EXPECT_EQ(statsDigestOf(rep), want.statsDigest)
+            << std::hex << statsDigestOf(rep);
         EXPECT_EQ(tensorDigest, want.tensorDigest) << std::hex
                                                    << tensorDigest;
     }

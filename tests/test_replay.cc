@@ -1120,29 +1120,100 @@ makeFuzzCase(std::uint64_t seed)
         return rng.below(2) != 0 ? Space::MatBuf : Space::VecBuf;
     };
     isa::Program prog;
-    // Up to two ops, each reading a slice of some region into an output
-    // row or scaling one in place.
-    auto interlopers = [&] {
-        for (auto k = rng.below(3); k > 0; --k) {
-            Operand r = regions[rng.below(regions.size())];
+    // A slice of some region: at most @p most words, or exactly.
+    auto slice = [&](std::uint32_t most, bool exact = false) {
+        Operand r;
+        do {
+            r = regions[rng.below(regions.size())];
             if (rng.below(16) == 0)
                 r = isa::makeOperand(Space::MatSpad, 0, spad);
-            const auto len = static_cast<std::uint32_t>(
-                1 + rng.below(std::min(r.len, kFuzzOut)));
-            const Operand slice = isa::makeOperand(
-                r.space,
-                r.base + static_cast<std::uint32_t>(
-                             rng.below(r.len - len + 1)),
-                len);
-            if (rng.below(2) != 0)
-                prog.append(makeInst(Opcode::EwMulImm, slice, slice, {},
-                                     0.5f));
-            else
-                prog.append(makeInst(
-                    Opcode::EwAddImm,
-                    isa::makeOperand(Space::VecBuf,
-                                     out + kFuzzOut * (outs++ % 8), len),
-                    slice, {}, 0.25f));
+        } while (exact && r.len < most);
+        const auto len = exact ? most
+                               : static_cast<std::uint32_t>(
+                                     1 + rng.below(std::min(r.len, most)));
+        return isa::makeOperand(
+            r.space,
+            r.base + static_cast<std::uint32_t>(rng.below(r.len - len + 1)),
+            len);
+    };
+    auto outRow = [&](std::uint32_t len) {
+        return isa::makeOperand(Space::VecBuf,
+                                out + kFuzzOut * (outs++ % 8), len);
+    };
+    // Up to two ops, each reading a slice of some region into an output
+    // row, scaling one in place or copying one over some stage words;
+    // or a loop long enough that the tile hands most of it to the tape
+    // as a run, whose body has an ew.mac after an ew.addi, after the
+    // tail of an idiom (ew.mul), or after the link update's other ops,
+    // linked or linked at the first iteration only.
+    auto interlopers = [&] {
+        if (rng.below(4) == 0) {
+            const auto len = static_cast<std::uint32_t>(rng.range(1, 8));
+            const auto count = static_cast<std::uint32_t>(rng.range(5, 8));
+            const auto row = [&] {
+                return isa::makeStridedOperand(
+                    Space::VecBuf, out + kFuzzOut * (outs++ % 8), len,
+                    static_cast<std::int32_t>(rng.below(kFuzzOut / count -
+                                                        len + 1)));
+            };
+            const Operand x = row(), d = row();
+            const Operand a = slice(len, true), b = slice(1);
+            prog.beginLoop(count);
+            switch (rng.below(3)) {
+              case 0:
+                prog.append(makeInst(Opcode::EwAddImm, x, a, {}, 0.5f));
+                break;
+              case 1: // the tail of an idiom
+                prog.append(makeInst(Opcode::EwMul, d, d, x));
+                break;
+              default: {
+                // The link update's opcodes, linked (y is x) or linked
+                // at the first iteration only (y steps unlike x).
+                Operand y = x;
+                if (rng.below(2) != 0)
+                    y.stride[0] = x.stride[0] == 0 ? 1 : 0;
+                if (rng.below(2) != 0) // an op before the idiom
+                    prog.append(makeInst(Opcode::EwAddImm, row(), a, {},
+                                         0.5f));
+                prog.append(makeInst(Opcode::EwSub, x, a, b));
+                prog.append(makeInst(Opcode::EwMul, d, d, y));
+                prog.append(makeInst(Opcode::EwMac, d, row(), b));
+                if (rng.below(2) != 0) // a copy after the idiom
+                    prog.append(makeInst(
+                        Opcode::DmaLoadV,
+                        isa::makeOperand(Space::VecSpad, 2 * kFuzzStage,
+                                         len),
+                        x));
+                prog.endLoop();
+                return;
+              }
+            }
+            prog.append(makeInst(Opcode::EwMac, d, x, b));
+            prog.endLoop();
+            return;
+        }
+        for (auto k = rng.below(3); k > 0; --k) {
+            const Operand r = slice(kFuzzOut);
+            switch (rng.below(3)) {
+              case 0:
+                prog.append(makeInst(Opcode::EwMulImm, r, r, {}, 0.5f));
+                break;
+              case 1:
+                prog.append(
+                    makeInst(Opcode::EwAddImm, outRow(r.len), r, {}, 0.25f));
+                break;
+              default:
+                // Half the time near a Vmm sweep's stage words.
+                const auto at = static_cast<std::uint32_t>(
+                    rng.below(2) != 0
+                        ? rng.below(2 * kFuzzStage - r.len + 1)
+                        : rng.below(2) * kFuzzStage / 2 + rng.below(8));
+                prog.append(makeInst(Opcode::DmaLoadV,
+                                     isa::makeOperand(Space::VecSpad, at,
+                                                      r.len),
+                                     r));
+                break;
+            }
         }
     };
 
@@ -1184,20 +1255,54 @@ makeFuzzCase(std::uint64_t seed)
             const bool alias = rng.below(4) == 0;
             if (update) {
                 // A soft write (erase, add, w) or a DNC link update (o, p,
-                // w); aliased, w or the first source lies in the rows.
+                // w); aliased, w or the first source lies in the rows, or
+                // a source or w in the stage words or the staged block.
                 const bool link = kind == 4;
-                const Space srcSpace = link ? Space::VecBuf : Space::MatBuf;
+                Space srcSpace = link ? Space::VecBuf : Space::MatBuf;
+                Space addSpace = srcSpace;
                 std::uint32_t src = region(srcSpace, cols);
-                const std::uint32_t add = region(srcSpace, cols);
+                std::uint32_t add = region(addSpace, cols);
                 Space wSpace = Space::VecBuf;
                 std::uint32_t w = region(wSpace, rows);
-                if (alias && rng.below(2) != 0) {
+                switch (alias ? rng.below(5) : 5) {
+                  case 0:
                     wSpace = Space::MatBuf;
                     w = matrix.base +
                         static_cast<std::uint32_t>(rng.below(rows * cols));
-                } else if (alias && !link) {
-                    src = matrix.base + static_cast<std::uint32_t>(
-                                            rng.below(rows * cols));
+                    break;
+                  case 1:
+                    if (!link)
+                        src = matrix.base + static_cast<std::uint32_t>(
+                                                rng.below(rows * cols));
+                    break;
+                  case 2:
+                  case 3:
+                  case 4: {
+                    const bool staged = rng.below(2) != 0;
+                    const Space space =
+                        staged ? Space::MatSpad : Space::VecSpad;
+                    const auto at = static_cast<std::uint32_t>(
+                        staged ? rng.below(blockN * blockM)
+                               : kFuzzStage +
+                                     rng.below(std::min(cols, blockM)));
+                    switch (rng.below(3)) {
+                      case 0:
+                        srcSpace = space;
+                        src = at;
+                        break;
+                      case 1:
+                        addSpace = space;
+                        add = at;
+                        break;
+                      default:
+                        wSpace = space;
+                        w = at;
+                        break;
+                    }
+                    break;
+                  }
+                  default:
+                    break;
                 }
                 kr.emitRowUpdateSweep(
                     prog, matrix.base, rows, cols, blockN, blockM,
@@ -1216,7 +1321,7 @@ makeFuzzCase(std::uint64_t seed)
                         }
                         p.append(makeInst(Opcode::EwMul, row, row, stage));
                         p.append(makeInst(Opcode::EwMac, row,
-                                          mk(srcSpace, add, colsB, rc, 0,
+                                          mk(addSpace, add, colsB, rc, 0,
                                              blockM),
                                           wRow));
                     });
@@ -1243,6 +1348,8 @@ makeFuzzCase(std::uint64_t seed)
             // source in a destination, the stage words or the staged
             // block.
             const std::size_t k = norms ? 1 : 0;
+            kr.stageVec = static_cast<std::uint32_t>(rng.below(2)) *
+                          kFuzzStage / 2;
             if (alias && k < vecs.size()) {
                 compiler::SweepVec &v = vecs[k];
                 const compiler::SweepVec &o = vecs[rng.below(vecs.size())];
@@ -1264,9 +1371,14 @@ makeFuzzCase(std::uint64_t seed)
                     v.srcSpace = o.dstSpace;
                     v.src = o.dst + static_cast<std::uint32_t>(rng.below(dLen));
                     break;
-                  case 4:
+                  case 4: // half the time inside the stage words
                     v.srcSpace = Space::VecSpad;
-                    v.src = static_cast<std::uint32_t>(rng.below(kFuzzStage));
+                    v.src = static_cast<std::uint32_t>(
+                        rng.below(2) != 0
+                            ? rng.below(kFuzzStage)
+                            : kr.stageVec +
+                                  rng.below(rowDot ? std::min(blockM, cols)
+                                                   : std::min(blockN, rows)));
                     break;
                   default:
                     v.srcSpace = Space::MatSpad;
@@ -1274,8 +1386,6 @@ makeFuzzCase(std::uint64_t seed)
                     break;
                 }
             }
-            kr.stageVec = static_cast<std::uint32_t>(rng.below(2)) *
-                          kFuzzStage / 2;
             if (rowDot)
                 kr.emitRowDotSweep(prog, matrix.base, rows, cols, blockN,
                                    blockM, vecs, norms);

@@ -10,8 +10,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 #include "arch/energy_model.hh"
+#include "common/hash.hh"
 #include "common/rng.hh"
 #include "isa/assembler.hh"
 #include "sim/tile.hh"
@@ -534,6 +537,69 @@ TEST(TileComm, BlocksAtReduceAndResumes)
     EXPECT_EQ(f.tile.now(), resume);
     ASSERT_EQ(runAndCompute(f.tile), RunStatus::Done);
     EXPECT_FLOAT_EQ(f.readVec(Space::VecBuf, 1, 1)[0], 3.0f);
+}
+
+// The hand-written example kernels, run standalone by runAndCompute()
+// on asm_runner's seed data: every tile counter, the per-opcode
+// profile and the energy bits, and every word they leave in memory.
+TEST(TileStandalone, ExampleKernelsPinned)
+{
+    struct Row
+    {
+        const char *file;
+        Cycle quiesce;
+        std::uint64_t energyBits;
+        std::uint64_t countersDigest; ///< ctr, then the op profile
+        std::uint64_t memoryDigest;
+    };
+    const Row expected[] = {
+        {"copy_kernel.masm", 24,
+         0x40ad32d685c6174dull, 0x58357f5115b147fdull, 0xa441fef8876bb494ull},
+        {"softread_softmax.masm", 212,
+         0x40b20f5d1cca6907ull, 0xbf78743f83fe07baull, 0x6acd158754d05937ull},
+    };
+    for (const Row &want : expected) {
+        SCOPED_TRACE(want.file);
+        std::ifstream in(std::string(MANNA_EXAMPLES_DIR "/") + want.file);
+        ASSERT_TRUE(in);
+        std::ostringstream text;
+        text << in.rdbuf();
+        const isa::AssembleResult assembled = isa::assemble(text.str());
+        ASSERT_TRUE(assembled.ok()) << assembled.error;
+        TileFixture f;
+        f.program = assembled.program;
+        Rng rng(7);
+        std::vector<float> mat(8 * 32), w(8);
+        for (auto &v : mat)
+            v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        for (auto &v : w)
+            v = static_cast<float>(rng.uniform(0.0, 1.0));
+        f.writeVec(Space::MatBuf, 0, mat);
+        f.writeVec(Space::VecBuf, 64, w);
+        f.run();
+
+        const TileCounters &c = f.tile.counters();
+        std::uint64_t energyBits = 0;
+        std::memcpy(&energyBits, &c.energyPj, sizeof energyBits);
+        Fnv1a counters;
+        counters.bytes(c.ctr, sizeof c.ctr)
+            .bytes(c.opCycles, sizeof c.opCycles)
+            .bytes(c.opOps, sizeof c.opOps)
+            .bytes(c.opWords, sizeof c.opWords);
+        Fnv1a memory;
+        for (const Space space : {Space::MatBuf, Space::MatSpad,
+                                  Space::VecBuf, Space::VecSpad}) {
+            const TileMemory &mem = f.tile.memory();
+            memory.bytes(mem.span(space, 0, 0),
+                         mem.words(space) * sizeof(float));
+        }
+        EXPECT_EQ(f.tile.quiesceTime(), want.quiesce);
+        EXPECT_EQ(energyBits, want.energyBits) << std::hex << energyBits;
+        EXPECT_EQ(counters.value(), want.countersDigest)
+            << std::hex << counters.value();
+        EXPECT_EQ(memory.value(), want.memoryDigest)
+            << std::hex << memory.value();
+    }
 }
 
 TEST(TileCounters, NamesFollowLaneAndReason)

@@ -68,7 +68,7 @@ printProgram(const isa::Program &program, bool list, bool hist,
 int
 main(int argc, char **argv)
 {
-    const Config cfg = Config::fromArgs(argc, argv);
+    const Config cfg = Config::fromCommandLine(argc, argv);
     const std::string path = cfg.getString("file");
     if (path.empty())
         fatal("usage: manna-objdump file=PROG[.mpb|.masm] "

@@ -37,7 +37,7 @@ using namespace manna::harness;
 int
 main(int argc, char **argv)
 {
-    const Config cfg = Config::fromArgs(argc, argv);
+    const Config cfg = Config::fromCommandLine(argc, argv);
     server::ServerOptions opts = server::serverOptionsFromConfig(cfg);
     if (opts.address.empty())
         fatal("usage: mannad server=unix:/path|tcp:host:port "
