@@ -18,6 +18,7 @@
 #include "common/hash.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/net.hh"
 #include "common/shutdown.hh"
 #include "common/strutil.hh"
 #include "compiler/compile_cache.hh"
@@ -295,6 +296,15 @@ sweepOptionsFromConfig(const Config &cfg)
     opts.statsPath = cfg.getString("stats", opts.statsPath);
     opts.server =
         cfg.getString("server", client::defaultServerAddress());
+    // Check the address here, where a bad knob fails through fatal(),
+    // not when the sweep first connects.
+    if (!opts.server.empty()) {
+        try {
+            net::parseAddress(opts.server);
+        } catch (const ConfigError &e) {
+            fatal("server=%s: %s", opts.server.c_str(), e.what());
+        }
+    }
     opts.cacheEntries = static_cast<std::size_t>(
         std::max<std::int64_t>(
             0, cfg.getInt("cache_entries",

@@ -388,7 +388,7 @@ ChipEngine::timeStep()
     // exactly the recorded ops, or the tape would compute a stale step.
     const bool record = !tape_.ready();
     if (record)
-        tape_.startRecording();
+        tape_.startRecording(rawTape_);
     else
         tape_.startCheck();
     for (auto &tile : tiles_)
@@ -399,7 +399,17 @@ ChipEngine::timeStep()
         tape_.checkStep(steps_ + 1);
         return;
     }
-    tape_.finishRecording();
+    // The tile sharing pass maps the tape's pointers to tile memory.
+    std::vector<TileSpace> spaces;
+    for (std::uint32_t t = 0; t < tiles_.size(); ++t)
+        for (const isa::Space space :
+             {isa::Space::MatBuf, isa::Space::MatSpad, isa::Space::VecBuf,
+              isa::Space::VecSpad}) {
+            const TileMemory &mem = tiles_[t]->memory();
+            spaces.push_back(
+                {mem.span(space, 0, 0), mem.words(space), t, space});
+        }
+    tape_.finishRecording(spaces);
     if (replayDebug()) {
         double total = 0.0, forwarded = 0.0;
         std::size_t skips = 0;

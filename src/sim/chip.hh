@@ -196,6 +196,10 @@ class ChipEngine
      */
     void setCancelToken(const CancelToken *token) { cancel_ = token; }
 
+    /** Record the next tape raw: no fusion, merge or tile sharing
+     * (the reference the tape's passes are tested against). */
+    void setRawTape(bool raw) { rawTape_ = raw; }
+
   private:
     /** Time segment @p s on every tile. */
     void runSegment(std::size_t s);
@@ -255,6 +259,7 @@ class ChipEngine
     // by every later one, and run to compute every step. The ptr
     // scratch vectors stage per-tile comm spans for it.
     ReplayTape tape_;
+    bool rawTape_ = false;
     std::vector<const float *> commSrcPtrs_;
     std::vector<float *> commDstPtrs_;
 
@@ -307,6 +312,7 @@ class Chip
     const compiler::CompiledModel &model() const { return model_; }
     Fidelity fidelity() const { return engine_.fidelity(); }
     const ChipEngine &engine() const { return engine_; }
+    ChipEngine &engine() { return engine_; }
 
     /** See ChipEngine::attachTrace(). */
     void attachTrace(TraceLogger *logger) { engine_.attachTrace(logger); }

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -77,11 +79,12 @@ computeElementwise(const ReplayOp &op)
     const std::uint32_t len = op.n;
     const std::uint32_t aLen = op.pitchA; // 0 = unused, 1 = broadcast
     const std::uint32_t bLen = op.pitchD;
-    // Full-length operands route through the dispatched SIMD kernels;
-    // broadcast (len == 1) sources and the remaining immediate forms
-    // keep the scalar loop below. All of these are non-accumulating
-    // elementwise maps (EwMac accumulates per element but each output
-    // is independent), so the kernels are bit-identical to the loop.
+    // Full-length operands route through the dispatched SIMD kernels
+    // and Fill through std::fill; broadcast (len == 1) sources and the
+    // remaining immediate forms keep the scalar loop below. All of
+    // these are non-accumulating elementwise maps (EwMac accumulates
+    // per element but each output is independent), so the kernels are
+    // bit-identical to the loop.
     if ((pa == nullptr || aLen == len) &&
         (pb == nullptr || bLen == len)) {
         const auto &k = tensor::simd::kernels();
@@ -100,6 +103,9 @@ computeElementwise(const ReplayOp &op)
             return;
           case Opcode::EwMulImm:
             k.scale(pa, op.imm, pd, len);
+            return;
+          case Opcode::Fill:
+            std::fill(pd, pd + len, op.imm);
             return;
           default:
             break;
@@ -479,6 +485,128 @@ class WatchIndex
     std::vector<Span> spans_;
 };
 
+/**
+ * A set of words, as sorted disjoint ranges [lo, hi) of 64-bit keys
+ * that neither overlap nor touch. Lookups binary-search; an update
+ * shifts the ranges after it (the tile sharing pass keeps a few dozen).
+ */
+class RangeSet
+{
+  public:
+    std::size_t size() const { return r_.size(); }
+    void clear() { r_.clear(); }
+
+    /** True if every word of [lo, hi) is in the set. */
+    bool covers(std::uint64_t lo, std::uint64_t hi) const
+    {
+        const auto it = after(lo);
+        return lo >= hi || (it != r_.begin() && std::prev(it)->hi >= hi);
+    }
+
+    /** True if some word of [lo, hi) is in the set. */
+    bool meets(std::uint64_t lo, std::uint64_t hi) const
+    {
+        const auto it = after(lo);
+        return lo < hi && ((it != r_.end() && it->lo < hi) ||
+                           (it != r_.begin() && std::prev(it)->hi > lo));
+    }
+
+    void insert(std::uint64_t lo, std::uint64_t hi)
+    {
+        if (lo >= hi)
+            return;
+        // The ranges [first, last) that [lo, hi) overlaps or touches.
+        auto first = after(lo);
+        if (first != r_.begin() && std::prev(first)->hi >= lo)
+            --first;
+        auto last = first;
+        while (last != r_.end() && last->lo <= hi)
+            ++last;
+        if (first != last) {
+            lo = std::min(lo, first->lo);
+            hi = std::max(hi, std::prev(last)->hi);
+            *first = {lo, hi};
+            r_.erase(first + 1, last);
+        } else {
+            r_.insert(first, {lo, hi});
+        }
+    }
+
+    void erase(std::uint64_t lo, std::uint64_t hi)
+    {
+        if (lo >= hi || r_.empty())
+            return;
+        // The ranges [first, last) that [lo, hi) overlaps.
+        auto first = after(lo);
+        if (first != r_.begin() && std::prev(first)->hi > lo)
+            --first;
+        auto last = first;
+        while (last != r_.end() && last->lo < hi)
+            ++last;
+        if (first == last)
+            return;
+        const Range head{first->lo, lo};
+        const Range tail{hi, std::prev(last)->hi};
+        first = r_.erase(first, last);
+        if (tail.lo < tail.hi)
+            first = r_.insert(first, tail);
+        if (head.lo < head.hi)
+            r_.insert(first, head);
+    }
+
+  private:
+    struct Range
+    {
+        std::uint64_t lo;
+        std::uint64_t hi;
+    };
+
+    /** The first range starting after @p p. */
+    std::vector<Range>::const_iterator after(std::uint64_t p) const
+    {
+        return std::upper_bound(
+            r_.begin(), r_.end(), p,
+            [](std::uint64_t q, const Range &x) { return q < x.lo; });
+    }
+    std::vector<Range>::iterator after(std::uint64_t p)
+    {
+        return r_.begin() + (std::as_const(*this).after(p) - r_.cbegin());
+    }
+
+    std::vector<Range> r_;
+};
+
+bool
+isComm(const ReplayOp &op)
+{
+    return op.kind == ReplayKind::Reduce ||
+           op.kind == ReplayKind::ReadVectorOut ||
+           op.kind == ReplayKind::Broadcast ||
+           op.kind == ReplayKind::UsageToAlloc;
+}
+
+/** The bytes of ReplayOp's fields before its pointers (no padding:
+ * four bytes, then six 32-bit fields). */
+constexpr std::size_t kFieldBytes =
+    offsetof(ReplayOp, block) + sizeof(ReplayOp::block);
+static_assert(kFieldBytes == 4 + 6 * 4 && offsetof(ReplayOp, n) == 4);
+
+/** True when @p x and @p y agree in every field but their pointers
+ * and pool offsets (their spans stand for those). */
+bool
+sameFields(const ReplayOp &x, const ReplayOp &y)
+{
+    const bool poolA = isFusedUpdate(x);
+    const bool poolD = x.kind == ReplayKind::RowDotSweep ||
+                       x.kind == ReplayKind::ColumnSweep;
+    return x.kind == y.kind && x.op == y.op && x.flags == y.flags &&
+           x.vecs == y.vecs && x.n == y.n && x.rows == y.rows &&
+           (poolA || x.pitchA == y.pitchA) &&
+           (poolD || x.pitchD == y.pitchD) &&
+           std::memcmp(&x.imm, &y.imm, sizeof x.imm) == 0 &&
+           x.block == y.block;
+}
+
 double
 msSince(std::chrono::steady_clock::time_point t0)
 {
@@ -547,7 +675,7 @@ ReplayTape::checkStep(std::size_t step) const
 }
 
 void
-ReplayTape::finishRecording()
+ReplayTape::finishRecording(const std::vector<TileSpace> &spaces)
 {
     recordedDigest_ = digest_;
     recordedOps_ = appended_;
@@ -557,8 +685,10 @@ ReplayTape::finishRecording()
                      "runs recorded op by op) -> %zu recorded\n",
                      appended_, runOps_, runs_, runFallbacks_,
                      ops_.size());
-    if (!raw_)
+    if (!raw_) {
         elideStaging();
+        shareTileWork(spaces);
+    }
     state_ = State::Ready;
 }
 
@@ -812,63 +942,6 @@ struct ReplayTape::Sweep
     std::size_t watch = 0;
 };
 
-template <typename Fn>
-void
-ReplayTape::forEachSpan(const ReplayOp &op, Fn &&fn) const
-{
-    switch (op.kind) {
-      case ReplayKind::Copy2d:
-        fn(op.a, std::size_t(op.rows - 1) * op.pitchA + op.n, false);
-        fn(op.d, std::size_t(op.rows - 1) * op.pitchD + op.n, true);
-        break;
-      case ReplayKind::Vmm: {
-        const bool rowDot = (op.flags & kReplayRowDot) != 0;
-        fn(op.b, std::size_t(op.rows - 1) * op.pitchA + op.n, false);
-        fn(op.a, std::size_t(rowDot ? op.n : op.rows), false);
-        fn(op.d, std::size_t(rowDot ? op.rows : op.n), true);
-        if (op.dn != nullptr)
-            fn(op.dn, std::size_t(op.rows), true);
-        break;
-      }
-      case ReplayKind::Elementwise:
-        if (op.a != nullptr)
-            fn(op.a, std::size_t(op.pitchA), false);
-        if (op.b != nullptr)
-            fn(op.b, std::size_t(op.pitchD), false);
-        fn(op.d, std::size_t(op.n), true);
-        break;
-      case ReplayKind::Sfu:
-        fn(op.a, std::size_t(op.n), false);
-        if (op.b != nullptr)
-            fn(op.b, std::size_t(1), false);
-        // The accumulating SFU forms reduce to a scalar dst.
-        fn(op.d,
-           isa::opInfo(op.op).sfuCost == isa::SfuCost::Acc
-               ? std::size_t(1)
-               : std::size_t(op.n),
-           true);
-        break;
-      case ReplayKind::FusedRowUpdate:
-      case ReplayKind::FusedLinkUpdate:
-        fn(op.a, std::size_t(op.n), false);
-        fn(op.b, std::size_t(op.rows), false);
-        fn(op.d, std::size_t(op.rows - 1) * op.pitchD + op.n, true);
-        fn(op.dn, std::size_t(op.n), true);
-        fn(srcPool_[op.pitchA], std::size_t(op.n), false);
-        break;
-      case ReplayKind::Reduce:
-        for (std::uint32_t t = 0; t < op.rows; ++t)
-            fn(srcPool_[op.pitchA + t], std::size_t(op.n), false);
-        break;
-      case ReplayKind::Broadcast:
-        for (std::uint32_t t = 0; t < op.rows; ++t)
-            fn(dstPool_[op.pitchA + t], std::size_t(op.n), true);
-        break;
-      default: // the merged kinds come after the walks that call this
-        break;
-    }
-}
-
 void
 ReplayTape::checkSweep(Sweep &sw) const
 {
@@ -1073,11 +1146,11 @@ ReplayTape::elideStaging()
         }
         const ReplayOp &op = ops_[idx];
         forEachSpan(op, [&](const float *p, std::size_t len,
-                            bool written) {
+                            SpanAccess access) {
             if (p != nullptr && len != 0)
                 touch(idx, spanOf(p, len),
-                      written && op.kind == ReplayKind::Copy2d &&
-                          op.rows == 1);
+                      access == SpanAccess::Write &&
+                          op.kind == ReplayKind::Copy2d && op.rows == 1);
         });
         ++idx;
     }
@@ -1168,6 +1241,286 @@ ReplayTape::elideStaging()
                          "raw: %s\n",
                          s, sweeps[s].w->begin, sweeps[s].w->end,
                          sweeps[s].fail);
+}
+
+void
+ReplayTape::shareTileWork(const std::vector<TileSpace> &spaces)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    // Every tile's four spaces, tile-major, and each one's byte offset
+    // from tile 0's; a fifth column, offset 0, stands for null.
+    constexpr std::size_t kSpaces = 4;
+    constexpr std::size_t kCols = kSpaces + 1;
+    std::uint32_t tiles = 0;
+    for (const TileSpace &sp : spaces)
+        tiles = std::max(tiles, sp.tile + 1);
+    if (tiles < 2)
+        return;
+    std::vector<TileSpace> space(std::size_t(tiles) * kSpaces);
+    for (const TileSpace &sp : spaces) {
+        MANNA_ASSERT(sp.space != isa::Space::None, "a tile space has no name");
+        space[sp.tile * kSpaces + std::size_t(sp.space) - 1] = sp;
+    }
+    std::vector<std::uint64_t> shift(std::size_t(tiles) * kCols, 0);
+    for (std::size_t i = 0; i < space.size(); ++i) {
+        const TileSpace &zero = space[i % kSpaces];
+        if (space[i].words != zero.words)
+            return; // the tiles' layouts differ
+        shift[i / kSpaces * kCols + i % kSpaces] =
+            wordOf(space[i].base) - wordOf(zero.base);
+    }
+
+    // A span of one tile as (space, word offset) keys [lo, hi).
+    struct Rel
+    {
+        std::uint64_t lo;
+        std::uint64_t hi;
+        SpanAccess access;
+        bool operator==(const Rel &o) const
+        {
+            return lo == o.lo && hi == o.hi && access == o.access;
+        }
+    };
+    auto inTile = [&](std::uint32_t t, const float *p, std::size_t words,
+                      Rel &rel) {
+        for (std::size_t s = 0; s < kSpaces; ++s) {
+            const TileSpace &sp = space[t * kSpaces + s];
+            const std::uint64_t off =
+                (wordOf(p) - wordOf(sp.base)) / sizeof(float);
+            if (wordOf(p) >= wordOf(sp.base) && off + words <= sp.words) {
+                rel.lo = std::uint64_t(s) << 40 | off;
+                rel.hi = rel.lo + words;
+                return true;
+            }
+        }
+        return false;
+    };
+    // Append @p op's spans as tile @p t's to @p out; false if one is
+    // not in that tile.
+    auto relsOf = [&](std::uint32_t t, const ReplayOp &op,
+                      std::vector<Rel> &out) {
+        bool in = true;
+        forEachSpan(op, [&](const float *p, std::size_t words,
+                            SpanAccess access) {
+            Rel rel{0, 0, access};
+            in = in && inTile(t, p, words, rel);
+            out.push_back(rel);
+        });
+        return in;
+    };
+    // The space @p p points into (space index), or kSpaces.
+    auto spaceOf = [&](std::size_t i, const float *p) {
+        return wordOf(p) - wordOf(space[i].base) <
+               space[i].words * sizeof(float);
+    };
+    // The tile of an op's destination (a sweep's matrix), searched
+    // from the space the last op's was in.
+    constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    std::size_t seen = 0;
+    auto tileOf = [&](const ReplayOp &op) {
+        const float *p = op.d != nullptr ? op.d : op.b;
+        const std::size_t from = seen / kSpaces * kSpaces;
+        for (std::size_t j = 0; j < space.size(); ++j) {
+            const std::size_t i = from + j < space.size()
+                                      ? from + j
+                                      : from + j - space.size();
+            if (spaceOf(i, p)) {
+                seen = i;
+                return static_cast<std::uint32_t>(i / kSpaces);
+            }
+        }
+        return kNone;
+    };
+    // For the kinds whose spans their four pointers give: the space
+    // (column of shift) of each pointer of tile 0's op.
+    using Fields = std::array<const float *, 4>;
+    auto fieldsOf = [](const ReplayOp &op) {
+        return Fields{op.a, op.b, op.d, op.dn};
+    };
+    std::array<std::size_t, 4> column{};
+    auto moved = [&](const Fields &px, const ReplayOp &y, std::uint32_t t) {
+        const Fields py = fieldsOf(y);
+        bool same = true;
+        for (std::size_t j = 0; j < px.size(); ++j)
+            same = same && wordOf(py[j]) - wordOf(px[j]) ==
+                               shift[t * kCols + column[j]];
+        return same;
+    };
+
+    RangeSet same;  // the same bits in every tile
+    RangeSet later; // tile 0's writes after the op the rewrite looks at
+    std::vector<std::size_t> count(tiles);
+    std::vector<std::size_t> start(tiles);
+    std::vector<Rel> spans0;           // tile 0's ops' spans
+    std::vector<std::size_t> spans0At; // per op of its slice, and end
+    std::vector<Rel> spansT;           // one op of tile t
+    std::vector<std::size_t> sfus;     // uniform SFU ops of tile 0
+    std::vector<std::size_t> shared;   // those the other tiles copy
+    std::size_t uniform = 0;
+    auto written = [](const Rel *from, const Rel *to, auto &&fn) {
+        for (; from != to; ++from)
+            if (from->access != SpanAccess::Read)
+                fn(from->lo, from->hi);
+    };
+    auto erase = [&](std::uint64_t lo, std::uint64_t hi) {
+        same.erase(lo, hi);
+    };
+    for (std::size_t i = 0; i < ops_.size();) {
+        const ReplayOp &op = ops_[i];
+        if (op.kind == ReplayKind::Broadcast) {
+            // The same words into every tile: at one offset they join
+            // the set, else each destination leaves it.
+            float *const *dsts = dstPtrs(op.pitchA);
+            Rel first{};
+            bool aligned = op.rows == tiles;
+            for (std::uint32_t t = 0; t < op.rows; ++t) {
+                Rel rel{};
+                if (t >= tiles || !inTile(t, dsts[t], op.n, rel)) {
+                    same.clear();
+                    aligned = false;
+                    break;
+                }
+                first = t == 0 ? rel : first;
+                aligned = aligned && rel == first;
+                same.erase(rel.lo, rel.hi);
+            }
+            if (aligned)
+                same.insert(first.lo, first.hi);
+        }
+        if (isComm(op)) {
+            ++i;
+            continue;
+        }
+
+        // One interval: tile-major slices up to the next comm op or
+        // the next op of a lower tile.
+        std::fill(count.begin(), count.end(), 0);
+        bool foreign = false;
+        std::size_t end = i;
+        for (std::uint32_t last = 0;
+             end < ops_.size() && !isComm(ops_[end]); ++end) {
+            const std::uint32_t t = tileOf(ops_[end]);
+            foreign = foreign || t == kNone;
+            if (t == kNone)
+                continue;
+            if (t < last)
+                break;
+            last = t;
+            ++count[t];
+        }
+        start[0] = i;
+        for (std::uint32_t t = 1; t < tiles; ++t)
+            start[t] = start[t - 1] + count[t - 1];
+
+        // Tiles touch only their own memory between comm ops, so the
+        // set after every tile's op k is the set in tape order too.
+        spans0.clear();
+        spans0At.clear();
+        sfus.clear();
+        const std::size_t longest =
+            *std::max_element(count.begin(), count.end());
+        for (std::size_t k = 0; k < longest && !foreign; ++k) {
+            const bool has0 = k < count[0];
+            const ReplayOp &x = ops_[start[0] + k];
+            const std::size_t x0 = spans0.size();
+            const Fields px = fieldsOf(x);
+            // With every non-null pointer of x inside a space (x's
+            // spans are in bounds), a twin of the plain kinds is x
+            // with each pointer moved by its space's shift.
+            bool fast = false;
+            if (has0) {
+                spans0At.push_back(x0);
+                foreign = !relsOf(0, x, spans0);
+                fast = x.kind == ReplayKind::Copy2d ||
+                       x.kind == ReplayKind::Vmm ||
+                       x.kind == ReplayKind::Elementwise ||
+                       x.kind == ReplayKind::Sfu;
+                for (std::size_t j = 0; j < px.size(); ++j) {
+                    column[j] = px[j] == nullptr ? kSpaces : 0;
+                    while (column[j] < kSpaces && !spaceOf(column[j], px[j]))
+                        ++column[j];
+                    fast = fast && (px[j] == nullptr || column[j] < kSpaces);
+                }
+            }
+            bool uni = has0;
+            for (std::uint32_t t = 1; t < tiles && !foreign; ++t) {
+                if (k >= count[t]) {
+                    uni = false;
+                    continue;
+                }
+                const ReplayOp &y = ops_[start[t] + k];
+                if (fast && std::memcmp(&x, &y, kFieldBytes) == 0 &&
+                    moved(px, y, t))
+                    continue;
+                const bool fields = has0 && sameFields(x, y);
+                spansT.clear();
+                foreign = !relsOf(t, y, spansT);
+                // A twin writes where tile 0's op does.
+                if (fields && std::equal(spansT.begin(), spansT.end(),
+                                         spans0.begin() + x0, spans0.end()))
+                    continue;
+                uni = false;
+                written(spansT.data(), spansT.data() + spansT.size(), erase);
+            }
+            const Rel *from = spans0.data() + x0;
+            const Rel *to = spans0.data() + spans0.size();
+            for (const Rel *r = from; uni && r != to; ++r)
+                uni = r->access == SpanAccess::Write ||
+                      same.covers(r->lo, r->hi);
+            if (!uni) {
+                written(from, to, erase);
+                continue;
+            }
+            written(from, to, [&](std::uint64_t lo, std::uint64_t hi) {
+                same.insert(lo, hi);
+            });
+            uniform += tiles;
+            if (x.kind == ReplayKind::Sfu && x.n > 0)
+                sfus.push_back(k);
+        }
+        i = end;
+        if (foreign) {
+            // A span outside the op's tile: nothing is known shared.
+            same.clear();
+            continue;
+        }
+
+        // Tiles 1..T-1 copy each uniform SFU result that tile 0 still
+        // holds at the end of its slice.
+        spans0At.push_back(spans0.size());
+        later.clear();
+        shared.clear();
+        for (std::size_t k = count[0]; !sfus.empty() && k-- > 0;) {
+            const Rel *from = spans0.data() + spans0At[k];
+            const Rel *to = spans0.data() + spans0At[k + 1];
+            if (sfus.back() == k) {
+                sfus.pop_back();
+                if (!later.meets(to[-1].lo, to[-1].hi)) // the op's d
+                    shared.push_back(k);
+            }
+            written(from, to, [&](std::uint64_t lo, std::uint64_t hi) {
+                later.insert(lo, hi);
+            });
+        }
+        for (std::uint32_t t = 1; t < tiles; ++t)
+            for (auto k = shared.rbegin(); k != shared.rend(); ++k) {
+                const Rel &dst = spans0[spans0At[*k + 1] - 1];
+                ReplayOp &y = ops_[start[t] + *k];
+                replaced_.push_back({start[t] + *k, y});
+                y = ReplayOp{};
+                y.kind = ReplayKind::Copy2d;
+                y.n = y.pitchA = y.pitchD =
+                    static_cast<std::uint32_t>(dst.hi - dst.lo);
+                y.rows = 1;
+                y.a = ops_[start[0] + *k].d;
+                y.d = replaced_.back().op.d;
+            }
+    }
+    if (replayDebug())
+        std::fprintf(stderr,
+                     "replay: tile sharing: %zu uniform ops, %zu replaced "
+                     "by copies of tile 0 (%.3f ms)\n",
+                     uniform, replaced_.size(), msSince(t0));
 }
 
 void

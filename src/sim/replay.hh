@@ -34,6 +34,12 @@
  * one op that walks whole rows (elideStaging()); it searches the ops
  * for nothing, so a program without descriptors replays unmerged.
  *
+ * Every tile decodes the head parameters from the same broadcast
+ * vectors, so the SFU maps of that decode compute the same bits on
+ * every tile. At seal a last pass (shareTileWork()) finds such ops and
+ * lets tiles 1..T-1 copy tile 0's result instead; the timed tiles
+ * still charge every op, only the functional replay shares it.
+ *
  * The recorded pointers stay valid because tile memories and the
  * chip-level staging vectors are allocated once per reset(); the tape
  * is cleared on reset() along with everything else.
@@ -42,6 +48,7 @@
 #ifndef MANNA_SIM_REPLAY_HH
 #define MANNA_SIM_REPLAY_HH
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -170,6 +177,32 @@ struct SweepWindow : compiler::SweepGrid
     std::size_t end = 0;
 };
 
+/** How an op touches a span (ReplayTape::forEachSpan()). */
+enum class SpanAccess : std::uint8_t
+{
+    Read,   ///< read only
+    Write,  ///< every word written, none read first
+    Update, ///< read and written: an accumulating destination, or a
+            ///< strided destination whose gaps keep their values
+};
+
+/** One tile memory space as ChipEngine hands it to the tape's tile
+ * sharing pass (ReplayTape::finishRecording()). */
+struct TileSpace
+{
+    const float *base = nullptr;
+    std::size_t words = 0;
+    std::uint32_t tile = 0;
+    isa::Space space = isa::Space::None;
+};
+
+/** An op the tile sharing pass replaced, and its index on the tape. */
+struct ReplacedOp
+{
+    std::size_t at = 0;
+    ReplayOp op;
+};
+
 /** True when MANNA_REPLAY_DEBUG is set (read once per process): each
  * recording is then described on stderr. */
 bool replayDebug();
@@ -224,8 +257,9 @@ public:
 
     /** Seal the tape, remember the digest of the raw recording, and
      * run the staging-elision pass (fusion and row blocking ran while
-     * recording). */
-    void finishRecording();
+     * recording), then the tile sharing pass over @p spaces, every
+     * tile's memory spaces (none: no sharing). */
+    void finishRecording(const std::vector<TileSpace> &spaces = {});
 
     /** While recording: the ops appended until closeSweep() are the
      * loop nest of @p sweep. */
@@ -258,6 +292,7 @@ public:
         sweepPool_.clear();
         stageScratch_.clear();
         windows_.clear();
+        replaced_.clear();
         startCheck();
         recordedDigest_ = 0;
         recordedOps_ = 0;
@@ -318,6 +353,16 @@ public:
 
     const std::vector<ReplayOp> &ops() const { return ops_; }
 
+    /** The ops shareTileWork() replaced by copies, in tape order. */
+    const std::vector<ReplacedOp> &replaced() const { return replaced_; }
+
+    /** Call fn(p, words, access) on every tile memory span @p op reads
+     * or writes (SpanAccess): exactly the words a written span
+     * writes, at least the words a read span reads. The chip-level
+     * ops name only their per-tile spans. */
+    template <typename Fn>
+    void forEachSpan(const ReplayOp &op, Fn &&fn) const;
+
 private:
     /**
      * Keep @p op, fusing it with the ops before it when they end one
@@ -370,10 +415,23 @@ private:
     /** A window as elideStaging() checks and merges it. */
     struct Sweep;
 
-    /** Call fn(p, words, written) on every memory span @p op reads
-     * or writes. */
-    template <typename Fn>
-    void forEachSpan(const ReplayOp &op, Fn &&fn) const;
+    /**
+     * Tile sharing pass. One walk keeps the set of tile-relative
+     * ranges (space, word offset) that hold the same bits in every
+     * tile. Each step's tape starts it empty; a Broadcast to one
+     * offset in every tile adds its destination. Between two comm ops
+     * (and wherever the tile index goes down) the tape holds tile 0's
+     * ops, then tile 1's, and so on: op k of tile t is a twin of op k
+     * of tile 0 when every field and every relative span agree. Op k
+     * is uniform when all T tiles have twins and every span it reads
+     * is in the set; its writes then enter the set, and any other
+     * write leaves it. A uniform SFU op in tiles 1..T-1 becomes a copy
+     * of tile 0's destination, unless a later op of tile 0's slice
+     * writes that destination (the copies run after the whole slice).
+     * Identical inputs through the same scalar kernel give the same
+     * bits, so replay stays bit for bit.
+     */
+    void shareTileWork(const std::vector<TileSpace> &spaces);
 
     /**
      * Check @p sw's window: its ops are the blocks its descriptor
@@ -506,6 +564,7 @@ private:
     std::vector<SweepPair> sweepPool_;
     mutable std::vector<float> stageScratch_;
     std::vector<SweepWindow> windows_;
+    std::vector<ReplacedOp> replaced_;
     // The running digest of the current step and its op count, and
     // the raw recording's digest and op count.
     std::uint64_t digest_ = 0;
@@ -530,6 +589,88 @@ private:
     // The last Copy2d recorded (0 rows before the first).
     RunOp lastCopy_;
 };
+
+template <typename Fn>
+void
+ReplayTape::forEachSpan(const ReplayOp &op, Fn &&fn) const
+{
+    using A = SpanAccess;
+    // A strided destination's hull keeps the words between its rows.
+    auto rows = [](std::uint32_t n, std::uint32_t count, std::uint32_t pitch) {
+        return count <= 1 || pitch == n ? A::Write : A::Update;
+    };
+    switch (op.kind) {
+      case ReplayKind::Copy2d:
+        fn(op.a, std::size_t(op.rows - 1) * op.pitchA + op.n, A::Read);
+        fn(op.d, std::size_t(op.rows - 1) * op.pitchD + op.n,
+           rows(op.n, op.rows, op.pitchD));
+        break;
+      case ReplayKind::Vmm: {
+        const bool rowDot = (op.flags & kReplayRowDot) != 0;
+        const A dst =
+            (op.flags & kReplayAccumulate) != 0 ? A::Update : A::Write;
+        fn(op.b, std::size_t(op.rows - 1) * op.pitchA + op.n, A::Read);
+        fn(op.a, std::size_t(rowDot ? op.n : op.rows), A::Read);
+        fn(op.d, std::size_t(rowDot ? op.rows : op.n), dst);
+        if (op.dn != nullptr)
+            fn(op.dn, std::size_t(op.rows), dst);
+        break;
+      }
+      case ReplayKind::Elementwise:
+        if (op.a != nullptr)
+            fn(op.a, std::size_t(op.pitchA), A::Read);
+        if (op.b != nullptr)
+            fn(op.b, std::size_t(op.pitchD), A::Read);
+        fn(op.d, std::size_t(op.n),
+           op.op == isa::Opcode::EwMac ? A::Update : A::Write);
+        break;
+      case ReplayKind::Sfu:
+        fn(op.a, std::size_t(op.n), A::Read);
+        if (op.b != nullptr)
+            fn(op.b, std::size_t(1), A::Read);
+        // The accumulating SFU forms reduce to a scalar dst.
+        fn(op.d,
+           isa::opInfo(op.op).sfuCost == isa::SfuCost::Acc
+               ? std::size_t(1)
+               : std::size_t(op.n),
+           A::Write);
+        break;
+      case ReplayKind::FusedRowUpdate:
+      case ReplayKind::FusedLinkUpdate:
+        fn(op.a, std::size_t(op.n), A::Read);
+        fn(op.b, std::size_t(op.rows), A::Read);
+        fn(srcPool_[op.pitchA], std::size_t(op.n), A::Read);
+        fn(op.d, std::size_t(op.rows - 1) * op.pitchD + op.n, A::Update);
+        // A merged sweep's stage ends holding one column block.
+        fn(op.dn, std::size_t(op.block == 0 ? op.n : std::min(op.block, op.n)),
+           A::Write);
+        break;
+      case ReplayKind::RowDotSweep:
+      case ReplayKind::ColumnSweep: {
+        const bool rowDot = op.kind == ReplayKind::RowDotSweep;
+        fn(op.b, std::size_t(op.rows - 1) * op.pitchA + op.n, A::Read);
+        for (std::uint32_t v = 0; v < op.vecs; ++v) {
+            const SweepPair &p = sweepPool_[op.pitchD + v];
+            fn(p.v, std::size_t(rowDot ? op.n : op.rows), A::Read);
+            fn(p.d, std::size_t(rowDot ? op.rows : op.n), A::Update);
+        }
+        if ((op.flags & kReplayWithNorms) != 0)
+            fn(op.dn, std::size_t(op.rows), A::Update);
+        break;
+      }
+      case ReplayKind::Reduce:
+        for (std::uint32_t t = 0; t < op.rows; ++t)
+            fn(srcPool_[op.pitchA + t], std::size_t(op.n), A::Read);
+        break;
+      case ReplayKind::Broadcast:
+        for (std::uint32_t t = 0; t < op.rows; ++t)
+            fn(dstPool_[op.pitchA + t], std::size_t(op.n), A::Write);
+        break;
+      case ReplayKind::ReadVectorOut: // the NoC buffer only
+      case ReplayKind::UsageToAlloc:
+        break;
+    }
+}
 
 /**
  * Execute one tile-local op (Copy2d/Vmm/Elementwise/Sfu and the fused

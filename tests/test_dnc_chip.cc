@@ -581,7 +581,11 @@ sealedTapeDigest(const ChipEngine &engine)
         h.u64(~std::uint64_t{0});
     };
     const ReplayTape &tape = engine.tape();
-    for (const ReplayOp &op : tape.ops()) {
+    // Each op the tile sharing pass replaced hashes as its original.
+    std::vector<ReplayOp> ops = tape.ops();
+    for (const ReplacedOp &r : tape.replaced())
+        ops[r.at] = r.op;
+    for (const ReplayOp &op : ops) {
         float imm = op.imm;
         std::uint32_t immBits = 0;
         std::memcpy(&immBits, &imm, sizeof immBits);
@@ -617,7 +621,7 @@ sealedTapeDigest(const ChipEngine &engine)
             ptr(tape.sweepPairs(op.pitchD)[v].d);
         }
     }
-    return h.u64(tape.ops().size()).value();
+    return h.u64(ops.size()).value();
 }
 
 // The tape every step replays, pinned op by op after step 1: the ten

@@ -89,6 +89,19 @@ TEST(Harness, FidelityKnobRejectsUnknownValues)
                 ::testing::ExitedWithCode(1), "fatal: .*fidelity=bogus");
 }
 
+TEST(Harness, ServerKnobRejectsMalformedAddresses)
+{
+    EXPECT_EQ(sweepOptionsFromConfig(configOf("server=tcp:localhost:9"))
+                  .server,
+              "tcp:localhost:9");
+    // A malformed address used to escape main() as an uncaught
+    // ConfigError when the sweep first connected (SIGABRT, exit 134).
+    EXPECT_EXIT(sweepOptionsFromConfig(configOf("server=x")),
+                ::testing::ExitedWithCode(1), "fatal: .*server=x");
+    EXPECT_EXIT(sweepOptionsFromConfig(configOf("server=tcp:host:0")),
+                ::testing::ExitedWithCode(1), "fatal: .*server=tcp:host:0");
+}
+
 TEST(Harness, DaemonRejectsJobsWithoutSteps)
 {
     // mannad decodes jobs from clients that may not have checked

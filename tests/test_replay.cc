@@ -1419,6 +1419,115 @@ recordAndRun(DiffMemTile &tile, bool raw)
             execTileOp(op, &tape);
 }
 
+/**
+ * A hand-built tape over kTiles one-space tiles: a broadcast of 8
+ * words to offset 0 of every tile, then per tile (tile-major) @p body
+ * ops. Records it with the tile sharing pass and raw, runs both twice
+ * and requires the same bits; returns the ops the pass replaced.
+ */
+constexpr std::uint32_t kTiles = 4;
+using TileBody = std::function<Ops(std::uint32_t, float *)>;
+
+std::size_t
+sharedOps(const TileBody &body)
+{
+    std::vector<std::vector<float>> shared(kTiles), raw(kTiles);
+    std::size_t replaced = 0;
+    for (auto *arenas : {&shared, &raw}) {
+        std::vector<TileSpace> spaces;
+        std::vector<float *> dsts;
+        for (std::uint32_t t = 0; t < kTiles; ++t) {
+            (*arenas)[t].assign(64, 0.25f * float(t));
+            dsts.push_back((*arenas)[t].data());
+            spaces.push_back({dsts.back(), 64, t, isa::Space::VecBuf});
+        }
+        ReplayTape tape;
+        tape.startRecording(arenas == &raw);
+        ReplayOp bc;
+        bc.kind = ReplayKind::Broadcast;
+        bc.n = 8;
+        bc.rows = kTiles;
+        tape.append(bc, dsts);
+        for (std::uint32_t t = 0; t < kTiles; ++t)
+            for (const ReplayOp &op : body(t, dsts[t]))
+                tape.append(op);
+        tape.finishRecording(spaces);
+        replaced += tape.replaced().size();
+        std::vector<float> noc = {0.5f, -1.0f, 2.0f, 0.1f,
+                                  3.0f, -0.7f, 0.0f, 9.0f};
+        std::vector<tensor::FVec> reads;
+        for (int step = 0; step < 2; ++step)
+            for (const ReplayOp &op : tape.ops())
+                if (op.kind == ReplayKind::Broadcast)
+                    execCommOp(op, tape, noc, reads, {});
+                else
+                    execTileOp(op, &tape);
+    }
+    for (std::uint32_t t = 0; t < kTiles; ++t)
+        EXPECT_EQ(std::memcmp(shared[t].data(), raw[t].data(), 64 * 4), 0)
+            << "tile " << t;
+    return replaced;
+}
+
+ReplayOp
+sfu(Opcode code, float *d, const float *a, std::uint32_t n)
+{
+    ReplayOp op;
+    op.kind = ReplayKind::Sfu;
+    op.op = code;
+    op.n = n;
+    op.a = a;
+    op.d = d;
+    return op;
+}
+
+ReplayOp
+fill(float *d, std::uint32_t n, float imm)
+{
+    ReplayOp op = ew(Opcode::Fill, d, nullptr, 0, nullptr, 0, imm);
+    op.n = n;
+    return op;
+}
+
+TEST(ReplayShare, SfuTwinsOfABroadcastCopyTileZero)
+{
+    EXPECT_EQ(sharedOps([](std::uint32_t, float *m) {
+                  return Ops{sfu(Opcode::SfuTanh, m + 16, m, 8),
+                             sfu(Opcode::SfuAccSum, m + 30, m + 16, 8)};
+              }),
+              2 * (kTiles - 1));
+}
+
+TEST(ReplayShare, ATileWritingTheBroadcastKeepsTheOp)
+{
+    EXPECT_EQ(sharedOps([](std::uint32_t t, float *m) {
+                  return Ops{fill(m + (t == 2 ? 3 : 40), 1, 7.0f),
+                             sfu(Opcode::SfuTanh, m + 16, m, 8)};
+              }),
+              0u);
+}
+
+TEST(ReplayShare, TileZeroOverwritingItsResultKeepsTheOp)
+{
+    EXPECT_EQ(sharedOps([](std::uint32_t, float *m) {
+                  return Ops{sfu(Opcode::SfuSigmoid, m + 16, m, 8),
+                             ew(Opcode::EwAddImm, m + 40, m + 16, kN),
+                             fill(m + 20, 1, 3.0f)};
+              }),
+              0u);
+}
+
+TEST(ReplayShare, RaggedTilesKeepEverything)
+{
+    EXPECT_EQ(sharedOps([](std::uint32_t t, float *m) {
+                  Ops ops{sfu(Opcode::SfuTanh, m + 16, m, 8)};
+                  if (t == 1)
+                      ops.insert(ops.begin(), fill(m + 50, 2, 1.0f));
+                  return ops;
+              }),
+              0u);
+}
+
 TEST(ReplayFuzz, SweepProgramsMatchTheirRawOps)
 {
     for (std::uint64_t seed = 1; seed <= kFuzzCases; ++seed) {
