@@ -486,67 +486,55 @@ class WatchIndex
 };
 
 /**
- * A set of words, as sorted disjoint ranges [lo, hi) of 64-bit keys
- * that neither overlap nor touch. Lookups binary-search; an update
- * shifts the ranges after it (the tile sharing pass keeps a few dozen).
+ * A set of words: sorted ranges [lo, hi) of 64-bit keys that neither
+ * overlap nor touch. Lookups and updates binary-search (the tile
+ * sharing pass keeps a few dozen ranges).
  */
 class RangeSet
 {
   public:
-    std::size_t size() const { return r_.size(); }
     void clear() { r_.clear(); }
 
     /** True if every word of [lo, hi) is in the set. */
     bool covers(std::uint64_t lo, std::uint64_t hi) const
     {
-        const auto it = after(lo);
-        return lo >= hi || (it != r_.begin() && std::prev(it)->hi >= hi);
+        const auto it = endingAfter(r_, lo);
+        return lo >= hi || (it != r_.end() && it->lo <= lo && it->hi >= hi);
     }
 
     /** True if some word of [lo, hi) is in the set. */
     bool meets(std::uint64_t lo, std::uint64_t hi) const
     {
-        const auto it = after(lo);
-        return lo < hi && ((it != r_.end() && it->lo < hi) ||
-                           (it != r_.begin() && std::prev(it)->hi > lo));
+        const auto it = endingAfter(r_, lo);
+        return lo < hi && it != r_.end() && it->lo < hi;
     }
 
     void insert(std::uint64_t lo, std::uint64_t hi)
     {
         if (lo >= hi)
             return;
-        // The ranges [first, last) that [lo, hi) overlaps or touches.
-        auto first = after(lo);
-        if (first != r_.begin() && std::prev(first)->hi >= lo)
-            --first;
-        auto last = first;
-        while (last != r_.end() && last->lo <= hi)
-            ++last;
+        // Merge the ranges [lo, hi) overlaps or touches into it.
+        auto first = std::partition_point(
+            r_.begin(), r_.end(), [lo](Range x) { return x.hi < lo; });
+        auto last = std::partition_point(
+            first, r_.end(), [hi](Range x) { return x.lo <= hi; });
         if (first != last) {
             lo = std::min(lo, first->lo);
             hi = std::max(hi, std::prev(last)->hi);
-            *first = {lo, hi};
-            r_.erase(first + 1, last);
-        } else {
-            r_.insert(first, {lo, hi});
+            first = r_.erase(first, last);
         }
+        r_.insert(first, {lo, hi});
     }
 
     void erase(std::uint64_t lo, std::uint64_t hi)
     {
-        if (lo >= hi || r_.empty())
+        auto first = endingAfter(r_, lo);
+        auto last = std::partition_point(
+            first, r_.end(), [hi](Range x) { return x.lo < hi; });
+        if (lo >= hi || first == last)
             return;
-        // The ranges [first, last) that [lo, hi) overlaps.
-        auto first = after(lo);
-        if (first != r_.begin() && std::prev(first)->hi > lo)
-            --first;
-        auto last = first;
-        while (last != r_.end() && last->lo < hi)
-            ++last;
-        if (first == last)
-            return;
-        const Range head{first->lo, lo};
-        const Range tail{hi, std::prev(last)->hi};
+        // Keep the parts of the ranges it cuts that stick out.
+        const Range head{first->lo, lo}, tail{hi, std::prev(last)->hi};
         first = r_.erase(first, last);
         if (tail.lo < tail.hi)
             first = r_.insert(first, tail);
@@ -561,16 +549,13 @@ class RangeSet
         std::uint64_t hi;
     };
 
-    /** The first range starting after @p p. */
-    std::vector<Range>::const_iterator after(std::uint64_t p) const
+    /** The first range of @p r ending after @p p. */
+    template <typename Ranges>
+    static auto endingAfter(Ranges &r, std::uint64_t p)
+        -> decltype(r.begin())
     {
-        return std::upper_bound(
-            r_.begin(), r_.end(), p,
-            [](std::uint64_t q, const Range &x) { return q < x.lo; });
-    }
-    std::vector<Range>::iterator after(std::uint64_t p)
-    {
-        return r_.begin() + (std::as_const(*this).after(p) - r_.cbegin());
+        return std::partition_point(r.begin(), r.end(),
+                                    [p](Range x) { return x.hi <= p; });
     }
 
     std::vector<Range> r_;
@@ -585,24 +570,22 @@ isComm(const ReplayOp &op)
            op.kind == ReplayKind::UsageToAlloc;
 }
 
-/** The bytes of ReplayOp's fields before its pointers (no padding:
- * four bytes, then six 32-bit fields). */
-constexpr std::size_t kFieldBytes =
-    offsetof(ReplayOp, block) + sizeof(ReplayOp::block);
-static_assert(kFieldBytes == 4 + 6 * 4 && offsetof(ReplayOp, n) == 4);
+bool
+isSweep(const ReplayOp &op)
+{
+    return op.kind == ReplayKind::RowDotSweep ||
+           op.kind == ReplayKind::ColumnSweep;
+}
 
 /** True when @p x and @p y agree in every field but their pointers
- * and pool offsets (their spans stand for those). */
+ * and pool offsets. */
 bool
 sameFields(const ReplayOp &x, const ReplayOp &y)
 {
-    const bool poolA = isFusedUpdate(x);
-    const bool poolD = x.kind == ReplayKind::RowDotSweep ||
-                       x.kind == ReplayKind::ColumnSweep;
     return x.kind == y.kind && x.op == y.op && x.flags == y.flags &&
            x.vecs == y.vecs && x.n == y.n && x.rows == y.rows &&
-           (poolA || x.pitchA == y.pitchA) &&
-           (poolD || x.pitchD == y.pitchD) &&
+           (isFusedUpdate(x) || x.pitchA == y.pitchA) &&
+           (isSweep(x) || x.pitchD == y.pitchD) &&
            std::memcmp(&x.imm, &y.imm, sizeof x.imm) == 0 &&
            x.block == y.block;
 }
@@ -1247,10 +1230,8 @@ void
 ReplayTape::shareTileWork(const std::vector<TileSpace> &spaces)
 {
     const auto t0 = std::chrono::steady_clock::now();
-    // Every tile's four spaces, tile-major, and each one's byte offset
-    // from tile 0's; a fifth column, offset 0, stands for null.
-    constexpr std::size_t kSpaces = 4;
-    constexpr std::size_t kCols = kSpaces + 1;
+    // Tile t's space s is space[t * kSpaces + s].
+    constexpr std::uint32_t kSpaces = 4, kNone = ~std::uint32_t{0};
     std::uint32_t tiles = 0;
     for (const TileSpace &sp : spaces)
         tiles = std::max(tiles, sp.tile + 1);
@@ -1261,42 +1242,61 @@ ReplayTape::shareTileWork(const std::vector<TileSpace> &spaces)
         MANNA_ASSERT(sp.space != isa::Space::None, "a tile space has no name");
         space[sp.tile * kSpaces + std::size_t(sp.space) - 1] = sp;
     }
-    std::vector<std::uint64_t> shift(std::size_t(tiles) * kCols, 0);
-    for (std::size_t i = 0; i < space.size(); ++i) {
-        const TileSpace &zero = space[i % kSpaces];
-        if (space[i].words != zero.words)
+    for (std::size_t i = 0; i < space.size(); ++i)
+        if (space[i].words != space[i % kSpaces].words)
             return; // the tiles' layouts differ
-        shift[i / kSpaces * kCols + i % kSpaces] =
-            wordOf(space[i].base) - wordOf(zero.base);
-    }
 
-    // A span of one tile as (space, word offset) keys [lo, hi).
+    // The space of tile t that @p p points into, or kSpaces.
+    auto spaceOf = [&](std::uint32_t t, const float *p) {
+        std::uint32_t s = 0;
+        for (const TileSpace *sp = &space[t * kSpaces];
+             s < kSpaces && wordOf(p) - wordOf(sp[s].base) >=
+                                sp[s].words * sizeof(float);)
+            ++s;
+        return s;
+    };
+    // Tile t's space s starts shift[t * kCols + s] bytes after tile
+    // 0's; the last column, 0, is for pointers outside tile 0 (null).
+    constexpr std::uint32_t kCols = kSpaces + 1;
+    std::vector<std::uint64_t> shift(std::size_t(tiles) * kCols, 0);
+    for (std::size_t i = 0; i < space.size(); ++i)
+        shift[i / kSpaces * kCols + i % kSpaces] =
+            wordOf(space[i].base) - wordOf(space[i % kSpaces].base);
+    // Call fn(p) on each pointer @p op's spans start at.
+    auto eachPointer = [&](const ReplayOp &op, auto &&fn) {
+        fn(op.a);
+        fn(op.b);
+        fn(op.d);
+        fn(op.dn);
+        if (isFusedUpdate(op))
+            fn(srcPool_[op.pitchA]);
+        for (std::uint32_t v = 0; isSweep(op) && v < op.vecs; ++v) {
+            fn(sweepPool_[op.pitchD + v].v);
+            fn(sweepPool_[op.pitchD + v].d);
+        }
+    };
+    // A span of one tile as keys [lo, hi): space << 40 | word offset.
     struct Rel
     {
         std::uint64_t lo;
         std::uint64_t hi;
         SpanAccess access;
-        bool operator==(const Rel &o) const
-        {
-            return lo == o.lo && hi == o.hi && access == o.access;
-        }
     };
+    // @p words at @p p as a span of tile @p t; false if not inside it.
     auto inTile = [&](std::uint32_t t, const float *p, std::size_t words,
                       Rel &rel) {
-        for (std::size_t s = 0; s < kSpaces; ++s) {
-            const TileSpace &sp = space[t * kSpaces + s];
-            const std::uint64_t off =
-                (wordOf(p) - wordOf(sp.base)) / sizeof(float);
-            if (wordOf(p) >= wordOf(sp.base) && off + words <= sp.words) {
-                rel.lo = std::uint64_t(s) << 40 | off;
-                rel.hi = rel.lo + words;
-                return true;
-            }
-        }
-        return false;
+        const std::uint32_t s = spaceOf(t, p);
+        if (s == kSpaces)
+            return false;
+        const TileSpace &sp = space[t * kSpaces + s];
+        const std::uint64_t off =
+            (wordOf(p) - wordOf(sp.base)) / sizeof(float);
+        rel.lo = std::uint64_t(s) << 40 | off;
+        rel.hi = rel.lo + words;
+        return off + words <= sp.words;
     };
     // Append @p op's spans as tile @p t's to @p out; false if one is
-    // not in that tile.
+    // not inside tile t.
     auto relsOf = [&](std::uint32_t t, const ReplayOp &op,
                       std::vector<Rel> &out) {
         bool in = true;
@@ -1308,62 +1308,45 @@ ReplayTape::shareTileWork(const std::vector<TileSpace> &spaces)
         });
         return in;
     };
-    // The space @p p points into (space index), or kSpaces.
-    auto spaceOf = [&](std::size_t i, const float *p) {
-        return wordOf(p) - wordOf(space[i].base) <
-               space[i].words * sizeof(float);
-    };
-    // The tile of an op's destination (a sweep's matrix), searched
-    // from the space the last op's was in.
-    constexpr std::uint32_t kNone = ~std::uint32_t{0};
-    std::size_t seen = 0;
+    // The tile an op works in: its destination's (a sweep's matrix's),
+    // searched from the last op's tile.
+    std::uint32_t last = 0;
     auto tileOf = [&](const ReplayOp &op) {
         const float *p = op.d != nullptr ? op.d : op.b;
-        const std::size_t from = seen / kSpaces * kSpaces;
-        for (std::size_t j = 0; j < space.size(); ++j) {
-            const std::size_t i = from + j < space.size()
-                                      ? from + j
-                                      : from + j - space.size();
-            if (spaceOf(i, p)) {
-                seen = i;
-                return static_cast<std::uint32_t>(i / kSpaces);
-            }
-        }
+        for (std::uint32_t j = 0; j < tiles; ++j, last = (last + 1) % tiles)
+            if (spaceOf(last, p) < kSpaces)
+                return last;
         return kNone;
-    };
-    // For the kinds whose spans their four pointers give: the space
-    // (column of shift) of each pointer of tile 0's op.
-    using Fields = std::array<const float *, 4>;
-    auto fieldsOf = [](const ReplayOp &op) {
-        return Fields{op.a, op.b, op.d, op.dn};
-    };
-    std::array<std::size_t, 4> column{};
-    auto moved = [&](const Fields &px, const ReplayOp &y, std::uint32_t t) {
-        const Fields py = fieldsOf(y);
-        bool same = true;
-        for (std::size_t j = 0; j < px.size(); ++j)
-            same = same && wordOf(py[j]) - wordOf(px[j]) ==
-                               shift[t * kCols + column[j]];
-        return same;
     };
 
     RangeSet same;  // the same bits in every tile
-    RangeSet later; // tile 0's writes after the op the rewrite looks at
-    std::vector<std::size_t> count(tiles);
-    std::vector<std::size_t> start(tiles);
-    std::vector<Rel> spans0;           // tile 0's ops' spans
-    std::vector<std::size_t> spans0At; // per op of its slice, and end
-    std::vector<Rel> spansT;           // one op of tile t
-    std::vector<std::size_t> sfus;     // uniform SFU ops of tile 0
-    std::vector<std::size_t> shared;   // those the other tiles copy
+    RangeSet later; // what tile 0's slice writes after an op
+    std::vector<std::size_t> count(tiles), start(tiles);
+    std::vector<Rel> rels0;           // tile 0's ops' spans, from
+    std::vector<std::size_t> rels0At; // these per op, then the end
+    std::vector<Rel> rels;            // one op of another tile
+    // Tile 0's op at one k: its pointers and their columns of shift.
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> xPointers;
+    // Op y of tile t is a twin of it: the same fields, and every
+    // pointer at the same place of its tile.
+    auto twin = [&](const ReplayOp &x, const ReplayOp &y, std::uint32_t t) {
+        if (!sameFields(x, y))
+            return false; // so y has as many pointers as x
+        bool same = true;
+        std::size_t j = 0;
+        eachPointer(y, [&](const float *p) {
+            const auto [at, column] = xPointers[j++];
+            same = same && wordOf(p) == at + shift[t * kCols + column];
+        });
+        return same;
+    };
+    std::vector<std::size_t> sfus;    // uniform SFU ops of the slice
+    std::vector<std::size_t> shared;  // those the other tiles copy
     std::size_t uniform = 0;
-    auto written = [](const Rel *from, const Rel *to, auto &&fn) {
+    auto erase = [&](const Rel *from, const Rel *to) {
         for (; from != to; ++from)
             if (from->access != SpanAccess::Read)
-                fn(from->lo, from->hi);
-    };
-    auto erase = [&](std::uint64_t lo, std::uint64_t hi) {
-        same.erase(lo, hi);
+                same.erase(from->lo, from->hi);
     };
     for (std::size_t i = 0; i < ops_.size();) {
         const ReplayOp &op = ops_[i];
@@ -1371,17 +1354,16 @@ ReplayTape::shareTileWork(const std::vector<TileSpace> &spaces)
             // The same words into every tile: at one offset they join
             // the set, else each destination leaves it.
             float *const *dsts = dstPtrs(op.pitchA);
-            Rel first{};
+            Rel first{}, rel{};
             bool aligned = op.rows == tiles;
             for (std::uint32_t t = 0; t < op.rows; ++t) {
-                Rel rel{};
                 if (t >= tiles || !inTile(t, dsts[t], op.n, rel)) {
                     same.clear();
                     aligned = false;
                     break;
                 }
                 first = t == 0 ? rel : first;
-                aligned = aligned && rel == first;
+                aligned = aligned && rel.lo == first.lo;
                 same.erase(rel.lo, rel.hi);
             }
             if (aligned)
@@ -1392,20 +1374,20 @@ ReplayTape::shareTileWork(const std::vector<TileSpace> &spaces)
             continue;
         }
 
-        // One interval: tile-major slices up to the next comm op or
-        // the next op of a lower tile.
+        // One interval: tile 0's ops, then tile 1's, and so on, up to
+        // the next comm op or the next op of a lower tile.
         std::fill(count.begin(), count.end(), 0);
         bool foreign = false;
         std::size_t end = i;
-        for (std::uint32_t last = 0;
+        for (std::uint32_t prev = 0;
              end < ops_.size() && !isComm(ops_[end]); ++end) {
             const std::uint32_t t = tileOf(ops_[end]);
             foreign = foreign || t == kNone;
             if (t == kNone)
                 continue;
-            if (t < last)
+            if (t < prev)
                 break;
-            last = t;
+            prev = t;
             ++count[t];
         }
         start[0] = i;
@@ -1414,33 +1396,22 @@ ReplayTape::shareTileWork(const std::vector<TileSpace> &spaces)
 
         // Tiles touch only their own memory between comm ops, so the
         // set after every tile's op k is the set in tape order too.
-        spans0.clear();
-        spans0At.clear();
+        rels0.clear();
+        rels0At.clear();
         sfus.clear();
         const std::size_t longest =
             *std::max_element(count.begin(), count.end());
         for (std::size_t k = 0; k < longest && !foreign; ++k) {
             const bool has0 = k < count[0];
             const ReplayOp &x = ops_[start[0] + k];
-            const std::size_t x0 = spans0.size();
-            const Fields px = fieldsOf(x);
-            // With every non-null pointer of x inside a space (x's
-            // spans are in bounds), a twin of the plain kinds is x
-            // with each pointer moved by its space's shift.
-            bool fast = false;
+            const std::size_t x0 = rels0.size();
             if (has0) {
-                spans0At.push_back(x0);
-                foreign = !relsOf(0, x, spans0);
-                fast = x.kind == ReplayKind::Copy2d ||
-                       x.kind == ReplayKind::Vmm ||
-                       x.kind == ReplayKind::Elementwise ||
-                       x.kind == ReplayKind::Sfu;
-                for (std::size_t j = 0; j < px.size(); ++j) {
-                    column[j] = px[j] == nullptr ? kSpaces : 0;
-                    while (column[j] < kSpaces && !spaceOf(column[j], px[j]))
-                        ++column[j];
-                    fast = fast && (px[j] == nullptr || column[j] < kSpaces);
-                }
+                rels0At.push_back(x0);
+                foreign = !relsOf(0, x, rels0);
+                xPointers.clear();
+                eachPointer(x, [&](const float *p) {
+                    xPointers.push_back({wordOf(p), spaceOf(0, p)});
+                });
             }
             bool uni = has0;
             for (std::uint32_t t = 1; t < tiles && !foreign; ++t) {
@@ -1449,62 +1420,56 @@ ReplayTape::shareTileWork(const std::vector<TileSpace> &spaces)
                     continue;
                 }
                 const ReplayOp &y = ops_[start[t] + k];
-                if (fast && std::memcmp(&x, &y, kFieldBytes) == 0 &&
-                    moved(px, y, t))
-                    continue;
-                const bool fields = has0 && sameFields(x, y);
-                spansT.clear();
-                foreign = !relsOf(t, y, spansT);
-                // A twin writes where tile 0's op does.
-                if (fields && std::equal(spansT.begin(), spansT.end(),
-                                         spans0.begin() + x0, spans0.end()))
+                if (has0 && twin(x, y, t))
                     continue;
                 uni = false;
-                written(spansT.data(), spansT.data() + spansT.size(), erase);
+                rels.clear();
+                foreign = !relsOf(t, y, rels);
+                erase(rels.data(), rels.data() + rels.size());
             }
-            const Rel *from = spans0.data() + x0;
-            const Rel *to = spans0.data() + spans0.size();
+            const Rel *from = rels0.data() + x0;
+            const Rel *to = rels0.data() + rels0.size();
             for (const Rel *r = from; uni && r != to; ++r)
                 uni = r->access == SpanAccess::Write ||
                       same.covers(r->lo, r->hi);
             if (!uni) {
-                written(from, to, erase);
+                erase(from, to);
                 continue;
             }
-            written(from, to, [&](std::uint64_t lo, std::uint64_t hi) {
-                same.insert(lo, hi);
-            });
+            for (const Rel *r = from; r != to; ++r)
+                if (r->access != SpanAccess::Read)
+                    same.insert(r->lo, r->hi);
             uniform += tiles;
             if (x.kind == ReplayKind::Sfu && x.n > 0)
                 sfus.push_back(k);
         }
         i = end;
         if (foreign) {
-            // A span outside the op's tile: nothing is known shared.
+            // A span outside its op's tile: nothing is known shared.
             same.clear();
             continue;
         }
 
         // Tiles 1..T-1 copy each uniform SFU result that tile 0 still
         // holds at the end of its slice.
-        spans0At.push_back(spans0.size());
+        rels0At.push_back(rels0.size());
         later.clear();
         shared.clear();
         for (std::size_t k = count[0]; !sfus.empty() && k-- > 0;) {
-            const Rel *from = spans0.data() + spans0At[k];
-            const Rel *to = spans0.data() + spans0At[k + 1];
+            const Rel *from = rels0.data() + rels0At[k];
+            const Rel *to = rels0.data() + rels0At[k + 1];
             if (sfus.back() == k) {
                 sfus.pop_back();
-                if (!later.meets(to[-1].lo, to[-1].hi)) // the op's d
+                if (!later.meets(to[-1].lo, to[-1].hi)) // an SFU's d
                     shared.push_back(k);
             }
-            written(from, to, [&](std::uint64_t lo, std::uint64_t hi) {
-                later.insert(lo, hi);
-            });
+            for (const Rel *r = from; r != to; ++r)
+                if (r->access != SpanAccess::Read)
+                    later.insert(r->lo, r->hi);
         }
         for (std::uint32_t t = 1; t < tiles; ++t)
             for (auto k = shared.rbegin(); k != shared.rend(); ++k) {
-                const Rel &dst = spans0[spans0At[*k + 1] - 1];
+                const Rel &dst = rels0[rels0At[*k + 1] - 1];
                 ReplayOp &y = ops_[start[t] + *k];
                 replaced_.push_back({start[t] + *k, y});
                 y = ReplayOp{};
@@ -1518,9 +1483,9 @@ ReplayTape::shareTileWork(const std::vector<TileSpace> &spaces)
     }
     if (replayDebug())
         std::fprintf(stderr,
-                     "replay: tile sharing: %zu uniform ops, %zu replaced "
-                     "by copies of tile 0 (%.3f ms)\n",
-                     uniform, replaced_.size(), msSince(t0));
+                     "replay: tile sharing: %zu of %zu ops uniform, %zu "
+                     "replaced by copies of tile 0 (%.3f ms)\n",
+                     uniform, ops_.size(), replaced_.size(), msSince(t0));
 }
 
 void

@@ -38,7 +38,10 @@
  * vectors, so the SFU maps of that decode compute the same bits on
  * every tile. At seal a last pass (shareTileWork()) finds such ops and
  * lets tiles 1..T-1 copy tile 0's result instead; the timed tiles
- * still charge every op, only the functional replay shares it.
+ * still charge every op, only the functional replay shares it. So a
+ * sealed tape's tile ops no longer touch only their own tile between
+ * comm ops: such a copy in tile t reads tile 0's memory, and must run
+ * after tile 0's slice of that interval, as the tape order has it.
  *
  * The recorded pointers stay valid because tile memories and the
  * chip-level staging vectors are allocated once per reset(); the tape

@@ -668,6 +668,41 @@ TEST(ChipEngine, SealedTapeDigestsPinned)
     }
 }
 
+// The ops the tile sharing pass turns into copies of tile 0 at 16
+// tiles: the SFU ops of the head decode that every tile repeats, in
+// four Table-2 shapes and the 512- to 2048-row DNCs.
+TEST(ChipEngine, PinnedReplacedOpCounts)
+{
+    const std::pair<const char *, std::size_t> expected[] = {
+        {"copy", 300},   {"sort", 795},    {"shrdlu", 570},  {"short", 840},
+        {"dnc512", 270}, {"dnc1024", 270}, {"dnc2048", 270},
+    };
+    const auto ac = arch::MannaConfig::withTiles(16);
+    for (const auto &[name, count] : expected) {
+        SCOPED_TRACE(name);
+        const std::string shape = name;
+        if (shape.rfind("dnc", 0) == 0) {
+            const mann::MannConfig &travers =
+                workloads::benchmarkByName("travers").config;
+            DncConfig dc = makeConfig(std::stoul(shape.substr(3)), 64, 2);
+            dc.controllerWidth = 128;
+            dc.inputDim = travers.inputDim;
+            dc.outputDim = travers.outputDim;
+            const auto model = compiler::compileDnc(dc, ac);
+            DncChip chip(model, 5, Fidelity::Fast);
+            chip.step(FVec(dc.inputDim, 0.5f));
+            EXPECT_EQ(chip.engine().tape().replaced().size(), count);
+        } else {
+            const mann::MannConfig &mc =
+                workloads::benchmarkByName(shape).config;
+            const auto model = compiler::compile(mc, ac);
+            Chip chip(model, 5, Fidelity::Fast);
+            chip.step(FVec(mc.inputDim, 0.5f));
+            EXPECT_EQ(chip.engine().tape().replaced().size(), count);
+        }
+    }
+}
+
 // A row width that is not a multiple of the 32-word Matrix-Buffer
 // width: every memory sweep ends in a 4-word column block. The digests
 // were recorded before the replay tape merged column-blocked sweeps,

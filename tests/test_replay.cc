@@ -21,7 +21,11 @@
 #include "common/error.hh"
 #include "common/rng.hh"
 #include "compiler/codegen_util.hh"
+#include "compiler/compiler.hh"
+#include "compiler/dnc_codegen.hh"
 #include "compiler/mapping.hh"
+#include "sim/chip.hh"
+#include "sim/dnc_chip.hh"
 #include "sim/replay.hh"
 #include "sim/tile.hh"
 
@@ -80,6 +84,26 @@ copyRows(const float *src, std::uint32_t srcPitch, float *dst,
     op.pitchA = srcPitch;
     op.d = dst;
     op.pitchD = dstPitch;
+    return op;
+}
+
+ReplayOp
+sfu(Opcode code, float *d, const float *a, std::uint32_t n)
+{
+    ReplayOp op;
+    op.kind = ReplayKind::Sfu;
+    op.op = code;
+    op.n = n;
+    op.a = a;
+    op.d = d;
+    return op;
+}
+
+ReplayOp
+fill(float *d, std::uint32_t n, float imm)
+{
+    ReplayOp op = ew(Opcode::Fill, d, nullptr, 0, nullptr, 0, imm);
+    op.n = n;
     return op;
 }
 
@@ -724,6 +748,132 @@ TEST(ReplaySweep, WindowWhoseOpsDifferFromItsDescriptorStaysRaw)
         EXPECT_EQ(countKind(tape, ReplayKind::Vmm),
                   kind == Sweep::RowDot ? 14u : 16u);
     }
+}
+
+// ---------------------------------------------------------------------
+// forEachSpan() against the kernels: each op of a sealed tape, run on
+// its arena, writes only inside the spans it reports as written, reads
+// only inside those it reports as read, and writes every word of a
+// Write span without reading it first.
+
+/** Check @p op of @p tape on @p arena: run it from random words, then
+ * again with every word it does not report reading changed. */
+void
+expectSpansExact(const ReplayTape &tape, const ReplayOp &op,
+                 std::vector<float> &arena)
+{
+    SCOPED_TRACE(testing::Message() << "kind " << static_cast<int>(op.kind)
+                                    << " op " << static_cast<int>(op.op));
+    const std::size_t words = arena.size();
+    std::vector<bool> read(words), written(words);
+    tape.forEachSpan(op, [&](const float *p, std::size_t n, SpanAccess a) {
+        const auto at = static_cast<std::size_t>(p - arena.data());
+        ASSERT_TRUE(p >= arena.data() && at + n <= words) << "outside";
+        for (std::size_t i = at; i < at + n; ++i) {
+            read[i] = read[i] || a != SpanAccess::Write;
+            written[i] = written[i] || a != SpanAccess::Read;
+        }
+    });
+    Rng rng(41);
+    std::vector<float> init(words), other(words);
+    for (std::size_t i = 0; i < words; ++i) {
+        init[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+        other[i] = read[i] ? init[i] : static_cast<float>(rng.uniform(2.0, 3.0));
+    }
+    arena = init;
+    execTileOp(op, &tape);
+    const std::vector<float> first = arena;
+    arena = other;
+    execTileOp(op, &tape);
+    for (std::size_t i = 0; i < words; ++i) {
+        if (written[i]) {
+            ASSERT_EQ(std::memcmp(&first[i], &arena[i], 4), 0)
+                << "word " << i << " depends on an unreported read or "
+                << "keeps its old value";
+        } else {
+            ASSERT_EQ(std::memcmp(&first[i], &init[i], 4), 0)
+                << "unreported write of word " << i;
+            ASSERT_EQ(std::memcmp(&arena[i], &other[i], 4), 0)
+                << "unreported write of word " << i;
+        }
+    }
+}
+
+TEST(ReplaySpans, MergedSweepsReportWhatTheyTouch)
+{
+    const std::pair<Sweep, ReplayKind> cases[] = {
+        {Sweep::RowDot, ReplayKind::RowDotSweep},
+        {Sweep::ColumnRowsOuter, ReplayKind::ColumnSweep},
+        {Sweep::ColumnColsOuter, ReplayKind::ColumnSweep},
+        {Sweep::RowUpdate, ReplayKind::FusedRowUpdate},
+        {Sweep::LinkUpdate, ReplayKind::FusedLinkUpdate},
+    };
+    for (const auto &[kind, merged] : cases) {
+        SCOPED_TRACE(static_cast<int>(kind));
+        std::vector<float> arena(kSwArena);
+        const SweepWindow w = sweepWindow(arena.data(), kind, {});
+        ReplayTape tape;
+        tape.startRecording();
+        tape.openSweep(w);
+        for (const ReplayOp &op :
+             sweepOps(w, kind == Sweep::LinkUpdate, arena.data()))
+            tape.append(op);
+        tape.closeSweep();
+        tape.finishRecording();
+        ASSERT_EQ(countKind(tape, merged), 1u);
+        for (const ReplayOp &op : tape.ops())
+            expectSpansExact(tape, op, arena);
+    }
+}
+
+TEST(ReplaySpans, FusedRowsAndPlainOpsReportWhatTheyTouch)
+{
+    std::vector<float> arena(kArena);
+    float *m = arena.data();
+    ReplayTape fused;
+    fused.startRecording();
+    Ops rows;
+    rowQuad(rows, m, m + kHome, m + kW);
+    linkTriple(rows, m, m + kHome + kHomePitch, m + kW + 1, m + kAdd);
+    for (const ReplayOp &op : rows)
+        fused.append(op);
+    fused.finishRecording();
+    EXPECT_EQ(countKind(fused, ReplayKind::FusedRowUpdate), 1u);
+    EXPECT_EQ(countKind(fused, ReplayKind::FusedLinkUpdate), 1u);
+    for (const ReplayOp &op : fused.ops())
+        expectSpansExact(fused, op, arena);
+
+    ReplayOp rowDot;
+    rowDot.kind = ReplayKind::Vmm;
+    rowDot.flags = kReplayRowDot | kReplayWithNorms | kReplayAccumulate;
+    rowDot.n = kN;
+    rowDot.rows = kR;
+    rowDot.pitchA = kHomePitch;
+    rowDot.b = m + kHome;
+    rowDot.a = m + kSrc;
+    rowDot.d = m + kOut;
+    rowDot.dn = m + kOut + kR;
+    ReplayOp column = rowDot;
+    column.flags = 0;
+    column.a = m + kW;
+    column.dn = nullptr;
+    ReplayOp pow = sfu(Opcode::SfuPow, m + kOut, m + kSrc, kN);
+    pow.b = m + kW;
+    const Ops plain = {
+        copyRows(m + kHome, kHomePitch, m + kStaged, kN),
+        copyRows(m + kStaged, kN, m + kHome, kHomePitch),
+        rowDot,
+        column,
+        ew(Opcode::EwMac, m + kOut, m + kSrc, kN, m + kW, 1),
+        ew(Opcode::EwRsubImm, m + kOut, m + kSrc, kN, nullptr, 0, 1.0f),
+        fill(m + kOut, kN, 2.0f),
+        sfu(Opcode::SfuTanh, m + kOut, m + kSrc, kN),
+        sfu(Opcode::SfuAccSum, m + kOut, m + kSrc, kN),
+        sfu(Opcode::SfuAccMax, m + kOut, m + kSrc, kN),
+        pow,
+    };
+    for (const ReplayOp &op : plain)
+        expectSpansExact(fused, op, arena);
 }
 
 // ---------------------------------------------------------------------
@@ -1421,15 +1571,16 @@ recordAndRun(DiffMemTile &tile, bool raw)
 
 /**
  * A hand-built tape over kTiles one-space tiles: a broadcast of 8
- * words to offset 0 of every tile, then per tile (tile-major) @p body
- * ops. Records it with the tile sharing pass and raw, runs both twice
- * and requires the same bits; returns the ops the pass replaced.
+ * words to offset 0 of every tile (offset 8 in tile @p skewed), then
+ * per tile (tile-major) @p body ops. Records it with the tile sharing
+ * pass and raw, runs both twice and requires the same bits; returns
+ * the ops the pass replaced.
  */
 constexpr std::uint32_t kTiles = 4;
 using TileBody = std::function<Ops(std::uint32_t, float *)>;
 
 std::size_t
-sharedOps(const TileBody &body)
+sharedOps(const TileBody &body, std::uint32_t skewed = kTiles)
 {
     std::vector<std::vector<float>> shared(kTiles), raw(kTiles);
     std::size_t replaced = 0;
@@ -1438,8 +1589,8 @@ sharedOps(const TileBody &body)
         std::vector<float *> dsts;
         for (std::uint32_t t = 0; t < kTiles; ++t) {
             (*arenas)[t].assign(64, 0.25f * float(t));
-            dsts.push_back((*arenas)[t].data());
-            spaces.push_back({dsts.back(), 64, t, isa::Space::VecBuf});
+            dsts.push_back((*arenas)[t].data() + (t == skewed ? 8 : 0));
+            spaces.push_back({(*arenas)[t].data(), 64, t, isa::Space::VecBuf});
         }
         ReplayTape tape;
         tape.startRecording(arenas == &raw);
@@ -1449,7 +1600,7 @@ sharedOps(const TileBody &body)
         bc.rows = kTiles;
         tape.append(bc, dsts);
         for (std::uint32_t t = 0; t < kTiles; ++t)
-            for (const ReplayOp &op : body(t, dsts[t]))
+            for (const ReplayOp &op : body(t, (*arenas)[t].data()))
                 tape.append(op);
         tape.finishRecording(spaces);
         replaced += tape.replaced().size();
@@ -1469,26 +1620,6 @@ sharedOps(const TileBody &body)
     return replaced;
 }
 
-ReplayOp
-sfu(Opcode code, float *d, const float *a, std::uint32_t n)
-{
-    ReplayOp op;
-    op.kind = ReplayKind::Sfu;
-    op.op = code;
-    op.n = n;
-    op.a = a;
-    op.d = d;
-    return op;
-}
-
-ReplayOp
-fill(float *d, std::uint32_t n, float imm)
-{
-    ReplayOp op = ew(Opcode::Fill, d, nullptr, 0, nullptr, 0, imm);
-    op.n = n;
-    return op;
-}
-
 TEST(ReplayShare, SfuTwinsOfABroadcastCopyTileZero)
 {
     EXPECT_EQ(sharedOps([](std::uint32_t, float *m) {
@@ -1503,6 +1634,36 @@ TEST(ReplayShare, ATileWritingTheBroadcastKeepsTheOp)
     EXPECT_EQ(sharedOps([](std::uint32_t t, float *m) {
                   return Ops{fill(m + (t == 2 ? 3 : 40), 1, 7.0f),
                              sfu(Opcode::SfuTanh, m + 16, m, 8)};
+              }),
+              0u);
+}
+
+TEST(ReplayShare, ABroadcastToOtherOffsetsKeepsTheOp)
+{
+    EXPECT_EQ(sharedOps(
+                  [](std::uint32_t, float *m) {
+                      return Ops{sfu(Opcode::SfuTanh, m + 16, m, 8)};
+                  },
+                  1),
+              0u);
+}
+
+TEST(ReplayShare, AnAccumulatorThatDiffersKeepsTheOp)
+{
+    // EwMac reads its destination, which holds each tile's own words.
+    EXPECT_EQ(sharedOps([](std::uint32_t, float *m) {
+                  ReplayOp mac = ew(Opcode::EwMac, m + 16, m, 8, m, 8);
+                  mac.n = 8;
+                  return Ops{mac, sfu(Opcode::SfuTanh, m + 24, m + 16, 8)};
+              }),
+              0u);
+}
+
+TEST(ReplayShare, OpsDifferingInAFieldKeepTheOp)
+{
+    EXPECT_EQ(sharedOps([](std::uint32_t t, float *m) {
+                  return Ops{sfu(t == 2 ? Opcode::SfuSigmoid : Opcode::SfuTanh,
+                                 m + 16, m, 8)};
               }),
               0u);
 }
@@ -1526,6 +1687,121 @@ TEST(ReplayShare, RaggedTilesKeepEverything)
                   return ops;
               }),
               0u);
+}
+
+// Whole chips: random NTM and DNC shapes on 1 to 16 tiles, most with
+// rows that do not split evenly over the tiles, stepped on a sealed
+// tape and on a raw one (no fusion, merge or tile sharing).
+
+/**
+ * Every word of every tile memory of @p x and @p y bit for bit, but
+ * those a merged sweep of @p model no longer writes: the blocks staged
+ * in the Matrix-Scratchpad and each sweep's stage words.
+ */
+void
+expectSameTiles(const compiler::CompiledProgram &model, const ChipEngine &x,
+                const ChipEngine &y)
+{
+    ASSERT_EQ(x.numTiles(), y.numTiles());
+    for (std::size_t t = 0; t < x.numTiles(); ++t) {
+        std::vector<bool> stage(x.tile(t).memory().words(isa::Space::VecSpad));
+        for (const compiler::CompiledSegment &seg : model.stepSegments)
+            for (const compiler::SweepDesc &sw : seg.tileSweeps[t])
+                for (std::uint32_t i = 0; i < std::max(sw.blockN, sw.blockM);
+                     ++i)
+                    stage[sw.stage + i] = true;
+        for (const isa::Space space :
+             {isa::Space::MatBuf, isa::Space::VecBuf, isa::Space::VecSpad}) {
+            const TileMemory &mx = x.tile(t).memory();
+            const TileMemory &my = y.tile(t).memory();
+            const float *px = mx.span(space, 0, 0);
+            const float *py = my.span(space, 0, 0);
+            for (std::size_t i = 0; i < mx.words(space); ++i)
+                ASSERT_TRUE((space == isa::Space::VecSpad && stage[i]) ||
+                            std::memcmp(px + i, py + i, 4) == 0)
+                    << "tile " << t << " " << isa::toString(space)
+                    << " word " << i;
+        }
+    }
+}
+
+void
+expectSameBits(const tensor::FVec &x, const tensor::FVec &y, const char *what)
+{
+    ASSERT_EQ(x.size(), y.size()) << what;
+    for (std::size_t i = 0; i < x.size(); ++i)
+        ASSERT_EQ(std::memcmp(&x[i], &y[i], 4), 0) << what << " word " << i;
+}
+
+/** Step @p sealed and @p raw, built alike, through three random
+ * inputs, @p raw on a raw tape, and require the same outputs, read
+ * vectors and tile memories; returns the ops tile sharing replaced. */
+template <typename ChipT>
+std::size_t
+stepLikeRawTape(ChipT &sealed, ChipT &raw, std::size_t inputDim, Rng &rng)
+{
+    raw.engine().setRawTape(true);
+    for (int step = 0; step < 3; ++step) {
+        tensor::FVec x(inputDim);
+        for (float &v : x)
+            v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        expectSameBits(sealed.step(x), raw.step(x), "output");
+        for (std::size_t h = 0; h < sealed.readVectors().size(); ++h)
+            expectSameBits(sealed.readVectors()[h], raw.readVectors()[h],
+                           "read vector");
+    }
+    expectSameTiles(sealed.model(), sealed.engine(), raw.engine());
+    EXPECT_TRUE(raw.engine().tape().replaced().empty());
+    return sealed.engine().tape().replaced().size();
+}
+
+TEST(ReplayShare, ChipsMatchTheirRawTape)
+{
+    Rng rng(2029);
+    std::size_t replaced = 0;
+    for (int c = 0; c < 40; ++c) {
+        // The H-tree NoC takes a power of two.
+        const std::size_t tiles = std::size_t{1} << rng.below(5);
+        const auto ac = arch::MannaConfig::withTiles(tiles);
+        const auto memN = static_cast<std::size_t>(rng.range(16, 96));
+        const auto memM = static_cast<std::size_t>(rng.range(8, 40));
+        const auto heads = static_cast<std::size_t>(rng.range(1, 2));
+        const auto width = static_cast<std::size_t>(rng.range(16, 48));
+        const auto seed = static_cast<std::uint64_t>(c + 1);
+        SCOPED_TRACE(testing::Message()
+                     << (c % 2 == 0 ? "NTM" : "DNC") << " " << memN << "x"
+                     << memM << ", " << heads << " read heads, " << tiles
+                     << " tiles");
+        if (c % 2 == 0) {
+            mann::MannConfig mc;
+            mc.memN = memN;
+            mc.memM = memM;
+            mc.numReadHeads = heads;
+            mc.controllerWidth = width;
+            mc.inputDim = static_cast<std::size_t>(rng.range(4, 12));
+            mc.outputDim = static_cast<std::size_t>(rng.range(4, 12));
+            const auto model = compiler::compile(mc, ac);
+            Chip sealed(model, seed, Fidelity::Fast);
+            Chip raw(model, seed, Fidelity::Fast);
+            replaced += stepLikeRawTape(sealed, raw, mc.inputDim, rng);
+        } else {
+            mann::DncConfig dc;
+            dc.memN = memN;
+            dc.memM = memM;
+            dc.numReadHeads = heads;
+            dc.controllerWidth = width;
+            dc.inputDim = static_cast<std::size_t>(rng.range(4, 12));
+            dc.outputDim = static_cast<std::size_t>(rng.range(4, 12));
+            const auto model = compiler::compileDnc(dc, ac);
+            DncChip sealed(model, seed, Fidelity::Fast);
+            DncChip raw(model, seed, Fidelity::Fast);
+            replaced += stepLikeRawTape(sealed, raw, dc.inputDim, rng);
+        }
+        if (HasFatalFailure())
+            return;
+    }
+    // The cases share tile work: the pass is exercised, not bypassed.
+    EXPECT_GT(replaced, 0u);
 }
 
 TEST(ReplayFuzz, SweepProgramsMatchTheirRawOps)
