@@ -1231,7 +1231,7 @@ ReplayTape::shareTileWork(const std::vector<TileSpace> &spaces)
 {
     const auto t0 = std::chrono::steady_clock::now();
     // Tile t's space s is space[t * kSpaces + s].
-    constexpr std::uint32_t kSpaces = 4, kNone = ~std::uint32_t{0};
+    constexpr std::uint32_t kSpaces = 4;
     std::uint32_t tiles = 0;
     for (const TileSpace &sp : spaces)
         tiles = std::max(tiles, sp.tile + 1);
@@ -1308,20 +1308,15 @@ ReplayTape::shareTileWork(const std::vector<TileSpace> &spaces)
         });
         return in;
     };
-    // The tile an op works in: its destination's (a sweep's matrix's),
-    // searched from the last op's tile.
-    std::uint32_t last = 0;
-    auto tileOf = [&](const ReplayOp &op) {
-        const float *p = op.d != nullptr ? op.d : op.b;
-        for (std::uint32_t j = 0; j < tiles; ++j, last = (last + 1) % tiles)
-            if (spaceOf(last, p) < kSpaces)
-                return last;
-        return kNone;
+    // True if @p op works in tile 0: its destination (a sweep's
+    // matrix) is there.
+    auto inTile0 = [&](const ReplayOp &op) {
+        return !isComm(op) &&
+               spaceOf(0, op.d != nullptr ? op.d : op.b) < kSpaces;
     };
 
     RangeSet same;  // the same bits in every tile
     RangeSet later; // what tile 0's slice writes after an op
-    std::vector<std::size_t> count(tiles), start(tiles);
     std::vector<Rel> rels0;           // tile 0's ops' spans, from
     std::vector<std::size_t> rels0At; // these per op, then the end
     std::vector<Rel> rels;            // one op of another tile
@@ -1374,53 +1369,42 @@ ReplayTape::shareTileWork(const std::vector<TileSpace> &spaces)
             continue;
         }
 
-        // One interval: tile 0's ops, then tile 1's, and so on, up to
-        // the next comm op or the next op of a lower tile.
-        std::fill(count.begin(), count.end(), 0);
-        bool foreign = false;
-        std::size_t end = i;
-        for (std::uint32_t prev = 0;
-             end < ops_.size() && !isComm(ops_[end]); ++end) {
-            const std::uint32_t t = tileOf(ops_[end]);
-            foreign = foreign || t == kNone;
-            if (t == kNone)
-                continue;
-            if (t < prev)
-                break;
-            prev = t;
-            ++count[t];
+        // One interval: tile 0's ops from i on, then as many of tile
+        // 1's, and so on. Each op's twin check, or else its span check,
+        // confirms that it works in the tile its place names; ragged
+        // tiles fail that and share nothing.
+        std::size_t n0 = 0;
+        while (i + n0 < ops_.size() && inTile0(ops_[i + n0]))
+            ++n0;
+        const std::size_t end = std::min(i + tiles * n0, ops_.size());
+        const std::size_t comm = static_cast<std::size_t>(
+            std::find_if(ops_.begin() + i, ops_.begin() + end, isComm) -
+            ops_.begin());
+        if (n0 == 0 || comm < i + tiles * n0) {
+            same.clear();
+            i = std::max(comm, i + 1);
+            continue;
         }
-        start[0] = i;
-        for (std::uint32_t t = 1; t < tiles; ++t)
-            start[t] = start[t - 1] + count[t - 1];
 
         // Tiles touch only their own memory between comm ops, so the
         // set after every tile's op k is the set in tape order too.
         rels0.clear();
         rels0At.clear();
         sfus.clear();
-        const std::size_t longest =
-            *std::max_element(count.begin(), count.end());
-        for (std::size_t k = 0; k < longest && !foreign; ++k) {
-            const bool has0 = k < count[0];
-            const ReplayOp &x = ops_[start[0] + k];
+        bool foreign = false;
+        for (std::size_t k = 0; k < n0 && !foreign; ++k) {
+            const ReplayOp &x = ops_[i + k];
             const std::size_t x0 = rels0.size();
-            if (has0) {
-                rels0At.push_back(x0);
-                foreign = !relsOf(0, x, rels0);
-                xPointers.clear();
-                eachPointer(x, [&](const float *p) {
-                    xPointers.push_back({wordOf(p), spaceOf(0, p)});
-                });
-            }
-            bool uni = has0;
+            rels0At.push_back(x0);
+            foreign = !relsOf(0, x, rels0);
+            xPointers.clear();
+            eachPointer(x, [&](const float *p) {
+                xPointers.push_back({wordOf(p), spaceOf(0, p)});
+            });
+            bool uni = true;
             for (std::uint32_t t = 1; t < tiles && !foreign; ++t) {
-                if (k >= count[t]) {
-                    uni = false;
-                    continue;
-                }
-                const ReplayOp &y = ops_[start[t] + k];
-                if (has0 && twin(x, y, t))
+                const ReplayOp &y = ops_[i + t * n0 + k];
+                if (twin(x, y, t))
                     continue;
                 uni = false;
                 rels.clear();
@@ -1443,6 +1427,7 @@ ReplayTape::shareTileWork(const std::vector<TileSpace> &spaces)
             if (x.kind == ReplayKind::Sfu && x.n > 0)
                 sfus.push_back(k);
         }
+        const std::size_t first = i;
         i = end;
         if (foreign) {
             // A span outside its op's tile: nothing is known shared.
@@ -1455,7 +1440,7 @@ ReplayTape::shareTileWork(const std::vector<TileSpace> &spaces)
         rels0At.push_back(rels0.size());
         later.clear();
         shared.clear();
-        for (std::size_t k = count[0]; !sfus.empty() && k-- > 0;) {
+        for (std::size_t k = n0; !sfus.empty() && k-- > 0;) {
             const Rel *from = rels0.data() + rels0At[k];
             const Rel *to = rels0.data() + rels0At[k + 1];
             if (sfus.back() == k) {
@@ -1470,14 +1455,15 @@ ReplayTape::shareTileWork(const std::vector<TileSpace> &spaces)
         for (std::uint32_t t = 1; t < tiles; ++t)
             for (auto k = shared.rbegin(); k != shared.rend(); ++k) {
                 const Rel &dst = rels0[rels0At[*k + 1] - 1];
-                ReplayOp &y = ops_[start[t] + *k];
-                replaced_.push_back({start[t] + *k, y});
+                const std::size_t at = first + t * n0 + *k;
+                ReplayOp &y = ops_[at];
+                replaced_.push_back({at, y});
                 y = ReplayOp{};
                 y.kind = ReplayKind::Copy2d;
                 y.n = y.pitchA = y.pitchD =
                     static_cast<std::uint32_t>(dst.hi - dst.lo);
                 y.rows = 1;
-                y.a = ops_[start[0] + *k].d;
+                y.a = ops_[first + *k].d;
                 y.d = replaced_.back().op.d;
             }
     }

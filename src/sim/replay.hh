@@ -422,11 +422,13 @@ private:
      * Tile sharing pass. One walk keeps the set of tile-relative
      * ranges (space, word offset) that hold the same bits in every
      * tile. Each step's tape starts it empty; a Broadcast to one
-     * offset in every tile adds its destination. Between two comm ops
-     * (and wherever the tile index goes down) the tape holds tile 0's
-     * ops, then tile 1's, and so on: op k of tile t is a twin of op k
-     * of tile 0 when every field and every relative span agree. Op k
-     * is uniform when all T tiles have twins and every span it reads
+     * offset in every tile adds its destination. An interval is a run
+     * of n ops in tile 0 and the (T - 1) * n ops after it, before the
+     * next comm op: op k of tile t is the interval's op t * n + k, and
+     * a twin of op k of tile 0 when every field and every relative
+     * span agree. Every other op must lie in the tile its place
+     * names, or the interval (ragged tiles, say) shares nothing and
+     * the set empties. Op k is uniform when all T tiles have twins and every span it reads
      * is in the set; its writes then enter the set, and any other
      * write leaves it. A uniform SFU op in tiles 1..T-1 becomes a copy
      * of tile 0's destination, unless a later op of tile 0's slice

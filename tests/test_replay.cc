@@ -1572,15 +1572,16 @@ recordAndRun(DiffMemTile &tile, bool raw)
 /**
  * A hand-built tape over kTiles one-space tiles: a broadcast of 8
  * words to offset 0 of every tile (offset 8 in tile @p skewed), then
- * per tile (tile-major) @p body ops. Records it with the tile sharing
- * pass and raw, runs both twice and requires the same bits; returns
- * the ops the pass replaced.
+ * per tile (tile-major) @p body ops, then per tile @p then ops.
+ * Records it with the tile sharing pass and raw, runs both twice and
+ * requires the same bits; returns the ops the pass replaced.
  */
 constexpr std::uint32_t kTiles = 4;
 using TileBody = std::function<Ops(std::uint32_t, float *)>;
 
 std::size_t
-sharedOps(const TileBody &body, std::uint32_t skewed = kTiles)
+sharedOps(const TileBody &body, std::uint32_t skewed = kTiles,
+          const TileBody &then = {})
 {
     std::vector<std::vector<float>> shared(kTiles), raw(kTiles);
     std::size_t replaced = 0;
@@ -1599,9 +1600,10 @@ sharedOps(const TileBody &body, std::uint32_t skewed = kTiles)
         bc.n = 8;
         bc.rows = kTiles;
         tape.append(bc, dsts);
-        for (std::uint32_t t = 0; t < kTiles; ++t)
-            for (const ReplayOp &op : body(t, (*arenas)[t].data()))
-                tape.append(op);
+        for (const TileBody *round : {&body, &then})
+            for (std::uint32_t t = 0; *round && t < kTiles; ++t)
+                for (const ReplayOp &op : (*round)(t, (*arenas)[t].data()))
+                    tape.append(op);
         tape.finishRecording(spaces);
         replaced += tape.replaced().size();
         std::vector<float> noc = {0.5f, -1.0f, 2.0f, 0.1f,
@@ -1686,6 +1688,30 @@ TEST(ReplayShare, RaggedTilesKeepEverything)
                       ops.insert(ops.begin(), fill(m + 50, 2, 1.0f));
                   return ops;
               }),
+              0u);
+}
+
+// Tile 1 runs one op over and tile 2 one short, so the interval's
+// tile-2 places start with tile 1's last op, a write into the
+// broadcast. Its span check must fail there; otherwise that write
+// would stay unseen and the next round's op would look uniform.
+TEST(ReplayShare, TilesOutOfStepKeepEverything)
+{
+    const auto fillFar = [](float *m) { return fill(m + 40, 1, 1.0f); };
+    const auto squash = [](float *m, std::uint32_t to) {
+        return sfu(Opcode::SfuTanh, m + to, m, 8);
+    };
+    EXPECT_EQ(sharedOps(
+                  [&](std::uint32_t t, float *m) {
+                      if (t == 2)
+                          return Ops{squash(m, 16)};
+                      Ops ops{fillFar(m), squash(m, 16)};
+                      if (t == 1)
+                          ops.push_back(fill(m + 3, 1, 7.0f));
+                      return ops;
+                  },
+                  kTiles,
+                  [&](std::uint32_t, float *m) { return Ops{squash(m, 32)}; }),
               0u);
 }
 
